@@ -11,10 +11,10 @@ from .carriers import (Element, ElementSet, Hyperfield, ProbeSpec,
 from .polyalg import (CertStep, EqualCertificate, MemberCertificate, PolyBox,
                       PolyLeaf, Polynomial, ProdNode, Resolved, SumNode,
                       box_hyperadd, box_of, boxprod, boxsum, expr_equal,
-                      expr_member, expr_set, format_expr, format_poly,
-                      max_degree, monic_decompose, monomial, parse_expr,
-                      parse_poly, replay_member, resolve, resolved_members,
-                      scalar_prod, scale_box)
+                      expr_member, format_expr, format_poly, max_degree,
+                      monic_decompose, monomial, parse_expr, parse_poly,
+                      replay_member, resolve, resolved_members, scalar_prod,
+                      scale_box)
 from .divide import (QuotientSet, is_root, linear_for_root, mult_at,
                      mult_set, quotients, tropical_root_points)
 from .tropical import (BoxEquivalence, ReducibilityCertificate, RootMultiset,
@@ -36,7 +36,7 @@ __all__ = [
     "CertStep", "EqualCertificate", "MemberCertificate", "PolyBox",
     "PolyLeaf", "Polynomial", "ProdNode", "Resolved", "SumNode",
     "box_hyperadd", "box_of", "boxprod", "boxsum", "expr_equal",
-    "expr_member", "expr_set", "format_expr", "format_poly", "max_degree",
+    "expr_member", "format_expr", "format_poly", "max_degree",
     "monic_decompose", "monomial", "parse_expr", "parse_poly",
     "replay_member", "resolve", "resolved_members", "scalar_prod",
     "scale_box",

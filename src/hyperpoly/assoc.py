@@ -8,13 +8,15 @@ triple equals one of the three "outer choice" forms x (x) (y (x) z) with
 those three sets coincide."""
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .carriers import Element, Hyperfield, UndecidedError
 from .polyalg import (CertStep, EqualCertificate, Expr, MemberCertificate,
-                      Polynomial, PolyLeaf, ProdNode, boxprod, expr_equal,
+                      Polynomial, PolyLeaf, ProdNode, expr_equal,
                       expr_member, format_expr, resolve)
 
 
@@ -112,25 +114,6 @@ def _scan_polys(hf: Hyperfield, max_deg: int,
     return out
 
 
-def _singleton_add_tables(hf: Hyperfield):
-    """Index tables when every single hyperaddition is a singleton (then all
-    product boxes are singletons and set comparison is tuple comparison);
-    None as soon as one hypersum is set-valued."""
-    elems = sorted(hf.elements(), key=_fmt_key(hf))
-    pos = {e: i for i, e in enumerate(elems)}
-    n = len(elems)
-    add1 = [[0] * n for _ in range(n)]
-    mul = [[0] * n for _ in range(n)]
-    for i, x in enumerate(elems):
-        for j, y in enumerate(elems):
-            s = hf.hyperadd(x, y)
-            if not s.is_singleton():
-                return None
-            add1[i][j] = pos[s.the_element()]
-            mul[i][j] = pos[hf.mul(x, y)]
-    return elems, pos, add1, mul, pos[hf.zero()]
-
-
 def assoc_scan(hf: Hyperfield, max_deg: int, monic_only: bool = False,
                stop_after: Optional[int] = 1) -> ScanReport:
     """Exhaustive associativity scan over all positive-degree polynomial
@@ -138,13 +121,73 @@ def assoc_scan(hf: Hyperfield, max_deg: int, monic_only: bool = False,
     distribute exactly over hypersums, so constants cannot contribute a
     counterexample and are omitted.  Enumeration is by ascending degree and
     lexicographic coefficients; commutativity of the set product is the only
-    deduplication (unordered multisets cover all bracketings)."""
+    deduplication (unordered multisets cover all bracketings).
+
+    Elements are integer codes in display order and a polynomial is a tuple
+    of codes.  Hyperaddition is a code -> bitmask table; the masks a cell
+    hypersum can reach are numbered in one step table, so a box is a list
+    of set numbers.  The product y (x) z is kept per unordered pair as its
+    member tuples; an outer choice x (x) (y (x) z) is the set of member
+    tuples of x (x) r over those members r.  Single-valued carriers are the
+    case where every cell set has one code.  The leading cell of a product
+    is the single nonzero product of the leading coefficients, so every
+    member tuple is already trimmed.  Outer choices that differ are
+    certified by expr_equal."""
     if not hf.is_finite():
         raise UndecidedError(f"cannot scan the infinite carrier {hf.name}")
     polys = _scan_polys(hf, max_deg, monic_only)
-    tables = _singleton_add_tables(hf)
+    elems = sorted(hf.elements(), key=_fmt_key(hf))
+    code = {e: i for i, e in enumerate(elems)}
+    n, zero = len(elems), code[hf.zero()]
+    mul = [[code[hf.mul(x, y)] for y in elems] for x in elems]
+    add = [[sum(1 << code[s] for s in hf.sample_elements(hf.hyperadd(x, y)))
+            for y in elems] for x in elems]
+    # every set a cell hypersum can reach, the singleton {c} as set c;
+    # step[s][c] is the set (set s) (+) c
+    masks = [1 << c for c in range(n)]
+    index = {m: c for c, m in enumerate(masks)}
+    step = []
+    for mask in masks:  # grows while new sums appear
+        row = []
+        for c in range(n):
+            total = functools.reduce(operator.or_, (
+                add[b][c] for b in range(n) if mask >> b & 1))
+            if total not in index:
+                index[total] = len(masks)
+                masks.append(total)
+            row.append(index[total])
+        step.append(row)
+    choices = [tuple(c for c in range(n) if m >> c & 1) for m in masks]
+    enc = [tuple(code[c] for c in p.coeffs) for p in polys]
+    # per polynomial: (position, multiplication row) of each nonzero code
+    terms = [[(a, mul[c]) for a, c in enumerate(u) if c != zero]
+             for u in enc]
     found: list[AssocReport] = []
     checked = 0
+
+    def members_of_product(m: int, v: tuple):
+        """Member code tuples of the box polys[m] (x) v."""
+        cells = [zero] * (len(enc[m]) + len(v) - 1)
+        for a, row in terms[m]:
+            t = a
+            for c in v:
+                if c != zero:
+                    cells[t] = step[cells[t]][row[c]]
+                t += 1
+        return itertools.product(*[choices[s] for s in cells])
+
+    pair: dict = {}
+
+    def outer_choice(m: int, a: int, b: int) -> set:
+        key = (a, b) if a <= b else (b, a)
+        inner = pair.get(key)
+        if inner is None:
+            inner = pair[key] = tuple(members_of_product(key[0],
+                                                         enc[key[1]]))
+        out: set = set()
+        for r in inner:
+            out.update(members_of_product(m, r))
+        return out
 
     def certify(i: int, j: int, k: int, d1: tuple, d2: tuple) -> None:
         e1 = _outer_form(polys[d1[0]], polys[d1[1]], polys[d1[2]])
@@ -158,72 +201,6 @@ def assoc_scan(hf: Hyperfield, max_deg: int, monic_only: bool = False,
             hf.name, (str(polys[i]), str(polys[j]), str(polys[k])),
             False, (cert,)))
 
-    if tables is not None:
-        elems, pos, add1, mul, zero_i = tables
-        enc = [tuple(pos[c] for c in p.coeffs) for p in polys]
-
-        def conv(u: tuple, v: tuple) -> tuple:
-            out = [zero_i] * (len(u) + len(v) - 1)
-            for a, ua in enumerate(u):
-                if ua == zero_i:
-                    continue
-                row = mul[ua]
-                for b, vb in enumerate(v):
-                    if vb == zero_i:
-                        continue
-                    t = a + b
-                    out[t] = add1[out[t]][row[vb]]
-            return tuple(out)
-
-        pair: dict = {}
-
-        def pp(a: int, b: int) -> tuple:
-            key = (a, b) if a <= b else (b, a)
-            got = pair.get(key)
-            if got is None:
-                got = pair[key] = conv(enc[key[0]], enc[key[1]])
-            return got
-
-        for i, j, k in itertools.combinations_with_replacement(
-                range(len(polys)), 3):
-            checked += 1
-            decomps = []
-            for d in ((i, j, k), (j, i, k), (k, i, j)):
-                if d not in decomps:
-                    decomps.append(d)
-            if len(decomps) < 2:
-                continue
-            vals = [conv(enc[m], pp(a, b)) for (m, a, b) in decomps]
-            for t in range(len(vals) - 1):
-                if vals[t] != vals[t + 1]:
-                    certify(i, j, k, decomps[t], decomps[t + 1])
-                    break
-            if stop_after is not None and len(found) >= stop_after:
-                break
-        return ScanReport(hf.name, max_deg, monic_only, len(polys), checked,
-                          tuple(found))
-
-    pair_members: dict = {}
-    variant_cache: dict = {}
-
-    def members(a: int, b: int) -> tuple:
-        key = (a, b) if a <= b else (b, a)
-        got = pair_members.get(key)
-        if got is None:
-            got = pair_members[key] = tuple(
-                boxprod(polys[key[0]], polys[key[1]]).enumerate_members())
-        return got
-
-    def variant(m: int, a: int, b: int) -> frozenset:
-        key = (m, (a, b) if a <= b else (b, a))
-        got = variant_cache.get(key)
-        if got is None:
-            out = set()
-            for inner in members(*key[1]):
-                out.update(boxprod(polys[m], inner).enumerate_members())
-            got = variant_cache[key] = frozenset(out)
-        return got
-
     for i, j, k in itertools.combinations_with_replacement(
             range(len(polys)), 3):
         checked += 1
@@ -233,7 +210,7 @@ def assoc_scan(hf: Hyperfield, max_deg: int, monic_only: bool = False,
                 decomps.append(d)
         if len(decomps) < 2:
             continue
-        vals = [variant(*d) for d in decomps]
+        vals = [outer_choice(*d) for d in decomps]
         for t in range(len(vals) - 1):
             if vals[t] != vals[t + 1]:
                 certify(i, j, k, decomps[t], decomps[t + 1])

@@ -30,10 +30,6 @@ from .sets import NEG_INF, POS_INF, Interval, IntervalUnion, ext
 from .tropical import box_equivalence, is_reducible, linear_product_box, root_multiset
 
 
-def _hyperfield(spec: str) -> Hyperfield:
-    return by_name(spec)
-
-
 def _parse_region(hf: Hyperfield, text: str):
     text = text.strip()
     if text.startswith("{") and text.endswith("}"):
@@ -112,7 +108,8 @@ def _cmd_quotients(hf, args):
     qs = quotients(parse_poly(args.poly, hf), hf.parse_scalar(args.root))
     payload = {"command": "quotients", "hyperfield": hf.name,
                "poly": str(qs.poly), "root": args.root,
-               "domains": [str(d) for d in qs.domains],
+               "domains": None if qs.is_empty()
+               else [str(d) for d in qs.domains],
                "representatives": [str(r) for r in qs.representatives],
                "exact": qs.exact, "empty": qs.is_empty()}
     return 0, payload, qs.describe()
@@ -351,7 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("repro", _cmd_repro, needs_hf=False,
             help="run the full reproduction suite")
-    p.add_argument("--all", action="store_true", default=True)
     p.add_argument("--criterion", type=int, default=None,
                    help="run a single numbered check")
     p.add_argument("--verbose", action="store_true")
@@ -365,7 +361,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     hf = None
     try:
         if getattr(args, "hf", None):
-            hf = _hyperfield(args.hf)
+            hf = by_name(args.hf)
         code, payload, human = args.handler(hf, args)
     except UndecidedError as err:
         print(f"undecided: {err}", file=sys.stderr)

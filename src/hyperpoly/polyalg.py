@@ -525,11 +525,6 @@ def _is_monomial(p: Polynomial) -> bool:
     return all(p.hf.is_zero(c) for c in p.coeffs[:-1]) or p.degree == 0
 
 
-def expr_set(expr: Expr, hf: Hyperfield) -> Resolved:
-    """The set of polynomials the expression denotes, in resolved form."""
-    return resolve(expr, hf)
-
-
 def resolved_members(value: Resolved) -> list[Polynomial]:
     """Explicit sorted member list; finite carriers or finite boxes only."""
     if value.kind == "box":

@@ -9,14 +9,20 @@ from hypothesis import strategies as st
 from hyperpoly import (
     EqualCertificate,
     Polynomial,
+    PolyLeaf,
+    ProdNode,
     UndecidedError,
     assoc_check,
     assoc_scan,
     by_name,
+    cyclic_group_table,
     one_plus_one_criterion,
     parse_poly,
     pointwise_products_equal,
     replay_member,
+    resolve,
+    resolved_members,
+    weak_group,
 )
 
 
@@ -82,7 +88,7 @@ class TestAssocScan:
         assert report.counterexamples[0].triple == ("T+1", "T+1", "T-1")
 
     def test_weak_signs_uses_set_valued_path(self):
-        # W hypersums are set-valued, so this exercises the enumeration scan
+        # W hypersums are set-valued, so boxes have cells with several codes
         report = assoc_scan(by_name("W"), 1)
         assert len(report.counterexamples) == 1
         assert report.counterexamples[0].triple == ("T+1", "T+1", "T-1")
@@ -107,6 +113,39 @@ class TestAssocScan:
     def test_infinite_carrier_rejected(self):
         with pytest.raises(UndecidedError):
             assoc_scan(by_name("T"), 1)
+
+    @pytest.mark.parametrize("hf,max_deg,monic_only", [
+        (by_name("K"), 2, False),
+        (by_name("S"), 1, False),
+        (by_name("W"), 1, False),
+        (by_name("GF(3)"), 2, True),
+        (weak_group(*cyclic_group_table(3)), 1, True),
+    ], ids=["K-2", "S-1", "W-1", "GF(3)-2-monic", "W(C3)-1-monic"])
+    def test_counterexamples_match_resolved_member_sets(self, hf, max_deg,
+                                                        monic_only):
+        # an independent check: every multiset whose three outer forms
+        # x (x) (y (x) z) resolve to different member lists, and no other
+        elems = hf.elements()
+        leads = [hf.one()] if monic_only else [
+            x for x in elems if not hf.is_zero(x)]
+        polys = [Polynomial.of(hf, list(lower) + [lead])
+                 for deg in range(1, max_deg + 1) for lead in leads
+                 for lower in itertools.product(elems, repeat=deg)]
+
+        def members(x, y, z):
+            expr = ProdNode(PolyLeaf(x), ProdNode(PolyLeaf(y), PolyLeaf(z)))
+            return resolved_members(resolve(expr, hf))
+
+        expected = set()
+        for x, y, z in itertools.combinations_with_replacement(polys, 3):
+            forms = [members(x, y, z), members(y, x, z), members(z, x, y)]
+            if forms[0] != forms[1] or forms[1] != forms[2]:
+                expected.add(tuple(sorted(map(str, (x, y, z)))))
+        report = assoc_scan(hf, max_deg, monic_only=monic_only,
+                            stop_after=None)
+        found = [tuple(sorted(rep.triple)) for rep in report.counterexamples]
+        assert len(found) == len(set(found))
+        assert set(found) == expected
 
 
 class TestOnePlusOneCriterion:

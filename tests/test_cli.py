@@ -3,12 +3,16 @@
 Everything runs in-process through main(argv) so exit codes and output can
 be asserted without spawning subprocesses."""
 import json
+from pathlib import Path
 
 import pytest
 
 from hyperpoly.cli import main
 from hyperpoly.polyalg import (EqualCertificate, MemberCertificate,
                                replay_member)
+
+
+DATA = Path(__file__).parent / "data"
 
 
 def run_cli(capsys, *argv):
@@ -148,6 +152,22 @@ class TestMultiplicities:
         assert code == 0
         assert "T^2" in out
 
+    def test_quotients_of_a_non_root_say_none(self, capsys):
+        code, out, _ = run_cli(capsys, "quotients", "--hf", "K",
+                               "--poly", "T^3+1", "--root=0")
+        assert code == 0
+        assert out.strip() == "no quotients"
+
+    def test_quotients_of_a_non_root_structured(self, capsys):
+        code, out, _ = run_cli(capsys, "quotients", "--hf", "S",
+                               "--poly", "T^2+1", "--root=1",
+                               "--format", "structured")
+        payload = json.loads(out)
+        assert code == 0
+        assert payload["domains"] is None
+        assert payload["empty"] is True
+        assert payload["representatives"] == []
+
 
 class TestTropicalCommands:
     def test_trop_roots(self, capsys):
@@ -194,6 +214,21 @@ class TestStructureChecks:
         assert code == 1
         assert "1 counterexample(s)" in out
         assert "NOT ASSOCIATIVE: (T+1, T+1, T-1) over S" in out
+
+    @pytest.mark.parametrize("hf,deg,golden", [
+        ("K", 2, "assoc_scan_K_deg2.json"),
+        ("S", 1, "assoc_scan_S_deg1.json"),
+        ("W", 1, "assoc_scan_W_deg1.json"),
+        ("GF(3)", 2, "assoc_scan_GF3_deg2.json"),
+    ])
+    def test_assoc_scan_all_matches_golden_output(self, capsys, hf, deg,
+                                                  golden):
+        # payloads recorded before the scan moved to integer codes
+        code, out, _ = run_cli(capsys, "assoc-scan", "--hf", hf,
+                               "--max-deg", str(deg), "--all",
+                               "--format", "structured")
+        assert code == (0 if hf == "GF(3)" else 1)
+        assert out == (DATA / golden).read_text()
 
     def test_one_one_structured_certificate_replays(self, capsys):
         code, out, _ = run_cli(capsys, "one-one", "--hf", "K",
