@@ -300,20 +300,27 @@ class Hyperfield:
 
 
 class FiniteHyperfield(Hyperfield):
-    """Carrier given by explicit tables over hashable payload symbols."""
+    """Carrier given by tables over hashable payload symbols.
+
+    A table is anything indexed like a dict: mul_table maps (x, y) to the
+    product, hyperadd_table maps (x, y) to a frozenset, neg_table and
+    inv_table map x.  A prime field passes its modulus; its literals then
+    reduce mod p."""
 
     def __init__(self, name: str, payloads: Sequence[Payload], zero, one,
-                 mul_table: dict, neg_table: dict, inv_table: dict,
-                 hyperadd_table: dict):
+                 mul_table, neg_table, inv_table, hyperadd_table,
+                 modulus: Optional[int] = None):
         self.name = name
-        self.kind = "finite"
-        self._payloads = list(payloads)
+        self.kind = "finite" if modulus is None else "gf"
+        self.modulus = modulus
+        self._payloads = payloads
+        self._int_payloads = all(isinstance(p, int) for p in payloads)
         self._zero = Element(name, zero)
         self._one = Element(name, one)
         self._mul = mul_table
         self._neg = neg_table
         self._inv = inv_table
-        self._add = {k: frozenset(v) for k, v in hyperadd_table.items()}
+        self._add = hyperadd_table
 
     def is_finite(self) -> bool:
         return True
@@ -395,13 +402,13 @@ class FiniteHyperfield(Hyperfield):
 
     def parse_scalar(self, text: str) -> Element:
         text = text.strip()
-        if all(isinstance(p, int) for p in self._payloads):
+        if self._int_payloads:
             try:
                 value = int(text)
             except ValueError as err:
                 raise ValueError(f"bad {self.name} literal {text!r}") from err
-            if self.kind == "gf":
-                return Element(self.name, value % self._modulus)  # type: ignore[attr-defined]
+            if self.modulus is not None:
+                return Element(self.name, value % self.modulus)
             if value in self._payloads:
                 return Element(self.name, value)
             raise ValueError(f"{value} is not in the carrier of {self.name}")
@@ -414,11 +421,15 @@ def _sign_mul(payloads):
     return {(x, y): x * y for x in payloads for y in payloads}
 
 
+def _frozen(add: dict) -> dict:
+    return {k: frozenset(v) for k, v in add.items()}
+
+
 def krasner() -> FiniteHyperfield:
     payloads = [0, 1]
     add = {(0, 0): {0}, (0, 1): {1}, (1, 0): {1}, (1, 1): {0, 1}}
     return FiniteHyperfield("K", payloads, 0, 1, _sign_mul(payloads),
-                            {0: 0, 1: 1}, {1: 1}, add)
+                            {0: 0, 1: 1}, {1: 1}, _frozen(add))
 
 
 def _signs_like(name: str, self_sum) -> FiniteHyperfield:
@@ -435,7 +446,7 @@ def _signs_like(name: str, self_sum) -> FiniteHyperfield:
             else:
                 add[(x, y)] = {-1, 0, 1}
     return FiniteHyperfield(name, payloads, 0, 1, _sign_mul(payloads),
-                            {-1: 1, 0: 0, 1: -1}, {1: 1, -1: -1}, add)
+                            {-1: 1, 0: 0, 1: -1}, {1: 1, -1: -1}, _frozen(add))
 
 
 def signs() -> FiniteHyperfield:
@@ -446,20 +457,44 @@ def weak_signs() -> FiniteHyperfield:
     return _signs_like("W", lambda x: {x, -x})
 
 
+class _ProductModP:
+    """The p x p product table of GF(p), computed on lookup."""
+
+    __slots__ = ("p",)
+
+    def __init__(self, p: int):
+        self.p = p
+
+    def __getitem__(self, xy: tuple[int, int]) -> int:
+        x, y = xy
+        return x * y % self.p
+
+
+class _SumModP:
+    """The p x p hyperaddition table of GF(p), computed on lookup: every
+    sum is one of p singletons."""
+
+    __slots__ = ("p", "sums")
+
+    def __init__(self, p: int):
+        self.p = p
+        self.sums = tuple(frozenset([z]) for z in range(p))
+
+    def __getitem__(self, xy: tuple[int, int]) -> frozenset:
+        x, y = xy
+        return self.sums[(x + y) % self.p]
+
+
 def gf(p: int) -> FiniteHyperfield:
     if p < 2 or any(p % d == 0 for d in range(2, int(math.isqrt(p)) + 1)):
         raise ValueError(f"GF({p}): modulus must be prime")
     if p > 1009:
         raise ValueError("GF(p) supported for p <= 1009")
-    payloads = list(range(p))
-    mul = {(x, y): (x * y) % p for x in payloads for y in payloads}
-    add = {(x, y): {(x + y) % p} for x in payloads for y in payloads}
+    payloads = range(p)
     neg = {x: (-x) % p for x in payloads}
     inv = {x: pow(x, p - 2, p) for x in payloads[1:]}
-    hf = FiniteHyperfield(f"GF({p})", payloads, 0, 1 % p, mul, neg, inv, add)
-    hf.kind = "gf"
-    hf._modulus = p
-    return hf
+    return FiniteHyperfield(f"GF({p})", payloads, 0, 1 % p, _ProductModP(p),
+                            neg, inv, _SumModP(p), modulus=p)
 
 
 def weak_group(table: dict, symbols: Sequence[str], e: str,
@@ -513,7 +548,7 @@ def weak_group(table: dict, symbols: Sequence[str], e: str,
             add[(g, h)] = full if h == table[(e, g)] else nonzero
     neg = {"0": "0", **{g: table[(e, g)] for g in symbols}}
     return FiniteHyperfield(name or f"W(G,{e})", payloads, "0", identity,
-                            mul, neg, inv_table, add)
+                            mul, neg, inv_table, _frozen(add))
 
 
 def cyclic_group_table(n: int) -> tuple[dict, list[str], str]:

@@ -363,16 +363,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if getattr(args, "hf", None):
             hf = by_name(args.hf)
         code, payload, human = args.handler(hf, args)
+        text = (json.dumps(payload, sort_keys=True)
+                if args.format == "structured" else human)
     except UndecidedError as err:
         print(f"undecided: {err}", file=sys.stderr)
         return 3
     except (ValueError, ZeroDivisionError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    if args.format == "structured":
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        print(human)
+    except Exception as err:  # a crash must not read as exit 1, "negative"
+        message = " ".join(str(err).split())
+        print(f"error: internal {type(err).__name__}: {message}",
+              file=sys.stderr)
+        return 4
+    print(text)
     return code
 
 

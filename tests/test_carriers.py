@@ -1,5 +1,6 @@
 """Carrier-level behaviour: axiom checks, arithmetic tables, parsing."""
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -60,11 +61,18 @@ class TestAxioms:
         # GF(3) with 1(+)2 misdirected away from {0}: several axioms break
         # and the report must name at least one with a counterexample.
         base = gf(3)
-        add = {k: set(v) for k, v in base._add.items()}
-        add[(1, 2)] = {1}
+        pairs = [(x, y) for x in base.elements() for y in base.elements()]
+        mul = {(x.payload, y.payload): base.mul(x, y).payload
+               for x, y in pairs}
+        add = {(x.payload, y.payload): frozenset(
+                   z.payload for z in base.sample_elements(base.hyperadd(x, y)))
+               for x, y in pairs}
+        add[(1, 2)] = frozenset({1})
+        neg = {x.payload: base.neg(x).payload for x in base.elements()}
+        inv = {x.payload: base.inv(x).payload
+               for x in base.elements() if not base.is_zero(x)}
         broken = FiniteHyperfield("GF(3)~", [0, 1, 2], 0, 1,
-                                  dict(base._mul), dict(base._neg),
-                                  dict(base._inv), add)
+                                  mul, neg, inv, add)
         report = check_axioms(broken, ProbeSpec.exhaustive())
         assert not report.ok
         failed = [c for c in report.checks if not c.passed]
@@ -130,7 +138,8 @@ class TestSignLikeTables:
 
 
 class TestGaloisFields:
-    @given(st.sampled_from([2, 3, 5, 7]), st.integers(-30, 30), st.integers(-30, 30))
+    @given(st.sampled_from([2, 3, 5, 7, 997, 1009]), st.integers(-30, 30),
+           st.integers(-30, 30))
     def test_matches_modular_arithmetic(self, p, a, b):
         hf = gf(p)
         x, y = hf.element(a % p), hf.element(b % p)
@@ -145,6 +154,18 @@ class TestGaloisFields:
             with pytest.raises(ValueError):
                 gf(bad)
         assert gf(1009).element(1008).payload == 1008
+
+    def test_largest_field_is_built_without_tables(self):
+        # Products and sums of GF(1009) are computed on lookup; p^2 dict
+        # tables would take hundreds of megabytes.
+        tracemalloc.start()
+        try:
+            hf = gf(1009)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        assert hf.mul(hf.element(1008), hf.element(1008)) == hf.one()
 
     def test_int_literals_reduce_mod_p(self):
         hf = gf(5)

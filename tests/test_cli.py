@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from hyperpoly import cli
 from hyperpoly.cli import main
 from hyperpoly.polyalg import (EqualCertificate, MemberCertificate,
                                replay_member)
@@ -125,6 +126,19 @@ class TestErrorPaths:
                                "--max-deg", "1")
         assert code == 3
         assert err.startswith("undecided:")
+
+    def test_unexpected_exception_exits_4_without_traceback(self, capsys,
+                                                            monkeypatch):
+        def crash(hf, args):
+            raise RuntimeError("handler blew up\non two lines")
+
+        monkeypatch.setattr(cli, "_cmd_eval", crash)
+        code, out, err = run_cli(capsys, "eval", "--hf", "K",
+                                 "--poly", "T+1", "--at=1")
+        assert code == 4
+        assert out == ""
+        assert err == ("error: internal RuntimeError: "
+                       "handler blew up on two lines\n")
 
     def test_missing_subcommand_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

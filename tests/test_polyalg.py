@@ -200,7 +200,7 @@ class TestBoxProduct:
             q = Polynomial.of(p.hf, [p.hf.one()] * (q.degree + 1))
         assert boxprod(p, q).cells == boxprod(q, p).cells
 
-    @given(st.sampled_from([2, 3, 5]),
+    @given(st.sampled_from([2, 3, 5, 997, 1009]),
            st.lists(st.integers(0, 4), min_size=1, max_size=4),
            st.lists(st.integers(0, 4), min_size=1, max_size=4))
     def test_gf_product_is_classical_convolution(self, m, araw, braw):
