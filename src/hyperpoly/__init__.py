@@ -3,11 +3,11 @@ carriers with set-valued addition, coefficient boxes for hyperproducts,
 membership/equality certificates, root multiplicities, tropical
 factorization, and associativity analysis."""
 
-from .carriers import (Element, ElementSet, Hyperfield, ProbeSpec,
-                       UndecidedError, by_name, check_axioms,
-                       cyclic_group_table, default_probe, gf,
-                       is_doubly_distributive, krasner, load_cayley_table,
-                       signs, weak_group, weak_signs)
+from .carriers import (ArcSet, CarrierSet, Element, ElementSet, FiniteSet,
+                       Hyperfield, IntervalSet, ProbeSpec, UndecidedError,
+                       by_name, check_axioms, cyclic_group_table,
+                       default_probe, gf, is_doubly_distributive, krasner,
+                       load_cayley_table, signs, weak_group, weak_signs)
 from .polyalg import (CertStep, EqualCertificate, MemberCertificate, PolyBox,
                       PolyLeaf, Polynomial, ProdNode, Resolved, SumNode,
                       box_hyperadd, box_of, boxprod, boxsum, expr_equal,
@@ -29,7 +29,8 @@ from .repro import ReproResult, format_table, run_all
 __version__ = "0.1.0"
 
 __all__ = [
-    "Element", "ElementSet", "Hyperfield", "ProbeSpec", "UndecidedError",
+    "ArcSet", "CarrierSet", "Element", "ElementSet", "FiniteSet",
+    "Hyperfield", "IntervalSet", "ProbeSpec", "UndecidedError",
     "by_name", "check_axioms", "cyclic_group_table", "default_probe", "gf",
     "is_doubly_distributive", "krasner", "load_cayley_table", "signs",
     "weak_group", "weak_signs",

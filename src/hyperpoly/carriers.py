@@ -15,10 +15,9 @@ from functools import lru_cache
 from typing import Iterable, Optional, Sequence, Union
 
 from .sets import (NEG_INF, POS_INF, ArcUnion, ExtRat, Interval, IntervalUnion,
-                   arcs_minkowski, interval_add, interval_max,
+                   _wrap, arcs_minkowski, interval_add, interval_max,
                    interval_mul_nonneg, minor_arc)
 
-Rat = Fraction
 Payload = Union[int, str, ExtRat, Fraction, None]
 
 
@@ -51,104 +50,155 @@ def format_payload(payload: Payload) -> str:
 
 
 @dataclass(frozen=True)
-class ElementSet:
-    """A canonical subset of one carrier.
-
-    kind 'finite' stores payloads explicitly; 'intervals' is an
-    IntervalUnion over extended rationals; 'arcs' is an ArcUnion (circle
-    angles plus optional zero element).
-    """
+class CarrierSet:
+    """A canonical subset of one carrier.  Each subclass is one shape of
+    subset: FiniteSet, IntervalSet or ArcSet."""
 
     carrier: str
-    kind: str
-    finite: frozenset = frozenset()
-    intervals: IntervalUnion = IntervalUnion()
-    arcs: ArcUnion = ArcUnion()
+
+    def includes(self, other: "CarrierSet") -> bool:
+        return self.intersect(other) == other
+
+    def the_element(self) -> Element:
+        if not self.is_singleton():
+            raise ValueError(f"not a singleton: {self}")
+        return Element(self.carrier, self._sole_payload())
+
+    def _check(self, other: "CarrierSet") -> None:
+        if type(other) is not type(self) or other.carrier != self.carrier:
+            raise ValueError("set operation across carriers")
+
+    def _check_element(self, x: Element) -> None:
+        if x.carrier != self.carrier:
+            raise ValueError(f"cross-carrier membership {x.carrier} vs {self.carrier}")
+
+
+@dataclass(frozen=True)
+class FiniteSet(CarrierSet):
+    """Payloads of a finite carrier, stored explicitly."""
+
+    finite: frozenset
 
     def is_empty(self) -> bool:
-        if self.kind == "finite":
-            return not self.finite
-        if self.kind == "intervals":
-            return self.intervals.is_empty()
+        return not self.finite
+
+    def contains(self, x: Element) -> bool:
+        self._check_element(x)
+        return x.payload in self.finite
+
+    def union(self, other: "FiniteSet") -> "FiniteSet":
+        self._check(other)
+        return FiniteSet(self.carrier, self.finite | other.finite)
+
+    def intersect(self, other: "FiniteSet") -> "FiniteSet":
+        self._check(other)
+        return FiniteSet(self.carrier, self.finite & other.finite)
+
+    def difference(self, other: "FiniteSet") -> "FiniteSet":
+        self._check(other)
+        return FiniteSet(self.carrier, self.finite - other.finite)
+
+    def is_singleton(self) -> bool:
+        return len(self.finite) == 1
+
+    def _sole_payload(self) -> Payload:
+        return next(iter(self.finite))
+
+    def __str__(self) -> str:
+        if not self.finite:
+            return "{}"
+        inner = ",".join(format_payload(p) for p in _sorted_payloads(self.finite))
+        return "{%s}" % inner
+
+
+@dataclass(frozen=True)
+class IntervalSet(CarrierSet):
+    """A union of intervals of extended rationals (the T and V carriers)."""
+
+    intervals: IntervalUnion
+
+    def is_empty(self) -> bool:
+        return self.intervals.is_empty()
+
+    def contains(self, x: Element) -> bool:
+        self._check_element(x)
+        return self.intervals.contains(_as_ext(x.payload))
+
+    def union(self, other: "IntervalSet") -> "IntervalSet":
+        self._check(other)
+        return IntervalSet(self.carrier, self.intervals.union(other.intervals))
+
+    def intersect(self, other: "IntervalSet") -> "IntervalSet":
+        self._check(other)
+        return IntervalSet(self.carrier, self.intervals.intersect(other.intervals))
+
+    def difference(self, other: "IntervalSet") -> "IntervalSet":
+        self._check(other)
+        return IntervalSet(self.carrier, self.intervals.difference(other.intervals))
+
+    def is_singleton(self) -> bool:
+        parts = self.intervals.parts
+        return len(parts) == 1 and parts[0].is_point()
+
+    def _sole_payload(self) -> Payload:
+        return self.intervals.parts[0].lo
+
+    def __str__(self) -> str:
+        return str(self.intervals)
+
+
+@dataclass(frozen=True)
+class ArcSet(CarrierSet):
+    """Circle angles plus the optional zero element (the P carrier)."""
+
+    arcs: ArcUnion
+
+    def is_empty(self) -> bool:
         return self.arcs.is_empty()
 
     def contains(self, x: Element) -> bool:
-        if x.carrier != self.carrier:
-            raise ValueError(f"cross-carrier membership {x.carrier} vs {self.carrier}")
-        if self.kind == "finite":
-            return x.payload in self.finite
-        if self.kind == "intervals":
-            return self.intervals.contains(_as_ext(x.payload))
+        self._check_element(x)
         if x.payload is None:
             return self.arcs.has_zero
         return self.arcs.contains_angle(x.payload)
 
-    def union(self, other: "ElementSet") -> "ElementSet":
+    def union(self, other: "ArcSet") -> "ArcSet":
         self._check(other)
-        if self.kind == "finite":
-            return ElementSet(self.carrier, "finite", self.finite | other.finite)
-        if self.kind == "intervals":
-            return ElementSet(self.carrier, "intervals",
-                              intervals=self.intervals.union(other.intervals))
-        return ElementSet(self.carrier, "arcs", arcs=self.arcs.union(other.arcs))
+        return ArcSet(self.carrier, self.arcs.union(other.arcs))
 
-    def intersect(self, other: "ElementSet") -> "ElementSet":
+    def intersect(self, other: "ArcSet") -> "ArcSet":
         self._check(other)
-        if self.kind == "finite":
-            return ElementSet(self.carrier, "finite", self.finite & other.finite)
-        if self.kind == "intervals":
-            return ElementSet(self.carrier, "intervals",
-                              intervals=self.intervals.intersect(other.intervals))
-        return ElementSet(self.carrier, "arcs", arcs=self.arcs.intersect(other.arcs))
+        return ArcSet(self.carrier, self.arcs.intersect(other.arcs))
 
-    def includes(self, other: "ElementSet") -> bool:
-        return self.intersect(other) == other
-
-    def difference(self, other: "ElementSet") -> "ElementSet":
+    def difference(self, other: "ArcSet") -> "ArcSet":
         self._check(other)
-        if self.kind == "finite":
-            return ElementSet(self.carrier, "finite", self.finite - other.finite)
-        if self.kind == "intervals":
-            return ElementSet(self.carrier, "intervals",
-                              intervals=self.intervals.difference(other.intervals))
-        return ElementSet(self.carrier, "arcs",
-                          arcs=self.arcs.difference(other.arcs))
+        return ArcSet(self.carrier, self.arcs.difference(other.arcs))
 
     def is_singleton(self) -> bool:
-        if self.kind == "finite":
-            return len(self.finite) == 1
-        if self.kind == "intervals":
-            return (len(self.intervals.parts) == 1
-                    and self.intervals.parts[0].is_point())
         if self.arcs.has_zero:
             return self.arcs.parts.is_empty()
         parts = self.arcs.parts.parts
         return len(parts) == 1 and parts[0].is_point()
 
-    def the_element(self) -> Element:
-        if not self.is_singleton():
-            raise ValueError(f"not a singleton: {self}")
-        if self.kind == "finite":
-            return Element(self.carrier, next(iter(self.finite)))
-        if self.kind == "intervals":
-            return Element(self.carrier, self.intervals.parts[0].lo)
+    def _sole_payload(self) -> Payload:
         if self.arcs.has_zero:
-            return Element(self.carrier, None)
-        return Element(self.carrier, self.arcs.parts.parts[0].lo.q)
-
-    def _check(self, other: "ElementSet") -> None:
-        if (self.carrier, self.kind) != (other.carrier, other.kind):
-            raise ValueError("set operation across carriers")
+            return None
+        return self.arcs.parts.parts[0].lo.q
 
     def __str__(self) -> str:
-        if self.kind == "finite":
-            if not self.finite:
-                return "{}"
-            inner = ",".join(format_payload(p) for p in _sorted_payloads(self.finite))
-            return "{%s}" % inner
-        if self.kind == "intervals":
-            return str(self.intervals)
         return str(self.arcs)
+
+
+def ElementSet(carrier: str, kind: str, finite: frozenset = frozenset(),
+               intervals: IntervalUnion = IntervalUnion(),
+               arcs: ArcUnion = ArcUnion()) -> CarrierSet:
+    """The set of shape kind ('finite', 'intervals' or 'arcs') built from
+    the matching field.  Kept for callers outside the package; the package
+    builds FiniteSet, IntervalSet and ArcSet directly."""
+    shape, value = {"finite": (FiniteSet, finite),
+                    "intervals": (IntervalSet, intervals),
+                    "arcs": (ArcSet, arcs)}[kind]
+    return shape(carrier, value)
 
 
 def _sorted_payloads(payloads: Iterable[Payload]) -> list:
@@ -211,20 +261,14 @@ class Hyperfield:
     def inv(self, x: Element) -> Element:
         raise NotImplementedError
 
-    def pow(self, x: Element, n: int) -> Element:
-        out = self.one()
-        for _ in range(n):
-            out = self.mul(out, x)
-        return out
-
     # -- set-valued operations --------------------------------------------------
-    def hyperadd(self, x: Element, y: Element) -> ElementSet:
+    def hyperadd(self, x: Element, y: Element) -> CarrierSet:
         raise NotImplementedError
 
-    def set_hyperadd(self, a: ElementSet, b: ElementSet) -> ElementSet:
+    def set_hyperadd(self, a: CarrierSet, b: CarrierSet) -> CarrierSet:
         raise NotImplementedError
 
-    def hypersum(self, xs: Sequence[Element]) -> ElementSet:
+    def hypersum(self, xs: Sequence[Element]) -> CarrierSet:
         if not xs:
             raise ValueError("hypersum of an empty list")
         acc = self.singleton(xs[0])
@@ -232,40 +276,28 @@ class Hyperfield:
             acc = self.set_hyperadd(acc, self.singleton(x))
         return acc
 
-    def scale_set(self, a: Element, s: ElementSet) -> ElementSet:
+    def scale_set(self, a: Element, s: CarrierSet) -> CarrierSet:
         """{a (*) x : x in s} for a single element a."""
         raise NotImplementedError
 
-    def set_mul(self, a: ElementSet, b: ElementSet) -> ElementSet:
+    def set_mul(self, a: CarrierSet, b: CarrierSet) -> CarrierSet:
         """Elementwise product set {x (*) y : x in a, y in b}."""
         raise NotImplementedError
 
-    def neg_set(self, s: ElementSet) -> ElementSet:
+    def neg_set(self, s: CarrierSet) -> CarrierSet:
         raise NotImplementedError
 
     # -- set plumbing -----------------------------------------------------------
-    def singleton(self, x: Element) -> ElementSet:
+    def singleton(self, x: Element) -> CarrierSet:
         raise NotImplementedError
 
-    def set_of(self, xs: Iterable[Element]) -> ElementSet:
-        out = None
-        for x in xs:
-            s = self.singleton(x)
-            out = s if out is None else out.union(s)
-        if out is None:
-            return self.empty_set()
-        return out
-
-    def empty_set(self) -> ElementSet:
+    def full_set(self) -> CarrierSet:
         raise NotImplementedError
 
-    def full_set(self) -> ElementSet:
+    def remove_zero(self, s: CarrierSet) -> CarrierSet:
         raise NotImplementedError
 
-    def remove_zero(self, s: ElementSet) -> ElementSet:
-        raise NotImplementedError
-
-    def sample_elements(self, s: ElementSet) -> list[Element]:
+    def sample_elements(self, s: CarrierSet) -> list[Element]:
         """Finitely many exact members covering every component of s."""
         raise NotImplementedError
 
@@ -355,44 +387,40 @@ class FiniteHyperfield(Hyperfield):
             raise ZeroDivisionError(f"inv(0) in {self.name}")
         return Element(self.name, self._inv[x.payload])
 
-    def hyperadd(self, x: Element, y: Element) -> ElementSet:
+    def hyperadd(self, x: Element, y: Element) -> FiniteSet:
         self.check(x), self.check(y)
-        return ElementSet(self.name, "finite", self._add[(x.payload, y.payload)])
+        return FiniteSet(self.name, self._add[(x.payload, y.payload)])
 
-    def set_hyperadd(self, a: ElementSet, b: ElementSet) -> ElementSet:
+    def set_hyperadd(self, a: FiniteSet, b: FiniteSet) -> FiniteSet:
         out = frozenset()
         for x in a.finite:
             for y in b.finite:
                 out |= self._add[(x, y)]
-        return ElementSet(self.name, "finite", out)
+        return FiniteSet(self.name, out)
 
-    def scale_set(self, a: Element, s: ElementSet) -> ElementSet:
+    def scale_set(self, a: Element, s: FiniteSet) -> FiniteSet:
         self.check(a)
-        return ElementSet(self.name, "finite",
-                          frozenset(self._mul[(a.payload, p)] for p in s.finite))
+        return FiniteSet(self.name,
+                         frozenset(self._mul[(a.payload, p)] for p in s.finite))
 
-    def set_mul(self, a: ElementSet, b: ElementSet) -> ElementSet:
+    def set_mul(self, a: FiniteSet, b: FiniteSet) -> FiniteSet:
         out = frozenset(self._mul[(x, y)] for x in a.finite for y in b.finite)
-        return ElementSet(self.name, "finite", out)
+        return FiniteSet(self.name, out)
 
-    def neg_set(self, s: ElementSet) -> ElementSet:
-        return ElementSet(self.name, "finite",
-                          frozenset(self._neg[p] for p in s.finite))
+    def neg_set(self, s: FiniteSet) -> FiniteSet:
+        return FiniteSet(self.name, frozenset(self._neg[p] for p in s.finite))
 
-    def singleton(self, x: Element) -> ElementSet:
+    def singleton(self, x: Element) -> FiniteSet:
         self.check(x)
-        return ElementSet(self.name, "finite", frozenset([x.payload]))
+        return FiniteSet(self.name, frozenset([x.payload]))
 
-    def empty_set(self) -> ElementSet:
-        return ElementSet(self.name, "finite", frozenset())
+    def full_set(self) -> FiniteSet:
+        return FiniteSet(self.name, frozenset(self._payloads))
 
-    def full_set(self) -> ElementSet:
-        return ElementSet(self.name, "finite", frozenset(self._payloads))
+    def remove_zero(self, s: FiniteSet) -> FiniteSet:
+        return FiniteSet(self.name, s.finite - {self._zero.payload})
 
-    def remove_zero(self, s: ElementSet) -> ElementSet:
-        return ElementSet(self.name, "finite", s.finite - {self._zero.payload})
-
-    def sample_elements(self, s: ElementSet) -> list[Element]:
+    def sample_elements(self, s: FiniteSet) -> list[Element]:
         return [Element(self.name, p) for p in _sorted_payloads(s.finite)]
 
     def sort_key(self, x: Element) -> tuple:
@@ -624,16 +652,14 @@ class TropicalHyperfield(Hyperfield):
             raise ZeroDivisionError("inv(-inf)")
         return Element(self.name, ExtRat(-x.payload.q))
 
-    def hyperadd(self, x: Element, y: Element) -> ElementSet:
+    def hyperadd(self, x: Element, y: Element) -> IntervalSet:
         self.check(x), self.check(y)
         if x.payload != y.payload:
             top = max(x.payload, y.payload)
-            return ElementSet(self.name, "intervals",
-                              intervals=IntervalUnion.point(top))
-        return ElementSet(self.name, "intervals",
-                          intervals=IntervalUnion((Interval(NEG_INF, x.payload),)))
+            return IntervalSet(self.name, IntervalUnion.point(top))
+        return IntervalSet(self.name, IntervalUnion((Interval(NEG_INF, x.payload),)))
 
-    def set_hyperadd(self, a: ElementSet, b: ElementSet) -> ElementSet:
+    def set_hyperadd(self, a: IntervalSet, b: IntervalSet) -> IntervalSet:
         if a.is_empty() or b.is_empty():
             raise ValueError("set_hyperadd of an empty set")
         maxes = IntervalUnion.of(
@@ -642,38 +668,32 @@ class TropicalHyperfield(Hyperfield):
         if not meet.is_empty():
             top, attained = meet.max_value()
             maxes = maxes.union(IntervalUnion((Interval(NEG_INF, top, True, attained),)))
-        return ElementSet(self.name, "intervals", intervals=maxes)
+        return IntervalSet(self.name, maxes)
 
-    def scale_set(self, a: Element, s: ElementSet) -> ElementSet:
+    def scale_set(self, a: Element, s: IntervalSet) -> IntervalSet:
         self.check(a)
-        return ElementSet(self.name, "intervals",
-                          intervals=s.intervals.translate(a.payload))
+        return IntervalSet(self.name, s.intervals.translate(a.payload))
 
-    def set_mul(self, a: ElementSet, b: ElementSet) -> ElementSet:
+    def set_mul(self, a: IntervalSet, b: IntervalSet) -> IntervalSet:
         out = IntervalUnion.of(
             interval_add(i, j) for i in a.intervals.parts for j in b.intervals.parts)
-        return ElementSet(self.name, "intervals", intervals=out)
+        return IntervalSet(self.name, out)
 
-    def neg_set(self, s: ElementSet) -> ElementSet:
+    def neg_set(self, s: IntervalSet) -> IntervalSet:
         return s
 
-    def singleton(self, x: Element) -> ElementSet:
+    def singleton(self, x: Element) -> IntervalSet:
         self.check(x)
-        return ElementSet(self.name, "intervals",
-                          intervals=IntervalUnion.point(x.payload))
+        return IntervalSet(self.name, IntervalUnion.point(x.payload))
 
-    def empty_set(self) -> ElementSet:
-        return ElementSet(self.name, "intervals")
-
-    def full_set(self) -> ElementSet:
+    def full_set(self) -> IntervalSet:
         whole = Interval(NEG_INF, POS_INF, True, False)
-        return ElementSet(self.name, "intervals", intervals=IntervalUnion((whole,)))
+        return IntervalSet(self.name, IntervalUnion((whole,)))
 
-    def remove_zero(self, s: ElementSet) -> ElementSet:
-        return ElementSet(self.name, "intervals",
-                          intervals=s.intervals.remove_point(NEG_INF))
+    def remove_zero(self, s: IntervalSet) -> IntervalSet:
+        return IntervalSet(self.name, s.intervals.remove_point(NEG_INF))
 
-    def sample_elements(self, s: ElementSet) -> list[Element]:
+    def sample_elements(self, s: IntervalSet) -> list[Element]:
         return [Element(self.name, v) for v in s.intervals.sample_values()]
 
     def parse_scalar(self, text: str) -> Element:
@@ -723,21 +743,20 @@ class ViroHyperfield(Hyperfield):
             raise ZeroDivisionError("inv(0)")
         return Element(self.name, ExtRat(1 / x.payload.q))
 
-    def hyperadd(self, x: Element, y: Element) -> ElementSet:
+    def hyperadd(self, x: Element, y: Element) -> IntervalSet:
         self.check(x), self.check(y)
         lo = abs(x.payload.q - y.payload.q)
         hi = x.payload.q + y.payload.q
-        return ElementSet(self.name, "intervals",
-                          intervals=IntervalUnion.closed(lo, hi))
+        return IntervalSet(self.name, IntervalUnion.closed(lo, hi))
 
-    def set_hyperadd(self, a: ElementSet, b: ElementSet) -> ElementSet:
+    def set_hyperadd(self, a: IntervalSet, b: IntervalSet) -> IntervalSet:
         if a.is_empty() or b.is_empty():
             raise ValueError("set_hyperadd of an empty set")
         out = []
         for i in a.intervals.parts:
             for j in b.intervals.parts:
                 out.append(self._pair(i, j))
-        return ElementSet(self.name, "intervals", intervals=IntervalUnion.of(out))
+        return IntervalSet(self.name, IntervalUnion.of(out))
 
     @staticmethod
     def _pair(i: Interval, j: Interval) -> Interval:
@@ -761,39 +780,33 @@ class ViroHyperfield(Hyperfield):
         hi_closed = i.hi_closed and j.hi_closed and hi.inf == 0
         return Interval(lo, hi, lo_closed, hi_closed)
 
-    def scale_set(self, a: Element, s: ElementSet) -> ElementSet:
+    def scale_set(self, a: Element, s: IntervalSet) -> IntervalSet:
         self.check(a)
         if a.payload.q == 0:
             return self.singleton(self.zero())
-        return ElementSet(self.name, "intervals",
-                          intervals=s.intervals.scale(a.payload.q))
+        return IntervalSet(self.name, s.intervals.scale(a.payload.q))
 
-    def set_mul(self, a: ElementSet, b: ElementSet) -> ElementSet:
+    def set_mul(self, a: IntervalSet, b: IntervalSet) -> IntervalSet:
         out = IntervalUnion.of(
             interval_mul_nonneg(i, j)
             for i in a.intervals.parts for j in b.intervals.parts)
-        return ElementSet(self.name, "intervals", intervals=out)
+        return IntervalSet(self.name, out)
 
-    def neg_set(self, s: ElementSet) -> ElementSet:
+    def neg_set(self, s: IntervalSet) -> IntervalSet:
         return s
 
-    def singleton(self, x: Element) -> ElementSet:
+    def singleton(self, x: Element) -> IntervalSet:
         self.check(x)
-        return ElementSet(self.name, "intervals",
-                          intervals=IntervalUnion.point(x.payload))
+        return IntervalSet(self.name, IntervalUnion.point(x.payload))
 
-    def empty_set(self) -> ElementSet:
-        return ElementSet(self.name, "intervals")
-
-    def full_set(self) -> ElementSet:
+    def full_set(self) -> IntervalSet:
         whole = Interval(ExtRat(Fraction(0)), POS_INF, True, False)
-        return ElementSet(self.name, "intervals", intervals=IntervalUnion((whole,)))
+        return IntervalSet(self.name, IntervalUnion((whole,)))
 
-    def remove_zero(self, s: ElementSet) -> ElementSet:
-        return ElementSet(self.name, "intervals",
-                          intervals=s.intervals.remove_point(Fraction(0)))
+    def remove_zero(self, s: IntervalSet) -> IntervalSet:
+        return IntervalSet(self.name, s.intervals.remove_point(Fraction(0)))
 
-    def sample_elements(self, s: ElementSet) -> list[Element]:
+    def sample_elements(self, s: IntervalSet) -> list[Element]:
         return [Element(self.name, v) for v in s.intervals.sample_values()]
 
     def parse_scalar(self, text: str) -> Element:
@@ -840,7 +853,7 @@ class PhaseHyperfield(Hyperfield):
             raise ZeroDivisionError("inv(0)")
         return Element(self.name, (-x.payload) % 2)
 
-    def hyperadd(self, x: Element, y: Element) -> ElementSet:
+    def hyperadd(self, x: Element, y: Element) -> ArcSet:
         self.check(x), self.check(y)
         if x.payload is None:
             return self.singleton(y)
@@ -850,11 +863,10 @@ class PhaseHyperfield(Hyperfield):
             return self.singleton(x)
         if (x.payload - y.payload) % 2 == 1:
             arcs = ArcUnion.point(x.payload).union(ArcUnion.point(y.payload))
-            return ElementSet(self.name, "arcs",
-                              arcs=ArcUnion(arcs.parts, has_zero=True))
-        return ElementSet(self.name, "arcs", arcs=minor_arc(x.payload, y.payload))
+            return ArcSet(self.name, ArcUnion(arcs.parts, has_zero=True))
+        return ArcSet(self.name, minor_arc(x.payload, y.payload))
 
-    def set_hyperadd(self, a: ElementSet, b: ElementSet) -> ElementSet:
+    def set_hyperadd(self, a: ArcSet, b: ArcSet) -> ArcSet:
         if a.is_empty() or b.is_empty():
             raise ValueError("set_hyperadd of an empty set")
         au, bu = a.arcs, b.arcs
@@ -874,41 +886,35 @@ class PhaseHyperfield(Hyperfield):
         for p in au.parts.parts:
             for q in bu.parts.parts:
                 parts.extend(_phase_generic_pieces(p, q))
-        return ElementSet(self.name, "arcs",
-                          arcs=ArcUnion(IntervalUnion.of(parts), has_zero))
+        return ArcSet(self.name, ArcUnion(IntervalUnion.of(parts), has_zero))
 
-    def scale_set(self, a: Element, s: ElementSet) -> ElementSet:
+    def scale_set(self, a: Element, s: ArcSet) -> ArcSet:
         self.check(a)
         if a.payload is None:
             return self.singleton(self.zero())
-        return ElementSet(self.name, "arcs", arcs=s.arcs.rotate(a.payload))
+        return ArcSet(self.name, s.arcs.rotate(a.payload))
 
-    def set_mul(self, a: ElementSet, b: ElementSet) -> ElementSet:
+    def set_mul(self, a: ArcSet, b: ArcSet) -> ArcSet:
         has_zero = ((a.arcs.has_zero and not b.is_empty())
                     or (b.arcs.has_zero and not a.is_empty()))
-        return ElementSet(self.name, "arcs",
-                          arcs=ArcUnion(arcs_minkowski(a.arcs, b.arcs), has_zero))
+        return ArcSet(self.name, ArcUnion(arcs_minkowski(a.arcs, b.arcs), has_zero))
 
-    def neg_set(self, s: ElementSet) -> ElementSet:
-        return ElementSet(self.name, "arcs", arcs=s.arcs.antipode())
+    def neg_set(self, s: ArcSet) -> ArcSet:
+        return ArcSet(self.name, s.arcs.antipode())
 
-    def singleton(self, x: Element) -> ElementSet:
+    def singleton(self, x: Element) -> ArcSet:
         self.check(x)
         if x.payload is None:
-            return ElementSet(self.name, "arcs", arcs=ArcUnion.zero_only())
-        return ElementSet(self.name, "arcs", arcs=ArcUnion.point(x.payload))
+            return ArcSet(self.name, ArcUnion.zero_only())
+        return ArcSet(self.name, ArcUnion.point(x.payload))
 
-    def empty_set(self) -> ElementSet:
-        return ElementSet(self.name, "arcs")
+    def full_set(self) -> ArcSet:
+        return ArcSet(self.name, ArcUnion(ArcUnion.full_circle().parts, True))
 
-    def full_set(self) -> ElementSet:
-        return ElementSet(self.name, "arcs",
-                          arcs=ArcUnion(ArcUnion.full_circle().parts, True))
+    def remove_zero(self, s: ArcSet) -> ArcSet:
+        return ArcSet(self.name, s.arcs.without_zero())
 
-    def remove_zero(self, s: ElementSet) -> ElementSet:
-        return ElementSet(self.name, "arcs", arcs=s.arcs.without_zero())
-
-    def sample_elements(self, s: ElementSet) -> list[Element]:
+    def sample_elements(self, s: ArcSet) -> list[Element]:
         out = [Element(self.name, a) for a in s.arcs.angles_sample()]
         if s.arcs.has_zero:
             out.append(self.zero())
@@ -939,13 +945,8 @@ def _phase_generic_pieces(p: Interval, q: Interval) -> list[Interval]:
         else:
             start = max(c, a + k)
             end = min(b, d - k) + k + 1
-        out.extend(_phase_wrap_open(start, end))
+        out.extend(_wrap(start, end, False, False))
     return out
-
-
-def _phase_wrap_open(start: Rat, end: Rat) -> list[Interval]:
-    from .sets import _wrap
-    return _wrap(start, end, False, False)
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,8 @@ from typing import Optional, Sequence
 
 from .assoc import (AssocReport, assoc_check, assoc_scan,
                     one_plus_one_criterion, pointwise_products_equal)
-from .carriers import (ElementSet, Hyperfield, ProbeSpec, UndecidedError,
-                       by_name, check_axioms, default_probe,
+from .carriers import (CarrierSet, Hyperfield, IntervalSet, ProbeSpec,
+                       UndecidedError, by_name, check_axioms, default_probe,
                        is_doubly_distributive)
 from .divide import mult_at, mult_set, quotients
 from .polyalg import (boxprod, boxsum, expr_equal, expr_member, format_poly,
@@ -53,7 +53,7 @@ def _parse_region(hf: Hyperfield, text: str):
             hi = hf.parse_scalar(hi_s).payload
         if hi < lo or (lo == hi and not (lo_closed and hi_closed)):
             raise ValueError(f"empty interval {text!r}")
-        return ElementSet(hf.name, "intervals", intervals=IntervalUnion(
+        return IntervalSet(hf.name, IntervalUnion(
             (Interval(lo, hi, lo_closed, hi_closed),)))
     raise ValueError(f"cannot parse region {text!r}")
 
@@ -158,7 +158,7 @@ def _cmd_one_one(hf, args):
 
 def _cmd_pointwise(hf, args):
     points = _parse_region(hf, args.points)
-    if isinstance(points, ElementSet):
+    if isinstance(points, CarrierSet):
         raise ValueError("pointwise needs a finite point list {a,b,...}")
     rep = pointwise_products_equal(parse_poly(args.p, hf),
                                    parse_poly(args.q, hf),
@@ -178,7 +178,7 @@ def _probe_spec(hf: Hyperfield, args) -> ProbeSpec:
     extra = []
     if getattr(args, "points", None):
         pts = _parse_region(hf, args.points)
-        if isinstance(pts, ElementSet):
+        if isinstance(pts, CarrierSet):
             raise ValueError("probe points must be a finite list {a,b,...}")
         extra = pts
     return default_probe(hf, extra)

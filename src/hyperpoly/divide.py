@@ -13,13 +13,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .carriers import (Element, ElementSet, Hyperfield, UndecidedError)
+from .carriers import (CarrierSet, Element, FiniteSet, Hyperfield,
+                       IntervalSet, UndecidedError)
 from .polyalg import (Polynomial, PolyBox, boxprod, chain_representatives,
                       chain_witness, solve_linear_chain)
 from .realroots import Quad, feasible_point
 from .sets import ExtRat, Interval, IntervalUnion, NEG_INF, POS_INF
 
-Region = Union[Sequence[Element], ElementSet]
+Region = Union[Sequence[Element], CarrierSet]
 
 
 def linear_for_root(hf: Hyperfield, a: Element) -> Polynomial:
@@ -38,7 +39,7 @@ class QuotientSet:
 
     poly: Polynomial
     root: Element
-    domains: Optional[tuple[ElementSet, ...]]
+    domains: Optional[tuple[CarrierSet, ...]]
     representatives: tuple[Polynomial, ...]
     exact: bool  # representatives are the complete quotient set
 
@@ -79,7 +80,7 @@ def quotients(p: Polynomial, a: Element) -> QuotientSet:
 
 
 def _exhaustive_quotients(p: Polynomial, a: Element,
-                          domains: list[ElementSet]) -> list[Polynomial]:
+                          domains: list[CarrierSet]) -> list[Polynomial]:
     hf = p.hf
     ell = linear_for_root(hf, a)
     choices = [hf.sample_elements(d) for d in domains]
@@ -115,9 +116,9 @@ def mult_at(p: Polynomial, a: Element) -> int:
 
 def _region_elements(hf: Hyperfield, region: Region) -> Optional[list[Element]]:
     """region as an explicit finite element list, else None."""
-    if isinstance(region, ElementSet):
-        if region.kind == "finite":
-            return hf.sample_elements(region)
+    if isinstance(region, FiniteSet):
+        return hf.sample_elements(region)
+    if isinstance(region, CarrierSet):
         return None
     return list(region)
 
@@ -130,8 +131,8 @@ def mult_set(p: Polynomial, region: Region) -> int:
     elems = _region_elements(hf, region)
     if elems is not None:
         return _mult_finite_region(p, elems)
-    if not isinstance(region, ElementSet):
-        raise ValueError("region must be an ElementSet or a list of elements")
+    if not isinstance(region, CarrierSet):
+        raise ValueError("region must be a carrier set or a list of elements")
     if hf.kind == "viro":
         return _mult_viro_region(p, region)
     if hf.kind == "tropical":
@@ -226,13 +227,9 @@ def _invert_through(k: Fraction, union: IntervalUnion) -> IntervalUnion:
     return IntervalUnion.of(parts)
 
 
-def _viro_region_union(region: ElementSet) -> IntervalUnion:
-    return region.intervals
-
-
-def _mult_viro_region(p: Polynomial, region: ElementSet) -> int:
+def _mult_viro_region(p: Polynomial, region: IntervalSet) -> int:
     hf = p.hf
-    S = _viro_region_union(region)
+    S = region.intervals
     if p.degree == 1:
         b = hf.mul(p.coeff(0), hf.inv(p.coeff(1)))
         return 1 if region.contains(b) else 0

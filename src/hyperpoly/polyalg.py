@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, asdict
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
-from .carriers import (Element, ElementSet, Hyperfield, UndecidedError,
+from .carriers import (CarrierSet, Element, Hyperfield, UndecidedError,
                        by_name)
 
 DEFAULT_MAX_DEGREE = 6
@@ -79,7 +79,7 @@ class Polynomial:
             power = hf.mul(power, a)
         return out
 
-    def eval(self, a: Element) -> ElementSet:
+    def eval(self, a: Element) -> CarrierSet:
         """p(a): the hypersum of the monomial values c_i * a^i."""
         return self.hf.hypersum(self.monomial_values(a))
 
@@ -228,14 +228,14 @@ class PolyBox:
     records that it was a possible selection."""
 
     hf: Hyperfield
-    cells: tuple[ElementSet, ...]
+    cells: tuple[CarrierSet, ...]
     zero_excluded: bool = False
 
     @property
     def nominal_degree(self) -> int:
         return len(self.cells) - 1
 
-    def cell(self, i: int) -> ElementSet:
+    def cell(self, i: int) -> CarrierSet:
         if 0 <= i < len(self.cells):
             return self.cells[i]
         return self.hf.singleton(self.hf.zero())
@@ -534,10 +534,10 @@ def resolved_members(value: Resolved) -> list[Polynomial]:
     hf = value.outer.hf
     if not hf.is_finite():
         raise UndecidedError("cannot enumerate members over an infinite carrier")
-    return sorted(_enumerate(hf, value), key=Polynomial.sort_key)
+    return sorted(_enumerate(value), key=Polynomial.sort_key)
 
 
-def _enumerate(hf: Hyperfield, value: Resolved) -> frozenset:
+def _enumerate(value: Resolved) -> frozenset:
     if value.kind == "finite":
         return value.polys
     if value.kind == "box":
@@ -559,8 +559,8 @@ def resolve(expr: Expr, hf: Hyperfield) -> Resolved:
             return Resolved("box", box=box_hyperadd(left.box, right.box))
         if hf.is_finite():
             out = set()
-            for p in _enumerate(hf, left):
-                for q in _enumerate(hf, right):
+            for p in _enumerate(left):
+                for q in _enumerate(right):
                     out.update(boxsum(p, q).enumerate_members())
             return Resolved("finite", polys=frozenset(out))
         raise UndecidedError("set-level sum of coupled values is out of scope")
@@ -598,8 +598,8 @@ def resolve(expr: Expr, hf: Hyperfield) -> Resolved:
                                 inner=b.inner)
     if hf.is_finite():
         out = set()
-        for p in _enumerate(hf, left):
-            for q in _enumerate(hf, right):
+        for p in _enumerate(left):
+            for q in _enumerate(right):
                 out.update(boxprod(p, q).enumerate_members())
         return Resolved("finite", polys=frozenset(out))
     raise UndecidedError(
@@ -700,7 +700,7 @@ class EqualCertificate:
 
 
 def _truncate_inner(p: Polynomial, outer: Polynomial,
-                    box: PolyBox) -> tuple[Optional[list[ElementSet]], list[CertStep]]:
+                    box: PolyBox) -> tuple[Optional[list[CarrierSet]], list[CertStep]]:
     """Cells for the inner factor when p must equal outer (x) r exactly:
     deg r = deg p - deg outer, cells above must allow 0, top cell loses 0."""
     hf = p.hf
@@ -732,8 +732,8 @@ def _truncate_inner(p: Polynomial, outer: Polynomial,
 
 
 def solve_linear_chain(p: Polynomial, ell: Polynomial,
-                       cells: list[ElementSet]
-                       ) -> tuple[Optional[list[ElementSet]], list[CertStep]]:
+                       cells: list[CarrierSet]
+                       ) -> tuple[Optional[list[CarrierSet]], list[CertStep]]:
     """Domains for r with p in ell (x) r, ell linear, via the reversibility
     chain c_i in l0*d_i (+) l1*d_{i-1}.  Returns (domains, trace); domains
     are arc-consistent along the chain, None when some domain empties."""
@@ -743,7 +743,7 @@ def solve_linear_chain(p: Polynomial, ell: Polynomial,
     steps: list[CertStep] = []
     domains = list(cells)
 
-    def narrow(i: int, sols: ElementSet, why: str) -> bool:
+    def narrow(i: int, sols: CarrierSet, why: str) -> bool:
         domains[i] = domains[i].intersect(sols)
         tail = ""
         if domains[i].is_singleton():
@@ -801,13 +801,13 @@ def solve_linear_chain(p: Polynomial, ell: Polynomial,
 
 
 def _fail_pin(hf: Hyperfield, steps: list[CertStep], i: int,
-              cells: list[ElementSet]) -> None:
+              cells: list[CarrierSet]) -> None:
     steps.append(CertStep("fail", i,
                           f"pinned value is outside cell {cells[i]}"))
 
 
 def chain_witness(p: Polynomial, ell: Polynomial,
-                  domains: list[ElementSet]) -> Polynomial:
+                  domains: list[CarrierSet]) -> Polynomial:
     """One inner polynomial from arc-consistent chain domains (backward walk)."""
     hf = p.hf
     m = len(domains) - 1
@@ -827,7 +827,7 @@ def chain_witness(p: Polynomial, ell: Polynomial,
 
 
 def chain_representatives(p: Polynomial, ell: Polynomial,
-                          domains: list[ElementSet],
+                          domains: list[CarrierSet],
                           per_level: int = 3) -> list[Polynomial]:
     """Several chain-consistent inner polynomials, branching on the sampled
     values of each domain (largest attained values first)."""
@@ -835,7 +835,7 @@ def chain_representatives(p: Polynomial, ell: Polynomial,
     m = len(domains) - 1
     l0, l1 = ell.coeff(0), ell.coeff(1)
 
-    def level_values(s: ElementSet) -> list[Element]:
+    def level_values(s: CarrierSet) -> list[Element]:
         vals = hf.sample_elements(s)
         return list(reversed(vals))[:per_level]
 
@@ -862,8 +862,8 @@ def chain_representatives(p: Polynomial, ell: Polynomial,
     return out
 
 
-def solve_single_free(p: Polynomial, q: Polynomial, cells: list[ElementSet]
-                      ) -> tuple[Optional[ElementSet], Optional[int], list[CertStep]]:
+def solve_single_free(p: Polynomial, q: Polynomial, cells: list[CarrierSet]
+                      ) -> tuple[Optional[CarrierSet], Optional[int], list[CertStep]]:
     """Membership p in q (x) r where at most one cell of r is undetermined.
 
     Returns (feasible set for the free cell, its index, trace); the feasible
@@ -1034,7 +1034,7 @@ def _member_in_resolved(p: Polynomial, value: Resolved,
                                  "single-unknown", witness=str(witness),
                                  steps=tuple(steps))
     if hf.is_finite():
-        members = _enumerate(hf, value)
+        members = _enumerate(value)
         present = p in members
         witness = None
         if present:
@@ -1131,7 +1131,7 @@ def expr_equal(e1: Expr, e2: Expr, hf: Hyperfield,
                                 detail=(CertStep("scope", None, str(err)),))
     if v1.kind == "finite" or v2.kind == "finite" or (
             hf.is_finite() and ("coupled" in (v1.kind, v2.kind))):
-        s1, s2 = _enumerate(hf, v1), _enumerate(hf, v2)
+        s1, s2 = _enumerate(v1), _enumerate(v2)
         if s1 == s2:
             detail = (CertStep("enumerate", None,
                                f"both sides enumerate to the same "

@@ -11,12 +11,12 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .assoc import assoc_scan, one_plus_one_criterion, pointwise_products_equal
-from .carriers import (ProbeSpec, by_name, check_axioms, cyclic_group_table,
-                       default_probe, gf, is_doubly_distributive, weak_group)
+from .carriers import (IntervalSet, ProbeSpec, by_name, check_axioms,
+                       cyclic_group_table, default_probe, gf,
+                       is_doubly_distributive, weak_group)
 from .divide import is_root, mult_at, mult_set, quotients
 from .polyalg import expr_equal, expr_member, parse_expr, parse_poly, replay_member
 from .sets import Interval, IntervalUnion, POS_INF, ext
-from .carriers import ElementSet
 from .tropical import box_equivalence, is_reducible, linear_product_box, root_multiset
 
 
@@ -255,7 +255,7 @@ def crit_13() -> ReproResult:
     s = by_name("S")
     m1 = mult_at(parse_poly("T^3-T", s), s.element(0))
     v = by_name("V")
-    region = ElementSet(v.name, "intervals", intervals=IntervalUnion(
+    region = IntervalSet(v.name, IntervalUnion(
         (Interval(ext(1), POS_INF, True, False),)))
     m2 = mult_set(parse_poly("T^2+3T+1", v), region)
     ok = m1 == 1 and m2 == 1

@@ -256,9 +256,6 @@ class IntervalUnion:
             Interval(s(p.lo), s(p.hi), p.lo_closed, p.hi_closed)
             for p in self.parts)
 
-    def min_key(self) -> tuple:
-        return self.parts[0].start_key()
-
     def max_value(self) -> tuple[ExtRat, bool]:
         """(supremum, attained) of a nonempty union."""
         last = self.parts[-1]
@@ -381,10 +378,6 @@ class ArcUnion:
         return ArcUnion(union, has_zero)
 
     @staticmethod
-    def empty() -> "ArcUnion":
-        return ArcUnion()
-
-    @staticmethod
     def zero_only() -> "ArcUnion":
         return ArcUnion(IntervalUnion(), True)
 
@@ -439,13 +432,6 @@ class ArcUnion:
 
     def antipode(self) -> "ArcUnion":
         return self.rotate(Fraction(1))
-
-    def reflect(self) -> "ArcUnion":
-        """Image under angle negation (multiplicative inversion)."""
-        out: list[Interval] = []
-        for p in self.parts.parts:
-            out.extend(_wrap(-p.hi.q, -p.lo.q, p.hi_closed, p.lo_closed))
-        return ArcUnion(IntervalUnion.of(out), self.has_zero)
 
     def without_zero(self) -> "ArcUnion":
         return ArcUnion(self.parts, False)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, asdict
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .carriers import Element, ElementSet, Hyperfield, UndecidedError, by_name
+from .carriers import CarrierSet, Element, Hyperfield, UndecidedError, by_name
 from .divide import mult_at
 from .linear import Constraint, eq, lt, feasible_point as lp_feasible_point
 from .polyalg import (Polynomial, PolyBox, boxprod, monic_decompose,
@@ -25,7 +25,7 @@ def _trop() -> Hyperfield:
     return by_name("T")
 
 
-def trop_hypersum_sorted(values: Sequence[Element]) -> ElementSet:
+def trop_hypersum_sorted(values: Sequence[Element]) -> CarrierSet:
     """Hypersum of a list over T from its sorted order: {max} when the
     maximum is strict, [-inf, max] when the top two entries tie."""
     hf = _trop()
@@ -47,7 +47,7 @@ def linear_product_box(roots: Sequence[Element]) -> PolyBox:
     if not roots:
         raise ValueError("no roots given")
     n = len(roots)
-    cells: list[ElementSet] = [None] * (n + 1)
+    cells: list[CarrierSet] = [None] * (n + 1)
     cells[n] = hf.singleton(hf.one())
     for s in range(1, n + 1):
         sums = []
@@ -375,8 +375,7 @@ def _try_pattern(p: Polynomial, k: int, pattern: tuple[bool, ...],
 def _reducible_finite(p: Polynomial) -> ReducibilityCertificate:
     hf = p.hf
     n = p.degree
-    elems = [Element(hf.name, v) for v in
-             sorted(hf.full_set().finite, key=lambda x: str(x))]
+    elems = sorted(hf.elements(), key=str)
     nonzero = [e for e in elems if not hf.is_zero(e)]
 
     def all_polys(deg: int):

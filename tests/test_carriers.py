@@ -416,3 +416,47 @@ class TestFactory:
             by_name("Q")
         with pytest.raises(ValueError):
             by_name("GF(4)")
+
+
+class TestSetGuards:
+    """Set operations refuse to mix carriers or set shapes."""
+
+    OPS = ("union", "intersect", "difference")
+
+    @staticmethod
+    def _one(name):
+        hf = by_name(name)
+        return hf.singleton(hf.one())
+
+    @pytest.mark.parametrize("op", OPS)
+    def test_same_shape_different_carriers_raise(self, op):
+        t_set, v_set = self._one("T"), self._one("V")
+        with pytest.raises(ValueError):
+            getattr(t_set, op)(v_set)
+        with pytest.raises(ValueError):
+            getattr(v_set, op)(t_set)
+
+    @pytest.mark.parametrize("op", OPS)
+    def test_different_shapes_raise(self, op):
+        s_set, t_set = self._one("S"), self._one("T")
+        with pytest.raises(ValueError):
+            getattr(s_set, op)(t_set)
+        with pytest.raises(ValueError):
+            getattr(t_set, op)(s_set)
+
+    @pytest.mark.parametrize("name,other", [("S", "K"), ("T", "V"),
+                                            ("P", "T")])
+    def test_contains_rejects_another_carriers_element(self, name, other):
+        with pytest.raises(ValueError):
+            by_name(name).full_set().contains(by_name(other).one())
+
+    @pytest.mark.parametrize("name", ["S", "T", "V", "P"])
+    def test_the_element_of_a_non_singleton_raises(self, name):
+        with pytest.raises(ValueError):
+            by_name(name).full_set().the_element()
+
+    @pytest.mark.parametrize("name", ["S", "T", "V", "P"])
+    def test_the_element_of_a_singleton(self, name):
+        hf = by_name(name)
+        assert hf.singleton(hf.one()).the_element() == hf.one()
+        assert hf.singleton(hf.zero()).the_element() == hf.zero()

@@ -256,6 +256,54 @@ class TestStructureChecks:
         assert replay_member(cert.member_out)
 
 
+SET_SHAPE_CORPUS = [
+    # (golden file stem, exit code, argv): finite sets, interval unions and
+    # arc unions, each through the commands that print or consume them
+    ("eval_P_arcs_and_zero", 0,
+     ["eval", "--hf", "P", "--poly", "T+ph(1)", "--at", "ph(0)"]),
+    ("eval_P_open_arc", 0,
+     ["eval", "--hf", "P", "--poly", "T^2+ph(1/2)T+ph(1)", "--at", "ph(1/4)"]),
+    ("eval_T_tie", 0, ["eval", "--hf", "T", "--poly", "T+(-2)", "--at=-2"]),
+    ("prod_V", 0, ["prod", "--hf", "V", "--p", "T+1", "--q", "T+2"]),
+    ("prod_S", 0, ["prod", "--hf", "S", "--p", "T+1", "--q", "T-1"]),
+    ("sum_P", 0,
+     ["sum", "--hf", "P", "--p", "T+ph(1/2)", "--q", "T+ph(3/2)"]),
+    ("sum_W", 0, ["sum", "--hf", "W", "--p", "T+1", "--q", "T-1"]),
+    ("member_K_yes", 0,
+     ["member", "--hf", "K", "--poly", "T^2+1", "--expr", "(T+1)*(T+1)"]),
+    ("member_T_no", 1,
+     ["member", "--hf", "T", "--poly", "T^2+2T+2", "--expr", "(T+1)*(T+1)"]),
+    ("equal_K_unequal", 1,
+     ["equal", "--hf", "K", "--expr1", "(T+1)*(T+1)", "--expr2", "(T^2+1)"]),
+    ("equal_T_equal", 0,
+     ["equal", "--hf", "T", "--expr1", "(T+1)*(T+2)",
+      "--expr2", "(T+2)*(T+1)"]),
+    ("quotients_P", 0,
+     ["quotients", "--hf", "P", "--poly", "T^3+ph(1)", "--root", "ph(0)"]),
+    ("quotients_GF5", 0,
+     ["quotients", "--hf", "GF(5)", "--poly", "T^2+4", "--root", "1"]),
+    ("mult_set_V_interval", 0,
+     ["mult-set", "--hf", "V", "--poly", "T^2+T+1", "--region", "[1/2,2]"]),
+    ("mult_set_K_finite", 0,
+     ["mult-set", "--hf", "K", "--poly", "T^3+T+1", "--region", "{1}"]),
+    ("axioms_W", 0, ["axioms", "--hf", "W"]),
+    ("axioms_T_probe", 0, ["axioms", "--hf", "T"]),
+    ("trop_box_certified", 0,
+     ["trop-box", "--hf", "T", "--roots", "1,1,2", "--certify"]),
+    ("one_one_W", 0, ["one-one", "--hf", "W"]),
+]
+
+
+class TestSetShapeGoldenCorpus:
+    @pytest.mark.parametrize("stem,expected_code,argv", SET_SHAPE_CORPUS,
+                             ids=[case[0] for case in SET_SHAPE_CORPUS])
+    def test_structured_output_matches_golden_file(self, capsys, stem,
+                                                   expected_code, argv):
+        code, out, _ = run_cli(capsys, *argv, "--format", "structured")
+        assert code == expected_code
+        assert out == (DATA / f"sets_{stem}.json").read_text()
+
+
 class TestRepro:
     def test_single_criterion(self, capsys):
         code, out, _ = run_cli(capsys, "repro", "--criterion", "3")
