@@ -347,6 +347,9 @@ class FiniteHyperfield(Hyperfield):
         self.modulus = modulus
         self._payloads = payloads
         self._int_payloads = all(isinstance(p, int) for p in payloads)
+        # symbols sort in table order; integer payloads sort by value
+        self._rank = {} if self._int_payloads else {
+            p: i for i, p in enumerate(payloads)}
         self._zero = Element(name, zero)
         self._one = Element(name, one)
         self._mul = mul_table
@@ -425,7 +428,7 @@ class FiniteHyperfield(Hyperfield):
 
     def sort_key(self, x: Element) -> tuple:
         if isinstance(x.payload, str):
-            return (2, self._payloads.index(x.payload))
+            return (2, self._rank[x.payload])
         return _payload_sort_key(x.payload)
 
     def parse_scalar(self, text: str) -> Element:

@@ -21,6 +21,7 @@ import os
 import random
 from dataclasses import dataclass, field, asdict
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Optional, Sequence, Union
 
 from .carriers import (CarrierSet, Element, Hyperfield, UndecidedError,
@@ -277,21 +278,31 @@ class PolyBox:
         return Polynomial.of(self.hf,
                              [c.the_element() for c in box.cells])
 
+    def member_set(self) -> frozenset:
+        """All member polynomials (finite carriers only), unsorted.  The
+        cells are checked once to belong to hf; each member is then built
+        from its selection directly, with the leading zeros trimmed."""
+        hf = self.hf
+        box = self.canonical()
+        for c in box.cells:
+            if c.carrier != hf.name:
+                raise ValueError(f"cell of {c.carrier} in a box over {hf.name}")
+        if not (hf.is_finite() or all(c.is_singleton() for c in box.cells)):
+            raise UndecidedError("cannot enumerate an infinite box")
+        zero = hf.zero()
+        out = set()
+        for combo in itertools.product(*[hf.sample_elements(c)
+                                         for c in box.cells]):
+            top = len(combo)
+            while top and combo[top - 1] == zero:
+                top -= 1
+            if top:
+                out.add(Polynomial(hf, combo[:top]))
+        return frozenset(out)
+
     def enumerate_members(self) -> list[Polynomial]:
         """All member polynomials (finite carriers only), sorted."""
-        box = self.canonical()
-        if box.is_empty():
-            return []
-        choices = [self.hf.sample_elements(c) for c in box.cells]
-        if not all(self.hf.is_finite() or c.is_singleton()
-                   for c in box.cells):
-            raise UndecidedError("cannot enumerate an infinite box")
-        out = set()
-        for combo in itertools.product(*choices):
-            if all(self.hf.is_zero(x) for x in combo):
-                continue
-            out.add(Polynomial.of(self.hf, list(combo)))
-        return sorted(out, key=Polynomial.sort_key)
+        return sorted(self.member_set(), key=Polynomial.sort_key)
 
     def sample_members(self, limit: int = 200,
                        seed: Optional[int] = None) -> list[Polynomial]:
@@ -520,6 +531,19 @@ class Resolved:
         return "{%s}" % ", ".join(str(p) for p in
                                   sorted(self.polys, key=Polynomial.sort_key))
 
+    @cached_property
+    def members(self) -> frozenset:
+        """Every member polynomial, unsorted (finite carriers or finite
+        boxes only); enumerated at most once per value."""
+        if self.kind == "finite":
+            return self.polys
+        if self.kind == "box":
+            return self.box.member_set()
+        out = set()
+        for r in self.inner.member_set():
+            out.update(boxprod(self.outer, r).member_set())
+        return frozenset(out)
+
 
 def _is_monomial(p: Polynomial) -> bool:
     return all(p.hf.is_zero(c) for c in p.coeffs[:-1]) or p.degree == 0
@@ -527,25 +551,9 @@ def _is_monomial(p: Polynomial) -> bool:
 
 def resolved_members(value: Resolved) -> list[Polynomial]:
     """Explicit sorted member list; finite carriers or finite boxes only."""
-    if value.kind == "box":
-        return value.box.enumerate_members()
-    if value.kind == "finite":
-        return sorted(value.polys, key=Polynomial.sort_key)
-    hf = value.outer.hf
-    if not hf.is_finite():
+    if value.kind == "coupled" and not value.outer.hf.is_finite():
         raise UndecidedError("cannot enumerate members over an infinite carrier")
-    return sorted(_enumerate(value), key=Polynomial.sort_key)
-
-
-def _enumerate(value: Resolved) -> frozenset:
-    if value.kind == "finite":
-        return value.polys
-    if value.kind == "box":
-        return frozenset(value.box.enumerate_members())
-    out = set()
-    for r in value.inner.enumerate_members():
-        out.update(boxprod(value.outer, r).enumerate_members())
-    return frozenset(out)
+    return sorted(value.members, key=Polynomial.sort_key)
 
 
 def resolve(expr: Expr, hf: Hyperfield) -> Resolved:
@@ -559,9 +567,9 @@ def resolve(expr: Expr, hf: Hyperfield) -> Resolved:
             return Resolved("box", box=box_hyperadd(left.box, right.box))
         if hf.is_finite():
             out = set()
-            for p in _enumerate(left):
-                for q in _enumerate(right):
-                    out.update(boxsum(p, q).enumerate_members())
+            for p in left.members:
+                for q in right.members:
+                    out.update(boxsum(p, q).member_set())
             return Resolved("finite", polys=frozenset(out))
         raise UndecidedError("set-level sum of coupled values is out of scope")
     # product node
@@ -598,9 +606,9 @@ def resolve(expr: Expr, hf: Hyperfield) -> Resolved:
                                 inner=b.inner)
     if hf.is_finite():
         out = set()
-        for p in _enumerate(left):
-            for q in _enumerate(right):
-                out.update(boxprod(p, q).enumerate_members())
+        for p in left.members:
+            for q in right.members:
+                out.update(boxprod(p, q).member_set())
         return Resolved("finite", polys=frozenset(out))
     raise UndecidedError(
         "product of two undetermined polynomial sets is out of scope")
@@ -1034,7 +1042,7 @@ def _member_in_resolved(p: Polynomial, value: Resolved,
                                  "single-unknown", witness=str(witness),
                                  steps=tuple(steps))
     if hf.is_finite():
-        members = _enumerate(value)
+        members = value.members
         present = p in members
         witness = None
         if present:
@@ -1131,18 +1139,19 @@ def expr_equal(e1: Expr, e2: Expr, hf: Hyperfield,
                                 detail=(CertStep("scope", None, str(err)),))
     if v1.kind == "finite" or v2.kind == "finite" or (
             hf.is_finite() and ("coupled" in (v1.kind, v2.kind))):
-        s1, s2 = _enumerate(v1), _enumerate(v2)
+        s1, s2 = v1.members, v2.members
         if s1 == s2:
             detail = (CertStep("enumerate", None,
                                f"both sides enumerate to the same "
                                f"{len(s1)} polynomials"),)
             return EqualCertificate("equal", hf.name, t1, t2, detail=detail)
-        only1 = sorted(s1 - s2, key=Polynomial.sort_key)
-        only2 = sorted(s2 - s1, key=Polynomial.sort_key)
+        # the sort key is injective on one carrier, so the least member of
+        # the one-sided difference is the witness a full sort would give
+        only1 = s1 - s2
         if only1:
-            w, side = only1[0], 1
+            w, side = min(only1, key=Polynomial.sort_key), 1
         else:
-            w, side = only2[0], 2
+            w, side = min(s2 - s1, key=Polynomial.sort_key), 2
         cert_in = _member_in_resolved(w, v1 if side == 1 else v2,
                                       t1 if side == 1 else t2)
         cert_out = _member_in_resolved(w, v2 if side == 1 else v1,

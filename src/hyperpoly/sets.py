@@ -205,9 +205,6 @@ class IntervalUnion:
                 out.append(_make_interval(lo, hi, lc, hc))
         return IntervalUnion.of(out)
 
-    def includes(self, other: "IntervalUnion") -> bool:
-        return self.intersect(other) == other
-
     def complement(self, line_lo: ExtRat = NEG_INF,
                    line_hi: ExtRat = POS_INF) -> "IntervalUnion":
         """Complement within the line segment [line_lo, line_hi)."""
@@ -371,13 +368,6 @@ class ArcUnion:
     has_zero: bool = False
 
     @staticmethod
-    def of(intervals: Iterable[Interval], has_zero: bool = False) -> "ArcUnion":
-        union = IntervalUnion.of(intervals)
-        if union.parts and union.parts[-1].hi > ext(2):
-            raise ValueError("arc coordinates must stay within [0, 2]")
-        return ArcUnion(union, has_zero)
-
-    @staticmethod
     def zero_only() -> "ArcUnion":
         return ArcUnion(IntervalUnion(), True)
 
@@ -412,11 +402,6 @@ class ArcUnion:
     def intersect(self, other: "ArcUnion") -> "ArcUnion":
         return ArcUnion(self.parts.intersect(other.parts),
                         self.has_zero and other.has_zero)
-
-    def includes(self, other: "ArcUnion") -> bool:
-        if other.has_zero and not self.has_zero:
-            return False
-        return self.parts.includes(other.parts)
 
     def difference(self, other: "ArcUnion") -> "ArcUnion":
         gaps = other.parts.complement(ExtRat(Fraction(0)), ExtRat(Fraction(2)))

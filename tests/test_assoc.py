@@ -16,7 +16,9 @@ from hyperpoly import (
     assoc_scan,
     by_name,
     cyclic_group_table,
+    expr_equal,
     one_plus_one_criterion,
+    parse_expr,
     parse_poly,
     pointwise_products_equal,
     replay_member,
@@ -146,6 +148,46 @@ class TestAssocScan:
         found = [tuple(sorted(rep.triple)) for rep in report.counterexamples]
         assert len(found) == len(set(found))
         assert set(found) == expected
+
+
+class TestScanCertificates:
+    @staticmethod
+    def least_one_sided(cert, hf):
+        # the witness rule: the sort_key-least member of side 1 alone,
+        # else of side 2 alone
+        s1, s2 = (set(resolved_members(resolve(parse_expr(t, hf), hf)))
+                  for t in (cert.expr1, cert.expr2))
+        if s1 - s2:
+            return min(s1 - s2, key=Polynomial.sort_key), 1
+        return min(s2 - s1, key=Polynomial.sort_key), 2
+
+    @pytest.mark.parametrize("name,e1,e2", [
+        ("K", "(T+1)*(T+1)", "(T^2+1)"),
+        ("K", "(T^2+1)", "(T+1)*(T+1)"),
+        ("S", "((T+1)*(T-1))*((T+1)*(T-1))", "(T+1)*((T-1)*((T+1)*(T-1)))"),
+        ("W", "((T+1)*(T+1))+((T+1)*(T+1))", "(T+1)*((T+1)*(T+1))"),
+        ("GF(3)", "(T+1)*((T+2)*(T+2))", "(T^2+1)"),
+    ])
+    def test_witness_is_least_of_the_one_sided_difference(self, name, e1, e2):
+        hf = by_name(name)
+        cert = expr_equal(parse_expr(e1, hf), parse_expr(e2, hf), hf)
+        assert cert.verdict == "unequal"
+        witness, side = self.least_one_sided(cert, hf)
+        assert (cert.witness, cert.witness_side) == (str(witness), side)
+
+    @pytest.mark.parametrize("name,max_deg", [("S", 1), ("K", 2), ("W", 1)])
+    def test_every_scan_certificate_replays(self, name, max_deg):
+        hf = by_name(name)
+        report = assoc_scan(hf, max_deg, stop_after=None)
+        assert report.counterexamples
+        for rep in report.counterexamples:
+            cert = rep.counterexample
+            witness, side = self.least_one_sided(cert, hf)
+            assert (cert.witness, cert.witness_side) == (str(witness), side)
+            assert cert.member_in.verdict == "yes"
+            assert cert.member_out.verdict == "no"
+            assert replay_member(cert.member_in)
+            assert replay_member(cert.member_out)
 
 
 class TestOnePlusOneCriterion:

@@ -364,6 +364,11 @@ class TestWeakGroups:
                                       W.element(relabel[y.payload]))
                 assert image(G.hyperadd(x, y)) == expected.finite
 
+    def test_symbols_sort_in_table_order(self):
+        G = weak_group(*cyclic_group_table(5))
+        keys = [G.sort_key(x) for x in G.elements()]
+        assert keys == sorted(keys) == [(2, i) for i in range(6)]
+
     def test_cyclic_table_self_inverse_choice(self):
         _, _, e3 = cyclic_group_table(3)
         _, _, e4 = cyclic_group_table(4)

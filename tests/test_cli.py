@@ -278,6 +278,12 @@ SET_SHAPE_CORPUS = [
     ("equal_T_equal", 0,
      ["equal", "--hf", "T", "--expr1", "(T+1)*(T+2)",
       "--expr2", "(T+2)*(T+1)"]),
+    ("equal_S_finite_sides", 1,
+     ["equal", "--hf", "S", "--expr1", "((T+1)*(T-1))*((T+1)*(T-1))",
+      "--expr2", "(T+1)*((T-1)*((T+1)*(T-1)))"]),
+    ("equal_W_sum_of_products", 1,
+     ["equal", "--hf", "W", "--expr1", "((T+1)*(T+1))+((T+1)*(T+1))",
+      "--expr2", "(T+1)*((T+1)*(T+1))"]),
     ("quotients_P", 0,
      ["quotients", "--hf", "P", "--poly", "T^3+ph(1)", "--root", "ph(0)"]),
     ("quotients_GF5", 0,

@@ -21,6 +21,7 @@ from hyperpoly import (
     box_hyperadd,
     box_of,
     by_name,
+    cyclic_group_table,
     expr_equal,
     expr_member,
     format_expr,
@@ -36,6 +37,7 @@ from hyperpoly import (
     resolved_members,
     scalar_prod,
     scale_box,
+    weak_group,
 )
 from hyperpoly.polyalg import chain_witness, solve_linear_chain
 
@@ -315,6 +317,62 @@ class TestCanonical:
             scaled = scale_box(a, box)
             for q in box.sample_members(20):
                 assert scaled.contains(scalar_prod(a, q))
+
+
+class TestEnumeration:
+    CARRIERS = [by_name("K"), by_name("S"), by_name("W"), gf(3),
+                weak_group(*cyclic_group_table(3))]
+
+    @staticmethod
+    def boxes(hf):
+        one, zero = hf.one(), hf.zero()
+        lin = Polynomial.of(hf, [one, one])
+        quad = Polynomial.of(hf, [one, zero, one])
+        full = hf.full_set()
+        return [boxprod(lin, quad), boxsum(lin, scalar_prod(hf.neg(one), lin)),
+                PolyBox(hf, (full, full, full)),
+                PolyBox(hf, (hf.singleton(zero), full))]
+
+    @pytest.mark.parametrize("hf", CARRIERS, ids=lambda hf: hf.name)
+    def test_sorted_list_and_unsorted_set_agree(self, hf):
+        for box in self.boxes(hf):
+            members = box.enumerate_members()
+            assert set(members) == box.member_set()
+            assert len(members) == len(box.member_set())
+            assert members == sorted(members, key=Polynomial.sort_key)
+            assert all(box.contains(p) for p in members)
+
+    @pytest.mark.parametrize("hf", CARRIERS, ids=lambda hf: hf.name)
+    def test_members_are_trimmed_and_exclude_zero(self, hf):
+        # every nonzero coefficient vector of length at most 3, trimmed
+        full = hf.full_set()
+        members = PolyBox(hf, (full, full, full)).member_set()
+        n = len(hf.elements())
+        assert len(members) == n ** 3 - 1
+        assert all(not hf.is_zero(p.coeffs[-1]) for p in members)
+
+    def test_coupled_resolved_members_are_sorted(self):
+        K = by_name("K")
+        value = resolve(parse_expr("(T^2+1)*((T+1)*(T+1))", K), K)
+        assert value.kind == "coupled"
+        members = resolved_members(value)
+        assert members == sorted(members, key=Polynomial.sort_key)
+        assert set(members) == value.members
+
+    def test_infinite_box_is_not_enumerated(self):
+        T = by_name("T")
+        box = boxprod(parse_poly("T+1", T), parse_poly("T+1", T))
+        assert not box.is_singleton()
+        with pytest.raises(UndecidedError):
+            box.member_set()
+        with pytest.raises(UndecidedError):
+            box.enumerate_members()
+
+    def test_cell_of_another_carrier_is_refused(self):
+        K, S = by_name("K"), by_name("S")
+        box = PolyBox(S, (K.full_set(), S.singleton(S.one())))
+        with pytest.raises(ValueError):
+            box.member_set()
 
 
 # ---------------------------------------------------------------------------
