@@ -15,7 +15,9 @@ from functools import lru_cache
 from typing import Iterable, Optional, Sequence, Union
 
 from .sets import (NEG_INF, POS_INF, ArcUnion, ExtRat, Interval, IntervalUnion,
-                   _wrap, arcs_minkowski, interval_add, interval_max,
+                   _E0, _earlier_end, _is_empty, _later_start, _qadd, _qmul,
+                   _qsub, _ratio, _wrap, angle_mod,
+                   arcs_minkowski, interval_add, interval_max,
                    interval_mul_nonneg, minor_arc)
 
 Payload = Union[int, str, ExtRat, Fraction, None]
@@ -629,7 +631,7 @@ class TropicalHyperfield(Hyperfield):
         return Element(self.name, NEG_INF)
 
     def one(self) -> Element:
-        return Element(self.name, ExtRat(Fraction(0)))
+        return Element(self.name, _E0)
 
     def element(self, raw) -> Element:
         if isinstance(raw, Element):
@@ -716,7 +718,7 @@ class ViroHyperfield(Hyperfield):
         self.kind = "viro"
 
     def zero(self) -> Element:
-        return Element(self.name, ExtRat(Fraction(0)))
+        return Element(self.name, _E0)
 
     def one(self) -> Element:
         return Element(self.name, ExtRat(Fraction(1)))
@@ -735,7 +737,7 @@ class ViroHyperfield(Hyperfield):
 
     def mul(self, x: Element, y: Element) -> Element:
         self.check(x), self.check(y)
-        return Element(self.name, ExtRat(x.payload.q * y.payload.q))
+        return Element(self.name, ExtRat(_qmul(x.payload.q, y.payload.q)))
 
     def neg(self, x: Element) -> Element:
         return self.check(x)
@@ -748,8 +750,8 @@ class ViroHyperfield(Hyperfield):
 
     def hyperadd(self, x: Element, y: Element) -> IntervalSet:
         self.check(x), self.check(y)
-        lo = abs(x.payload.q - y.payload.q)
-        hi = x.payload.q + y.payload.q
+        lo = abs(_qsub(x.payload.q, y.payload.q))
+        hi = _qadd(x.payload.q, y.payload.q)
         return IntervalSet(self.name, IntervalUnion.closed(lo, hi))
 
     def set_hyperadd(self, a: IntervalSet, b: IntervalSet) -> IntervalSet:
@@ -763,20 +765,16 @@ class ViroHyperfield(Hyperfield):
 
     @staticmethod
     def _pair(i: Interval, j: Interval) -> Interval:
-        meet_lo = max((i.lo, i.lo_closed), (j.lo, j.lo_closed),
-                      key=lambda t: (t[0]._key(), 0 if t[1] else 1))
-        meet_hi = min((i.hi, i.hi_closed), (j.hi, j.hi_closed),
-                      key=lambda t: (t[0]._key(), 0 if t[1] else -1))
-        overlap = (meet_lo[0]._key(), 0 if meet_lo[1] else 1) <= \
-                  (meet_hi[0]._key(), 0 if meet_hi[1] else -1)
-        if overlap:
-            lo, lo_closed = ExtRat(Fraction(0)), True
+        (meet_lo, lo_closed), (meet_hi, hi_closed) = \
+            _later_start(i, j), _earlier_end(i, j)
+        if not _is_empty(meet_lo, meet_hi, lo_closed, hi_closed):
+            lo, lo_closed = _E0, True  # i and j overlap
         elif i.hi <= j.lo:
-            gap = j.lo.q - i.hi.q
+            gap = _qsub(j.lo.q, i.hi.q)
             lo = ExtRat(gap)
             lo_closed = (gap > 0 and j.lo_closed and i.hi_closed)
         else:
-            gap = i.lo.q - j.hi.q
+            gap = _qsub(i.lo.q, j.hi.q)
             lo = ExtRat(gap)
             lo_closed = (gap > 0 and i.lo_closed and j.hi_closed)
         hi = i.hi + j.hi
@@ -803,7 +801,7 @@ class ViroHyperfield(Hyperfield):
         return IntervalSet(self.name, IntervalUnion.point(x.payload))
 
     def full_set(self) -> IntervalSet:
-        whole = Interval(ExtRat(Fraction(0)), POS_INF, True, False)
+        whole = Interval(_E0, POS_INF, True, False)
         return IntervalSet(self.name, IntervalUnion((whole,)))
 
     def remove_zero(self, s: IntervalSet) -> IntervalSet:
@@ -842,7 +840,7 @@ class PhaseHyperfield(Hyperfield):
         self.check(x), self.check(y)
         if x.payload is None or y.payload is None:
             return self.zero()
-        return Element(self.name, (x.payload + y.payload) % 2)
+        return Element(self.name, angle_mod(_qadd(x.payload, y.payload)))
 
     def neg(self, x: Element) -> Element:
         self.check(x)
@@ -934,21 +932,25 @@ class PhaseHyperfield(Hyperfield):
 
 def _phase_generic_pieces(p: Interval, q: Interval) -> list[Interval]:
     """Union of open minor arcs over x in p, y in q, skipping equal and
-    antipodal pairs (those are handled separately by set_hyperadd)."""
-    a, b = p.lo.q, p.hi.q
-    c, d = q.lo.q, q.hi.q
+    antipodal pairs (those are handled separately by set_hyperadd).
+
+    The angles a, b (of p) and c, d (of q) are handled as integers over
+    their common denominator."""
+    ends = (p.lo.q, p.hi.q, q.lo.q, q.hi.q)
+    den = math.lcm(*(e._denominator for e in ends))
+    a, b, c, d = (e._numerator * (den // e._denominator) for e in ends)
     s_lo, s_hi = c - b, d - a
     out: list[Interval] = []
-    for k in range(math.floor(s_lo) - 1, math.ceil(s_hi) + 2):
-        if not (s_hi > k and s_lo < k + 1):
+    for k in range(s_lo // den - 1, -(-s_hi // den) + 2):
+        if not (s_hi > k * den and s_lo < (k + 1) * den):
             continue
         if k % 2 == 0:
-            start = max(a, c - k - 1) + k
-            end = min(d, b + k + 1)
+            start = max(a, c - (k + 1) * den) + k * den
+            end = min(d, b + (k + 1) * den)
         else:
-            start = max(c, a + k)
-            end = min(b, d - k) + k + 1
-        out.extend(_wrap(start, end, False, False))
+            start = max(c, a + k * den)
+            end = min(b, d - k * den) + (k + 1) * den
+        out.extend(_wrap(_ratio(start, den), _ratio(end, den), False, False))
     return out
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict
 from typing import Optional, Sequence
@@ -376,7 +377,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: internal {type(err).__name__}: {message}",
               file=sys.stderr)
         return 4
-    print(text)
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # the reader closed stdout early; the verdict stands, and stdout
+        # goes to devnull so the interpreter's final flush stays silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

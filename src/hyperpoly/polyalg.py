@@ -256,6 +256,10 @@ class PolyBox:
         if not cells:
             return PolyBox(hf, (), self.zero_excluded)
         if all(c == zero_set for c in cells[:-1]):
+            # remove_zero labels its result with hf: refuse a foreign cell
+            if cells[-1].carrier != hf.name:
+                raise ValueError(
+                    f"cell of {cells[-1].carrier} in a box over {hf.name}")
             top = hf.remove_zero(cells[-1])
             if top.is_empty():
                 return PolyBox(hf, (), self.zero_excluded)

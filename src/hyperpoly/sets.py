@@ -14,53 +14,147 @@ Two families live here:
 
 Canonical form (parts sorted, disjoint, maximal) makes set equality plain
 structural equality.
+
+All four types are immutable ``__slots__`` values whose equality and hash
+are those of their field tuples, as for frozen dataclasses.  Finite
+endpoints compare by cross-multiplying the integer numerators and
+denominators of their Fractions, never through Fraction's generic
+comparison.  The arithmetic on hot paths (sums, differences and products
+of endpoints, angles mod 2) also runs on those integer pairs and builds
+the reduced result Fraction directly from its two integer slots.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional
+from math import gcd
+from typing import Iterable, Optional
 
 Rat = Fraction
 
+_new = object.__new__
 
-@dataclass(frozen=True, order=False)
-class ExtRat:
-    """A rational number, or an infinity used as an element (-inf only) or bound."""
 
-    q: Rat = Fraction(0)
-    inf: int = 0  # -1: -infinity, 0: finite, +1: +infinity
+def _frac(n: int, d: int) -> Fraction:
+    """The Fraction n/d for coprime n and d > 0, built without re-reducing."""
+    f = _new(Fraction)
+    f._numerator = n
+    f._denominator = d
+    return f
 
-    def __post_init__(self):
-        if self.inf not in (-1, 0, 1):
-            raise ValueError("inf flag must be -1, 0 or 1")
-        if self.inf != 0:
-            object.__setattr__(self, "q", Fraction(0))
-        elif not isinstance(self.q, Fraction):
-            object.__setattr__(self, "q", Fraction(self.q))
+
+def _ratio(n: int, d: int) -> Fraction:
+    """The Fraction n/d for any n and d > 0."""
+    g = gcd(n, d)
+    return _frac(n // g, d // g)
+
+
+def _qadd(x: Fraction, y: Fraction) -> Fraction:
+    xd, yd = x._denominator, y._denominator
+    return _ratio(x._numerator * yd + y._numerator * xd, xd * yd)
+
+
+def _qsub(x: Fraction, y: Fraction) -> Fraction:
+    xd, yd = x._denominator, y._denominator
+    return _ratio(x._numerator * yd - y._numerator * xd, xd * yd)
+
+
+def _qmul(x: Fraction, y: Fraction) -> Fraction:
+    return _ratio(x._numerator * y._numerator, x._denominator * y._denominator)
+
+
+_ZERO = Fraction(0)
+
+
+class _Value:
+    """Base of the immutable slot value types.  Each field is set once,
+    through its slot descriptor, when the value is built.  Equality, hash
+    and repr are those of a frozen dataclass over the same fields:
+    ``_fields()`` gives the field tuple, in ``__slots__`` order."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        raise NotImplementedError
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value
+                           in zip(self.__slots__, self._fields()))
+        return f"{type(self).__name__}({fields})"
+
+
+class ExtRat(_Value):
+    """A rational number, or an infinity used as an element (-inf only) or bound.
+
+    ``q`` is a Fraction (0 for the infinities) and ``inf`` is -1 (-infinity),
+    0 (finite) or +1 (+infinity)."""
+
+    __slots__ = ("q", "inf")
+
+    def __init__(self, q: Rat = _ZERO, inf: int = 0):
+        if inf:
+            if inf not in (-1, 1):
+                raise ValueError("inf flag must be -1, 0 or 1")
+            q = _ZERO
+        elif type(q) is not Fraction:
+            q = Fraction(q)
+        _set_q(self, q)
+        _set_inf(self, inf)
 
     @property
     def finite(self) -> bool:
         return self.inf == 0
 
-    def _key(self) -> tuple:
-        return (self.inf, self.q)
+    def _fields(self) -> tuple:
+        return (self.q, self.inf)
+
+    def _key(self) -> "ExtRat":
+        return self
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not ExtRat:
+            return NotImplemented
+        x, y = self.q, other.q
+        return (self.inf == other.inf and x._numerator == y._numerator
+                and x._denominator == y._denominator)
+
+    def __hash__(self) -> int:
+        # hash((q, inf)); an integral Fraction hashes as its numerator
+        q = self.q
+        return hash((q._numerator if q._denominator == 1 else q, self.inf))
 
     def __lt__(self, other: "ExtRat") -> bool:
-        return self._key() < other._key()
+        return _cmp(self, other) < 0
 
     def __le__(self, other: "ExtRat") -> bool:
-        return self._key() <= other._key()
+        return _cmp(self, other) <= 0
 
     def __gt__(self, other: "ExtRat") -> bool:
-        return self._key() > other._key()
+        return _cmp(self, other) > 0
 
     def __ge__(self, other: "ExtRat") -> bool:
-        return self._key() >= other._key()
+        return _cmp(self, other) >= 0
 
     def __add__(self, other: "ExtRat") -> "ExtRat":
         if self.inf == 0 and other.inf == 0:
-            return ExtRat(self.q + other.q)
+            return ExtRat(_qadd(self.q, other.q))
         if -1 in (self.inf, other.inf):
             if 1 in (self.inf, other.inf):
                 raise ArithmeticError("cannot add -inf and +inf")
@@ -69,7 +163,7 @@ class ExtRat:
 
     def __neg__(self) -> "ExtRat":
         if self.inf == 0:
-            return ExtRat(-self.q)
+            return ExtRat(_frac(-self.q._numerator, self.q._denominator))
         return ExtRat(inf=-self.inf)
 
     def __str__(self) -> str:
@@ -80,39 +174,67 @@ class ExtRat:
         return str(self.q)
 
 
+_set_q = ExtRat.q.__set__
+_set_inf = ExtRat.inf.__set__
+
+
+def _cmp(a: ExtRat, b: ExtRat) -> int:
+    """Negative, zero or positive as a < b, a == b or a > b."""
+    if a.inf or b.inf:
+        return a.inf - b.inf
+    x, y = a.q, b.q
+    return x._numerator * y._denominator - y._numerator * x._denominator
+
+
 NEG_INF = ExtRat(inf=-1)
 POS_INF = ExtRat(inf=1)
+_E0 = ExtRat(_ZERO)
+_E2 = ExtRat(Fraction(2))
 
 
 def ext(x) -> ExtRat:
-    if isinstance(x, ExtRat):
+    if type(x) is ExtRat:
         return x
-    return ExtRat(Fraction(x))
+    return ExtRat(x)
 
 
-@dataclass(frozen=True)
-class Interval:
+def _is_empty(lo: ExtRat, hi: ExtRat, lo_closed: bool,
+              hi_closed: bool) -> bool:
+    c = _cmp(lo, hi)
+    return c > 0 or (c == 0 and not (lo_closed and hi_closed))
+
+
+class Interval(_Value):
     """A nonempty interval; degenerate intervals have lo == hi, both closed."""
 
-    lo: ExtRat
-    hi: ExtRat
-    lo_closed: bool = True
-    hi_closed: bool = True
+    __slots__ = ("lo", "hi", "lo_closed", "hi_closed")
 
-    def __post_init__(self):
-        if self.start_key() > self.end_key():
+    def __init__(self, lo: ExtRat, hi: ExtRat, lo_closed: bool = True,
+                 hi_closed: bool = True):
+        _set_lo(self, lo)
+        _set_hi(self, hi)
+        _set_lo_closed(self, lo_closed)
+        _set_hi_closed(self, hi_closed)
+        if _is_empty(lo, hi, lo_closed, hi_closed):
             raise ValueError(f"empty interval {self}")
+
+    def _fields(self) -> tuple:
+        return (self.lo, self.hi, self.lo_closed, self.hi_closed)
 
     def start_key(self) -> tuple:
         # open starts sort just after the closed start at the same value
-        return (self.lo._key(), 0 if self.lo_closed else 1)
+        return (self.lo, 0 if self.lo_closed else 1)
 
     def end_key(self) -> tuple:
         # open ends sort just before the closed end at the same value
-        return (self.hi._key(), 0 if self.hi_closed else -1)
+        return (self.hi, 0 if self.hi_closed else -1)
 
     def contains(self, x: ExtRat) -> bool:
-        return self.start_key() <= (x._key(), 0) <= self.end_key()
+        c = _cmp(self.lo, x)
+        if c > 0 or (c == 0 and not self.lo_closed):
+            return False
+        c = _cmp(x, self.hi)
+        return c < 0 or (c == 0 and self.hi_closed)
 
     def is_point(self) -> bool:
         return self.lo == self.hi
@@ -123,7 +245,7 @@ class Interval:
             return self.lo
         if self.lo.inf == -1:
             if self.hi.inf == 1:
-                return ExtRat(Fraction(0))
+                return _E0
             return self.hi + ExtRat(Fraction(-1))
         if self.hi.inf == 1:
             return self.lo + ExtRat(Fraction(1))
@@ -137,48 +259,90 @@ class Interval:
         return f"{left}{self.lo},{self.hi}{right}"
 
 
+_set_lo = Interval.lo.__set__
+_set_hi = Interval.hi.__set__
+_set_lo_closed = Interval.lo_closed.__set__
+_set_hi_closed = Interval.hi_closed.__set__
+
+
+def _interval(lo: ExtRat, hi: ExtRat, lo_closed: bool,
+              hi_closed: bool) -> Interval:
+    """An Interval whose endpoints are known to bound a nonempty set."""
+    i = _new(Interval)
+    _set_lo(i, lo)
+    _set_hi(i, hi)
+    _set_lo_closed(i, lo_closed)
+    _set_hi_closed(i, hi_closed)
+    return i
+
+
 def _make_interval(lo, hi, lo_closed=True, hi_closed=True) -> Optional[Interval]:
     lo, hi = ext(lo), ext(hi)
-    probe = Interval.__new__(Interval)
-    object.__setattr__(probe, "lo", lo)
-    object.__setattr__(probe, "hi", hi)
-    object.__setattr__(probe, "lo_closed", lo_closed)
-    object.__setattr__(probe, "hi_closed", hi_closed)
-    if probe.start_key() > probe.end_key():
+    if _is_empty(lo, hi, lo_closed, hi_closed):
         return None
-    return probe
+    return _interval(lo, hi, lo_closed, hi_closed)
 
 
-def _connected(left: Interval, right: Interval) -> bool:
-    """Whether left and right (sorted by start) have connected union."""
-    if right.start_key() <= left.end_key():
-        return True
-    return right.lo == left.hi and (right.lo_closed or left.hi_closed)
+def _sort_key(i: Interval) -> tuple:
+    return (i.lo, 0 if i.lo_closed else 1, i.hi, 0 if i.hi_closed else -1)
 
 
-@dataclass(frozen=True)
-class IntervalUnion:
-    parts: tuple[Interval, ...] = ()
+def _later_start(a: Interval, b: Interval) -> tuple[ExtRat, bool]:
+    """(value, closed) of the start of a or b that sorts later, a on a tie;
+    an open start sorts just after the closed start at the same value."""
+    c = _cmp(b.lo, a.lo)
+    if c > 0 or (c == 0 and a.lo_closed and not b.lo_closed):
+        return b.lo, b.lo_closed
+    return a.lo, a.lo_closed
+
+
+def _earlier_end(a: Interval, b: Interval) -> tuple[ExtRat, bool]:
+    """(value, closed) of the end of a or b that sorts earlier, a on a tie;
+    an open end sorts just before the closed end at the same value."""
+    c = _cmp(b.hi, a.hi)
+    if c < 0 or (c == 0 and a.hi_closed and not b.hi_closed):
+        return b.hi, b.hi_closed
+    return a.hi, a.hi_closed
+
+
+class IntervalUnion(_Value):
+    """Sorted, disjoint, maximal parts."""
+
+    __slots__ = ("parts",)
+
+    def __init__(self, parts: tuple[Interval, ...] = ()):
+        _set_parts(self, parts)
+
+    def _fields(self) -> tuple:
+        return (self.parts,)
 
     @staticmethod
     def of(intervals: Iterable[Optional[Interval]]) -> "IntervalUnion":
-        parts = sorted((i for i in intervals if i is not None),
-                       key=lambda i: (i.start_key(), i.end_key()))
+        parts = [i for i in intervals if i is not None]
+        if len(parts) < 2:
+            return IntervalUnion(tuple(parts))
+        parts.sort(key=_sort_key)
         merged: list[Interval] = []
         for part in parts:
-            if merged and _connected(merged[-1], part):
+            if merged:
                 prev = merged[-1]
-                if part.end_key() > prev.end_key():
-                    merged[-1] = Interval(prev.lo, part.hi, prev.lo_closed,
-                                          part.hi_closed)
-            else:
-                merged.append(part)
+                # connected: part starts before prev ends, or they touch at a
+                # value that one of them holds
+                c = _cmp(part.lo, prev.hi)
+                if c < 0 or (c == 0 and (part.lo_closed or prev.hi_closed)):
+                    c = _cmp(part.hi, prev.hi)
+                    if c > 0 or (c == 0 and part.hi_closed
+                                 and not prev.hi_closed):
+                        merged[-1] = _interval(prev.lo, part.hi,
+                                               prev.lo_closed, part.hi_closed)
+                    continue
+            merged.append(part)
         return IntervalUnion(tuple(merged))
 
     @staticmethod
     def point(x) -> "IntervalUnion":
         x = ext(x)
-        return IntervalUnion((Interval(x, x),))
+        return IntervalUnion((_interval(x, x, True, True),))
 
     @staticmethod
     def closed(lo, hi) -> "IntervalUnion":
@@ -198,11 +362,10 @@ class IntervalUnion:
         out = []
         for a in self.parts:
             for b in other.parts:
-                lo, lc = max((a.lo, a.lo_closed), (b.lo, b.lo_closed),
-                             key=lambda t: (t[0]._key(), 0 if t[1] else 1))
-                hi, hc = min((a.hi, a.hi_closed), (b.hi, b.hi_closed),
-                             key=lambda t: (t[0]._key(), 0 if t[1] else -1))
-                out.append(_make_interval(lo, hi, lc, hc))
+                lo, lc = _later_start(a, b)
+                hi, hc = _earlier_end(a, b)
+                if not _is_empty(lo, hi, lc, hc):
+                    out.append(_interval(lo, hi, lc, hc))
         return IntervalUnion.of(out)
 
     def complement(self, line_lo: ExtRat = NEG_INF,
@@ -240,7 +403,7 @@ class IntervalUnion:
         if c.inf == -1:
             return IntervalUnion.point(NEG_INF) if self.parts else self
         return IntervalUnion.of(
-            Interval(p.lo + c, p.hi + c, p.lo_closed, p.hi_closed)
+            _interval(p.lo + c, p.hi + c, p.lo_closed, p.hi_closed)
             for p in self.parts)
 
     def scale(self, c: Rat) -> "IntervalUnion":
@@ -250,7 +413,7 @@ class IntervalUnion:
         def s(v: ExtRat) -> ExtRat:
             return v if v.inf else ExtRat(v.q * c)
         return IntervalUnion.of(
-            Interval(s(p.lo), s(p.hi), p.lo_closed, p.hi_closed)
+            _interval(s(p.lo), s(p.hi), p.lo_closed, p.hi_closed)
             for p in self.parts)
 
     def max_value(self) -> tuple[ExtRat, bool]:
@@ -269,8 +432,8 @@ class IntervalUnion:
             out.append(p.midpoint())
         seen, uniq = set(), []
         for v in out:
-            if v._key() not in seen:
-                seen.add(v._key())
+            if v not in seen:
+                seen.add(v)
                 uniq.append(v)
         return uniq
 
@@ -278,6 +441,9 @@ class IntervalUnion:
         if not self.parts:
             return "{}"
         return "u".join(str(p) for p in self.parts)
+
+
+_set_parts = IntervalUnion.parts.__set__
 
 
 def interval_max(a: Interval, b: Interval) -> Interval:
@@ -317,8 +483,8 @@ def interval_mul_nonneg(a: Interval, b: Interval) -> Interval:
     """Product set {x*y} for intervals inside the nonnegative rationals."""
     if a.lo.inf or b.lo.inf or a.hi.inf or b.hi.inf:
         raise ValueError("products need bounded nonnegative intervals")
-    lo = ExtRat(a.lo.q * b.lo.q)
-    hi = ExtRat(a.hi.q * b.hi.q)
+    lo = ExtRat(_qmul(a.lo.q, b.lo.q))
+    hi = ExtRat(_qmul(a.hi.q, b.hi.q))
     lo_closed = ((a.lo_closed and b.lo_closed)
                  or (a.lo.q == 0 and a.lo_closed)
                  or (b.lo.q == 0 and b.lo_closed))
@@ -329,6 +495,9 @@ def interval_mul_nonneg(a: Interval, b: Interval) -> Interval:
 # --- circle sets -----------------------------------------------------------
 
 def angle_mod(a: Rat) -> Rat:
+    if type(a) is Fraction:
+        d = a._denominator
+        return _frac(a._numerator % (2 * d), d)
     return a % 2
 
 
@@ -337,35 +506,55 @@ def _wrap(lo: Rat, hi: Rat, lo_closed: bool, hi_closed: bool) -> list[Interval]:
 
     The input is read on the universal cover; its image on the circle is
     returned as line parts.  Spans of length >= 2 cover the whole circle
-    except possibly the seam point when both ends are open.
+    except possibly the seam point when both ends are open.  The angles are
+    handled as integer numerator/denominator pairs.
     """
-    if hi - lo > 2 or (hi - lo == 2 and (lo_closed or hi_closed)):
-        return [Interval(ext(0), ext(2), True, False)]
-    if hi - lo == 2:  # circle minus the single point lo (mod 2)
-        s = angle_mod(lo)
-        if s == 0:
-            return [_make_interval(0, 2, False, False)]
-        return [_make_interval(0, s, True, False), _make_interval(s, 2, False, False)]
-    shift = lo - angle_mod(lo)
-    lo, hi = lo - shift, hi - shift
-    if hi < 2 or (hi == 2 and not hi_closed):
-        return [i for i in (_make_interval(lo, hi, lo_closed, hi_closed),) if i]
-    out = [_make_interval(lo, 2, lo_closed, False)]
-    rest = hi - 2
-    if rest > 0 or hi_closed:
-        out.append(_make_interval(0, rest, True, hi_closed))
-    return [i for i in out if i is not None]
+    if type(lo) is not Fraction:
+        lo = Fraction(lo)
+    if type(hi) is not Fraction:
+        hi = Fraction(hi)
+    ln, ld = lo._numerator, lo._denominator
+    hn, hd = hi._numerator, hi._denominator
+    span = hn * ld - ln * hd - 2 * ld * hd  # sign of (hi - lo) - 2
+    if span > 0 or (span == 0 and (lo_closed or hi_closed)):
+        return [_interval(_E0, _E2, True, False)]
+    # shift both ends down by the even integer 2k with lo - 2k in [0, 2)
+    k = ln // (2 * ld)
+    ln -= 2 * k * ld
+    hn -= 2 * k * hd
+    lo_e = ExtRat(_frac(ln, ld))
+    if span == 0:  # circle minus the single point lo (mod 2)
+        if ln == 0:
+            return [_interval(_E0, _E2, False, False)]
+        return [_interval(_E0, lo_e, True, False),
+                _interval(lo_e, _E2, False, False)]
+    over = hn - 2 * hd  # sign of hi - 2, after the shift
+    if over < 0 or (over == 0 and not hi_closed):
+        hi_e = ExtRat(_frac(hn, hd))
+        if _is_empty(lo_e, hi_e, lo_closed, hi_closed):
+            return []
+        return [_interval(lo_e, hi_e, lo_closed, hi_closed)]
+    out = [_interval(lo_e, _E2, lo_closed, False)]
+    if over > 0 or hi_closed:
+        out.append(_interval(_E0, ExtRat(_frac(over, hd)), True, hi_closed))
+    return out
 
 
-_FULL_PARTS = IntervalUnion((Interval(ext(0), ext(2), True, False),))
+_FULL_PARTS = IntervalUnion((Interval(_E0, _E2, True, False),))
 
 
-@dataclass(frozen=True)
-class ArcUnion:
+class ArcUnion(_Value):
     """A subset of the circle, plus the optional zero element of the carrier."""
 
-    parts: IntervalUnion = IntervalUnion()
-    has_zero: bool = False
+    __slots__ = ("parts", "has_zero")
+
+    def __init__(self, parts: IntervalUnion = IntervalUnion(),
+                 has_zero: bool = False):
+        _set_arc_parts(self, parts)
+        _set_has_zero(self, has_zero)
+
+    def _fields(self) -> tuple:
+        return (self.parts, self.has_zero)
 
     @staticmethod
     def zero_only() -> "ArcUnion":
@@ -404,15 +593,18 @@ class ArcUnion:
                         self.has_zero and other.has_zero)
 
     def difference(self, other: "ArcUnion") -> "ArcUnion":
-        gaps = other.parts.complement(ExtRat(Fraction(0)), ExtRat(Fraction(2)))
+        gaps = other.parts.complement(_E0, _E2)
         return ArcUnion(self.parts.intersect(gaps),
                         self.has_zero and not other.has_zero)
 
     def rotate(self, phi: Rat) -> "ArcUnion":
         """Image of the angle part under multiplication by the phase phi."""
+        if type(phi) is not Fraction:
+            phi = Fraction(phi)
         out: list[Interval] = []
         for p in self.parts.parts:
-            out.extend(_wrap(p.lo.q + phi, p.hi.q + phi, p.lo_closed, p.hi_closed))
+            out.extend(_wrap(_qadd(p.lo.q, phi), _qadd(p.hi.q, phi),
+                             p.lo_closed, p.hi_closed))
         return ArcUnion(IntervalUnion.of(out), self.has_zero)
 
     def antipode(self) -> "ArcUnion":
@@ -443,6 +635,10 @@ class ArcUnion:
         return "u".join(bits)
 
 
+_set_arc_parts = ArcUnion.parts.__set__
+_set_has_zero = ArcUnion.has_zero.__set__
+
+
 def minor_arc(x: Rat, y: Rat) -> ArcUnion:
     """The open arc strictly between non-antipodal distinct phases x and y."""
     x, y = angle_mod(x), angle_mod(y)
@@ -459,8 +655,8 @@ def arcs_minkowski(a: ArcUnion, b: ArcUnion) -> IntervalUnion:
     out: list[Interval] = []
     for p in a.parts.parts:
         for q in b.parts.parts:
-            lo = p.lo.q + q.lo.q
-            hi = p.hi.q + q.hi.q
+            lo = _qadd(p.lo.q, q.lo.q)
+            hi = _qadd(p.hi.q, q.hi.q)
             out.extend(_wrap(lo, hi, p.lo_closed and q.lo_closed,
                              p.hi_closed and q.hi_closed))
     return IntervalUnion.of(out)

@@ -1,8 +1,12 @@
 """End-to-end tests of the command-line interface.
 
 Everything runs in-process through main(argv) so exit codes and output can
-be asserted without spawning subprocesses."""
+be asserted without spawning subprocesses, except the closed-stdout test,
+which needs a real pipe."""
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -139,6 +143,21 @@ class TestErrorPaths:
         assert out == ""
         assert err == ("error: internal RuntimeError: "
                        "handler blew up on two lines\n")
+
+    def test_closed_stdout_keeps_the_verdict_without_traceback(self):
+        # 145 kB of output: the writer blocks on the full pipe, so closing
+        # the read end after one line makes its pending write fail
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "hyperpoly", "assoc-scan", "--hf", "S",
+             "--max-deg", "2", "--monic-only", "--all"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert proc.stdout.readline().startswith(b"scan over S")
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) in (0, 1)
+        assert "Traceback" not in err and "BrokenPipe" not in err, err
 
     def test_missing_subcommand_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -218,3 +218,47 @@ class TestContinuousRegionScope:
         p = parse_poly("T^2+ph(4/3)T+ph(2/3)", P)
         with pytest.raises(UndecidedError):
             mult_set(p, P.full_set())
+
+
+# ---------------------------------------------------------------------------
+# closed forms of Baker & Lorscheid (arXiv:1811.04966) as oracles; the
+# coefficient lists run from T^0 up, None is the tropical zero -inf
+
+
+def newton_width(coeffs, a):
+    """Over T: the width of the Newton-polygon edge of slope -a, the spread
+    of indices at which c_i + i*a attains its maximum."""
+    values = {i: c + i * a for i, c in enumerate(coeffs) if c is not None}
+    top = max(values.values())
+    hits = [i for i, v in values.items() if v == top]
+    return max(hits) - min(hits)
+
+
+def descartes_count(coeffs, a):
+    """Over S: the sign changes of the coefficients of p(aT) for a = +-1,
+    and the lowest nonzero index for a = 0."""
+    if a == 0:
+        return next(i for i, c in enumerate(coeffs) if c)
+    signs = [c * a ** i for i, c in enumerate(coeffs) if c]
+    return sum(x != y for x, y in zip(signs, signs[1:]))
+
+
+class TestClosedFormMultiplicities:
+    @given(st.lists(st.sampled_from([None, -3, -2, -1, 0, 1, 2, 3]),
+                    max_size=4),
+           st.integers(-3, 3), st.integers(-3, 3))
+    @settings(max_examples=200, deadline=None)
+    def test_tropical_mult_at_is_the_newton_edge_width(self, low, top, a):
+        coeffs = low + [top]
+        T = by_name("T")
+        p = Polynomial.of(T, ["-inf" if c is None else c for c in coeffs])
+        assert mult_at(p, T.element(a)) == newton_width(coeffs, a)
+
+    @given(st.lists(st.sampled_from([-1, 0, 1]), max_size=5),
+           st.sampled_from([-1, 1]), st.sampled_from([-1, 0, 1]))
+    @settings(max_examples=200, deadline=None)
+    def test_sign_mult_at_is_the_descartes_count(self, low, top, a):
+        coeffs = low + [top]
+        S = by_name("S")
+        p = Polynomial.of(S, coeffs)
+        assert mult_at(p, S.element(a)) == descartes_count(coeffs, a)

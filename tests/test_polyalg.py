@@ -374,6 +374,13 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             box.member_set()
 
+    def test_top_cell_of_another_carrier_is_refused(self):
+        K, S = by_name("K"), by_name("S")
+        for cells in ((K.full_set(),),
+                      (S.singleton(S.zero()), K.full_set())):
+            with pytest.raises(ValueError, match="cell of K in a box over S"):
+                PolyBox(S, cells).member_set()
+
 
 # ---------------------------------------------------------------------------
 # resolution shapes

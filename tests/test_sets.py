@@ -1,4 +1,6 @@
 """Interval and arc machinery, tested against brute-force rational sampling."""
+import math
+import operator
 import random
 from fractions import Fraction
 
@@ -7,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperpoly.sets import (ArcUnion, ExtRat, Interval, IntervalUnion,
-                            NEG_INF, POS_INF, angle_mod, arcs_minkowski,
-                            ext, interval_add, interval_max, minor_arc)
+                            NEG_INF, POS_INF, _make_interval, _wrap,
+                            angle_mod, arcs_minkowski, ext, interval_add,
+                            interval_max, minor_arc)
 
 rationals = st.fractions(min_value=-8, max_value=8,
                          max_denominator=4).map(Fraction)
@@ -46,6 +49,126 @@ class TestExtRat:
     def test_str(self):
         assert str(NEG_INF) == "-inf"
         assert str(ext(Fraction(3, 2))) == "3/2"
+
+
+# The reference model of an extended rational is the key (inf, q): inf is -1,
+# 0 or +1 and q a Fraction, 0 for the infinities.
+ext_keys = st.one_of(st.tuples(st.just(0), rationals),
+                     st.tuples(st.sampled_from([-1, 1]), st.just(Fraction(0))))
+
+
+def from_key(key):
+    inf, q = key
+    return ExtRat(q, inf)
+
+
+def is_reduced(q):
+    return q.denominator > 0 and math.gcd(q.numerator, q.denominator) == 1
+
+
+class TestValueTypes:
+    @given(ext_keys, ext_keys)
+    @settings(max_examples=200, deadline=None)
+    def test_order_and_equality_follow_the_reference_key(self, a, b):
+        x, y = from_key(a), from_key(b)
+        for op in (operator.lt, operator.le, operator.gt, operator.ge,
+                   operator.eq, operator.ne):
+            assert op(x, y) == op(a, b)
+
+    @given(ext_keys)
+    @settings(max_examples=200, deadline=None)
+    def test_hash_is_that_of_the_field_tuple(self, key):
+        inf, q = key
+        assert hash(ExtRat(q, inf)) == hash((q, inf))
+        assert ExtRat(q, inf).q == q and ExtRat(q, inf).inf == inf
+
+    @given(rationals, rationals)
+    @settings(max_examples=200, deadline=None)
+    def test_addition_and_negation_are_exact(self, a, b):
+        total = (ext(a) + ext(b)).q
+        assert total == a + b and is_reduced(total)
+        assert (-ext(a)).q == -a
+
+    def test_fields_cannot_be_assigned_or_deleted(self):
+        x = ext(Fraction(1, 2))
+        part = Interval(ext(0), x, True, False)
+        union = IntervalUnion((part,))
+        values = [(x, "q"), (x, "inf"), (part, "lo"), (part, "hi_closed"),
+                  (union, "parts"), (ArcUnion(union), "has_zero")]
+        for value, field in values:
+            with pytest.raises(AttributeError):
+                setattr(value, field, getattr(value, field))
+            with pytest.raises(AttributeError):
+                delattr(value, field)
+        assert x == ext(Fraction(1, 2)) and part.hi is x
+
+    def test_interval_hash_and_repr_are_those_of_the_fields(self):
+        part = Interval(NEG_INF, ext(3), True, False)
+        assert hash(part) == hash((NEG_INF, ext(3), True, False))
+        assert part == Interval(ExtRat(inf=-1), ext(Fraction(6, 2)),
+                                True, False)
+        assert repr(part) == ("Interval(lo=ExtRat(q=Fraction(0, 1), inf=-1), "
+                              "hi=ExtRat(q=Fraction(3, 1), inf=0), "
+                              "lo_closed=True, hi_closed=False)")
+
+    @given(ext_keys, ext_keys, ext_keys, st.booleans(), st.booleans())
+    @settings(max_examples=250, deadline=None)
+    def test_contains_and_emptiness_follow_the_endpoint_keys(
+            self, lo, hi, x, lo_closed, hi_closed):
+        start = (lo, 0 if lo_closed else 1)
+        end = (hi, 0 if hi_closed else -1)
+        made = _make_interval(from_key(lo), from_key(hi), lo_closed, hi_closed)
+        assert (made is None) == (start > end)
+        if made is None:
+            with pytest.raises(ValueError):
+                Interval(from_key(lo), from_key(hi), lo_closed, hi_closed)
+            return
+        assert made == Interval(from_key(lo), from_key(hi), lo_closed,
+                                hi_closed)
+        assert made.contains(from_key(x)) == (start <= (x, 0) <= end)
+
+
+def wrap_reference(lo, hi, lo_closed, hi_closed):
+    """The image of the unrolled arc from lo to hi on [0, 2), in Fraction
+    arithmetic, as (lo, hi, lo_closed, hi_closed) tuples."""
+    span = hi - lo
+    if span > 2 or (span == 2 and (lo_closed or hi_closed)):
+        return [(0, 2, True, False)]
+    s = lo % 2
+    if span == 2:
+        if s == 0:
+            return [(0, 2, False, False)]
+        return [(0, s, True, False), (s, 2, False, False)]
+    lo, hi = s, hi - (lo - s)
+    if hi < 2 or (hi == 2 and not hi_closed):
+        if lo > hi or (lo == hi and not (lo_closed and hi_closed)):
+            return []
+        return [(lo, hi, lo_closed, hi_closed)]
+    out = [(lo, 2, lo_closed, False)]
+    if hi > 2 or hi_closed:
+        out.append((0, hi - 2, True, hi_closed))
+    return out
+
+
+spans = st.one_of(st.just(Fraction(2)), st.just(Fraction(0)),
+                  st.fractions(min_value=0, max_value=5, max_denominator=6))
+
+
+class TestWrap:
+    @given(st.fractions(min_value=-9, max_value=9, max_denominator=6), spans,
+           st.booleans(), st.booleans())
+    @settings(max_examples=250, deadline=None)
+    def test_wrap_agrees_with_fraction_reference(self, lo, span, lo_closed,
+                                                 hi_closed):
+        parts = _wrap(lo, lo + span, lo_closed, hi_closed)
+        got = [(p.lo.q, p.hi.q, p.lo_closed, p.hi_closed) for p in parts]
+        assert got == wrap_reference(lo, lo + span, lo_closed, hi_closed)
+        assert all(is_reduced(q) for p in got for q in p[:2])
+
+    @given(st.fractions(min_value=-9, max_value=9, max_denominator=6))
+    @settings(max_examples=100, deadline=None)
+    def test_angle_mod_is_the_remainder_mod_2(self, a):
+        assert angle_mod(a) == a % 2 and is_reduced(angle_mod(a))
 
 
 class TestIntervalUnion:
