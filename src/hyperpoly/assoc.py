@@ -8,23 +8,15 @@ triple equals one of the three "outer choice" forms x (x) (y (x) z) with
 those three sets coincide."""
 from __future__ import annotations
 
-import functools
 import itertools
-import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .carriers import Element, Hyperfield, UndecidedError
 from .polyalg import (CertStep, EqualCertificate, Expr, MemberCertificate,
                       Polynomial, PolyLeaf, ProdNode, expr_equal,
-                      expr_member, format_expr, resolve)
-
-
-def _fmt_key(hf: Hyperfield):
-    def key(x: Element):
-        s = hf.format_element(x)
-        return (len(s), s)
-    return key
+                      expr_member, format_expr, resolve,
+                      unequal_certificate)
 
 
 def _outer_form(outer: Polynomial, a: Polynomial, b: Polynomial) -> Expr:
@@ -103,7 +95,7 @@ class ScanReport:
 
 def _scan_polys(hf: Hyperfield, max_deg: int,
                 monic_only: bool) -> list[Polynomial]:
-    elems = sorted(hf.elements(), key=_fmt_key(hf))
+    elems = hf.codes.elements
     nonzero = [e for e in elems if not hf.is_zero(e)]
     leads = [hf.one()] if monic_only else nonzero
     out = []
@@ -123,80 +115,51 @@ def assoc_scan(hf: Hyperfield, max_deg: int, monic_only: bool = False,
     lexicographic coefficients; commutativity of the set product is the only
     deduplication (unordered multisets cover all bracketings).
 
-    Elements are integer codes in display order and a polynomial is a tuple
-    of codes.  Hyperaddition is a code -> bitmask table; the masks a cell
-    hypersum can reach are numbered in one step table, so a box is a list
-    of set numbers.  The product y (x) z is kept per unordered pair as its
-    member tuples; an outer choice x (x) (y (x) z) is the set of member
-    tuples of x (x) r over those members r.  Single-valued carriers are the
-    case where every cell set has one code.  The leading cell of a product
-    is the single nonzero product of the leading coefficients, so every
-    member tuple is already trimmed.  Outer choices that differ are
-    certified by expr_equal."""
+    The scan runs on the carrier's integer codes (hf.codes): a polynomial
+    is a tuple of codes, the product y (x) z is kept per unordered pair as
+    its member tuples, and an outer choice x (x) (y (x) z) is the set of
+    member tuples of x (x) r over those members r.  The outer choices are
+    computed in turn and compared as they come; the first two that differ
+    make the counterexample.  Its certificate is built from those two code
+    sets: the witness is the sort_key-least member of the one-sided
+    difference and the sizes are theirs (two boxes are compared cell by
+    cell instead, as expr_equal does).  polyalg's membership procedure on
+    the resolved sides must then confirm the witness in one side and not
+    the other, or the scan raises AssertionError."""
     if not hf.is_finite():
         raise UndecidedError(f"cannot scan the infinite carrier {hf.name}")
     polys = _scan_polys(hf, max_deg, monic_only)
-    elems = sorted(hf.elements(), key=_fmt_key(hf))
-    code = {e: i for i, e in enumerate(elems)}
-    n, zero = len(elems), code[hf.zero()]
-    mul = [[code[hf.mul(x, y)] for y in elems] for x in elems]
-    add = [[sum(1 << code[s] for s in hf.sample_elements(hf.hyperadd(x, y)))
-            for y in elems] for x in elems]
-    # every set a cell hypersum can reach, the singleton {c} as set c;
-    # step[s][c] is the set (set s) (+) c
-    masks = [1 << c for c in range(n)]
-    index = {m: c for c, m in enumerate(masks)}
-    step = []
-    for mask in masks:  # grows while new sums appear
-        row = []
-        for c in range(n):
-            total = functools.reduce(operator.or_, (
-                add[b][c] for b in range(n) if mask >> b & 1))
-            if total not in index:
-                index[total] = len(masks)
-                masks.append(total)
-            row.append(index[total])
-        step.append(row)
-    choices = [tuple(c for c in range(n) if m >> c & 1) for m in masks]
-    enc = [tuple(code[c] for c in p.coeffs) for p in polys]
-    # per polynomial: (position, multiplication row) of each nonzero code
-    terms = [[(a, mul[c]) for a, c in enumerate(u) if c != zero]
-             for u in enc]
+    codes = hf.codes
+    enc = [codes.encode(p.coeffs) for p in polys]
     found: list[AssocReport] = []
     checked = 0
-
-    def members_of_product(m: int, v: tuple):
-        """Member code tuples of the box polys[m] (x) v."""
-        cells = [zero] * (len(enc[m]) + len(v) - 1)
-        for a, row in terms[m]:
-            t = a
-            for c in v:
-                if c != zero:
-                    cells[t] = step[cells[t]][row[c]]
-                t += 1
-        return itertools.product(*[choices[s] for s in cells])
-
     pair: dict = {}
 
     def outer_choice(m: int, a: int, b: int) -> set:
         key = (a, b) if a <= b else (b, a)
         inner = pair.get(key)
         if inner is None:
-            inner = pair[key] = tuple(members_of_product(key[0],
-                                                         enc[key[1]]))
+            inner = pair[key] = tuple(codes.members_of_product(
+                enc[key[0]], enc[key[1]]))
         out: set = set()
+        q = enc[m]
         for r in inner:
-            out.update(members_of_product(m, r))
+            out.update(codes.members_of_product(q, r))
         return out
 
-    def certify(i: int, j: int, k: int, d1: tuple, d2: tuple) -> None:
+    def certify(i: int, j: int, k: int, d1: tuple, s1: set, d2: tuple,
+                s2: set) -> None:
         e1 = _outer_form(polys[d1[0]], polys[d1[1]], polys[d1[2]])
         e2 = _outer_form(polys[d2[0]], polys[d2[1]], polys[d2[2]])
-        cert = expr_equal(e1, e2, hf)
-        if cert.verdict != "unequal":
+        t1, t2 = format_expr(e1), format_expr(e2)
+        cert = unequal_certificate(
+            t1, t2, resolve(e1, hf), resolve(e2, hf), s1, s2,
+            codes.sort_key, lambda t: Polynomial(hf, codes.decode(t)))
+        if (cert.verdict != "unequal" or cert.member_in.verdict != "yes"
+                or cert.member_out.verdict != "no"):
             raise AssertionError(
-                f"scan mismatch not confirmed by expr_equal: "
-                f"{format_expr(e1)} vs {format_expr(e2)}")
+                f"scan mismatch not confirmed by polyalg membership: "
+                f"{t1} vs {t2}")
         found.append(AssocReport(
             hf.name, (str(polys[i]), str(polys[j]), str(polys[k])),
             False, (cert,)))
@@ -210,11 +173,13 @@ def assoc_scan(hf: Hyperfield, max_deg: int, monic_only: bool = False,
                 decomps.append(d)
         if len(decomps) < 2:
             continue
-        vals = [outer_choice(*d) for d in decomps]
-        for t in range(len(vals) - 1):
-            if vals[t] != vals[t + 1]:
-                certify(i, j, k, decomps[t], decomps[t + 1])
+        prev = outer_choice(*decomps[0])
+        for t in range(1, len(decomps)):
+            cur = outer_choice(*decomps[t])
+            if cur != prev:
+                certify(i, j, k, decomps[t - 1], prev, decomps[t], cur)
                 break
+            prev = cur
         if stop_after is not None and len(found) >= stop_after:
             break
     return ScanReport(hf.name, max_deg, monic_only, len(polys), checked,

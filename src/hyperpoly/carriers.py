@@ -8,10 +8,11 @@ units of pi (circle phases).
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Optional, Sequence, Union
 
 from .sets import (NEG_INF, POS_INF, ArcUnion, ExtRat, Interval, IntervalUnion,
@@ -352,6 +353,11 @@ class FiniteHyperfield(Hyperfield):
         # symbols sort in table order; integer payloads sort by value
         self._rank = {} if self._int_payloads else {
             p: i for i, p in enumerate(payloads)}
+        # sample_elements lists payloads in _payload_sort_key order: by
+        # value for integers, lexicographic for symbols
+        self._sample_pos = {p: i for i, p in enumerate(
+            sorted(payloads) if self._int_payloads
+            else _sorted_payloads(payloads))}
         self._zero = Element(name, zero)
         self._one = Element(name, one)
         self._mul = mul_table
@@ -426,12 +432,18 @@ class FiniteHyperfield(Hyperfield):
         return FiniteSet(self.name, s.finite - {self._zero.payload})
 
     def sample_elements(self, s: FiniteSet) -> list[Element]:
-        return [Element(self.name, p) for p in _sorted_payloads(s.finite)]
+        return [Element(self.name, p)
+                for p in sorted(s.finite, key=self._sample_pos.__getitem__)]
 
     def sort_key(self, x: Element) -> tuple:
         if isinstance(x.payload, str):
             return (2, self._rank[x.payload])
         return _payload_sort_key(x.payload)
+
+    @cached_property
+    def codes(self) -> "CodeTable":
+        """The integer-code tables of this carrier, built on first use."""
+        return CodeTable(self)
 
     def parse_scalar(self, text: str) -> Element:
         text = text.strip()
@@ -448,6 +460,77 @@ class FiniteHyperfield(Hyperfield):
         if text in self._payloads:
             return Element(self.name, text)
         raise ValueError(f"{text!r} is not a symbol of {self.name}")
+
+
+class CodeTable:
+    """A finite carrier as integer codes.  Elements are numbered in display
+    order (shortest text first), so a polynomial is a tuple of codes.
+    Hyperaddition becomes a code -> bitmask table, and the masks a cell
+    hypersum can reach are numbered in one step table: step[s][c] is the
+    set (set s) (+) c, and the singleton {c} is set c.  A coefficient cell
+    of a product is then one set number."""
+
+    def __init__(self, hf: FiniteHyperfield):
+        def display(x: Element) -> tuple:
+            text = hf.format_element(x)
+            return (len(text), text)
+
+        self.elements = sorted(hf.elements(), key=display)
+        n = len(self.elements)
+        self.code = {x: c for c, x in enumerate(self.elements)}
+        pays = [x.payload for x in self.elements]
+        pos = {p: c for c, p in enumerate(pays)}
+        self.zero = self.code[hf.zero()]
+        self.mul = [[pos[hf._mul[(x, y)]] for y in pays] for x in pays]
+        add = [[sum(1 << pos[z] for z in hf._add[(x, y)]) for y in pays]
+               for x in pays]
+        masks = [1 << c for c in range(n)]
+        index = {m: c for c, m in enumerate(masks)}
+        self.step = []
+        for mask in masks:  # grows while new sums appear
+            row = []
+            for c in range(n):
+                total = 0
+                for b in range(n):
+                    if mask >> b & 1:
+                        total |= add[b][c]
+                if total not in index:
+                    index[total] = len(masks)
+                    masks.append(total)
+                row.append(index[total])
+            self.step.append(row)
+        self.choices = [tuple(c for c in range(n) if m >> c & 1)
+                        for m in masks]
+        # rank[c] is the place of code c in hf.sort_key order
+        self.rank = [0] * n
+        for i, c in enumerate(sorted(range(n), key=lambda c: hf.sort_key(
+                self.elements[c]))):
+            self.rank[c] = i
+
+    def encode(self, coeffs: Sequence[Element]) -> tuple[int, ...]:
+        return tuple(self.code[x] for x in coeffs)
+
+    def decode(self, codes: Sequence[int]) -> tuple[Element, ...]:
+        return tuple(self.elements[c] for c in codes)
+
+    def sort_key(self, codes: Sequence[int]) -> tuple:
+        """Orders code tuples as Polynomial.sort_key orders polynomials."""
+        return (len(codes), tuple(self.rank[c] for c in reversed(codes)))
+
+    def members_of_product(self, q: Sequence[int], r: Sequence[int]):
+        """Member code tuples of q (x) r for two trimmed code tuples.  The
+        leading cell is the single nonzero product of the leading codes,
+        so every member is already trimmed."""
+        zero, step, mul = self.zero, self.step, self.mul
+        cells = [zero] * (len(q) + len(r) - 1)
+        for a, c in enumerate(q):
+            if c != zero:
+                row, t = mul[c], a
+                for d in r:
+                    if d != zero:
+                        cells[t] = step[cells[t]][row[d]]
+                    t += 1
+        return itertools.product(*[self.choices[s] for s in cells])
 
 
 def _sign_mul(payloads):

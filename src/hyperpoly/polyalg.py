@@ -22,7 +22,7 @@ import random
 from dataclasses import dataclass, field, asdict
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Optional, Sequence, Union
+from typing import AbstractSet, Optional, Sequence, Union
 
 from .carriers import (CarrierSet, Element, Hyperfield, UndecidedError,
                        by_name)
@@ -538,15 +538,19 @@ class Resolved:
     @cached_property
     def members(self) -> frozenset:
         """Every member polynomial, unsorted (finite carriers or finite
-        boxes only); enumerated at most once per value."""
+        boxes only); enumerated at most once per value.  A coupled value is
+        enumerated on the carrier's integer codes and decoded once."""
         if self.kind == "finite":
             return self.polys
         if self.kind == "box":
             return self.box.member_set()
-        out = set()
+        hf = self.outer.hf
+        codes = hf.codes
+        q = codes.encode(self.outer.coeffs)
+        out: set = set()
         for r in self.inner.member_set():
-            out.update(boxprod(self.outer, r).member_set())
-        return frozenset(out)
+            out.update(codes.members_of_product(q, codes.encode(r.coeffs)))
+        return frozenset(Polynomial(hf, codes.decode(t)) for t in out)
 
 
 def _is_monomial(p: Polynomial) -> bool:
@@ -1132,6 +1136,36 @@ def _box_pair_certificate(e1_text: str, e2_text: str, b1: PolyBox,
     raise AssertionError("differing boxes with identical cells")
 
 
+def unequal_certificate(t1: str, t2: str, v1: Resolved, v2: Resolved,
+                        s1: AbstractSet, s2: AbstractSet,
+                        key=Polynomial.sort_key,
+                        decode=None) -> EqualCertificate:
+    """UNEQUAL for two resolved sides whose member sets s1 and s2 differ:
+    polynomials, or code tuples with their sort key and decoder.  Two boxes
+    are compared cell by cell.  Otherwise the witness is the key-least
+    member of s1 - s2, else of s2 - s1; the key is injective on one
+    carrier, so it is the one a full sort would give.  Both memberships are
+    stated by the membership procedure on the resolved values."""
+    if v1.kind == "box" and v2.kind == "box":
+        return _box_pair_certificate(t1, t2, v1.box, v2.box)
+    only, side = s1 - s2, 1
+    if not only:
+        only, side = s2 - s1, 2
+    w = min(only, key=key)
+    if decode is not None:
+        w = decode(w)
+    v_in, v_out = (v1, v2) if side == 1 else (v2, v1)
+    t_in, t_out = (t1, t2) if side == 1 else (t2, t1)
+    cert_in = _member_in_resolved(w, v_in, t_in)
+    cert_out = _member_in_resolved(w, v_out, t_out)
+    detail = (CertStep("enumerate", None,
+                       f"side 1 has {len(s1)} members, side 2 has "
+                       f"{len(s2)}"),)
+    return EqualCertificate("unequal", w.hf.name, t1, t2, witness=str(w),
+                            witness_side=side, member_in=cert_in,
+                            member_out=cert_out, detail=detail)
+
+
 def expr_equal(e1: Expr, e2: Expr, hf: Hyperfield,
                seed: int = 11) -> EqualCertificate:
     t1, t2 = format_expr(e1), format_expr(e2)
@@ -1149,23 +1183,7 @@ def expr_equal(e1: Expr, e2: Expr, hf: Hyperfield,
                                f"both sides enumerate to the same "
                                f"{len(s1)} polynomials"),)
             return EqualCertificate("equal", hf.name, t1, t2, detail=detail)
-        # the sort key is injective on one carrier, so the least member of
-        # the one-sided difference is the witness a full sort would give
-        only1 = s1 - s2
-        if only1:
-            w, side = min(only1, key=Polynomial.sort_key), 1
-        else:
-            w, side = min(s2 - s1, key=Polynomial.sort_key), 2
-        cert_in = _member_in_resolved(w, v1 if side == 1 else v2,
-                                      t1 if side == 1 else t2)
-        cert_out = _member_in_resolved(w, v2 if side == 1 else v1,
-                                       t2 if side == 1 else t1)
-        detail = (CertStep("enumerate", None,
-                           f"side 1 has {len(s1)} members, side 2 has "
-                           f"{len(s2)}"),)
-        return EqualCertificate("unequal", hf.name, t1, t2, witness=str(w),
-                                witness_side=side, member_in=cert_in,
-                                member_out=cert_out, detail=detail)
+        return unequal_certificate(t1, t2, v1, v2, s1, s2)
     if v1.kind == "box" and v2.kind == "box":
         return _box_pair_certificate(t1, t2, v1.box, v2.box)
     # one side is coupled over an infinite carrier: hunt for a separator

@@ -1,5 +1,6 @@
 """Associativity checks, exhaustive scans, the 1+1 criterion, pointwise rows."""
 
+import dataclasses
 import itertools
 
 import pytest
@@ -26,6 +27,7 @@ from hyperpoly import (
     resolved_members,
     weak_group,
 )
+from hyperpoly import polyalg
 
 
 class TestAssocCheck:
@@ -175,19 +177,56 @@ class TestScanCertificates:
         witness, side = self.least_one_sided(cert, hf)
         assert (cert.witness, cert.witness_side) == (str(witness), side)
 
-    @pytest.mark.parametrize("name,max_deg", [("S", 1), ("K", 2), ("W", 1)])
-    def test_every_scan_certificate_replays(self, name, max_deg):
-        hf = by_name(name)
-        report = assoc_scan(hf, max_deg, stop_after=None)
+    @staticmethod
+    def c3_from_file(tmp_path):
+        # W(C3) read from a Cayley file, so that by_name (and replay_member)
+        # can rebuild the carrier from its name
+        table, symbols, e = cyclic_group_table(3)
+        rows = [" ".join(table[(a, b)] for b in symbols) for a in symbols]
+        path = tmp_path / "c3.txt"
+        path.write_text("3\n" + "\n".join(rows) + f"\n{e}\n", encoding="utf-8")
+        return by_name(f"W(G,e):{path}")
+
+    @pytest.mark.parametrize("name,max_deg,monic_only,stop_after", [
+        ("S", 1, False, None),
+        ("K", 2, False, None),
+        ("W", 1, False, None),
+        # monic degree 1 over W(C3) is associative; the first 40 of the 792
+        # degree-2 counterexamples keep the test short
+        ("W(C3)", 2, True, 40),
+    ], ids=["S-1", "K-2", "W-1", "W(C3)-2-monic"])
+    def test_every_scan_certificate_replays(self, name, max_deg, monic_only,
+                                            stop_after, tmp_path):
+        hf = self.c3_from_file(tmp_path) if name == "W(C3)" else by_name(name)
+        report = assoc_scan(hf, max_deg, monic_only=monic_only,
+                            stop_after=stop_after)
         assert report.counterexamples
         for rep in report.counterexamples:
             cert = rep.counterexample
             witness, side = self.least_one_sided(cert, hf)
             assert (cert.witness, cert.witness_side) == (str(witness), side)
+            sizes = [len(resolved_members(resolve(parse_expr(t, hf), hf)))
+                     for t in (cert.expr1, cert.expr2)]
+            assert cert.detail[0].text == (
+                f"side 1 has {sizes[0]} members, side 2 has {sizes[1]}")
             assert cert.member_in.verdict == "yes"
             assert cert.member_out.verdict == "no"
             assert replay_member(cert.member_in)
             assert replay_member(cert.member_out)
+
+    def test_membership_disagreement_stops_the_scan(self, monkeypatch):
+        # the scan's own sets name the witness; polyalg's membership
+        # procedure must confirm it, so a flipped verdict is an error
+        real = polyalg._member_in_resolved
+
+        def flipped(p, value, expr_text):
+            cert = real(p, value, expr_text)
+            other = {"yes": "no", "no": "yes"}[cert.verdict]
+            return dataclasses.replace(cert, verdict=other)
+
+        monkeypatch.setattr(polyalg, "_member_in_resolved", flipped)
+        with pytest.raises(AssertionError, match="not confirmed"):
+            assoc_scan(by_name("K"), 2)
 
 
 class TestOnePlusOneCriterion:

@@ -8,19 +8,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperpoly import (
+    PolyLeaf,
     ProbeSpec,
+    ProdNode,
+    assoc_check,
     by_name,
     check_axioms,
     cyclic_group_table,
     default_probe,
+    expr_equal,
     gf,
     is_doubly_distributive,
     krasner,
     load_cayley_table,
+    parse_poly,
     signs,
     weak_group,
     weak_signs,
 )
+from hyperpoly import carriers
 from hyperpoly.carriers import FiniteHyperfield
 
 FINITE = [
@@ -166,6 +172,30 @@ class TestGaloisFields:
             tracemalloc.stop()
         assert peak < 1_000_000
         assert hf.mul(hf.element(1008), hf.element(1008)) == hf.one()
+
+    def test_largest_field_decides_without_the_code_table(self,
+                                                           monkeypatch):
+        # resolve never yields a coupled value over GF(p), so deciding
+        # equality and associativity must not build the p^2 code tables;
+        # building them here fails at once instead of running for minutes
+        def refuse(hf):
+            raise AssertionError(f"code table of {hf.name} built")
+
+        monkeypatch.setattr(carriers, "CodeTable", refuse)
+        tracemalloc.start()
+        try:
+            hf = gf(1009)
+            p, q, r = (parse_poly(t, hf) for t in ("T+1", "T+2", "T+1008"))
+            cert = expr_equal(
+                ProdNode(PolyLeaf(p), ProdNode(PolyLeaf(q), PolyLeaf(r))),
+                ProdNode(ProdNode(PolyLeaf(p), PolyLeaf(q)), PolyLeaf(r)), hf)
+            report = assoc_check(p, q, r)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert cert.verdict == "equal" and report.associative is True
+        assert "codes" not in vars(hf)
+        assert peak < 1_000_000
 
     def test_int_literals_reduce_mod_p(self):
         hf = gf(5)

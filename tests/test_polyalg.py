@@ -382,6 +382,44 @@ class TestEnumeration:
                 PolyBox(S, cells).member_set()
 
 
+class TestCodeTable:
+    CARRIERS = TestEnumeration.CARRIERS
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_coupled_members_are_the_union_of_outer_products(self, data):
+        # reference: q (x) (a (x) b) is the union over every member r of
+        # the box a (x) b of the box q (x) r, each enumerated cell by cell
+        hf = data.draw(st.sampled_from(self.CARRIERS), label="hf")
+        elems = hf.elements()
+        nonzero = [e for e in elems if not hf.is_zero(e)]
+
+        def poly(label):
+            deg = data.draw(st.integers(1, 2), label=f"deg {label}")
+            coeffs = [data.draw(st.sampled_from(elems)) for _ in range(deg)]
+            coeffs.append(data.draw(st.sampled_from(nonzero)))
+            return Polynomial.of(hf, coeffs)
+
+        q, a, b = poly("q"), poly("a"), poly("b")
+        expected = set()
+        for r in boxprod(a, b).member_set():
+            expected |= boxprod(q, r).member_set()
+        value = resolve(ProdNode(PolyLeaf(q), ProdNode(PolyLeaf(a),
+                                                       PolyLeaf(b))), hf)
+        assert value.members == expected
+
+    @pytest.mark.parametrize("hf", CARRIERS, ids=lambda hf: hf.name)
+    def test_codes_round_trip_and_sort_like_polynomials(self, hf):
+        codes = hf.codes
+        full = hf.full_set()
+        polys = list(PolyBox(hf, (full, full, full)).member_set())
+        encoded = [codes.encode(p.coeffs) for p in polys]
+        assert [Polynomial(hf, codes.decode(t)) for t in encoded] == polys
+        by_codes = sorted(encoded, key=codes.sort_key)
+        assert [Polynomial(hf, codes.decode(t)) for t in by_codes] == \
+            sorted(polys, key=Polynomial.sort_key)
+
+
 # ---------------------------------------------------------------------------
 # resolution shapes
 
