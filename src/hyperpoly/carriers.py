@@ -232,7 +232,6 @@ class Hyperfield:
     """Base carrier descriptor; subclasses fill in the operation table."""
 
     name: str
-    kind: str
 
     # -- carrier structure ---------------------------------------------------
     def is_finite(self) -> bool:
@@ -346,7 +345,6 @@ class FiniteHyperfield(Hyperfield):
                  mul_table, neg_table, inv_table, hyperadd_table,
                  modulus: Optional[int] = None):
         self.name = name
-        self.kind = "finite" if modulus is None else "gf"
         self.modulus = modulus
         self._payloads = payloads
         self._int_payloads = all(isinstance(p, int) for p in payloads)
@@ -706,9 +704,7 @@ def load_cayley_table(path: str) -> FiniteHyperfield:
 
 
 class TropicalHyperfield(Hyperfield):
-    def __init__(self):
-        self.name = "T"
-        self.kind = "tropical"
+    name = "T"
 
     def zero(self) -> Element:
         return Element(self.name, NEG_INF)
@@ -796,9 +792,7 @@ class TropicalHyperfield(Hyperfield):
 
 
 class ViroHyperfield(Hyperfield):
-    def __init__(self):
-        self.name = "V"
-        self.kind = "viro"
+    name = "V"
 
     def zero(self) -> Element:
         return Element(self.name, _E0)
@@ -902,9 +896,7 @@ class ViroHyperfield(Hyperfield):
 
 
 class PhaseHyperfield(Hyperfield):
-    def __init__(self):
-        self.name = "P"
-        self.kind = "phase"
+    name = "P"
 
     def zero(self) -> Element:
         return Element(self.name, None)

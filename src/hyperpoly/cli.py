@@ -21,7 +21,8 @@ from typing import Optional, Sequence
 from .assoc import (AssocReport, assoc_check, assoc_scan,
                     one_plus_one_criterion, pointwise_products_equal)
 from .carriers import (CarrierSet, Hyperfield, IntervalSet, ProbeSpec,
-                       UndecidedError, by_name, check_axioms, default_probe,
+                       TropicalHyperfield, UndecidedError, ViroHyperfield,
+                       by_name, check_axioms, default_probe,
                        is_doubly_distributive)
 from .divide import mult_at, mult_set, quotients
 from .polyalg import (boxprod, boxsum, expr_equal, expr_member, format_poly,
@@ -39,7 +40,7 @@ def _parse_region(hf: Hyperfield, text: str):
             raise ValueError("empty region")
         return [hf.parse_scalar(tok) for tok in items]
     if text[:1] in "[(" and text[-1:] in ")]":
-        if hf.kind not in ("tropical", "viro"):
+        if not isinstance(hf, (TropicalHyperfield, ViroHyperfield)):
             raise ValueError(
                 f"interval regions are supported over T and V, not {hf.name}")
         lo_s, hi_s = (part.strip() for part in text[1:-1].split(",", 1))
@@ -204,7 +205,7 @@ def _cmd_ddist(hf, args):
 
 
 def _cmd_trop_roots(hf, args):
-    if hf.kind != "tropical":
+    if not isinstance(hf, TropicalHyperfield):
         raise ValueError("trop-roots runs over the tropical carrier")
     rm = root_multiset(parse_poly(args.poly, hf))
     payload = {"command": "trop-roots", "poly": args.poly,
@@ -213,7 +214,7 @@ def _cmd_trop_roots(hf, args):
 
 
 def _cmd_trop_box(hf, args):
-    if hf.kind != "tropical":
+    if not isinstance(hf, TropicalHyperfield):
         raise ValueError("trop-box runs over the tropical carrier")
     roots = [hf.parse_scalar(tok.strip())
              for tok in args.roots.split(",") if tok.strip()]

@@ -14,7 +14,8 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .carriers import (CarrierSet, Element, FiniteSet, Hyperfield,
-                       IntervalSet, UndecidedError)
+                       IntervalSet, TropicalHyperfield, UndecidedError,
+                       ViroHyperfield)
 from .polyalg import (Polynomial, PolyBox, boxprod, chain_representatives,
                       chain_witness, solve_linear_chain)
 from .realroots import Quad, feasible_point
@@ -133,9 +134,9 @@ def mult_set(p: Polynomial, region: Region) -> int:
         return _mult_finite_region(p, elems)
     if not isinstance(region, CarrierSet):
         raise ValueError("region must be a carrier set or a list of elements")
-    if hf.kind == "viro":
+    if isinstance(hf, ViroHyperfield):
         return _mult_viro_region(p, region)
-    if hf.kind == "tropical":
+    if isinstance(hf, TropicalHyperfield):
         roots = tropical_root_points(p)
         inside = [a for a in roots if region.contains(a)]
         return _mult_finite_region(p, inside) if inside else 0

@@ -24,7 +24,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import AbstractSet, Optional, Sequence, Union
 
-from .carriers import (CarrierSet, Element, Hyperfield, UndecidedError,
+from .carriers import (CarrierSet, Element, FiniteHyperfield, Hyperfield,
+                       PhaseHyperfield, TropicalHyperfield, UndecidedError,
                        by_name)
 
 DEFAULT_MAX_DEGREE = 6
@@ -119,8 +120,8 @@ def format_poly(p: Polynomial) -> str:
     are always printed (the unit is 0) with negatives parenthesized, since a
     '-' join would re-parse through neg which is the identity there."""
     hf = p.hf
-    sign_join = hf.kind in ("finite", "gf")
-    always_coeff = hf.kind == "tropical"
+    sign_join = isinstance(hf, FiniteHyperfield)
+    always_coeff = isinstance(hf, TropicalHyperfield)
     parts: list[tuple[str, str]] = []
     for i in range(p.degree, -1, -1):
         c = p.coeff(i)
@@ -156,7 +157,7 @@ def parse_scalar_literal(hf: Hyperfield, text: str) -> Element:
     text = text.strip()
     if text.startswith("(") and text.endswith(")"):
         return parse_scalar_literal(hf, text[1:-1])
-    if hf.kind == "phase":
+    if isinstance(hf, PhaseHyperfield):
         compact = text.replace(" ", "")
         if compact.startswith("e^{i") and compact.endswith("pi}"):
             inner = compact[4:-3]
@@ -520,31 +521,83 @@ def format_expr(node: Expr) -> str:
 
 
 @dataclass(frozen=True)
-class Resolved:
-    kind: str  # 'box' | 'coupled' | 'finite'
-    box: Optional[PolyBox] = None
-    outer: Optional[Polynomial] = None
-    inner: Optional[PolyBox] = None
-    polys: Optional[frozenset] = None
+class BoxValue:
+    """A set of polynomials whose coefficients are chosen independently."""
+
+    box: PolyBox
 
     def describe(self) -> str:
-        if self.kind == "box":
-            return str(self.box)
-        if self.kind == "coupled":
-            return f"({self.outer}) (x) members of {self.inner}"
-        return "{%s}" % ", ".join(str(p) for p in
-                                  sorted(self.polys, key=Polynomial.sort_key))
+        return str(self.box)
 
     @cached_property
     def members(self) -> frozenset:
-        """Every member polynomial, unsorted (finite carriers or finite
-        boxes only); enumerated at most once per value.  A coupled value is
+        """Every member, unsorted; enumerated at most once per value."""
+        return self.box.member_set()
+
+    def times(self, p: Polynomial) -> Resolved:
+        """p (x) this set, for one polynomial p."""
+        box, cap = self.box, max_degree()
+        if box.is_singleton():
+            q = box.the_polynomial()
+            if p.degree + q.degree > cap:
+                raise ValueError(f"product degree exceeds the cap {cap}")
+            return BoxValue(boxprod(p, q))
+        if p.degree + box.nominal_degree > cap:
+            raise ValueError(f"product degree exceeds the cap {cap}")
+        hf = box.hf
+        if all(hf.is_zero(c) for c in p.coeffs[:-1]):
+            # cT^n (x) r is a singleton for every r, so the product of cT^n
+            # with a box is again a box: shift and scale
+            cells = (hf.singleton(hf.zero()),) * p.degree + tuple(
+                hf.scale_set(p.coeffs[-1], c) for c in box.cells)
+            return BoxValue(PolyBox(hf, cells, box.zero_excluded))
+        return CoupledValue(p, box)
+
+    def member_certificate(self, p: Polynomial,
+                           expr_text: str) -> MemberCertificate:
+        hf = p.hf
+        cbox = self.box.canonical()
+        steps = []
+        if cbox.is_empty() or p.degree > cbox.nominal_degree:
+            steps.append(CertStep("degree", None,
+                                  f"degree {p.degree} outside the box"))
+            return MemberCertificate("no", hf.name, str(p), expr_text, "box",
+                                     steps=tuple(steps))
+        for i in range(cbox.nominal_degree + 1):
+            c, cell = p.coeff(i), cbox.cell(i)
+            ok = cell.contains(c)
+            steps.append(CertStep("cell" if ok else "fail", i,
+                                  f"coeff T^{i}: {hf.format_element(c)} "
+                                  f"{'in' if ok else 'not in'} {cell}"))
+            if not ok:
+                return MemberCertificate("no", hf.name, str(p), expr_text,
+                                         "box", steps=tuple(steps))
+        return MemberCertificate("yes", hf.name, str(p), expr_text, "box",
+                                 steps=tuple(steps))
+
+    def separator_candidates(self, seed: int) -> list[Polynomial]:
+        return self.box.sample_members(60, seed)
+
+
+@dataclass(frozen=True)
+class CoupledValue:
+    """outer (x) r for every member r of the inner box: the product
+    coefficients are coupled through the shared choice of r."""
+
+    outer: Polynomial
+    inner: PolyBox
+
+    def describe(self) -> str:
+        return f"({self.outer}) (x) members of {self.inner}"
+
+    @cached_property
+    def members(self) -> frozenset:
+        """Every member polynomial, unsorted (finite carriers only),
         enumerated on the carrier's integer codes and decoded once."""
-        if self.kind == "finite":
-            return self.polys
-        if self.kind == "box":
-            return self.box.member_set()
         hf = self.outer.hf
+        if not hf.is_finite():
+            raise UndecidedError(
+                "cannot enumerate members over an infinite carrier")
         codes = hf.codes
         q = codes.encode(self.outer.coeffs)
         out: set = set()
@@ -552,74 +605,145 @@ class Resolved:
             out.update(codes.members_of_product(q, codes.encode(r.coeffs)))
         return frozenset(Polynomial(hf, codes.decode(t)) for t in out)
 
+    def times(self, p: Polynomial) -> Optional[Resolved]:
+        """A scalar rescales the outer factor; other factors leave the shape."""
+        if p.degree == 0:
+            return CoupledValue(scalar_prod(p.coeff(0), self.outer),
+                                self.inner)
+        return None
 
-def _is_monomial(p: Polynomial) -> bool:
-    return all(p.hf.is_zero(c) for c in p.coeffs[:-1]) or p.degree == 0
+    def member_certificate(self, p: Polynomial,
+                           expr_text: str) -> MemberCertificate:
+        """The chain solver for a linear outer factor, the single-unknown
+        solver when at most one inner cell is open, else enumeration over
+        a finite carrier."""
+        hf = p.hf
+        q = self.outer
+        cells, pre_steps = _truncate_inner(p, q, self.inner)
+        if cells is None:
+            return MemberCertificate("no", hf.name, str(p), expr_text,
+                                     "degree", steps=tuple(pre_steps))
+        if q.degree == 1:
+            # every member of the product vanishes at the root of the linear
+            # factor, so 0 not in p(a) already refutes membership; the chain
+            # derivation below is complete either way and carries the detail
+            a = hf.mul(hf.neg(q.coeff(0)), hf.inv(q.coeff(1)))
+            pa = p.eval(a)
+            method = "chain"
+            if not pa.contains(hf.zero()):
+                mono = ", ".join(hf.format_element(v)
+                                 for v in p.monomial_values(a))
+                pre_steps = pre_steps + [
+                    CertStep("root", None,
+                             f"the outer factor {q} has root "
+                             f"{hf.format_element(a)}, so every member does"),
+                    CertStep("eval", None,
+                             f"p({hf.format_element(a)}) = hypersum of "
+                             f"[{mono}] = {pa} does not contain 0"),
+                ]
+                method = "root-obstruction"
+            domains, steps = solve_linear_chain(p, q, cells)
+            steps = pre_steps + steps
+            if domains is None:
+                return MemberCertificate("no", hf.name, str(p), expr_text,
+                                         method, steps=tuple(steps))
+            assert method == "chain", \
+                "chain found a member past a root obstruction"
+            witness = chain_witness(p, q, domains)
+            steps.append(CertStep("witness", None,
+                                  f"inner choice r = {witness}; "
+                                  f"p in ({q})*(r) checks cellwise"))
+            return MemberCertificate("yes", hf.name, str(p), expr_text,
+                                     "chain", witness=str(witness),
+                                     steps=tuple(steps))
+        singles = sum(1 for c in cells if not c.is_singleton())
+        if singles <= 1:
+            feasible, f, steps = solve_single_free(p, q, cells)
+            steps = pre_steps + steps
+            if feasible is None or (f is not None and feasible.is_empty()):
+                return MemberCertificate("no", hf.name, str(p), expr_text,
+                                         "single-unknown", steps=tuple(steps))
+            picks = list(cells)
+            if f is not None:
+                choice = hf.sample_elements(feasible)[0]
+                picks[f] = hf.singleton(choice)
+            witness = Polynomial.of(hf, [c.the_element() for c in picks])
+            steps.append(CertStep("witness", None,
+                                  f"inner choice r = {witness}"))
+            return MemberCertificate("yes", hf.name, str(p), expr_text,
+                                     "single-unknown", witness=str(witness),
+                                     steps=tuple(steps))
+        if hf.is_finite():
+            witness = None
+            if p in self.members:
+                witness = next((str(r) for r in self.inner.enumerate_members()
+                                if boxprod(q, r).contains(p)), None)
+            return _enumeration_cert(p, self.members, expr_text, witness)
+        return MemberCertificate("undecided", hf.name, str(p), expr_text,
+                                 "unsupported",
+                                 steps=(CertStep("scope", None,
+                                                 "several coupled coefficients "
+                                                 "over an infinite carrier"),))
+
+    def separator_candidates(self, seed: int) -> list[Polynomial]:
+        out: list[Polynomial] = []
+        for r in self.inner.sample_members(12, seed):
+            out.extend(boxprod(self.outer, r).sample_members(8, seed))
+        return out
+
+
+@dataclass(frozen=True)
+class FiniteValue:
+    """An explicitly enumerated set of polynomials (finite carriers only)."""
+
+    members: frozenset
+
+    def describe(self) -> str:
+        return "{%s}" % ", ".join(str(p) for p in
+                                  sorted(self.members, key=Polynomial.sort_key))
+
+    def times(self, p: Polynomial) -> None:
+        return None
+
+    def member_certificate(self, p: Polynomial,
+                           expr_text: str) -> MemberCertificate:
+        return _enumeration_cert(p, self.members, expr_text, str(p))
+
+
+Resolved = Union[BoxValue, CoupledValue, FiniteValue]
 
 
 def resolved_members(value: Resolved) -> list[Polynomial]:
     """Explicit sorted member list; finite carriers or finite boxes only."""
-    if value.kind == "coupled" and not value.outer.hf.is_finite():
-        raise UndecidedError("cannot enumerate members over an infinite carrier")
     return sorted(value.members, key=Polynomial.sort_key)
 
 
 def resolve(expr: Expr, hf: Hyperfield) -> Resolved:
-    cap = max_degree()
     if isinstance(expr, PolyLeaf):
-        return Resolved("box", box=box_of(expr.poly))
+        return BoxValue(box_of(expr.poly))
     left = resolve(expr.left, hf)
     right = resolve(expr.right, hf)
     if isinstance(expr, SumNode):
-        if left.kind == "box" and right.kind == "box":
-            return Resolved("box", box=box_hyperadd(left.box, right.box))
-        if hf.is_finite():
-            out = set()
-            for p in left.members:
-                for q in right.members:
-                    out.update(boxsum(p, q).member_set())
-            return Resolved("finite", polys=frozenset(out))
-        raise UndecidedError("set-level sum of coupled values is out of scope")
-    # product node
-    sides = []
-    for value in (left, right):
-        if value.kind == "box":
-            value = Resolved("box", box=value.box.canonical())
-        sides.append(value)
-    left, right = sides
-    for a, b in ((left, right), (right, left)):
-        if a.kind == "box" and a.box.is_singleton():
-            p = a.box.the_polynomial()
-            if b.kind == "box":
-                if b.box.is_singleton():
-                    q = b.box.the_polynomial()
-                    if p.degree + q.degree > cap:
-                        raise ValueError(
-                            f"product degree exceeds the cap {cap}")
-                    return Resolved("box", box=boxprod(p, q))
-                if p.degree + b.box.nominal_degree > cap:
-                    raise ValueError(f"product degree exceeds the cap {cap}")
-                if _is_monomial(p):
-                    # cT^n (x) r is a singleton for every r, so the product
-                    # of cT^n with a box is again a box: shift and scale
-                    zero_cell = hf.singleton(hf.zero())
-                    cells = (zero_cell,) * p.degree + tuple(
-                        hf.scale_set(p.coeffs[-1], c) for c in b.box.cells)
-                    return Resolved("box", box=PolyBox(hf, cells,
-                                                       b.box.zero_excluded))
-                return Resolved("coupled", outer=p, inner=b.box)
-            if b.kind == "coupled" and p.degree == 0:
-                return Resolved("coupled", outer=scalar_prod(p.coeff(0),
-                                                             b.outer),
-                                inner=b.inner)
-    if hf.is_finite():
-        out = set()
-        for p in left.members:
-            for q in right.members:
-                out.update(boxprod(p, q).member_set())
-        return Resolved("finite", polys=frozenset(out))
-    raise UndecidedError(
-        "product of two undetermined polynomial sets is out of scope")
+        if isinstance(left, BoxValue) and isinstance(right, BoxValue):
+            return BoxValue(box_hyperadd(left.box, right.box))
+        combine, scope = boxsum, "set-level sum of coupled values"
+    else:
+        left, right = (BoxValue(v.box.canonical())
+                       if isinstance(v, BoxValue) else v
+                       for v in (left, right))
+        for a, b in ((left, right), (right, left)):
+            if isinstance(a, BoxValue) and a.box.is_singleton():
+                value = b.times(a.box.the_polynomial())
+                if value is not None:
+                    return value
+        combine, scope = boxprod, "product of two undetermined polynomial sets"
+    if not hf.is_finite():
+        raise UndecidedError(f"{scope} is out of scope")
+    out = set()
+    for p in left.members:
+        for q in right.members:
+            out.update(combine(p, q).member_set())
+    return FiniteValue(frozenset(out))
 
 
 # ---------------------------------------------------------------------------
@@ -942,34 +1066,6 @@ def solve_single_free(p: Polynomial, q: Polynomial, cells: list[CarrierSet]
     return feasible, f, steps
 
 
-def _box_member_cert(p: Polynomial, box: PolyBox, expr_text: str,
-                     method: str = "box") -> MemberCertificate:
-    hf = p.hf
-    cbox = box.canonical()
-    steps = []
-    if cbox.is_empty() or p.degree > cbox.nominal_degree:
-        steps.append(CertStep("degree", None,
-                              f"degree {p.degree} outside the box"))
-        return MemberCertificate("no", hf.name, str(p), expr_text, method,
-                                 steps=tuple(steps))
-    for i in range(cbox.nominal_degree + 1):
-        c, cell = p.coeff(i), cbox.cell(i)
-        ok = cell.contains(c)
-        steps.append(CertStep("cell" if ok else "fail", i,
-                              f"coeff T^{i}: {hf.format_element(c)} "
-                              f"{'in' if ok else 'not in'} {cell}"))
-        if not ok:
-            return MemberCertificate("no", hf.name, str(p), expr_text,
-                                     method, steps=tuple(steps))
-    return MemberCertificate("yes", hf.name, str(p), expr_text, method,
-                             steps=tuple(steps))
-
-
-def _linear_root(ell: Polynomial) -> Element:
-    hf = ell.hf
-    return hf.mul(hf.neg(ell.coeff(0)), hf.inv(ell.coeff(1)))
-
-
 def expr_member(p: Polynomial, expr: Expr) -> MemberCertificate:
     hf = p.hf
     expr_text = format_expr(expr)
@@ -984,91 +1080,20 @@ def expr_member(p: Polynomial, expr: Expr) -> MemberCertificate:
 
 def _member_in_resolved(p: Polynomial, value: Resolved,
                         expr_text: str) -> MemberCertificate:
-    hf = p.hf
-    if value.kind == "box":
-        return _box_member_cert(p, value.box, expr_text)
-    if value.kind == "finite":
-        present = p in value.polys
-        step = CertStep("enumerate", None,
-                        f"enumerated {len(value.polys)} members; "
-                        f"{p} is {'present' if present else 'absent'}")
-        return MemberCertificate("yes" if present else "no", hf.name, str(p),
-                                 expr_text, "enumeration",
-                                 witness=str(p) if present else None,
-                                 steps=(step,))
-    q, box = value.outer, value.inner
-    cells, pre_steps = _truncate_inner(p, q, box)
-    if cells is None:
-        return MemberCertificate("no", hf.name, str(p), expr_text, "degree",
-                                 steps=tuple(pre_steps))
-    if q.degree == 1:
-        # every member of the product vanishes at the root of the linear
-        # factor, so 0 not in p(a) already refutes membership; the chain
-        # derivation below is complete either way and carries the detail
-        a = _linear_root(q)
-        pa = p.eval(a)
-        method = "chain"
-        if not pa.contains(hf.zero()):
-            mono = ", ".join(hf.format_element(v)
-                             for v in p.monomial_values(a))
-            pre_steps = pre_steps + [
-                CertStep("root", None,
-                         f"the outer factor {q} has root "
-                         f"{hf.format_element(a)}, so every member does"),
-                CertStep("eval", None,
-                         f"p({hf.format_element(a)}) = hypersum of "
-                         f"[{mono}] = {pa} does not contain 0"),
-            ]
-            method = "root-obstruction"
-        domains, steps = solve_linear_chain(p, q, cells)
-        steps = pre_steps + steps
-        if domains is None:
-            return MemberCertificate("no", hf.name, str(p), expr_text,
-                                     method, steps=tuple(steps))
-        assert method == "chain", "chain found a member past a root obstruction"
-        witness = chain_witness(p, q, domains)
-        steps.append(CertStep("witness", None,
-                              f"inner choice r = {witness}; "
-                              f"p in ({q})*(r) checks cellwise"))
-        return MemberCertificate("yes", hf.name, str(p), expr_text, "chain",
-                                 witness=str(witness), steps=tuple(steps))
-    singles = sum(1 for c in cells if not c.is_singleton())
-    if singles <= 1:
-        feasible, f, steps = solve_single_free(p, q, cells)
-        steps = pre_steps + steps
-        if feasible is None or (f is not None and feasible.is_empty()):
-            return MemberCertificate("no", hf.name, str(p), expr_text,
-                                     "single-unknown", steps=tuple(steps))
-        picks = list(cells)
-        if f is not None:
-            choice = hf.sample_elements(feasible)[0]
-            picks[f] = hf.singleton(choice)
-        witness = Polynomial.of(hf, [c.the_element() for c in picks])
-        steps.append(CertStep("witness", None,
-                              f"inner choice r = {witness}"))
-        return MemberCertificate("yes", hf.name, str(p), expr_text,
-                                 "single-unknown", witness=str(witness),
-                                 steps=tuple(steps))
-    if hf.is_finite():
-        members = value.members
-        present = p in members
-        witness = None
-        if present:
-            for r in value.inner.enumerate_members():
-                if boxprod(value.outer, r).contains(p):
-                    witness = str(r)
-                    break
-        step = CertStep("enumerate", None,
-                        f"enumerated {len(members)} members; "
-                        f"{p} is {'present' if present else 'absent'}")
-        return MemberCertificate("yes" if present else "no", hf.name, str(p),
-                                 expr_text, "enumeration", witness=witness,
-                                 steps=(step,))
-    return MemberCertificate("undecided", hf.name, str(p), expr_text,
-                             "unsupported",
-                             steps=(CertStep("scope", None,
-                                             "several coupled coefficients "
-                                             "over an infinite carrier"),))
+    """The one membership decision for a resolved value."""
+    return value.member_certificate(p, expr_text)
+
+
+def _enumeration_cert(p: Polynomial, members: AbstractSet, expr_text: str,
+                      witness: Optional[str]) -> MemberCertificate:
+    present = p in members
+    step = CertStep("enumerate", None,
+                    f"enumerated {len(members)} members; "
+                    f"{p} is {'present' if present else 'absent'}")
+    return MemberCertificate("yes" if present else "no", p.hf.name, str(p),
+                             expr_text, "enumeration",
+                             witness=witness if present else None,
+                             steps=(step,))
 
 
 # ---------------------------------------------------------------------------
@@ -1123,10 +1148,10 @@ def _box_pair_certificate(e1_text: str, e2_text: str, b1: PolyBox,
             c_in, c_out = c1, c2
         x = hf.sample_elements(diff)[0]
         witness = _member_with_pinned(c_in, i, x)
-        cert_in = _box_member_cert(witness, c_in,
-                                   e1_text if side == 1 else e2_text)
-        cert_out = _box_member_cert(witness, c_out,
-                                    e2_text if side == 1 else e1_text)
+        cert_in = BoxValue(c_in).member_certificate(
+            witness, e1_text if side == 1 else e2_text)
+        cert_out = BoxValue(c_out).member_certificate(
+            witness, e2_text if side == 1 else e1_text)
         detail = (CertStep("cell", i,
                            f"coefficient sets at T^{i} differ: {a} vs {b}"),)
         return EqualCertificate("unequal", hf.name, e1_text, e2_text,
@@ -1146,7 +1171,7 @@ def unequal_certificate(t1: str, t2: str, v1: Resolved, v2: Resolved,
     member of s1 - s2, else of s2 - s1; the key is injective on one
     carrier, so it is the one a full sort would give.  Both memberships are
     stated by the membership procedure on the resolved values."""
-    if v1.kind == "box" and v2.kind == "box":
+    if isinstance(v1, BoxValue) and isinstance(v2, BoxValue):
         return _box_pair_certificate(t1, t2, v1.box, v2.box)
     only, side = s1 - s2, 1
     if not only:
@@ -1175,8 +1200,9 @@ def expr_equal(e1: Expr, e2: Expr, hf: Hyperfield,
     except UndecidedError as err:
         return EqualCertificate("undecided", hf.name, t1, t2,
                                 detail=(CertStep("scope", None, str(err)),))
-    if v1.kind == "finite" or v2.kind == "finite" or (
-            hf.is_finite() and ("coupled" in (v1.kind, v2.kind))):
+    if isinstance(v1, BoxValue) and isinstance(v2, BoxValue):
+        return _box_pair_certificate(t1, t2, v1.box, v2.box)
+    if hf.is_finite():
         s1, s2 = v1.members, v2.members
         if s1 == s2:
             detail = (CertStep("enumerate", None,
@@ -1184,24 +1210,10 @@ def expr_equal(e1: Expr, e2: Expr, hf: Hyperfield,
                                f"{len(s1)} polynomials"),)
             return EqualCertificate("equal", hf.name, t1, t2, detail=detail)
         return unequal_certificate(t1, t2, v1, v2, s1, s2)
-    if v1.kind == "box" and v2.kind == "box":
-        return _box_pair_certificate(t1, t2, v1.box, v2.box)
     # one side is coupled over an infinite carrier: hunt for a separator
-    candidates: list[tuple[Polynomial, int]] = []
-    for side, value in ((1, v1), (2, v2)):
-        if value.kind == "box":
-            candidates.extend((w, side)
-                              for w in value.box.sample_members(60, seed))
-        else:
-            for r in value.inner.sample_members(12, seed):
-                candidates.extend(
-                    (w, side)
-                    for w in boxprod(value.outer, r).sample_members(8, seed))
-    seen = set()
-    for w, _ in candidates:
-        if w in seen:
-            continue
-        seen.add(w)
+    candidates = (v1.separator_candidates(seed)
+                  + v2.separator_candidates(seed))
+    for tried, w in enumerate(dict.fromkeys(candidates), 1):
         m1 = _member_in_resolved(w, v1, t1)
         m2 = _member_in_resolved(w, v2, t2)
         if "undecided" in (m1.verdict, m2.verdict):
@@ -1212,7 +1224,7 @@ def expr_equal(e1: Expr, e2: Expr, hf: Hyperfield,
             cert_out = m2 if side == 1 else m1
             detail = (CertStep("search", None,
                                f"separating polynomial found among "
-                               f"{len(seen)} sampled candidates"),)
+                               f"{tried} sampled candidates"),)
             return EqualCertificate("unequal", hf.name, t1, t2,
                                     witness=str(w), witness_side=side,
                                     member_in=cert_in, member_out=cert_out,
@@ -1235,7 +1247,7 @@ def replay_member(cert: MemberCertificate) -> bool:
     if cert.verdict == "yes" and cert.witness and cert.method in (
             "chain", "single-unknown", "enumeration"):
         value = resolve(expr, hf)
-        if value.kind == "coupled":
+        if isinstance(value, CoupledValue):
             r = parse_poly(cert.witness, hf)
             if not value.inner.contains(r):
                 return False

@@ -221,14 +221,6 @@ class Interval(_Value):
     def _fields(self) -> tuple:
         return (self.lo, self.hi, self.lo_closed, self.hi_closed)
 
-    def start_key(self) -> tuple:
-        # open starts sort just after the closed start at the same value
-        return (self.lo, 0 if self.lo_closed else 1)
-
-    def end_key(self) -> tuple:
-        # open ends sort just before the closed end at the same value
-        return (self.hi, 0 if self.hi_closed else -1)
-
     def contains(self, x: ExtRat) -> bool:
         c = _cmp(self.lo, x)
         if c > 0 or (c == 0 and not self.lo_closed):

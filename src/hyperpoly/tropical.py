@@ -13,7 +13,8 @@ from dataclasses import dataclass, asdict
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .carriers import CarrierSet, Element, Hyperfield, UndecidedError, by_name
+from .carriers import (CarrierSet, Element, Hyperfield, TropicalHyperfield,
+                       UndecidedError, by_name)
 from .divide import mult_at
 from .linear import Constraint, eq, lt, feasible_point as lp_feasible_point
 from .polyalg import (Polynomial, PolyBox, boxprod, monic_decompose,
@@ -231,7 +232,7 @@ def is_reducible(p: Polynomial, search_bound: int = 4) -> ReducibilityCertificat
         raise ValueError("reducibility needs degree >= 2")
     if hf.is_finite():
         return _reducible_finite(p)
-    if hf.kind != "tropical":
+    if not isinstance(hf, TropicalHyperfield):
         return ReducibilityCertificate(
             str(p), None, None,
             (f"no exact factor analysis for {hf.name}",))

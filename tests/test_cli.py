@@ -222,6 +222,13 @@ class TestTropicalCommands:
         assert code == 2
         assert "tropical" in err
 
+    def test_trop_box_rejects_other_carriers(self, capsys):
+        code, out, err = run_cli(capsys, "trop-box", "--hf", "S",
+                                 "--roots", "1,2")
+        assert code == 2
+        assert out == ""
+        assert err == "error: trop-box runs over the tropical carrier\n"
+
     def test_reducible_over_the_triangle_carrier_is_undecided(self, capsys):
         code, out, _ = run_cli(capsys, "reducible", "--hf", "V",
                                "--poly", "T^2+3T+1")
@@ -316,6 +323,28 @@ SET_SHAPE_CORPUS = [
     ("trop_box_certified", 0,
      ["trop-box", "--hf", "T", "--roots", "1,1,2", "--certify"]),
     ("one_one_W", 0, ["one-one", "--hf", "W"]),
+    # every value-shape pair and coupled-solver exit of polyalg
+    ("equal_T_box_vs_coupled", 1,
+     ["equal", "--hf", "T", "--expr1", "(T+1)*((T+1)*(T+1))",
+      "--expr2", "(T^2+1)*(T+1)"]),
+    ("equal_V_coupled_pair_undecided", 3,
+     ["equal", "--hf", "V", "--expr1", "(T+1)*((T+1)*(T+1))",
+      "--expr2", "((T+1)*(T+1))*(T+1)"]),
+    ("equal_K_coupled_vs_box", 1,
+     ["equal", "--hf", "K", "--expr1", "(T+1)*((T+1)*(T+1))",
+      "--expr2", "(T^3+T^2+T+1)"]),
+    ("member_S_chain", 0,
+     ["member", "--hf", "S", "--poly", "T^3-T^2-T+1",
+      "--expr", "(T-1)*((T+1)*(T-1))"]),
+    ("member_V_single_unknown", 0,
+     ["member", "--hf", "V", "--poly", "T^4+T^3+2T^2+T+1",
+      "--expr", "(T^2+1)*((T+1)*(T+1))"]),
+    ("member_V_unsupported", 3,
+     ["member", "--hf", "V", "--poly", "T^4+T^3+2T^2+T+1",
+      "--expr", "(T^2+1)*((T^2+T+1)+(T^2+T+1))"]),
+    ("member_T_degree", 1,
+     ["member", "--hf", "T", "--poly", "0T^3+1T^2+1T+1",
+      "--expr", "(0T^2+0)*((0T+0)*(0T+0))"]),
 ]
 
 

@@ -21,7 +21,7 @@ from hyperpoly import (
     quotients,
     tropical_root_points,
 )
-from hyperpoly.carriers import ElementSet
+from hyperpoly.carriers import ArcSet, ElementSet
 from hyperpoly.sets import ExtRat, Interval, IntervalUnion, NEG_INF, POS_INF
 
 
@@ -218,6 +218,14 @@ class TestContinuousRegionScope:
         p = parse_poly("T^2+ph(4/3)T+ph(2/3)", P)
         with pytest.raises(UndecidedError):
             mult_set(p, P.full_set())
+
+    def test_arc_region_names_the_scope(self):
+        P = by_name("P")
+        region = P.hyperadd(P.element(Fraction(0)), P.element(Fraction(1, 2)))
+        assert isinstance(region, ArcSet) and not region.is_singleton()
+        with pytest.raises(UndecidedError, match="continuous root regions "
+                                                 "over P are out of scope"):
+            mult_set(parse_poly("T+ph(1)", P), region)
 
 
 # ---------------------------------------------------------------------------

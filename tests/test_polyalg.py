@@ -39,7 +39,8 @@ from hyperpoly import (
     scale_box,
     weak_group,
 )
-from hyperpoly.polyalg import chain_witness, solve_linear_chain
+from hyperpoly.polyalg import (BoxValue, CoupledValue, FiniteValue,
+                               chain_witness, solve_linear_chain)
 
 FINITE_NAMES = ["K", "S", "W", "GF(3)", "GF(5)"]
 
@@ -354,10 +355,19 @@ class TestEnumeration:
     def test_coupled_resolved_members_are_sorted(self):
         K = by_name("K")
         value = resolve(parse_expr("(T^2+1)*((T+1)*(T+1))", K), K)
-        assert value.kind == "coupled"
+        assert isinstance(value, CoupledValue)
         members = resolved_members(value)
         assert members == sorted(members, key=Polynomial.sort_key)
         assert set(members) == value.members
+
+    def test_coupled_members_over_an_infinite_carrier_are_undecided(self):
+        T = by_name("T")
+        value = resolve(parse_expr("(T^2+1)*((T+1)*(T+1))", T), T)
+        assert isinstance(value, CoupledValue)
+        with pytest.raises(UndecidedError, match="infinite carrier"):
+            value.members
+        with pytest.raises(UndecidedError, match="infinite carrier"):
+            resolved_members(value)
 
     def test_infinite_box_is_not_enumerated(self):
         T = by_name("T")
@@ -428,31 +438,31 @@ class TestResolve:
     def test_singleton_product_is_a_box(self):
         K = by_name("K")
         value = resolve(parse_expr("(T+1)*(T^2+1)", K), K)
-        assert value.kind == "box"
+        assert isinstance(value, BoxValue)
 
     def test_deeper_product_is_coupled(self):
         K = by_name("K")
         value = resolve(parse_expr("(T+1)*((T+1)*(T+1))", K), K)
-        assert value.kind == "coupled"
+        assert isinstance(value, CoupledValue)
         assert value.outer == parse_poly("T+1", K)
 
     def test_monomial_outer_stays_a_box(self):
         S = by_name("S")
         value = resolve(parse_expr("(T)*((T+1)*(T+1))", S), S)
-        assert value.kind == "box"
+        assert isinstance(value, BoxValue)
         assert value.box.cell(0) == S.singleton(S.zero())
         assert resolved_members(value) == [parse_poly("T^3+T^2+T", S)]
 
     def test_scalar_outer_rescales(self):
         S = by_name("S")
         value = resolve(parse_expr("(-1)*((T+1)*(T+1))", S), S)
-        assert value.kind == "box"
+        assert isinstance(value, BoxValue)
         assert resolved_members(value) == [parse_poly("-T^2-T-1", S)]
 
     def test_sum_of_coupled_values_needs_enumeration(self):
         W = by_name("W")
         e = parse_expr("((T+1)*((T+1)*(T+1)))+(1)", W)
-        assert resolve(e, W).kind == "finite"
+        assert isinstance(resolve(e, W), FiniteValue)
         T = by_name("T")
         with pytest.raises(UndecidedError):
             resolve(parse_expr("((T^2+1)*((T+1)*(T+1)))+(1)", T), T)
