@@ -11,10 +11,9 @@ from .carriers import (ArcSet, CarrierSet, Element, ElementSet, FiniteSet,
 from .polyalg import (CertStep, EqualCertificate, MemberCertificate, PolyBox,
                       PolyLeaf, Polynomial, ProdNode, Resolved, SumNode,
                       box_hyperadd, box_of, boxprod, boxsum, expr_equal,
-                      expr_member, format_expr, format_poly, max_degree,
-                      monic_decompose, monomial, parse_expr, parse_poly,
-                      replay_member, resolve, resolved_members, scalar_prod,
-                      scale_box)
+                      expr_member, format_expr, format_poly, monic_decompose,
+                      monomial, parse_expr, parse_poly, replay_member,
+                      resolve, resolved_members, scalar_prod, scale_box)
 from .divide import (QuotientSet, is_root, linear_for_root, mult_at,
                      mult_set, quotients, tropical_root_points)
 from .tropical import (BoxEquivalence, ReducibilityCertificate, RootMultiset,
@@ -37,10 +36,9 @@ __all__ = [
     "CertStep", "EqualCertificate", "MemberCertificate", "PolyBox",
     "PolyLeaf", "Polynomial", "ProdNode", "Resolved", "SumNode",
     "box_hyperadd", "box_of", "boxprod", "boxsum", "expr_equal",
-    "expr_member", "format_expr", "format_poly", "max_degree",
-    "monic_decompose", "monomial", "parse_expr", "parse_poly",
-    "replay_member", "resolve", "resolved_members", "scalar_prod",
-    "scale_box",
+    "expr_member", "format_expr", "format_poly", "monic_decompose",
+    "monomial", "parse_expr", "parse_poly", "replay_member", "resolve",
+    "resolved_members", "scalar_prod", "scale_box",
     "QuotientSet", "is_root", "linear_for_root", "mult_at", "mult_set",
     "quotients", "tropical_root_points",
     "BoxEquivalence", "ReducibilityCertificate", "RootMultiset",

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .sets import (NEG_INF, POS_INF, ArcUnion, ExtRat, Interval, IntervalUnion,
                    _E0, _earlier_end, _is_empty, _later_start, _qadd, _qmul,
@@ -110,7 +110,8 @@ class FiniteSet(CarrierSet):
     def __str__(self) -> str:
         if not self.finite:
             return "{}"
-        inner = ",".join(format_payload(p) for p in _sorted_payloads(self.finite))
+        # a finite carrier's payloads are all ints or all strs
+        inner = ",".join(format_payload(p) for p in sorted(self.finite))
         return "{%s}" % inner
 
 
@@ -202,10 +203,6 @@ def ElementSet(carrier: str, kind: str, finite: frozenset = frozenset(),
                     "intervals": (IntervalSet, intervals),
                     "arcs": (ArcSet, arcs)}[kind]
     return shape(carrier, value)
-
-
-def _sorted_payloads(payloads: Iterable[Payload]) -> list:
-    return sorted(payloads, key=_payload_sort_key)
 
 
 def _payload_sort_key(p: Payload) -> tuple:
@@ -351,11 +348,6 @@ class FiniteHyperfield(Hyperfield):
         # symbols sort in table order; integer payloads sort by value
         self._rank = {} if self._int_payloads else {
             p: i for i, p in enumerate(payloads)}
-        # sample_elements lists payloads in _payload_sort_key order: by
-        # value for integers, lexicographic for symbols
-        self._sample_pos = {p: i for i, p in enumerate(
-            sorted(payloads) if self._int_payloads
-            else _sorted_payloads(payloads))}
         self._zero = Element(name, zero)
         self._one = Element(name, one)
         self._mul = mul_table
@@ -430,8 +422,7 @@ class FiniteHyperfield(Hyperfield):
         return FiniteSet(self.name, s.finite - {self._zero.payload})
 
     def sample_elements(self, s: FiniteSet) -> list[Element]:
-        return [Element(self.name, p)
-                for p in sorted(s.finite, key=self._sample_pos.__getitem__)]
+        return [Element(self.name, p) for p in sorted(s.finite)]
 
     def sort_key(self, x: Element) -> tuple:
         if isinstance(x.payload, str):
@@ -742,6 +733,16 @@ class TropicalHyperfield(Hyperfield):
             top = max(x.payload, y.payload)
             return IntervalSet(self.name, IntervalUnion.point(top))
         return IntervalSet(self.name, IntervalUnion((Interval(NEG_INF, x.payload),)))
+
+    def hypersum(self, xs: Sequence[Element]) -> IntervalSet:
+        """{max} when the maximum is attained once, else [-inf, max]."""
+        if not xs:
+            raise ValueError("hypersum of an empty list")
+        payloads = [self.check(x).payload for x in xs]
+        top = max(payloads)
+        if payloads.count(top) == 1:
+            return IntervalSet(self.name, IntervalUnion.point(top))
+        return IntervalSet(self.name, IntervalUnion((Interval(NEG_INF, top),)))
 
     def set_hyperadd(self, a: IntervalSet, b: IntervalSet) -> IntervalSet:
         if a.is_empty() or b.is_empty():

@@ -87,8 +87,6 @@ def _exhaustive_quotients(p: Polynomial, a: Element,
     choices = [hf.sample_elements(d) for d in domains]
     out = []
     for combo in itertools.product(*choices):
-        if hf.is_zero(combo[-1]):
-            continue
         q = Polynomial(hf, tuple(combo))
         if boxprod(ell, q).contains(p):
             out.append(q)
@@ -102,17 +100,7 @@ def mult_at(p: Polynomial, a: Element) -> int:
     singleton; otherwise the recursion branches over sampled
     representatives (domain endpoints and midpoints), a lower bound in
     general that the reproduction suite checks against known values."""
-    hf = p.hf
-    if not is_root(p, a):
-        return 0
-    if p.degree == 0:
-        return 0
-    qs = quotients(p, a)
-    if qs.is_empty():
-        raise AssertionError("root with empty quotient set")
-    if not qs.representatives:
-        return 1
-    return 1 + max(mult_at(q, a) for q in qs.representatives)
+    return _mult_finite_region(p, [a])
 
 
 def _region_elements(hf: Hyperfield, region: Region) -> Optional[list[Element]]:
@@ -161,7 +149,8 @@ def _mult_finite_region(p: Polynomial, elems: list[Element]) -> int:
 
 # ---------------------------------------------------------------------------
 # tropical root points: the evaluation map is a max of finitely many affine
-# terms, so ties (hence roots) happen at finitely many arguments
+# terms c_i + i*a, which tie exactly at the negated slopes of the edges of
+# the upper concave hull of the points (i, c_i) (the Newton polygon)
 
 
 def tropical_root_points(p: Polynomial) -> list[Element]:
@@ -169,18 +158,26 @@ def tropical_root_points(p: Polynomial) -> list[Element]:
     out = []
     if p.coeff(0) == hf.zero():
         out.append(hf.zero())  # a = -inf makes every positive monomial vanish
-    finite = [(i, c.payload.q) for i, c in enumerate(p.coeffs)
-              if not hf.is_zero(c)]
-    seen = set()
-    for (i, ci), (j, cj) in itertools.combinations(finite, 2):
-        a = Fraction(ci - cj, j - i)
-        if a in seen:
-            continue
-        value = ci + i * a
-        if all(ck + k * a <= value for k, ck in finite):
-            seen.add(a)
-            out.append(hf.element(a))
+    hull = _upper_hull([(i, c.payload.q) for i, c in enumerate(p.coeffs)
+                        if not hf.is_zero(c)])
+    for (i1, c1), (i2, c2) in zip(hull, hull[1:]):
+        out.append(hf.element(Fraction(c1 - c2, i2 - i1)))
     return out
+
+
+def _upper_hull(pts: list[tuple[int, Fraction]]) -> list[tuple[int, Fraction]]:
+    """Vertices of the upper concave hull of points sorted by x; collinear
+    points are dropped, so consecutive edge slopes strictly decrease."""
+    hull: list[tuple[int, Fraction]] = []
+    for pt in pts:
+        while len(hull) >= 2:
+            (x1, y1), (x2, y2) = hull[-2], hull[-1]
+            if (y2 - y1) * (pt[0] - x1) <= (pt[1] - y1) * (x2 - x1):
+                hull.pop()
+            else:
+                break
+        hull.append(pt)
+    return hull
 
 
 # ---------------------------------------------------------------------------

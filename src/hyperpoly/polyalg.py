@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import os
 import random
 from dataclasses import dataclass, field, asdict
 from fractions import Fraction
@@ -28,15 +27,7 @@ from .carriers import (CarrierSet, Element, FiniteHyperfield, Hyperfield,
                        PhaseHyperfield, TropicalHyperfield, UndecidedError,
                        by_name)
 
-DEFAULT_MAX_DEGREE = 6
-
-
-def max_degree() -> int:
-    raw = os.environ.get("HYPERPOLY_MAX_DEGREE", "")
-    try:
-        return int(raw) if raw else DEFAULT_MAX_DEGREE
-    except ValueError:
-        return DEFAULT_MAX_DEGREE
+MAX_DEGREE = 6  # cap on parsed and product degrees
 
 
 # ---------------------------------------------------------------------------
@@ -208,8 +199,8 @@ def parse_poly(text: str, hf: Hyperfield) -> Polynomial:
             coeff = hf.neg(coeff)
         if exp in coeffs:
             raise ValueError(f"duplicate T^{exp} term in {text!r}")
-        if exp > max_degree():
-            raise ValueError(f"degree {exp} exceeds the cap {max_degree()}")
+        if exp > MAX_DEGREE:
+            raise ValueError(f"degree {exp} exceeds the cap {MAX_DEGREE}")
         coeffs[exp] = coeff
         top = max(top, exp)
     if hf.is_zero(coeffs[top]) and top > 0:
@@ -367,12 +358,7 @@ def boxsum(p: Polynomial, q: Polynomial) -> PolyBox:
     """p (+) q: cell i is c_i (+) d_i at nominal degree max(deg p, deg q)."""
     if p.hf != q.hf:
         raise ValueError("sum across hyperfields")
-    hf = p.hf
-    k = max(p.degree, q.degree)
-    cells = tuple(hf.hyperadd(p.coeff(i), q.coeff(i)) for i in range(k + 1))
-    zero = hf.zero()
-    excluded = all(c.contains(zero) for c in cells)
-    return PolyBox(hf, cells, excluded)
+    return box_hyperadd(box_of(p), box_of(q))
 
 
 def box_hyperadd(a: PolyBox, b: PolyBox) -> PolyBox:
@@ -535,15 +521,18 @@ class BoxValue:
         return self.box.member_set()
 
     def times(self, p: Polynomial) -> Resolved:
-        """p (x) this set, for one polynomial p."""
-        box, cap = self.box, max_degree()
+        """p (x) this set, for one polynomial p; the empty set stays empty."""
+        box = self.box
+        if box.is_empty():
+            return self
         if box.is_singleton():
             q = box.the_polynomial()
-            if p.degree + q.degree > cap:
-                raise ValueError(f"product degree exceeds the cap {cap}")
+            if p.degree + q.degree > MAX_DEGREE:
+                raise ValueError(
+                    f"product degree exceeds the cap {MAX_DEGREE}")
             return BoxValue(boxprod(p, q))
-        if p.degree + box.nominal_degree > cap:
-            raise ValueError(f"product degree exceeds the cap {cap}")
+        if p.degree + box.nominal_degree > MAX_DEGREE:
+            raise ValueError(f"product degree exceeds the cap {MAX_DEGREE}")
         hf = box.hf
         if all(hf.is_zero(c) for c in p.coeffs[:-1]):
             # cT^n (x) r is a singleton for every r, so the product of cT^n
@@ -955,20 +944,19 @@ def chain_witness(p: Polynomial, ell: Polynomial,
     picks[m] = hf.sample_elements(domains[m])[0]
     l0, l1 = ell.coeff(0), ell.coeff(1)
     for i in range(m, 0, -1):
-        if hf.is_zero(l1):
-            feas = domains[i - 1]
-        else:
-            sols = hf.scale_set(hf.inv(l1), hf.set_hyperadd(
-                hf.singleton(p.coeff(i)),
-                hf.neg_set(hf.singleton(hf.mul(l0, picks[i])))))
-            feas = domains[i - 1].intersect(sols)
+        sols = hf.scale_set(hf.inv(l1), hf.set_hyperadd(
+            hf.singleton(p.coeff(i)),
+            hf.neg_set(hf.singleton(hf.mul(l0, picks[i])))))
+        feas = domains[i - 1].intersect(sols)
         picks[i - 1] = hf.sample_elements(feas)[0]
     return Polynomial.of(hf, picks)
 
 
+CHAIN_PER_LEVEL = 3  # sampled values kept per chain domain
+
+
 def chain_representatives(p: Polynomial, ell: Polynomial,
-                          domains: list[CarrierSet],
-                          per_level: int = 3) -> list[Polynomial]:
+                          domains: list[CarrierSet]) -> list[Polynomial]:
     """Several chain-consistent inner polynomials, branching on the sampled
     values of each domain (largest attained values first)."""
     hf = p.hf
@@ -977,7 +965,7 @@ def chain_representatives(p: Polynomial, ell: Polynomial,
 
     def level_values(s: CarrierSet) -> list[Element]:
         vals = hf.sample_elements(s)
-        return list(reversed(vals))[:per_level]
+        return list(reversed(vals))[:CHAIN_PER_LEVEL]
 
     partials: list[list[Element]] = [[v] for v in level_values(domains[m])]
     for i in range(m, 0, -1):
@@ -991,7 +979,7 @@ def chain_representatives(p: Polynomial, ell: Polynomial,
             for v in level_values(feas):
                 nxt.append([v] + tail)
         # keep the search bounded but deterministic
-        partials = nxt[:per_level ** 3]
+        partials = nxt[:CHAIN_PER_LEVEL ** 3]
     out = []
     seen = set()
     for picks in partials:
@@ -1029,8 +1017,6 @@ def solve_single_free(p: Polynomial, q: Polynomial, cells: list[CarrierSet]
                 if hf.is_zero(qs):
                     terms.append(hf.zero())
                 else:
-                    if unknown_mult is not None:
-                        raise UndecidedError("repeated unknown occurrence")
                     unknown_mult = qs
             else:
                 terms.append(hf.mul(q.coeff(s), pinned[t]))
@@ -1191,8 +1177,10 @@ def unequal_certificate(t1: str, t2: str, v1: Resolved, v2: Resolved,
                             member_out=cert_out, detail=detail)
 
 
-def expr_equal(e1: Expr, e2: Expr, hf: Hyperfield,
-               seed: int = 11) -> EqualCertificate:
+SEPARATOR_SEED = 11  # seed of the sampled separator candidates
+
+
+def expr_equal(e1: Expr, e2: Expr, hf: Hyperfield) -> EqualCertificate:
     t1, t2 = format_expr(e1), format_expr(e2)
     try:
         v1 = resolve(e1, hf)
@@ -1211,8 +1199,8 @@ def expr_equal(e1: Expr, e2: Expr, hf: Hyperfield,
             return EqualCertificate("equal", hf.name, t1, t2, detail=detail)
         return unequal_certificate(t1, t2, v1, v2, s1, s2)
     # one side is coupled over an infinite carrier: hunt for a separator
-    candidates = (v1.separator_candidates(seed)
-                  + v2.separator_candidates(seed))
+    candidates = (v1.separator_candidates(SEPARATOR_SEED)
+                  + v2.separator_candidates(SEPARATOR_SEED))
     for tried, w in enumerate(dict.fromkeys(candidates), 1):
         m1 = _member_in_resolved(w, v1, t1)
         m2 = _member_in_resolved(w, v2, t2)

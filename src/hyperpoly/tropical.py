@@ -1,5 +1,5 @@
-"""Tropical-specific algebra: sorted hypersums, the product box of linear
-factors, root multiset extraction, and exact reducibility at small degree.
+"""Tropical-specific algebra: the product box of linear factors, root
+multiset extraction, and exact reducibility at small degree.
 
 Over T = (Q union {-inf}, max-style hyperaddition, +), the hypersum of a
 list is {max} when the maximum is attained once and the interval
@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 from .carriers import (CarrierSet, Element, Hyperfield, TropicalHyperfield,
                        UndecidedError, by_name)
-from .divide import mult_at
+from .divide import _upper_hull, mult_at
 from .linear import Constraint, eq, lt, feasible_point as lp_feasible_point
 from .polyalg import (Polynomial, PolyBox, boxprod, monic_decompose,
                       solve_linear_chain, chain_witness)
@@ -27,18 +27,9 @@ def _trop() -> Hyperfield:
 
 
 def trop_hypersum_sorted(values: Sequence[Element]) -> CarrierSet:
-    """Hypersum of a list over T from its sorted order: {max} when the
-    maximum is strict, [-inf, max] when the top two entries tie."""
-    hf = _trop()
-    if not values:
-        raise ValueError("hypersum of an empty list")
-    ordered = sorted(v.payload for v in values)
-    top = ordered[-1]
-    if len(ordered) == 1 or ordered[-2] < top:
-        if top == NEG_INF:
-            return hf.singleton(hf.zero())
-        return hf.singleton(Element(hf.name, top))
-    return hf.hyperadd(Element(hf.name, top), Element(hf.name, top))
+    """Hypersum of a list over T: {max} when the maximum is strict,
+    [-inf, max] when it ties."""
+    return _trop().hypersum(values)
 
 
 def linear_product_box(roots: Sequence[Element]) -> PolyBox:
@@ -88,8 +79,10 @@ class BoxEquivalence:
     failure: Optional[str] = None
 
 
-def box_equivalence(roots: Sequence[Element],
-                    samples_per_step: int = 24) -> BoxEquivalence:
+SAMPLES_PER_STEP = 24  # members of each grown box factored back
+
+
+def box_equivalence(roots: Sequence[Element]) -> BoxEquivalence:
     hf = _trop()
     names = tuple(hf.format_element(a) for a in roots)
     steps: list[str] = []
@@ -112,7 +105,7 @@ def box_equivalence(roots: Sequence[Element],
         # reverse: sampled members of the bigger box factor through the
         # chain back into the previous box
         ell = _linear_factor(a)
-        for p in cur.sample_members(samples_per_step, seed=k):
+        for p in cur.sample_members(SAMPLES_PER_STEP, seed=k):
             if p.degree != cur.nominal_degree:
                 continue
             cells = list(prev.cells)
@@ -152,7 +145,7 @@ class RootMultiset:
         return "{" + ", ".join(hf.format_element(a) for a in self.roots) + "}"
 
 
-def root_multiset(p: Polynomial, verify: bool = True) -> RootMultiset:
+def root_multiset(p: Polynomial) -> RootMultiset:
     """The unique root multiset of a monic tropical polynomial, from the
     upper concave hull of the finite coefficient points (i, c_i): each unit
     step of a hull edge of slope s contributes one root -s; trailing -inf
@@ -177,28 +170,13 @@ def root_multiset(p: Polynomial, verify: bool = True) -> RootMultiset:
     roots.extend(hf.zero() for _ in range(shift))
     roots.sort(key=lambda a: a.payload, reverse=True)
     result = RootMultiset(tuple(roots))
-    if verify:
-        box = linear_product_box(result.roots)
-        if not box.contains(p):
-            raise AssertionError(f"hull roots {result} fail the box check")
-        for a, count in result.counts().items():
-            if mult_at(p, a) != count:
-                raise AssertionError(
-                    f"mult_at({p}, {hf.format_element(a)}) != {count}")
+    if not linear_product_box(result.roots).contains(p):
+        raise AssertionError(f"hull roots {result} fail the box check")
+    for a, count in result.counts().items():
+        if mult_at(p, a) != count:
+            raise AssertionError(
+                f"mult_at({p}, {hf.format_element(a)}) != {count}")
     return result
-
-
-def _upper_hull(pts: list[tuple[int, Fraction]]) -> list[tuple[int, Fraction]]:
-    hull: list[tuple[int, Fraction]] = []
-    for pt in pts:
-        while len(hull) >= 2:
-            (x1, y1), (x2, y2) = hull[-2], hull[-1]
-            if (y2 - y1) * (pt[0] - x1) <= (pt[1] - y1) * (x2 - x1):
-                hull.pop()
-            else:
-                break
-        hull.append(pt)
-    return hull
 
 
 # ---------------------------------------------------------------------------
@@ -298,11 +276,10 @@ def _try_pattern(p: Polynomial, k: int, pattern: tuple[bool, ...],
     pos_of = {v: i for i, v in enumerate(finite_vars)}
     nvars = len(finite_vars)
 
-    def term_coeffs(s: int, t: int) -> Optional[tuple[list[Fraction], Fraction]]:
+    def term_coeffs(s: int, t: int) -> Optional[list[Fraction]]:
         """Linear form of q_s + r_t over the finite variables, or None if
         the term is -inf under the pattern."""
         coeffs = [Fraction(0)] * nvars
-        const = Fraction(0)
         for side, j in (("q", s), ("r", t)):
             if is_dead(side, j):
                 return None
@@ -310,7 +287,7 @@ def _try_pattern(p: Polynomial, k: int, pattern: tuple[bool, ...],
             if idx is None:
                 continue  # unit leading coefficient contributes 0
             coeffs[pos_of[idx]] += 1
-        return coeffs, const
+        return coeffs
 
     constraints: list[Constraint] = []
     choice_sets: list[list[tuple[int, int]]] = []
@@ -334,26 +311,22 @@ def _try_pattern(p: Polynomial, k: int, pattern: tuple[bool, ...],
         else:
             choice_sets.append([(i, s, t) for (s, t) in live])
     for i, (s, t) in fixed:
-        coeffs, const = term_coeffs(s, t)
-        constraints.extend(eq(coeffs, p.coeff(i).payload.q - const))
+        constraints.extend(eq(term_coeffs(s, t), p.coeff(i).payload.q))
     base = constraints
     for choices in itertools.product(*choice_sets):
         constraints = list(base)
         ok = True
         for (i, s, t) in choices:
             target = p.coeff(i).payload.q
-            coeffs, const = term_coeffs(s, t)
-            constraints.extend(eq(coeffs, target - const))
+            constraints.extend(eq(term_coeffs(s, t), target))
             pairs = [(s2, i - s2) for s2 in range(max(0, i - (n - k)),
                                                   min(i, k) + 1)]
             for (s2, t2) in pairs:
                 if (s2, t2) == (s, t):
                     continue
                 other = term_coeffs(s2, t2)
-                if other is None:
-                    continue
-                oc, oconst = other
-                constraints.append(lt(oc, target - oconst))
+                if other is not None:
+                    constraints.append(lt(other, target))
         point = lp_feasible_point(constraints, nvars)
         if point is None:
             continue

@@ -17,17 +17,19 @@ from hyperpoly import (
     cyclic_group_table,
     default_probe,
     expr_equal,
+    expr_member,
     gf,
     is_doubly_distributive,
     krasner,
     load_cayley_table,
+    parse_expr,
     parse_poly,
     signs,
     weak_group,
     weak_signs,
 )
 from hyperpoly import carriers
-from hyperpoly.carriers import FiniteHyperfield
+from hyperpoly.carriers import FiniteHyperfield, FiniteSet
 
 FINITE = [
     krasner(),
@@ -196,6 +198,16 @@ class TestGaloisFields:
         assert cert.verdict == "equal" and report.associative is True
         assert "codes" not in vars(hf)
         assert peak < 1_000_000
+
+    def test_cancelling_sum_decides_without_the_code_table(self):
+        # (T+1)+(6T+6) cancels to the empty set over GF(7), and its product
+        # with T+1 stays an empty box instead of a coupled value, whose
+        # members would be enumerated on the p^2 code table
+        hf = gf(7)
+        e = parse_expr("(T+1)*((T+1)+(6T+6))", hf)
+        assert expr_equal(e, e, hf).verdict == "equal"
+        assert expr_member(parse_poly("T+1", hf), e).verdict == "no"
+        assert "codes" not in vars(hf)
 
     def test_int_literals_reduce_mod_p(self):
         hf = gf(5)
@@ -372,6 +384,21 @@ class TestHypersum:
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError):
             by_name("S").hypersum([])
+
+
+class TestFiniteSetOrder:
+    @given(st.sampled_from(FINITE + [gf(7), gf(13)]), st.data())
+    @settings(max_examples=200)
+    def test_printed_and_sampled_in_payload_key_order(self, hf, data):
+        # a finite carrier's payloads are all ints or all strs, so their
+        # natural order is the _payload_sort_key order
+        pays = [x.payload for x in hf.elements()]
+        chosen = data.draw(st.sets(st.sampled_from(pays)))
+        s = FiniteSet(hf.name, frozenset(chosen))
+        ordered = sorted(chosen, key=carriers._payload_sort_key)
+        text = ",".join(carriers.format_payload(p) for p in ordered)
+        assert str(s) == "{" + text + "}"
+        assert [x.payload for x in hf.sample_elements(s)] == ordered
 
 
 # ---------------------------------------------------------------------------

@@ -345,6 +345,22 @@ SET_SHAPE_CORPUS = [
     ("member_T_degree", 1,
      ["member", "--hf", "T", "--poly", "0T^3+1T^2+1T+1",
       "--expr", "(0T^2+0)*((0T+0)*(0T+0))"]),
+    # enumerated equality, the scalar coupled product, and the tropical
+    # multiplicity, root and hypersum paths
+    ("equal_K_enumerated_equal", 0,
+     ["equal", "--hf", "K", "--expr1", "(T+1)*((T+1)*(T+1))",
+      "--expr2", "((T+1)*(T+1))*(T+1)"]),
+    ("member_W_scaled_coupled", 0,
+     ["member", "--hf", "W", "--poly=-T^3-1",
+      "--expr", "(-1)*((T+1)*((T+1)*(T+1)))"]),
+    ("mult_T_neg_inf", 0,
+     ["mult", "--hf", "T", "--poly", "0T^3+1T^2", "--root=-inf"]),
+    ("mult_set_T_interval", 0,
+     ["mult-set", "--hf", "T", "--poly", "0T^2+1T+(-5)",
+      "--region", "[0,inf)"]),
+    ("trop_roots_T", 0,
+     ["trop-roots", "--hf", "T", "--poly", "T^2+1T+(-5)"]),
+    ("prod_T_tie", 0, ["prod", "--hf", "T", "--p", "0T+1", "--q", "0T+1"]),
 ]
 
 

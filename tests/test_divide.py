@@ -155,6 +155,25 @@ class TestTropical:
         roots = tropical_root_points(parse_poly("0T^3+1T^2", T))
         assert sorted(T.format_element(x) for x in roots) == ["-inf", "1"]
 
+    @given(st.lists(st.sampled_from([None, -3, -1, 0, Fraction(1, 2), 2, 3]),
+                    max_size=5), st.integers(-3, 3))
+    @settings(max_examples=300, deadline=None)
+    def test_root_points_are_the_pairwise_ties(self, low, top):
+        # the definition: a is a root where two terms c_i + i*a tie at the
+        # maximum, and -inf is a root when c_0 = -inf
+        T = by_name("T")
+        p = Polynomial.of(T, ["-inf" if c is None else c for c in low + [top]])
+        finite = [(i, c.payload.q) for i, c in enumerate(p.coeffs)
+                  if not T.is_zero(c)]
+        expected = {T.zero()} if T.is_zero(p.coeff(0)) else set()
+        for (i, ci), (j, cj) in itertools.combinations(finite, 2):
+            a = Fraction(ci - cj, j - i)
+            if all(ck + k * a <= ci + i * a for k, ck in finite):
+                expected.add(T.element(a))
+        roots = tropical_root_points(p)
+        assert len(roots) == len(set(roots))
+        assert set(roots) == expected
+
     def test_tie_quotient_and_double_root(self):
         T = by_name("T")
         p = parse_poly("0T^2+2", T)

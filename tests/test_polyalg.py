@@ -27,7 +27,6 @@ from hyperpoly import (
     format_expr,
     format_poly,
     gf,
-    max_degree,
     monic_decompose,
     monomial,
     parse_expr,
@@ -155,15 +154,10 @@ class TestTextForms:
         with pytest.raises(ValueError):
             parse_poly(bad, by_name("S"))
 
-    def test_degree_cap_env_override(self, monkeypatch):
+    def test_degree_cap_env_override(self):
         S = by_name("S")
         with pytest.raises(ValueError):
             parse_poly("T^7", S)
-        monkeypatch.setenv("HYPERPOLY_MAX_DEGREE", "9")
-        assert max_degree() == 9
-        assert parse_poly("T^7", S).degree == 7
-        monkeypatch.setenv("HYPERPOLY_MAX_DEGREE", "notanumber")
-        assert max_degree() == 6
 
 
 class TestExpressionGrammar:

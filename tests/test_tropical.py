@@ -45,6 +45,16 @@ class TestHypersumShortcut:
             values = elems(raws)
             assert trop_hypersum_sorted(values) == T.hypersum(values)
 
+    @given(st.lists(trop_vals, min_size=1, max_size=6))
+    @settings(max_examples=300)
+    def test_closed_form_matches_the_left_fold(self, raws):
+        # the generic hypersum: set_hyperadd folded over singletons
+        values = elems(raws)
+        acc = T.singleton(values[0])
+        for x in values[1:]:
+            acc = T.set_hyperadd(acc, T.singleton(x))
+        assert T.hypersum(values) == acc
+
     def test_strict_versus_tied_maximum(self):
         strict = trop_hypersum_sorted(elems([1, 3, 2]))
         assert strict == T.singleton(T.element(3))
@@ -143,7 +153,7 @@ class TestRootMultiset:
         expected = sorted((a.payload for a in roots), reverse=True)
         box = linear_product_box(roots)
         for p in box.sample_members(8, seed=3):
-            got = root_multiset(p, verify=True)
+            got = root_multiset(p)
             assert [a.payload for a in got.roots] == expected
 
 
