@@ -1035,7 +1035,10 @@ def _phase_generic_pieces(p: Interval, q: Interval) -> list[Interval]:
 
 
 @lru_cache(maxsize=None)
-def _plain(name: str) -> Hyperfield:
+def _build(name: str) -> Hyperfield:
+    """One carrier per name; a Cayley file is read once per process."""
+    if name.startswith("W(G,e):"):
+        return load_cayley_table(name[len("W(G,e):"):])
     if name == "K":
         return krasner()
     if name == "S":
@@ -1055,10 +1058,7 @@ def _plain(name: str) -> Hyperfield:
 
 def by_name(name: str) -> Hyperfield:
     """Hyperfield selector: K, S, W, T, V, P, GF(p), W(G,e):<table-file>."""
-    name = name.strip()
-    if name.startswith("W(G,e):"):
-        return load_cayley_table(name[len("W(G,e):"):])
-    return _plain(name)
+    return _build(name.strip())
 
 
 # ---------------------------------------------------------------------------

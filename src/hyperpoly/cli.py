@@ -25,10 +25,10 @@ from .carriers import (CarrierSet, Hyperfield, IntervalSet, ProbeSpec,
                        by_name, check_axioms, default_probe,
                        is_doubly_distributive)
 from .divide import mult_at, mult_set, quotients
-from .polyalg import (boxprod, boxsum, expr_equal, expr_member, format_poly,
-                      parse_expr, parse_poly)
+from .polyalg import (boxprod, boxsum, expr_equal, expr_member, parse_expr,
+                      parse_poly)
 from .repro import format_table, run_all
-from .sets import NEG_INF, POS_INF, Interval, IntervalUnion, ext
+from .sets import NEG_INF, POS_INF, Interval, IntervalUnion
 from .tropical import box_equivalence, is_reducible, linear_product_box, root_multiset
 
 

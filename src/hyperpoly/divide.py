@@ -8,7 +8,6 @@ multiplicity among quotients, recursively.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -16,10 +15,10 @@ from typing import Optional, Sequence, Union
 from .carriers import (CarrierSet, Element, FiniteSet, Hyperfield,
                        IntervalSet, TropicalHyperfield, UndecidedError,
                        ViroHyperfield)
-from .polyalg import (Polynomial, PolyBox, boxprod, chain_representatives,
-                      chain_witness, solve_linear_chain)
+from .polyalg import (Polynomial, _chain_walk, boxprod, chain_representatives,
+                      solve_linear_chain)
 from .realroots import Quad, feasible_point
-from .sets import ExtRat, Interval, IntervalUnion, NEG_INF, POS_INF
+from .sets import ExtRat, Interval, IntervalUnion, POS_INF
 
 Region = Union[Sequence[Element], CarrierSet]
 
@@ -72,25 +71,14 @@ def quotients(p: Polynomial, a: Element) -> QuotientSet:
     if domains is None:
         return QuotientSet(p, a, None, (), True)
     if hf.is_finite():
-        reps = _exhaustive_quotients(p, a, domains)
-        return QuotientSet(p, a, tuple(domains), tuple(reps), True)
-    reps = chain_representatives(p, ell, domains)
+        reps = sorted(_chain_walk(p, ell, domains, hf.sample_elements),
+                      key=Polynomial.sort_key)
+        exact = True
+    else:
+        reps = chain_representatives(p, ell, domains)
+        exact = all(d.is_singleton() for d in domains)
     reps = [q for q in reps if boxprod(ell, q).contains(p)]
-    exact = all(d.is_singleton() for d in domains)
     return QuotientSet(p, a, tuple(domains), tuple(reps), exact)
-
-
-def _exhaustive_quotients(p: Polynomial, a: Element,
-                          domains: list[CarrierSet]) -> list[Polynomial]:
-    hf = p.hf
-    ell = linear_for_root(hf, a)
-    choices = [hf.sample_elements(d) for d in domains]
-    out = []
-    for combo in itertools.product(*choices):
-        q = Polynomial(hf, tuple(combo))
-        if boxprod(ell, q).contains(p):
-            out.append(q)
-    return sorted(out, key=Polynomial.sort_key)
 
 
 def mult_at(p: Polynomial, a: Element) -> int:
@@ -103,25 +91,15 @@ def mult_at(p: Polynomial, a: Element) -> int:
     return _mult_finite_region(p, [a])
 
 
-def _region_elements(hf: Hyperfield, region: Region) -> Optional[list[Element]]:
-    """region as an explicit finite element list, else None."""
-    if isinstance(region, FiniteSet):
-        return hf.sample_elements(region)
-    if isinstance(region, CarrierSet):
-        return None
-    return list(region)
-
-
 def mult_set(p: Polynomial, region: Region) -> int:
     """Multiplicity of p over a set of root candidates: 0 when no a in the
     region is a root, else 1 + max of mult_set(q, region) over all roots
     a in the region and quotients q."""
     hf = p.hf
-    elems = _region_elements(hf, region)
-    if elems is not None:
-        return _mult_finite_region(p, elems)
+    if isinstance(region, FiniteSet):
+        return _mult_finite_region(p, hf.sample_elements(region))
     if not isinstance(region, CarrierSet):
-        raise ValueError("region must be a carrier set or a list of elements")
+        return _mult_finite_region(p, list(region))
     if isinstance(hf, ViroHyperfield):
         return _mult_viro_region(p, region)
     if isinstance(hf, TropicalHyperfield):
@@ -153,16 +131,25 @@ def _mult_finite_region(p: Polynomial, elems: list[Element]) -> int:
 # the upper concave hull of the points (i, c_i) (the Newton polygon)
 
 
-def tropical_root_points(p: Polynomial) -> list[Element]:
+def _newton_roots(p: Polynomial) -> list[tuple[Element, int]]:
+    """(root, multiplicity) pairs of a tropical polynomial: -inf counted
+    once per low -inf coefficient, then one pair per hull edge, the root
+    being the negated edge slope and the multiplicity the edge width, in
+    ascending root order."""
     hf = p.hf
-    out = []
-    if p.coeff(0) == hf.zero():
-        out.append(hf.zero())  # a = -inf makes every positive monomial vanish
+    shift = 0
+    while hf.is_zero(p.coeff(shift)):
+        shift += 1
+    out = [(hf.zero(), shift)] if shift else []
     hull = _upper_hull([(i, c.payload.q) for i, c in enumerate(p.coeffs)
                         if not hf.is_zero(c)])
     for (i1, c1), (i2, c2) in zip(hull, hull[1:]):
-        out.append(hf.element(Fraction(c1 - c2, i2 - i1)))
+        out.append((hf.element(Fraction(c1 - c2, i2 - i1)), i2 - i1))
     return out
+
+
+def tropical_root_points(p: Polynomial) -> list[Element]:
+    return [a for a, _ in _newton_roots(p)]
 
 
 def _upper_hull(pts: list[tuple[int, Fraction]]) -> list[tuple[int, Fraction]]:

@@ -100,7 +100,3 @@ def feasible_point(
         else:
             values.append((lo[0] + hi[0]) / 2)
     return values
-
-
-def feasible(constraints: Sequence[Constraint], nvars: int) -> bool:
-    return feasible_point(constraints, nvars) is not None

@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from fractions import Fraction
 from functools import cached_property
 from typing import AbstractSet, Optional, Sequence, Union
@@ -910,10 +910,7 @@ def solve_linear_chain(p: Polynomial, ell: Polynomial,
     for i in range(1, m + 1):
         prev = domains[i - 1]
         cur = domains[i]
-        # c_i in l0*d_i (+) l1*d_{i-1}  <=>  d_i in inv(l0)*(c_i (+) -l1*d_{i-1})
-        shifted = hf.scale_set(hf.inv(l0), hf.set_hyperadd(
-            hf.singleton(p.coeff(i)),
-            hf.neg_set(hf.scale_set(l1, prev))))
+        shifted = _solve_term(hf, p.coeff(i), l0, hf.scale_set(l1, prev))
         ci = hf.format_element(p.coeff(i))
         ok = narrow(i, shifted,
                     f"c{i} = {ci} in l0*d{i} (+) l1*d{i-1} gives d{i} in {shifted}"
@@ -935,21 +932,38 @@ def _fail_pin(hf: Hyperfield, steps: list[CertStep], i: int,
                           f"pinned value is outside cell {cells[i]}"))
 
 
+def _solve_term(hf: Hyperfield, c: Element, u: Element,
+                rest: CarrierSet) -> CarrierSet:
+    """All x with c in u*x (+) rest, by reversibility: inv(u)*(c (+) -rest)."""
+    return hf.scale_set(hf.inv(u), hf.set_hyperadd(hf.singleton(c),
+                                                   hf.neg_set(rest)))
+
+
+def _chain_walk(p: Polynomial, ell: Polynomial, domains: list[CarrierSet],
+                pick, cap: Optional[int] = None) -> list[Polynomial]:
+    """Inner polynomials from arc-consistent chain domains, walked backward
+    from the top: pick(s) lists the values tried from each feasible set,
+    cap bounds the partial choices kept per level.  Every walked tuple
+    satisfies every chain constraint, and with pick listing all values the
+    walk reaches every solution."""
+    hf = p.hf
+    l0, l1 = ell.coeff(0), ell.coeff(1)
+    partials: list[list[Element]] = [[v] for v in pick(domains[-1])]
+    for i in range(len(domains) - 1, 0, -1):
+        nxt: list[list[Element]] = []
+        for tail in partials:
+            sols = _solve_term(hf, p.coeff(i), l1,
+                               hf.singleton(hf.mul(l0, tail[0])))
+            nxt.extend([v] + tail for v in pick(domains[i - 1].intersect(sols)))
+        partials = nxt[:cap]
+    return list(dict.fromkeys(Polynomial.of(hf, picks) for picks in partials))
+
+
 def chain_witness(p: Polynomial, ell: Polynomial,
                   domains: list[CarrierSet]) -> Polynomial:
     """One inner polynomial from arc-consistent chain domains (backward walk)."""
-    hf = p.hf
-    m = len(domains) - 1
-    picks: list[Optional[Element]] = [None] * (m + 1)
-    picks[m] = hf.sample_elements(domains[m])[0]
-    l0, l1 = ell.coeff(0), ell.coeff(1)
-    for i in range(m, 0, -1):
-        sols = hf.scale_set(hf.inv(l1), hf.set_hyperadd(
-            hf.singleton(p.coeff(i)),
-            hf.neg_set(hf.singleton(hf.mul(l0, picks[i])))))
-        feas = domains[i - 1].intersect(sols)
-        picks[i - 1] = hf.sample_elements(feas)[0]
-    return Polynomial.of(hf, picks)
+    return _chain_walk(p, ell, domains,
+                       lambda s: p.hf.sample_elements(s)[:1])[0]
 
 
 CHAIN_PER_LEVEL = 3  # sampled values kept per chain domain
@@ -957,37 +971,12 @@ CHAIN_PER_LEVEL = 3  # sampled values kept per chain domain
 
 def chain_representatives(p: Polynomial, ell: Polynomial,
                           domains: list[CarrierSet]) -> list[Polynomial]:
-    """Several chain-consistent inner polynomials, branching on the sampled
-    values of each domain (largest attained values first)."""
-    hf = p.hf
-    m = len(domains) - 1
-    l0, l1 = ell.coeff(0), ell.coeff(1)
-
-    def level_values(s: CarrierSet) -> list[Element]:
-        vals = hf.sample_elements(s)
-        return list(reversed(vals))[:CHAIN_PER_LEVEL]
-
-    partials: list[list[Element]] = [[v] for v in level_values(domains[m])]
-    for i in range(m, 0, -1):
-        nxt: list[list[Element]] = []
-        for tail in partials:
-            top = tail[0]
-            sols = hf.scale_set(hf.inv(l1), hf.set_hyperadd(
-                hf.singleton(p.coeff(i)),
-                hf.neg_set(hf.singleton(hf.mul(l0, top)))))
-            feas = domains[i - 1].intersect(sols)
-            for v in level_values(feas):
-                nxt.append([v] + tail)
-        # keep the search bounded but deterministic
-        partials = nxt[:CHAIN_PER_LEVEL ** 3]
-    out = []
-    seen = set()
-    for picks in partials:
-        q = Polynomial.of(hf, picks)
-        if q not in seen:
-            seen.add(q)
-            out.append(q)
-    return out
+    """Several chain-consistent inner polynomials, branching on the last
+    CHAIN_PER_LEVEL sampled values of each domain, in reverse order."""
+    return _chain_walk(
+        p, ell, domains,
+        lambda s: p.hf.sample_elements(s)[::-1][:CHAIN_PER_LEVEL],
+        cap=CHAIN_PER_LEVEL ** 3)
 
 
 def solve_single_free(p: Polynomial, q: Polynomial, cells: list[CarrierSet]
@@ -1031,9 +1020,8 @@ def solve_single_free(p: Polynomial, q: Polynomial, cells: list[CarrierSet]
                                   f"c{i} = {ci} in pinned hypersum {value}"))
             continue
         if terms:
-            rest = hf.hypersum(terms)
-            sols = hf.scale_set(hf.inv(unknown_mult), hf.set_hyperadd(
-                hf.singleton(p.coeff(i)), hf.neg_set(rest)))
+            sols = _solve_term(hf, p.coeff(i), unknown_mult,
+                               hf.hypersum(terms))
         else:
             sols = hf.singleton(hf.mul(p.coeff(i), hf.inv(unknown_mult)))
         feasible = feasible.intersect(sols)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .sets import ExtRat, Interval, IntervalUnion, NEG_INF, POS_INF
+from .sets import ExtRat, IntervalUnion
 
 Quad = tuple[Fraction, Fraction, Fraction]
 

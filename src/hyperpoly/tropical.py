@@ -14,8 +14,8 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .carriers import (CarrierSet, Element, Hyperfield, TropicalHyperfield,
-                       UndecidedError, by_name)
-from .divide import _upper_hull, mult_at
+                       by_name)
+from .divide import _newton_roots, linear_for_root, mult_at
 from .linear import Constraint, eq, lt, feasible_point as lp_feasible_point
 from .polyalg import (Polynomial, PolyBox, boxprod, monic_decompose,
                       solve_linear_chain, chain_witness)
@@ -60,11 +60,6 @@ def iterated_linear_product(roots: Sequence[Element]) -> str:
     return f"S_n from {chain}; equals the box {box}"
 
 
-def _linear_factor(a: Element) -> Polynomial:
-    hf = _trop()
-    return Polynomial(hf, (a, hf.one()))
-
-
 @dataclass(frozen=True)
 class BoxEquivalence:
     """Certificate that the iterated union of linear products equals the
@@ -104,7 +99,7 @@ def box_equivalence(roots: Sequence[Element]) -> BoxEquivalence:
                                       f"escapes {cur.cell(i)}")
         # reverse: sampled members of the bigger box factor through the
         # chain back into the previous box
-        ell = _linear_factor(a)
+        ell = linear_for_root(hf, a)
         for p in cur.sample_members(SAMPLES_PER_STEP, seed=k):
             if p.degree != cur.nominal_degree:
                 continue
@@ -156,18 +151,7 @@ def root_multiset(p: Polynomial) -> RootMultiset:
         raise ValueError("root_multiset is tropical-only")
     if not p.is_monic():
         raise ValueError("root_multiset needs a monic polynomial")
-    shift = 0
-    while hf.is_zero(p.coeff(shift)):
-        shift += 1
-    pts = [(i, p.coeff(i).payload.q)
-           for i in range(shift, p.degree + 1)
-           if not hf.is_zero(p.coeff(i))]
-    hull = _upper_hull(pts)
-    roots: list[Element] = []
-    for (i1, c1), (i2, c2) in zip(hull, hull[1:]):
-        slope = Fraction(c1 - c2, i2 - i1)  # negated edge slope
-        roots.extend(hf.element(slope) for _ in range(i2 - i1))
-    roots.extend(hf.zero() for _ in range(shift))
+    roots = [a for a, k in _newton_roots(p) for _ in range(k)]
     roots.sort(key=lambda a: a.payload, reverse=True)
     result = RootMultiset(tuple(roots))
     if not linear_product_box(result.roots).contains(p):
@@ -290,7 +274,7 @@ def _try_pattern(p: Polynomial, k: int, pattern: tuple[bool, ...],
         return coeffs
 
     constraints: list[Constraint] = []
-    choice_sets: list[list[tuple[int, int]]] = []
+    choice_sets: list[list[tuple[int, tuple[int, int], list]]] = []
     fixed: list[tuple[int, tuple[int, int]]] = []
     for i in range(n + 1):
         pairs = [(s, i - s) for s in range(max(0, i - m), min(i, k) + 1)]
@@ -309,24 +293,17 @@ def _try_pattern(p: Polynomial, k: int, pattern: tuple[bool, ...],
         if len(live) == 1:
             fixed.append((i, live[0]))
         else:
-            choice_sets.append([(i, s, t) for (s, t) in live])
+            choice_sets.append([(i, st, live) for st in live])
     for i, (s, t) in fixed:
         constraints.extend(eq(term_coeffs(s, t), p.coeff(i).payload.q))
     base = constraints
     for choices in itertools.product(*choice_sets):
         constraints = list(base)
-        ok = True
-        for (i, s, t) in choices:
+        for (i, st, live) in choices:
             target = p.coeff(i).payload.q
-            constraints.extend(eq(term_coeffs(s, t), target))
-            pairs = [(s2, i - s2) for s2 in range(max(0, i - (n - k)),
-                                                  min(i, k) + 1)]
-            for (s2, t2) in pairs:
-                if (s2, t2) == (s, t):
-                    continue
-                other = term_coeffs(s2, t2)
-                if other is not None:
-                    constraints.append(lt(other, target))
+            constraints.extend(eq(term_coeffs(*st), target))
+            constraints.extend(lt(term_coeffs(*other), target)
+                               for other in live if other != st)
         point = lp_feasible_point(constraints, nvars)
         if point is None:
             continue

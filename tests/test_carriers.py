@@ -479,6 +479,19 @@ class TestFactory:
         with pytest.raises(ValueError):
             by_name("GF(4)")
 
+    def test_cayley_carrier_is_built_once(self, tmp_path, monkeypatch):
+        table, symbols, e = cyclic_group_table(3)
+        rows = [" ".join(table[(a, b)] for b in symbols) for a in symbols]
+        path = tmp_path / "c3.txt"
+        path.write_text("3\n" + "\n".join(rows) + f"\n{e}\n", encoding="utf-8")
+        loads = []
+        real = carriers.load_cayley_table
+        monkeypatch.setattr(carriers, "load_cayley_table",
+                            lambda p: loads.append(p) or real(p))
+        first = by_name(f"W(G,e):{path}")
+        assert by_name(f" W(G,e):{path} ") is first
+        assert loads == [str(path)]
+
 
 class TestSetGuards:
     """Set operations refuse to mix carriers or set shapes."""

@@ -3,18 +3,23 @@
 Everything runs in-process through main(argv) so exit codes and output can
 be asserted without spawning subprocesses, except the closed-stdout test,
 which needs a real pipe."""
+import contextlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hyperpoly import cli
+from hyperpoly import Polynomial, by_name, cli, format_poly
 from hyperpoly.cli import main
 from hyperpoly.polyalg import (EqualCertificate, MemberCertificate,
-                               replay_member)
+                               parse_scalar_literal, replay_member)
 
 
 DATA = Path(__file__).parent / "data"
@@ -110,6 +115,86 @@ class TestEqual:
                                "--expr2", "(T^2+1)*((T+1)*(T+1))")
         assert code == 3
         assert out.startswith("UNDECIDED:")
+
+
+# coefficients whose polynomials also parse inside an expression: no
+# negative tropical values, which print in parentheses
+CLI_LITERALS = {
+    "K": ["0", "1"], "S": ["-1", "0", "1"], "W": ["-1", "0", "1"],
+    "GF(5)": ["0", "1", "2", "3", "4"],
+    "T": ["-inf", "0", "1/2", "1", "2"],
+    "V": ["0", "1/2", "1", "2"],
+    "P": ["0", "ph(0)", "ph(1/2)", "ph(1)", "ph(3/2)"],
+}
+CLI_INTERVALS = {"T": ["[0,inf)", "[-1,1]"], "V": ["[1/2,2]", "(0,1]"]}
+CLI_COMMANDS = ["eval", "prod", "sum", "member", "equal", "quotients", "mult",
+                "mult-set", "assoc-check", "pointwise"]
+
+
+@st.composite
+def cli_calls(draw):
+    """argv of one command over one carrier, on polynomials of degree at
+    most 2 and expressions of three leaves."""
+    name = draw(st.sampled_from(sorted(CLI_LITERALS)))
+    hf = by_name(name)
+    elems = [parse_scalar_literal(hf, t) for t in CLI_LITERALS[name]]
+    nonzero = [x for x in elems if not hf.is_zero(x)]
+
+    def poly():
+        coeffs = [draw(st.sampled_from(elems))
+                  for _ in range(draw(st.integers(0, 2)))]
+        return format_poly(Polynomial.of(
+            hf, coeffs + [draw(st.sampled_from(nonzero))]))
+
+    def expr():
+        # phases as e^{i x pi}: the expression grammar splits on parentheses
+        leaves = [re.sub(r"ph\(([^)]*)\)", r"e^{i\1pi}", poly())
+                  for _ in range(3)]
+        shape = draw(st.sampled_from(["({})*(({})*({}))", "(({})*({}))*({})",
+                                      "(({})*({}))+({})", "({})+(({})*({}))"]))
+        return shape.format(*leaves)
+
+    def point():
+        return hf.format_element(draw(st.sampled_from(elems)))
+
+    def points():
+        return "{" + ",".join(draw(st.lists(st.sampled_from(
+            [hf.format_element(x) for x in elems]), min_size=1, max_size=3,
+            unique=True))) + "}"
+
+    cmd = draw(st.sampled_from(CLI_COMMANDS))
+    if cmd == "eval":
+        args = [f"--poly={poly()}", f"--at={point()}"]
+    elif cmd in ("prod", "sum"):
+        args = [f"--p={poly()}", f"--q={poly()}"]
+    elif cmd == "member":
+        args = [f"--poly={poly()}", f"--expr={expr()}"]
+    elif cmd == "equal":
+        args = [f"--expr1={expr()}", f"--expr2={expr()}"]
+    elif cmd in ("quotients", "mult"):
+        args = [f"--poly={poly()}", f"--root={point()}"]
+    elif cmd == "mult-set":
+        region = draw(st.sampled_from([points()]
+                                      + CLI_INTERVALS.get(name, [])))
+        args = [f"--poly={poly()}", f"--region={region}"]
+    else:
+        args = [f"--p={poly()}", f"--q={poly()}", f"--r={poly()}"]
+        if cmd == "pointwise":
+            args.append(f"--points={points()}")
+    return [cmd, "--hf", name, *args]
+
+
+class TestExitCodeContract:
+    @given(cli_calls())
+    @settings(max_examples=200, deadline=None)
+    def test_generated_calls_exit_with_a_contract_code(self, argv):
+        for fmt in ("human", "structured"):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                code = main(argv + ["--format", fmt])
+            assert code in (0, 1, 2, 3), (argv, err.getvalue())
+            assert "error: internal" not in err.getvalue()
 
 
 class TestErrorPaths:
@@ -361,6 +446,23 @@ SET_SHAPE_CORPUS = [
     ("trop_roots_T", 0,
      ["trop-roots", "--hf", "T", "--poly", "T^2+1T+(-5)"]),
     ("prod_T_tie", 0, ["prod", "--hf", "T", "--p", "0T+1", "--q", "0T+1"]),
+    # finite quotients from the backward chain walk, sampled quotients, the
+    # recursive multiplicity, and the assoc-check and pointwise commands
+    ("quotients_W_three", 0,
+     ["quotients", "--hf", "W", "--poly", "T^3+T^2+T+1", "--root=-1"]),
+    ("quotients_K_filtered", 0,
+     ["quotients", "--hf", "K", "--poly", "T^4+T^3+T+1", "--root", "1"]),
+    ("quotients_V_sampled", 0,
+     ["quotients", "--hf", "V", "--poly", "T^3+2T^2+2T+1", "--root", "1"]),
+    ("mult_W_four", 0,
+     ["mult", "--hf", "W", "--poly", "T^4+T^3+T+1", "--root", "1"]),
+    ("assoc_check_S_unequal", 1,
+     ["assoc-check", "--hf", "S", "--p", "T+1", "--q", "T+1", "--r=T-1"]),
+    ("assoc_check_V_search", 1,
+     ["assoc-check", "--hf", "V", "--p", "T+1", "--q", "T+2", "--r", "T+3"]),
+    ("pointwise_T_ties", 0,
+     ["pointwise", "--hf", "T", "--p", "0T+1", "--q", "0T+1",
+      "--r", "0T+(-1)", "--points", "{-1,0,1}"]),
 ]
 
 

@@ -12,6 +12,7 @@ from hyperpoly import (
     UndecidedError,
     boxprod,
     by_name,
+    cyclic_group_table,
     gf,
     is_root,
     linear_for_root,
@@ -20,6 +21,7 @@ from hyperpoly import (
     parse_poly,
     quotients,
     tropical_root_points,
+    weak_group,
 )
 from hyperpoly.carriers import ArcSet, ElementSet
 from hyperpoly.sets import ExtRat, Interval, IntervalUnion, NEG_INF, POS_INF
@@ -86,6 +88,41 @@ class TestRootsAndQuotients:
         assert not is_root(p, S.one())
         assert quotients(p, S.one()).is_empty()
         assert mult_at(p, S.one()) == 0
+
+
+# Z/2 written e, a: its table order is not the lexicographic order, so the
+# order in which the chain walk meets quotients differs from the sort order
+EA = weak_group({("e", "e"): "e", ("e", "a"): "a", ("a", "e"): "a",
+                 ("a", "a"): "e"}, ["e", "a"], "a")
+QUOTIENT_CARRIERS = [by_name(n) for n in ("K", "S", "W", "GF(3)")] + [
+    weak_group(*cyclic_group_table(3), name="W(C3)"), EA]
+
+
+class TestFiniteQuotientsByBruteForce:
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_representatives_are_every_quotient_in_sorted_order(self, data):
+        hf = data.draw(st.sampled_from(QUOTIENT_CARRIERS))
+        elems = hf.elements()
+        nonzero = [x for x in elems if not hf.is_zero(x)]
+        deg = data.draw(st.integers(1, 4))
+        coeffs = [data.draw(st.sampled_from(elems)) for _ in range(deg)]
+        p = Polynomial.of(hf, coeffs + [data.draw(st.sampled_from(nonzero))])
+        a = data.draw(st.sampled_from(elems))
+        qs = quotients(p, a)
+        assert qs.exact
+        if qs.is_empty():
+            assert not is_root(p, a)
+            return
+        # every combination of domain values, kept when (T-a) (x) q holds p
+        ell = linear_for_root(hf, a)
+        combos = itertools.product(*(hf.sample_elements(d)
+                                     for d in qs.domains))
+        expected = sorted((q for q in (Polynomial(hf, c) for c in combos)
+                           if boxprod(ell, q).contains(p)),
+                          key=Polynomial.sort_key)
+        assert expected
+        assert list(qs.representatives) == expected
 
 
 class TestGaloisMultiplicity:

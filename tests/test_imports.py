@@ -1,0 +1,24 @@
+"""Every name a hyperpoly module imports is used in that module."""
+import ast
+from pathlib import Path
+
+import pytest
+
+import hyperpoly
+
+MODULES = sorted(p for p in Path(hyperpoly.__file__).parent.glob("*.py")
+                 if p.name != "__init__.py")
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_imported_name_is_used(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((a.asname or a.name).split(".")[0]
+                            for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    assert sorted(imported - used) == []

@@ -27,6 +27,7 @@ from hyperpoly import (
     format_expr,
     format_poly,
     gf,
+    linear_for_root,
     monic_decompose,
     monomial,
     parse_expr,
@@ -39,7 +40,8 @@ from hyperpoly import (
     weak_group,
 )
 from hyperpoly.polyalg import (BoxValue, CoupledValue, FiniteValue,
-                               chain_witness, solve_linear_chain)
+                               chain_representatives, chain_witness,
+                               solve_linear_chain)
 
 FINITE_NAMES = ["K", "S", "W", "GF(3)", "GF(5)"]
 
@@ -543,6 +545,42 @@ class TestExprMember:
         assert replay_member(again)
 
 
+CHAIN_RAWS = {"T": ["-inf", -1, 0, Fraction(1, 2), 1, 2],
+              "V": [0, Fraction(1, 2), 1, 2, 3],
+              "P": [None, Fraction(0), Fraction(1, 3), Fraction(1, 2),
+                    Fraction(1), Fraction(3, 2)]}
+
+
+def branching_walk(p, ell, domains):
+    """Reference for chain_representatives: walk the chain down from the
+    top, branching on the last 3 sampled values of each feasible set in
+    reverse order, keep at most 27 partial choices per level, and drop
+    duplicates."""
+    hf = p.hf
+    l0, l1 = ell.coeff(0), ell.coeff(1)
+
+    def level_values(s):
+        return list(reversed(hf.sample_elements(s)))[:3]
+
+    partials = [[v] for v in level_values(domains[-1])]
+    for i in range(len(domains) - 1, 0, -1):
+        nxt = []
+        for tail in partials:
+            # c_i in l0*tail[0] (+) l1*x  <=>  x in inv(l1)*(c_i (+) -l0*tail[0])
+            sols = hf.scale_set(hf.inv(l1), hf.set_hyperadd(
+                hf.singleton(p.coeff(i)),
+                hf.neg_set(hf.singleton(hf.mul(l0, tail[0])))))
+            for v in level_values(domains[i - 1].intersect(sols)):
+                nxt.append([v] + tail)
+        partials = nxt[:27]
+    out = []
+    for picks in partials:
+        q = Polynomial.of(hf, picks)
+        if q not in out:
+            out.append(q)
+    return out
+
+
 class TestLinearChain:
     def test_agrees_with_brute_force(self):
         W = by_name("W")
@@ -575,6 +613,26 @@ class TestLinearChain:
         domains, steps = solve_linear_chain(p, ell, list(inner.cells))
         assert domains is not None
         assert any("pins d0" in s.text for s in steps)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_representatives_match_the_branching_walk(self, data):
+        name = data.draw(st.sampled_from(sorted(CHAIN_RAWS)))
+        hf = by_name(name)
+        raws = st.sampled_from(CHAIN_RAWS[name])
+        coeffs = [hf.element(data.draw(raws))
+                  for _ in range(data.draw(st.integers(2, 4)))]
+        coeffs.append(hf.element(data.draw(raws.filter(
+            lambda r: not hf.is_zero(hf.element(r))))))
+        p = Polynomial.of(hf, coeffs)
+        a = hf.element(data.draw(raws))
+        ell = linear_for_root(hf, a)
+        cells = [hf.full_set() for _ in range(p.degree)]
+        cells[-1] = hf.remove_zero(cells[-1])
+        domains, _ = solve_linear_chain(p, ell, cells)
+        if domains is not None:
+            assert chain_representatives(p, ell, domains) == \
+                branching_walk(p, ell, domains)
 
 
 # ---------------------------------------------------------------------------
