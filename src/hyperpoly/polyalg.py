@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass, asdict
 from fractions import Fraction
 from functools import cached_property
-from typing import AbstractSet, Optional, Sequence, Union
+from typing import AbstractSet, NamedTuple, Optional, Sequence, Union
 
 from .carriers import (CarrierSet, Element, FiniteHyperfield, Hyperfield,
                        PhaseHyperfield, TropicalHyperfield, UndecidedError,
@@ -503,7 +503,15 @@ def format_expr(node: Expr) -> str:
 
 # ---------------------------------------------------------------------------
 # resolution: each node becomes a box, an outer factor over a box, or an
-# explicit finite enumeration
+# explicit finite enumeration.  Each value decides membership as a Decision;
+# _member_in_resolved alone writes it out as a MemberCertificate.
+
+
+class Decision(NamedTuple):
+    verdict: str  # 'yes' | 'no' | 'undecided'
+    method: str
+    steps: Sequence[CertStep]
+    witness: Optional[Polynomial] = None  # the inner choice, or p itself
 
 
 @dataclass(frozen=True)
@@ -542,16 +550,13 @@ class BoxValue:
             return BoxValue(PolyBox(hf, cells, box.zero_excluded))
         return CoupledValue(p, box)
 
-    def member_certificate(self, p: Polynomial,
-                           expr_text: str) -> MemberCertificate:
+    def decide(self, p: Polynomial) -> Decision:
         hf = p.hf
         cbox = self.box.canonical()
-        steps = []
         if cbox.is_empty() or p.degree > cbox.nominal_degree:
-            steps.append(CertStep("degree", None,
-                                  f"degree {p.degree} outside the box"))
-            return MemberCertificate("no", hf.name, str(p), expr_text, "box",
-                                     steps=tuple(steps))
+            return Decision("no", "box", [CertStep(
+                "degree", None, f"degree {p.degree} outside the box")])
+        steps = []
         for i in range(cbox.nominal_degree + 1):
             c, cell = p.coeff(i), cbox.cell(i)
             ok = cell.contains(c)
@@ -559,10 +564,8 @@ class BoxValue:
                                   f"coeff T^{i}: {hf.format_element(c)} "
                                   f"{'in' if ok else 'not in'} {cell}"))
             if not ok:
-                return MemberCertificate("no", hf.name, str(p), expr_text,
-                                         "box", steps=tuple(steps))
-        return MemberCertificate("yes", hf.name, str(p), expr_text, "box",
-                                 steps=tuple(steps))
+                break
+        return Decision("yes" if ok else "no", "box", steps)
 
     def separator_candidates(self, seed: int) -> list[Polynomial]:
         return self.box.sample_members(60, seed)
@@ -601,8 +604,7 @@ class CoupledValue:
                                 self.inner)
         return None
 
-    def member_certificate(self, p: Polynomial,
-                           expr_text: str) -> MemberCertificate:
+    def decide(self, p: Polynomial) -> Decision:
         """The chain solver for a linear outer factor, the single-unknown
         solver when at most one inner cell is open, else enumeration over
         a finite carrier."""
@@ -610,8 +612,7 @@ class CoupledValue:
         q = self.outer
         cells, pre_steps = _truncate_inner(p, q, self.inner)
         if cells is None:
-            return MemberCertificate("no", hf.name, str(p), expr_text,
-                                     "degree", steps=tuple(pre_steps))
+            return Decision("no", "degree", pre_steps)
         if q.degree == 1:
             # every member of the product vanishes at the root of the linear
             # factor, so 0 not in p(a) already refutes membership; the chain
@@ -634,45 +635,31 @@ class CoupledValue:
             domains, steps = solve_linear_chain(p, q, cells)
             steps = pre_steps + steps
             if domains is None:
-                return MemberCertificate("no", hf.name, str(p), expr_text,
-                                         method, steps=tuple(steps))
+                return Decision("no", method, steps)
             assert method == "chain", \
                 "chain found a member past a root obstruction"
             witness = chain_witness(p, q, domains)
             steps.append(CertStep("witness", None,
                                   f"inner choice r = {witness}; "
                                   f"p in ({q})*(r) checks cellwise"))
-            return MemberCertificate("yes", hf.name, str(p), expr_text,
-                                     "chain", witness=str(witness),
-                                     steps=tuple(steps))
-        singles = sum(1 for c in cells if not c.is_singleton())
-        if singles <= 1:
-            feasible, f, steps = solve_single_free(p, q, cells)
+            return Decision("yes", "chain", steps, witness)
+        if sum(1 for c in cells if not c.is_singleton()) <= 1:
+            witness, steps = solve_single_free(p, q, cells)
             steps = pre_steps + steps
-            if feasible is None or (f is not None and feasible.is_empty()):
-                return MemberCertificate("no", hf.name, str(p), expr_text,
-                                         "single-unknown", steps=tuple(steps))
-            picks = list(cells)
-            if f is not None:
-                choice = hf.sample_elements(feasible)[0]
-                picks[f] = hf.singleton(choice)
-            witness = Polynomial.of(hf, [c.the_element() for c in picks])
+            if witness is None:
+                return Decision("no", "single-unknown", steps)
             steps.append(CertStep("witness", None,
                                   f"inner choice r = {witness}"))
-            return MemberCertificate("yes", hf.name, str(p), expr_text,
-                                     "single-unknown", witness=str(witness),
-                                     steps=tuple(steps))
+            return Decision("yes", "single-unknown", steps, witness)
         if hf.is_finite():
             witness = None
             if p in self.members:
-                witness = next((str(r) for r in self.inner.enumerate_members()
+                witness = next((r for r in self.inner.enumerate_members()
                                 if boxprod(q, r).contains(p)), None)
-            return _enumeration_cert(p, self.members, expr_text, witness)
-        return MemberCertificate("undecided", hf.name, str(p), expr_text,
-                                 "unsupported",
-                                 steps=(CertStep("scope", None,
-                                                 "several coupled coefficients "
-                                                 "over an infinite carrier"),))
+            return _enumeration_decision(p, self.members, witness)
+        return Decision("undecided", "unsupported", [CertStep(
+            "scope", None,
+            "several coupled coefficients over an infinite carrier")])
 
     def separator_candidates(self, seed: int) -> list[Polynomial]:
         out: list[Polynomial] = []
@@ -694,9 +681,8 @@ class FiniteValue:
     def times(self, p: Polynomial) -> None:
         return None
 
-    def member_certificate(self, p: Polynomial,
-                           expr_text: str) -> MemberCertificate:
-        return _enumeration_cert(p, self.members, expr_text, str(p))
+    def decide(self, p: Polynomial) -> Decision:
+        return _enumeration_decision(p, self.members, p)
 
 
 Resolved = Union[BoxValue, CoupledValue, FiniteValue]
@@ -880,6 +866,15 @@ def solve_linear_chain(p: Polynomial, ell: Polynomial,
         steps.append(CertStep("narrow", i, f"{why} -> domain {domains[i]}{tail}"))
         return not domains[i].is_empty()
 
+    def pin(i: int, c: Element, u: Element, why: str) -> bool:
+        """Narrow d_i to the one value with c = u*d_i."""
+        v = hf.mul(c, hf.inv(u))
+        if narrow(i, hf.singleton(v), f"{why} pins d{i} = {hf.format_element(v)}"):
+            return True
+        steps.append(CertStep("fail", i,
+                              f"pinned value is outside cell {cells[i]}"))
+        return False
+
     # exact pins at both ends
     if hf.is_zero(l0):
         if not hf.is_zero(p.coeff(0)):
@@ -889,22 +884,11 @@ def solve_linear_chain(p: Polynomial, ell: Polynomial,
                 f"constant term is always 0"))
             return None, steps
         for i in range(1, m + 2):
-            want = hf.mul(p.coeff(i), hf.inv(l1))
-            if not narrow(i - 1, hf.singleton(want),
-                          f"c{i} = l1*d{i-1} pins d{i-1} = {hf.format_element(want)}"):
-                _fail_pin(hf, steps, i - 1, cells)
+            if not pin(i - 1, p.coeff(i), l1, f"c{i} = l1*d{i-1}"):
                 return None, steps
         return domains, steps
-
-    v0 = hf.mul(p.coeff(0), hf.inv(l0))
-    if not narrow(0, hf.singleton(v0),
-                  f"c0 = l0*d0 pins d0 = {hf.format_element(v0)}"):
-        _fail_pin(hf, steps, 0, cells)
-        return None, steps
-    vtop = hf.mul(p.coeff(m + 1), hf.inv(l1))
-    if not narrow(m, hf.singleton(vtop),
-                  f"leading c{m+1} = l1*d{m} pins d{m} = {hf.format_element(vtop)}"):
-        _fail_pin(hf, steps, m, cells)
+    if not (pin(0, p.coeff(0), l0, "c0 = l0*d0")
+            and pin(m, p.coeff(m + 1), l1, f"leading c{m+1} = l1*d{m}")):
         return None, steps
 
     for i in range(1, m + 1):
@@ -924,12 +908,6 @@ def solve_linear_chain(p: Polynomial, ell: Polynomial,
                 f"c{i} ranges over {forward} which does not contain {ci}"))
             return None, steps
     return domains, steps
-
-
-def _fail_pin(hf: Hyperfield, steps: list[CertStep], i: int,
-              cells: list[CarrierSet]) -> None:
-    steps.append(CertStep("fail", i,
-                          f"pinned value is outside cell {cells[i]}"))
 
 
 def _solve_term(hf: Hyperfield, c: Element, u: Element,
@@ -980,12 +958,12 @@ def chain_representatives(p: Polynomial, ell: Polynomial,
 
 
 def solve_single_free(p: Polynomial, q: Polynomial, cells: list[CarrierSet]
-                      ) -> tuple[Optional[CarrierSet], Optional[int], list[CertStep]]:
+                      ) -> tuple[Optional[Polynomial], list[CertStep]]:
     """Membership p in q (x) r where at most one cell of r is undetermined.
 
-    Returns (feasible set for the free cell, its index, trace); the feasible
-    set is None when some fully pinned constraint fails.  With no free cell
-    the returned set is the whole-carrier stand-in and index is None."""
+    Returns (an inner choice r with p in q (x) r, trace); r is None when
+    some constraint fails.  The free cell, if any, takes the first sampled
+    value of its feasible set."""
     hf = p.hf
     steps: list[CertStep] = []
     free = [i for i, c in enumerate(cells) if not c.is_singleton()]
@@ -1015,7 +993,7 @@ def solve_single_free(p: Polynomial, q: Polynomial, cells: list[CarrierSet]
             if not value.contains(p.coeff(i)):
                 steps.append(CertStep(
                     "fail", i, f"c{i} = {ci} not in the pinned hypersum {value}"))
-                return None, f, steps
+                return None, steps
             steps.append(CertStep("check", i,
                                   f"c{i} = {ci} in pinned hypersum {value}"))
             continue
@@ -1036,8 +1014,10 @@ def solve_single_free(p: Polynomial, q: Polynomial, cells: list[CarrierSet]
             steps.append(CertStep("fail", i,
                                   f"no value of d{f} satisfies all "
                                   f"constraints through c{i}"))
-            return None, f, steps
-    return feasible, f, steps
+            return None, steps
+    if f is not None:
+        pinned[f] = hf.sample_elements(feasible)[0]
+    return Polynomial.of(hf, [pinned[i] for i in range(len(cells))]), steps
 
 
 def expr_member(p: Polynomial, expr: Expr) -> MemberCertificate:
@@ -1054,20 +1034,21 @@ def expr_member(p: Polynomial, expr: Expr) -> MemberCertificate:
 
 def _member_in_resolved(p: Polynomial, value: Resolved,
                         expr_text: str) -> MemberCertificate:
-    """The one membership decision for a resolved value."""
-    return value.member_certificate(p, expr_text)
+    """The one writer of a membership certificate for a resolved value."""
+    verdict, method, steps, witness = value.decide(p)
+    return MemberCertificate(verdict, p.hf.name, str(p), expr_text, method,
+                             None if witness is None else str(witness),
+                             tuple(steps))
 
 
-def _enumeration_cert(p: Polynomial, members: AbstractSet, expr_text: str,
-                      witness: Optional[str]) -> MemberCertificate:
+def _enumeration_decision(p: Polynomial, members: AbstractSet,
+                          witness: Optional[Polynomial]) -> Decision:
     present = p in members
     step = CertStep("enumerate", None,
                     f"enumerated {len(members)} members; "
                     f"{p} is {'present' if present else 'absent'}")
-    return MemberCertificate("yes" if present else "no", p.hf.name, str(p),
-                             expr_text, "enumeration",
-                             witness=witness if present else None,
-                             steps=(step,))
+    return Decision("yes" if present else "no", "enumeration", [step],
+                    witness if present else None)
 
 
 # ---------------------------------------------------------------------------
@@ -1112,27 +1093,28 @@ def _box_pair_certificate(e1_text: str, e2_text: str, b1: PolyBox,
         a, b = c1.cell(i), c2.cell(i)
         if a == b:
             continue
-        diff = a.difference(b)
-        side = 1
+        diff, side, c_in = a.difference(b), 1, c1
         if diff.is_empty():
-            diff = b.difference(a)
-            side = 2
-            c_in, c_out = c2, c1
-        else:
-            c_in, c_out = c1, c2
-        x = hf.sample_elements(diff)[0]
-        witness = _member_with_pinned(c_in, i, x)
-        cert_in = BoxValue(c_in).member_certificate(
-            witness, e1_text if side == 1 else e2_text)
-        cert_out = BoxValue(c_out).member_certificate(
-            witness, e2_text if side == 1 else e1_text)
-        detail = (CertStep("cell", i,
-                           f"coefficient sets at T^{i} differ: {a} vs {b}"),)
-        return EqualCertificate("unequal", hf.name, e1_text, e2_text,
-                                witness=str(witness), witness_side=side,
-                                member_in=cert_in, member_out=cert_out,
-                                detail=detail)
+            diff, side, c_in = b.difference(a), 2, c2
+        witness = _member_with_pinned(c_in, i, hf.sample_elements(diff)[0])
+        detail = CertStep("cell", i,
+                          f"coefficient sets at T^{i} differ: {a} vs {b}")
+        return _unequal(e1_text, e2_text, BoxValue(c1), BoxValue(c2),
+                        witness, side, detail)
     raise AssertionError("differing boxes with identical cells")
+
+
+def _unequal(t1: str, t2: str, v1: Resolved, v2: Resolved, w: Polynomial,
+             side: int, detail: CertStep) -> EqualCertificate:
+    """The one writer of an UNEQUAL certificate: w belongs to side `side`
+    only, and both memberships are written by _member_in_resolved."""
+    sides = ((t1, v1), (t2, v2))
+    (t_in, v_in), (t_out, v_out) = sides if side == 1 else sides[::-1]
+    return EqualCertificate("unequal", w.hf.name, t1, t2, witness=str(w),
+                            witness_side=side,
+                            member_in=_member_in_resolved(w, v_in, t_in),
+                            member_out=_member_in_resolved(w, v_out, t_out),
+                            detail=(detail,))
 
 
 def unequal_certificate(t1: str, t2: str, v1: Resolved, v2: Resolved,
@@ -1153,16 +1135,9 @@ def unequal_certificate(t1: str, t2: str, v1: Resolved, v2: Resolved,
     w = min(only, key=key)
     if decode is not None:
         w = decode(w)
-    v_in, v_out = (v1, v2) if side == 1 else (v2, v1)
-    t_in, t_out = (t1, t2) if side == 1 else (t2, t1)
-    cert_in = _member_in_resolved(w, v_in, t_in)
-    cert_out = _member_in_resolved(w, v_out, t_out)
-    detail = (CertStep("enumerate", None,
-                       f"side 1 has {len(s1)} members, side 2 has "
-                       f"{len(s2)}"),)
-    return EqualCertificate("unequal", w.hf.name, t1, t2, witness=str(w),
-                            witness_side=side, member_in=cert_in,
-                            member_out=cert_out, detail=detail)
+    detail = CertStep("enumerate", None,
+                      f"side 1 has {len(s1)} members, side 2 has {len(s2)}")
+    return _unequal(t1, t2, v1, v2, w, side, detail)
 
 
 SEPARATOR_SEED = 11  # seed of the sampled separator candidates
@@ -1187,24 +1162,16 @@ def expr_equal(e1: Expr, e2: Expr, hf: Hyperfield) -> EqualCertificate:
             return EqualCertificate("equal", hf.name, t1, t2, detail=detail)
         return unequal_certificate(t1, t2, v1, v2, s1, s2)
     # one side is coupled over an infinite carrier: hunt for a separator
+    # on decisions, and write out only the separating pair
     candidates = (v1.separator_candidates(SEPARATOR_SEED)
                   + v2.separator_candidates(SEPARATOR_SEED))
     for tried, w in enumerate(dict.fromkeys(candidates), 1):
-        m1 = _member_in_resolved(w, v1, t1)
-        m2 = _member_in_resolved(w, v2, t2)
-        if "undecided" in (m1.verdict, m2.verdict):
-            continue
-        if m1.verdict != m2.verdict:
-            side = 1 if m1.verdict == "yes" else 2
-            cert_in = m1 if side == 1 else m2
-            cert_out = m2 if side == 1 else m1
-            detail = (CertStep("search", None,
-                               f"separating polynomial found among "
-                               f"{tried} sampled candidates"),)
-            return EqualCertificate("unequal", hf.name, t1, t2,
-                                    witness=str(w), witness_side=side,
-                                    member_in=cert_in, member_out=cert_out,
-                                    detail=detail)
+        verdicts = (v1.decide(w).verdict, v2.decide(w).verdict)
+        if verdicts in (("yes", "no"), ("no", "yes")):
+            return _unequal(t1, t2, v1, v2, w, verdicts.index("yes") + 1,
+                            CertStep("search", None,
+                                     f"separating polynomial found among "
+                                     f"{tried} sampled candidates"))
     return EqualCertificate(
         "undecided", hf.name, t1, t2,
         detail=(CertStep("scope", None,

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperpoly import Polynomial, by_name, cli, format_poly
+from hyperpoly import Polynomial, by_name, cli, format_poly, polyalg
 from hyperpoly.cli import main
 from hyperpoly.polyalg import (EqualCertificate, MemberCertificate,
                                parse_scalar_literal, replay_member)
@@ -464,6 +464,42 @@ SET_SHAPE_CORPUS = [
      ["pointwise", "--hf", "T", "--p", "0T+1", "--q", "0T+1",
       "--r", "0T+(-1)", "--points", "{-1,0,1}"]),
 ]
+
+
+class TestCertificatesWrittenOnce:
+    """Membership certificates are written only for the answers returned:
+    the separator search compares decisions, not certificates."""
+
+    @pytest.fixture
+    def written(self, monkeypatch):
+        calls = []
+        real = polyalg._member_in_resolved
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(polyalg, "_member_in_resolved", spy)
+        return calls
+
+    def comparisons(self, capsys, *triple):
+        code, out, _ = run_cli(capsys, "assoc-check", "--hf", "V",
+                               *triple, "--format", "structured")
+        return code, json.loads(out)["comparisons"]
+
+    def test_undecided_search_writes_none(self, capsys, written):
+        code, comps = self.comparisons(capsys, "--p=2T^2+2T+3", "--q=3T+2",
+                                       "--r=1/2T^2+3T+1")
+        assert code == 3
+        assert [c["verdict"] for c in comps] == ["undecided"] * 3
+        assert written == []
+
+    def test_each_unequal_comparison_writes_two(self, capsys, written):
+        code, comps = self.comparisons(capsys, "--p", "T+1", "--q", "T+2",
+                                       "--r", "T+3")
+        unequal = [c for c in comps if c["verdict"] == "unequal"]
+        assert code == 1 and unequal
+        assert len(written) == 2 * len(unequal)
 
 
 class TestSetShapeGoldenCorpus:

@@ -22,3 +22,21 @@ def test_every_imported_name_is_used(path):
             imported.update(a.asname or a.name for a in node.names)
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     assert sorted(imported - used) == []
+
+
+def test_every_private_function_is_referenced():
+    """An underscore-private function or method left without a caller is
+    dead code: every one defined in the package is named somewhere in it."""
+    trees = [ast.parse(p.read_text(encoding="utf-8"))
+             for p in Path(hyperpoly.__file__).parent.glob("*.py")]
+    defined, referenced = set(), set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if node.name.startswith("_") and not node.name.endswith("__"):
+                    defined.add(node.name)
+            elif isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    assert sorted(defined - referenced) == []

@@ -545,6 +545,50 @@ class TestExprMember:
         assert replay_member(again)
 
 
+@st.composite
+def polys_over(draw, hf, max_deg):
+    elems = hf.elements()
+    coeffs = [draw(st.sampled_from(elems))
+              for _ in range(draw(st.integers(0, max_deg)))]
+    coeffs.append(draw(st.sampled_from([e for e in elems if not hf.is_zero(e)])))
+    return Polynomial.of(hf, coeffs)
+
+
+class TestNoOpenInnerCell:
+    """q (x) (a (+) b) and q (x) (a (x) b): when p's degree leaves every
+    inner cell pinned, the single-unknown solver checks the pinned product
+    instead of answering NO."""
+
+    CARRIERS = [by_name("K"), by_name("S"), by_name("W"), gf(3),
+                weak_group(*cyclic_group_table(3))]
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_verdict_matches_enumeration(self, data):
+        hf = data.draw(st.sampled_from(self.CARRIERS), label="carrier")
+        q, a, b = (data.draw(polys_over(hf, 2)) for _ in range(3))
+        inner = data.draw(st.sampled_from([SumNode, ProdNode]))
+        e = ProdNode(PolyLeaf(q), inner(PolyLeaf(a), PolyLeaf(b)))
+        members = resolve(e, hf).members
+        outside = data.draw(polys_over(hf, 6))
+        for p in sorted(members | {outside}, key=Polynomial.sort_key):
+            assert expr_member(p, e).verdict == (
+                "yes" if p in members else "no"), p
+
+    @pytest.mark.parametrize("name,text,witness", [
+        ("T", "(0T^2+0T+0)*((0T+0)+(0T))", "0"),
+        ("V", "(T^2+T+1)*((T+1)+(T))", "1"),
+        ("K", "(T^2+T+1)*((T+1)+(T))", "1"),
+    ])
+    def test_outer_factor_is_a_member(self, name, text, witness):
+        hf = by_name(name)
+        e = parse_expr(text, hf)
+        cert = expr_member(e.left.poly, e)
+        assert (cert.verdict, cert.method) == ("yes", "single-unknown")
+        assert cert.witness == witness
+        assert replay_member(cert)
+
+
 CHAIN_RAWS = {"T": ["-inf", -1, 0, Fraction(1, 2), 1, 2],
               "V": [0, Fraction(1, 2), 1, 2, 3],
               "P": [None, Fraction(0), Fraction(1, 3), Fraction(1, 2),
