@@ -13,9 +13,9 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .carriers import Element, Hyperfield, UndecidedError
-from .polyalg import (CertStep, EqualCertificate, Expr, MemberCertificate,
-                      Polynomial, PolyLeaf, ProdNode, expr_equal,
-                      expr_member, format_expr, resolve,
+from .polyalg import (MAX_DEGREE, CertStep, EqualCertificate, Expr,
+                      MemberCertificate, Polynomial, PolyLeaf, ProdNode,
+                      _member_in_resolved, expr_equal, format_expr, resolve,
                       unequal_certificate)
 
 
@@ -50,6 +50,8 @@ def assoc_check(p: Polynomial, q: Polynomial, r: Polynomial) -> AssocReport:
     """Compare the direct bracketings p*(q*r) vs (p*q)*r, then the other
     outer choices of the multiset {p,q,r}."""
     hf = p.hf
+    if p.degree + q.degree + r.degree > MAX_DEGREE:
+        raise ValueError(f"product degree exceeds the cap {MAX_DEGREE}")
     direct = expr_equal(
         _outer_form(p, q, r),
         ProdNode(ProdNode(PolyLeaf(p), PolyLeaf(q)), PolyLeaf(r)), hf)
@@ -242,18 +244,19 @@ def one_plus_one_criterion(hf: Hyperfield) -> OnePlusOneReport:
     nonzero = [s for s in rest if not hf.is_zero(s)]
     d2 = (nonzero or rest)[0]
     witness = Polynomial.of(hf, [one, d2, d1, d1, one])
-    free_cert = expr_member(witness, free_expr)
-    coupled_cert = expr_member(witness, coupled_expr)
+    free, coupled = resolve(free_expr, hf), resolve(coupled_expr, hf)
+    free_cert = _member_in_resolved(witness, free.decide(witness),
+                                    format_expr(free_expr))
+    coupled_cert = _member_in_resolved(witness, coupled.decide(witness),
+                                       format_expr(coupled_expr))
     if free_cert.verdict != "yes" or coupled_cert.verdict != "no":
         raise AssertionError(
             f"1+1 witness construction failed over {hf.name}: "
             f"{free_cert.verdict}/{coupled_cert.verdict}")
     return OnePlusOneReport(
         hf.name, str(b), True,
-        format_expr(coupled_expr), format_expr(free_expr),
-        resolve(coupled_expr, hf).describe(),
-        resolve(free_expr, hf).describe(),
-        str(witness), free_cert, coupled_cert)
+        coupled_cert.expr, free_cert.expr, coupled.describe(),
+        free.describe(), str(witness), free_cert, coupled_cert)
 
 
 # ---------------------------------------------------------------------------

@@ -8,16 +8,20 @@ tree is kept as an outer factor applied to a resolved inner box, and
 membership questions are answered by an exact constraint solver over the
 inner coefficient choices.
 
-Expression text grammar: '(' ')' and '*' are structural; '+' is structural
-only at atom boundaries (next to a parenthesis or at the ends of a
-segment), otherwise it belongs to the polynomial literal.  So
-"(T+1)*(T^2+1)" is a product of two atoms and "(T+1)+T" is a set-level sum.
+Expression text grammar: sum := product ('+' product)*, product := atom
+('*' atom)*, atom := '(' sum ')' | literal, a literal being polynomial text
+for parse_poly.  A group holding no 'T', '*' or '+' outside braces is a
+scalar and stays in its literal, so "(T+(-1))*(ph(1/2)T)" is a product of
+two literals.  A literal ends at ')', '*', and at a '+' that starts it, has
+no term after it, precedes a non-scalar group or follows a lone scalar
+group, so "(T+1)+T" and "((-1))+(2)" are set-level sums.
 """
 from __future__ import annotations
 
 import itertools
 import json
 import random
+import re
 from dataclasses import dataclass, asdict
 from fractions import Fraction
 from functools import cached_property
@@ -404,87 +408,85 @@ class SumNode:
 Expr = Union[PolyLeaf, ProdNode, SumNode]
 
 
-def _tokenize_expr(text: str) -> list[str]:
-    tokens: list[str] = []
-    buf = ""
-    brace = 0
-    for ch in text.replace(" ", ""):
-        if ch == "{":
-            brace += 1
-        elif ch == "}":
-            brace -= 1
-        if brace == 0 and ch in "()*":
-            if buf:
-                tokens.append(buf)
-                buf = ""
-            tokens.append(ch)
-        else:
-            buf += ch
-    if buf:
-        tokens.append(buf)
-    out: list[str] = []
-    for tok in tokens:
-        if tok in ("(", ")", "*"):
-            out.append(tok)
-            continue
-        # '+' at a segment edge joins atoms; inner '+'/'-' stay in the literal
-        seg = tok
-        while seg.startswith("+"):
-            out.append("+")
-            seg = seg[1:]
-        trailing = 0
-        while seg.endswith("+"):
-            trailing += 1
-            seg = seg[:-1]
-        if seg:
-            out.append(("atom", seg))
-        out.extend("+" * trailing)
-    return out
+# a scalar group's text between its inner groups; a literal's up to a '('
+_SCALAR_TEXT = re.compile(r"(?:[^(){}T*+]+|\{[^}]*\})*")
+_LITERAL_TEXT = re.compile(r"(?:[^(){}*+]+|\{[^}]*\}|\+(?=[^()*+]))*")
+
+
+def _scalar_end(src: str, i: int) -> int:
+    """One past the ')' that closes the group opened at i, when the group
+    is a scalar: it holds no 'T', '*' or '+' outside braces; else -1."""
+    j = _SCALAR_TEXT.match(src, i + 1).end()
+    while src[j:j + 1] == "(":
+        j = _scalar_end(src, j)
+        if j < 0:
+            return -1
+        j = _SCALAR_TEXT.match(src, j).end()
+    return j + 1 if src[j:j + 1] == ")" else -1
+
+
+def _literal_end(src: str, i: int) -> int:
+    """One past the polynomial literal that starts at i (rules in the
+    module docstring)."""
+    if src[i:i + 1] == "+":
+        return i
+    j = _LITERAL_TEXT.match(src, i).end()
+    while True:
+        k = j + 1 if src[j:j + 1] == "+" else j
+        end = _scalar_end(src, k) if src[k:k + 1] == "(" else -1
+        if end < 0:
+            return j
+        if k == i and src[end:end + 1] == "+":
+            return end
+        j = _LITERAL_TEXT.match(src, end).end()
 
 
 def parse_expr(text: str, hf: Hyperfield) -> Expr:
-    tokens = _tokenize_expr(text)
+    """One pass over the text (grammar in the module docstring); a product's
+    degree, the sum of its factors' (a sum's is the larger of its two), may
+    not pass MAX_DEGREE."""
+    src = text.replace(" ", "")
     pos = 0
 
-    def peek():
-        return tokens[pos] if pos < len(tokens) else None
-
-    def take():
+    def parse_sum() -> tuple[Expr, int]:
         nonlocal pos
-        tok = tokens[pos]
-        pos += 1
-        return tok
+        node, deg = parse_product()
+        while src[pos:pos + 1] == "+":
+            pos += 1
+            right, rdeg = parse_product()
+            node, deg = SumNode(node, right), max(deg, rdeg)
+        return node, deg
 
-    def parse_sum() -> Expr:
-        node = parse_product()
-        while peek() == "+":
-            take()
-            node = SumNode(node, parse_product())
-        return node
+    def parse_product() -> tuple[Expr, int]:
+        nonlocal pos
+        node, deg = parse_atom()
+        while src[pos:pos + 1] == "*":
+            pos += 1
+            right, rdeg = parse_atom()
+            node, deg = ProdNode(node, right), deg + rdeg
+            if deg > MAX_DEGREE:
+                raise ValueError(
+                    f"product degree exceeds the cap {MAX_DEGREE}")
+        return node, deg
 
-    def parse_product() -> Expr:
-        node = parse_atom()
-        while peek() == "*":
-            take()
-            node = ProdNode(node, parse_atom())
-        return node
-
-    def parse_atom() -> Expr:
-        tok = peek()
-        if tok == "(":
-            take()
+    def parse_atom() -> tuple[Expr, int]:
+        nonlocal pos
+        if src[pos:pos + 1] == "(" and _scalar_end(src, pos) < 0:
+            pos += 1
             node = parse_sum()
-            if peek() != ")":
+            if src[pos:pos + 1] != ")":
                 raise ValueError(f"unbalanced parentheses in {text!r}")
-            take()
+            pos += 1
             return node
-        if isinstance(tok, tuple):
-            take()
-            return PolyLeaf(parse_poly(tok[1], hf))
-        raise ValueError(f"expected a polynomial atom in {text!r}")
+        end = _literal_end(src, pos)
+        if end == pos:
+            raise ValueError(f"expected a polynomial atom in {text!r}")
+        poly = parse_poly(src[pos:end], hf)
+        pos = end
+        return PolyLeaf(poly), poly.degree
 
-    node = parse_sum()
-    if pos != len(tokens):
+    node, _ = parse_sum()
+    if pos != len(src):
         raise ValueError(f"trailing input in {text!r}")
     return node
 
@@ -534,13 +536,7 @@ class BoxValue:
         if box.is_empty():
             return self
         if box.is_singleton():
-            q = box.the_polynomial()
-            if p.degree + q.degree > MAX_DEGREE:
-                raise ValueError(
-                    f"product degree exceeds the cap {MAX_DEGREE}")
-            return BoxValue(boxprod(p, q))
-        if p.degree + box.nominal_degree > MAX_DEGREE:
-            raise ValueError(f"product degree exceeds the cap {MAX_DEGREE}")
+            return BoxValue(boxprod(p, box.the_polynomial()))
         hf = box.hf
         if all(hf.is_zero(c) for c in p.coeffs[:-1]):
             # cT^n (x) r is a singleton for every r, so the product of cT^n
@@ -1029,13 +1025,14 @@ def expr_member(p: Polynomial, expr: Expr) -> MemberCertificate:
         return MemberCertificate("undecided", hf.name, str(p), expr_text,
                                  "unsupported",
                                  steps=(CertStep("scope", None, str(err)),))
-    return _member_in_resolved(p, value, expr_text)
+    return _member_in_resolved(p, value.decide(p), expr_text)
 
 
-def _member_in_resolved(p: Polynomial, value: Resolved,
+def _member_in_resolved(p: Polynomial, decision: Decision,
                         expr_text: str) -> MemberCertificate:
-    """The one writer of a membership certificate for a resolved value."""
-    verdict, method, steps, witness = value.decide(p)
+    """The one writer of a membership certificate: a resolved value's
+    decision on p, written out."""
+    verdict, method, steps, witness = decision
     return MemberCertificate(verdict, p.hf.name, str(p), expr_text, method,
                              None if witness is None else str(witness),
                              tuple(steps))
@@ -1099,21 +1096,22 @@ def _box_pair_certificate(e1_text: str, e2_text: str, b1: PolyBox,
         witness = _member_with_pinned(c_in, i, hf.sample_elements(diff)[0])
         detail = CertStep("cell", i,
                           f"coefficient sets at T^{i} differ: {a} vs {b}")
-        return _unequal(e1_text, e2_text, BoxValue(c1), BoxValue(c2),
-                        witness, side, detail)
+        return _unequal(e1_text, e2_text, BoxValue(c1).decide(witness),
+                        BoxValue(c2).decide(witness), witness, side, detail)
     raise AssertionError("differing boxes with identical cells")
 
 
-def _unequal(t1: str, t2: str, v1: Resolved, v2: Resolved, w: Polynomial,
+def _unequal(t1: str, t2: str, d1: Decision, d2: Decision, w: Polynomial,
              side: int, detail: CertStep) -> EqualCertificate:
     """The one writer of an UNEQUAL certificate: w belongs to side `side`
-    only, and both memberships are written by _member_in_resolved."""
-    sides = ((t1, v1), (t2, v2))
-    (t_in, v_in), (t_out, v_out) = sides if side == 1 else sides[::-1]
+    only, and _member_in_resolved writes the decisions d1 and d2 of w on
+    the two sides."""
+    sides = ((t1, d1), (t2, d2))
+    (t_in, d_in), (t_out, d_out) = sides if side == 1 else sides[::-1]
     return EqualCertificate("unequal", w.hf.name, t1, t2, witness=str(w),
                             witness_side=side,
-                            member_in=_member_in_resolved(w, v_in, t_in),
-                            member_out=_member_in_resolved(w, v_out, t_out),
+                            member_in=_member_in_resolved(w, d_in, t_in),
+                            member_out=_member_in_resolved(w, d_out, t_out),
                             detail=(detail,))
 
 
@@ -1137,7 +1135,7 @@ def unequal_certificate(t1: str, t2: str, v1: Resolved, v2: Resolved,
         w = decode(w)
     detail = CertStep("enumerate", None,
                       f"side 1 has {len(s1)} members, side 2 has {len(s2)}")
-    return _unequal(t1, t2, v1, v2, w, side, detail)
+    return _unequal(t1, t2, v1.decide(w), v2.decide(w), w, side, detail)
 
 
 SEPARATOR_SEED = 11  # seed of the sampled separator candidates
@@ -1166,9 +1164,9 @@ def expr_equal(e1: Expr, e2: Expr, hf: Hyperfield) -> EqualCertificate:
     candidates = (v1.separator_candidates(SEPARATOR_SEED)
                   + v2.separator_candidates(SEPARATOR_SEED))
     for tried, w in enumerate(dict.fromkeys(candidates), 1):
-        verdicts = (v1.decide(w).verdict, v2.decide(w).verdict)
-        if verdicts in (("yes", "no"), ("no", "yes")):
-            return _unequal(t1, t2, v1, v2, w, verdicts.index("yes") + 1,
+        d1, d2 = v1.decide(w), v2.decide(w)
+        if {d1.verdict, d2.verdict} == {"yes", "no"}:
+            return _unequal(t1, t2, d1, d2, w, 1 if d1.verdict == "yes" else 2,
                             CertStep("search", None,
                                      f"separating polynomial found among "
                                      f"{tried} sampled candidates"))
@@ -1183,17 +1181,13 @@ def replay_member(cert: MemberCertificate) -> bool:
     """Re-derive a membership certificate from its text fields alone."""
     hf = by_name(cert.hyperfield)
     p = parse_poly(cert.poly, hf)
-    expr = parse_expr(cert.expr, hf)
-    again = expr_member(p, expr)
-    if again.verdict != cert.verdict:
+    try:
+        value = resolve(parse_expr(cert.expr, hf), hf)
+    except UndecidedError:
+        return cert.verdict == "undecided"
+    if value.decide(p).verdict != cert.verdict:
         return False
-    if cert.verdict == "yes" and cert.witness and cert.method in (
-            "chain", "single-unknown", "enumeration"):
-        value = resolve(expr, hf)
-        if isinstance(value, CoupledValue):
-            r = parse_poly(cert.witness, hf)
-            if not value.inner.contains(r):
-                return False
-            if not boxprod(value.outer, r).contains(p):
-                return False
+    if cert.verdict == "yes" and cert.witness and isinstance(value, CoupledValue):
+        r = parse_poly(cert.witness, hf)
+        return value.inner.contains(r) and boxprod(value.outer, r).contains(p)
     return True
