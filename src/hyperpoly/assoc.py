@@ -13,9 +13,10 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .carriers import Element, Hyperfield, UndecidedError
-from .polyalg import (MAX_DEGREE, CertStep, EqualCertificate, Expr,
+from .polyalg import (MAX_DEGREE, BoxValue, CertStep, EqualCertificate, Expr,
                       MemberCertificate, Polynomial, PolyLeaf, ProdNode,
-                      _member_in_resolved, expr_equal, format_expr, resolve,
+                      Resolved, _member_in_resolved, box_of, expr_equal,
+                      format_expr, product_value, resolve,
                       unequal_certificate)
 
 
@@ -32,10 +33,8 @@ class AssocReport:
 
     @property
     def counterexample(self) -> Optional[EqualCertificate]:
-        for cert in self.comparisons:
-            if cert.verdict == "unequal":
-                return cert
-        return None
+        return next((c for c in self.comparisons if c.verdict == "unequal"),
+                    None)
 
     def __str__(self) -> str:
         head = {True: "ASSOCIATIVE", False: "NOT ASSOCIATIVE",
@@ -63,13 +62,8 @@ def assoc_check(p: Polynomial, q: Polynomial, r: Polynomial) -> AssocReport:
         comparisons.append(expr_equal(_outer_form(q, p, r),
                                       _outer_form(r, p, q), hf))
     verdicts = {c.verdict for c in comparisons}
-    associative: Optional[bool]
-    if "unequal" in verdicts:
-        associative = False
-    elif "undecided" in verdicts:
-        associative = None
-    else:
-        associative = True
+    associative = (False if "unequal" in verdicts
+                   else None if "undecided" in verdicts else True)
     return AssocReport(hf.name, (str(p), str(q), str(r)), associative,
                        tuple(comparisons))
 
@@ -136,6 +130,7 @@ def assoc_scan(hf: Hyperfield, max_deg: int, monic_only: bool = False,
     found: list[AssocReport] = []
     checked = 0
     pair: dict = {}
+    inner_value: dict[tuple[int, int], Resolved] = {}
 
     def outer_choice(m: int, a: int, b: int) -> set:
         key = (a, b) if a <= b else (b, a)
@@ -149,13 +144,19 @@ def assoc_scan(hf: Hyperfield, max_deg: int, monic_only: bool = False,
             out.update(codes.members_of_product(q, r))
         return out
 
+    def side(m: int, a: int, b: int) -> Resolved:
+        inner = inner_value.get((a, b))
+        if inner is None:
+            inner = inner_value[(a, b)] = resolve(
+                ProdNode(PolyLeaf(polys[a]), PolyLeaf(polys[b])), hf)
+        return product_value(BoxValue(box_of(polys[m])), inner, hf)
+
     def certify(i: int, j: int, k: int, d1: tuple, s1: set, d2: tuple,
                 s2: set) -> None:
-        e1 = _outer_form(polys[d1[0]], polys[d1[1]], polys[d1[2]])
-        e2 = _outer_form(polys[d2[0]], polys[d2[1]], polys[d2[2]])
-        t1, t2 = format_expr(e1), format_expr(e2)
+        t1 = format_expr(_outer_form(*(polys[n] for n in d1)))
+        t2 = format_expr(_outer_form(*(polys[n] for n in d2)))
         cert = unequal_certificate(
-            t1, t2, resolve(e1, hf), resolve(e2, hf), s1, s2,
+            t1, t2, side(*d1), side(*d2), s1, s2,
             codes.sort_key, lambda t: Polynomial(hf, codes.decode(t)))
         if (cert.verdict != "unequal" or cert.member_in.verdict != "yes"
                 or cert.member_out.verdict != "no"):
@@ -169,10 +170,7 @@ def assoc_scan(hf: Hyperfield, max_deg: int, monic_only: bool = False,
     for i, j, k in itertools.combinations_with_replacement(
             range(len(polys)), 3):
         checked += 1
-        decomps = []
-        for d in ((i, j, k), (j, i, k), (k, i, j)):
-            if d not in decomps:
-                decomps.append(d)
+        decomps = list(dict.fromkeys(((i, j, k), (j, i, k), (k, i, j))))
         if len(decomps) < 2:
             continue
         prev = outer_choice(*decomps[0])

@@ -4,10 +4,11 @@ Exit codes: 0 success / affirmative answer, 1 negative finding (non-member,
 unequal, counterexample found, axiom violation, irreducible, failed repro),
 2 parse or validation error, 3 undecided.
 
-Scalars follow the carrier's syntax: rationals as p/q, -inf for the tropical
-zero, ph(a) for a phase of a*pi.  Option values starting with '-' (such as
---at -1 or --at -inf) are safest written as --at=-1 / --at=-inf.  Regions are
-either finite lists {a,b,c} or intervals [lo,hi], (lo,hi], [lo,inf) over the
+Scalar options read what a polynomial coefficient reads: rationals as p/q,
+-inf for the tropical zero, ph(a) or e^{ia pi} for a phase of a*pi, any of
+them in parentheses.  Option values starting with '-' (such as --at -1 or
+--at -inf) are safest written as --at=-1 / --at=-inf.  Regions are either
+finite lists {a,b,c} or intervals [lo,hi], (lo,hi], [lo,inf) over the
 tropical and triangle carriers."""
 from __future__ import annotations
 
@@ -15,7 +16,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
 from typing import Optional, Sequence
 
 from .assoc import (AssocReport, assoc_check, assoc_scan,
@@ -26,7 +26,7 @@ from .carriers import (CarrierSet, Hyperfield, IntervalSet, ProbeSpec,
                        is_doubly_distributive)
 from .divide import mult_at, mult_set, quotients
 from .polyalg import (boxprod, boxsum, expr_equal, expr_member, parse_expr,
-                      parse_poly)
+                      parse_poly, parse_scalar_literal)
 from .repro import format_table, run_all
 from .sets import NEG_INF, POS_INF, Interval, IntervalUnion
 from .tropical import box_equivalence, is_reducible, linear_product_box, root_multiset
@@ -38,7 +38,7 @@ def _parse_region(hf: Hyperfield, text: str):
         items = [tok.strip() for tok in text[1:-1].split(",") if tok.strip()]
         if not items:
             raise ValueError("empty region")
-        return [hf.parse_scalar(tok) for tok in items]
+        return [parse_scalar_literal(hf, tok) for tok in items]
     if text[:1] in "[(" and text[-1:] in ")]":
         if not isinstance(hf, (TropicalHyperfield, ViroHyperfield)):
             raise ValueError(
@@ -48,11 +48,11 @@ def _parse_region(hf: Hyperfield, text: str):
         if lo_s in ("-inf", "-oo"):
             lo, lo_closed = NEG_INF, True
         else:
-            lo = hf.parse_scalar(lo_s).payload
+            lo = parse_scalar_literal(hf, lo_s).payload
         if hi_s in ("inf", "+inf", "oo", "+oo"):
             hi, hi_closed = POS_INF, False
         else:
-            hi = hf.parse_scalar(hi_s).payload
+            hi = parse_scalar_literal(hf, hi_s).payload
         if hi < lo or (lo == hi and not (lo_closed and hi_closed)):
             raise ValueError(f"empty interval {text!r}")
         return IntervalSet(hf.name, IntervalUnion(
@@ -78,7 +78,7 @@ _EQUAL_EXIT = {"equal": 0, "unequal": 1, "undecided": 3}
 
 def _cmd_eval(hf, args):
     p = parse_poly(args.poly, hf)
-    value = p.eval(hf.parse_scalar(args.at))
+    value = p.eval(parse_scalar_literal(hf, args.at))
     return 0, {"command": "eval", "hyperfield": hf.name, "poly": str(p),
                "at": args.at, "value": str(value)}, str(value)
 
@@ -107,7 +107,7 @@ def _cmd_equal(hf, args):
 
 
 def _cmd_quotients(hf, args):
-    qs = quotients(parse_poly(args.poly, hf), hf.parse_scalar(args.root))
+    qs = quotients(parse_poly(args.poly, hf), parse_scalar_literal(hf, args.root))
     payload = {"command": "quotients", "hyperfield": hf.name,
                "poly": str(qs.poly), "root": args.root,
                "domains": None if qs.is_empty()
@@ -118,7 +118,7 @@ def _cmd_quotients(hf, args):
 
 
 def _cmd_mult(hf, args):
-    m = mult_at(parse_poly(args.poly, hf), hf.parse_scalar(args.root))
+    m = mult_at(parse_poly(args.poly, hf), parse_scalar_literal(hf, args.root))
     return 0, {"command": "mult", "hyperfield": hf.name, "poly": args.poly,
                "root": args.root, "mult": m}, str(m)
 
@@ -216,7 +216,7 @@ def _cmd_trop_roots(hf, args):
 def _cmd_trop_box(hf, args):
     if not isinstance(hf, TropicalHyperfield):
         raise ValueError("trop-box runs over the tropical carrier")
-    roots = [hf.parse_scalar(tok.strip())
+    roots = [parse_scalar_literal(hf, tok.strip())
              for tok in args.roots.split(",") if tok.strip()]
     box = linear_product_box(roots)
     payload = {"command": "trop-box",
@@ -239,13 +239,13 @@ def _cmd_trop_box(hf, args):
 def _cmd_reducible(hf, args):
     cert = is_reducible(parse_poly(args.poly, hf), search_bound=args.bound)
     code = {True: 0, False: 1, None: 3}[cert.reducible]
-    return code, asdict(cert), str(cert)
+    return code, dict(vars(cert)), str(cert)
 
 
 def _cmd_repro(hf, args):
     results = run_all(args.criterion)
     payload = {"command": "repro",
-               "results": [asdict(r) for r in results],
+               "results": [dict(vars(r)) for r in results],
                "passed": all(r.passed for r in results)}
     human = format_table(results, verbose=args.verbose)
     return (0 if payload["passed"] else 1), payload, human

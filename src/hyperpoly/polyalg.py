@@ -22,7 +22,7 @@ import itertools
 import json
 import random
 import re
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import AbstractSet, NamedTuple, Optional, Sequence, Union
@@ -84,8 +84,12 @@ class Polynomial:
         return (self.degree,
                 tuple(self.hf.sort_key(c) for c in reversed(self.coeffs)))
 
-    def __str__(self) -> str:
+    @cached_property
+    def _text(self) -> str:
         return format_poly(self)
+
+    def __str__(self) -> str:
+        return self._text
 
 
 def monomial(hf: Hyperfield, n: int) -> Polynomial:
@@ -579,9 +583,9 @@ class CoupledValue:
         return f"({self.outer}) (x) members of {self.inner}"
 
     @cached_property
-    def members(self) -> frozenset:
-        """Every member polynomial, unsorted (finite carriers only),
-        enumerated on the carrier's integer codes and decoded once."""
+    def _member_codes(self) -> frozenset:
+        """Every member as a code tuple, unsorted (finite carriers only),
+        enumerated on the carrier's integer codes."""
         hf = self.outer.hf
         if not hf.is_finite():
             raise UndecidedError(
@@ -591,7 +595,14 @@ class CoupledValue:
         out: set = set()
         for r in self.inner.member_set():
             out.update(codes.members_of_product(q, codes.encode(r.coeffs)))
-        return frozenset(Polynomial(hf, codes.decode(t)) for t in out)
+        return frozenset(out)
+
+    @cached_property
+    def members(self) -> frozenset:
+        """Every member polynomial, unsorted, decoded once."""
+        hf = self.outer.hf
+        return frozenset(Polynomial(hf, hf.codes.decode(t))
+                         for t in self._member_codes)
 
     def times(self, p: Polynomial) -> Optional[Resolved]:
         """A scalar rescales the outer factor; other factors leave the shape."""
@@ -648,11 +659,13 @@ class CoupledValue:
                                   f"inner choice r = {witness}"))
             return Decision("yes", "single-unknown", steps, witness)
         if hf.is_finite():
+            member_codes = self._member_codes
+            present = hf.codes.encode(p.coeffs) in member_codes
             witness = None
-            if p in self.members:
+            if present:
                 witness = next((r for r in self.inner.enumerate_members()
                                 if boxprod(q, r).contains(p)), None)
-            return _enumeration_decision(p, self.members, witness)
+            return _enumeration_decision(p, present, len(member_codes), witness)
         return Decision("undecided", "unsupported", [CertStep(
             "scope", None,
             "several coupled coefficients over an infinite carrier")])
@@ -678,7 +691,7 @@ class FiniteValue:
         return None
 
     def decide(self, p: Polynomial) -> Decision:
-        return _enumeration_decision(p, self.members, p)
+        return _enumeration_decision(p, p in self.members, len(self.members), p)
 
 
 Resolved = Union[BoxValue, CoupledValue, FiniteValue]
@@ -692,22 +705,31 @@ def resolved_members(value: Resolved) -> list[Polynomial]:
 def resolve(expr: Expr, hf: Hyperfield) -> Resolved:
     if isinstance(expr, PolyLeaf):
         return BoxValue(box_of(expr.poly))
-    left = resolve(expr.left, hf)
-    right = resolve(expr.right, hf)
-    if isinstance(expr, SumNode):
-        if isinstance(left, BoxValue) and isinstance(right, BoxValue):
-            return BoxValue(box_hyperadd(left.box, right.box))
-        combine, scope = boxsum, "set-level sum of coupled values"
-    else:
-        left, right = (BoxValue(v.box.canonical())
-                       if isinstance(v, BoxValue) else v
-                       for v in (left, right))
-        for a, b in ((left, right), (right, left)):
-            if isinstance(a, BoxValue) and a.box.is_singleton():
-                value = b.times(a.box.the_polynomial())
-                if value is not None:
-                    return value
-        combine, scope = boxprod, "product of two undetermined polynomial sets"
+    left, right = resolve(expr.left, hf), resolve(expr.right, hf)
+    if isinstance(expr, ProdNode):
+        return product_value(left, right, hf)
+    if isinstance(left, BoxValue) and isinstance(right, BoxValue):
+        return BoxValue(box_hyperadd(left.box, right.box))
+    return _pairwise(boxsum, left, right, hf,
+                     "set-level sum of coupled values")
+
+
+def product_value(left: Resolved, right: Resolved, hf: Hyperfield) -> Resolved:
+    """resolve's product rule: left (x) right for two resolved sets."""
+    left, right = (BoxValue(v.box.canonical())
+                   if isinstance(v, BoxValue) else v
+                   for v in (left, right))
+    for a, b in ((left, right), (right, left)):
+        if isinstance(a, BoxValue) and a.box.is_singleton():
+            value = b.times(a.box.the_polynomial())
+            if value is not None:
+                return value
+    return _pairwise(boxprod, left, right, hf,
+                     "product of two undetermined polynomial sets")
+
+
+def _pairwise(combine, left, right, hf: Hyperfield, scope: str) -> FiniteValue:
+    """combine(p, q) over every member pair, on finite carriers only."""
     if not hf.is_finite():
         raise UndecidedError(f"{scope} is out of scope")
     out = set()
@@ -739,7 +761,7 @@ class MemberCertificate:
     steps: tuple[CertStep, ...] = ()
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return _member_dict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
@@ -775,7 +797,12 @@ class EqualCertificate:
     detail: tuple[CertStep, ...] = ()
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {"verdict": self.verdict, "hyperfield": self.hyperfield,
+                "expr1": self.expr1, "expr2": self.expr2,
+                "witness": self.witness, "witness_side": self.witness_side,
+                "member_in": _member_dict(self.member_in),
+                "member_out": _member_dict(self.member_out),
+                "detail": _step_dicts(self.detail)}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
@@ -804,6 +831,20 @@ class EqualCertificate:
             if sub is not None:
                 lines.extend("  | " + ln for ln in str(sub).splitlines())
         return "\n".join(lines)
+
+
+def _step_dicts(steps: Sequence[CertStep]) -> tuple:
+    """to_dict reads the declared fields, one key each, with no deep copy:
+    steps become a tuple of dicts, a member certificate a dict or None."""
+    return tuple({"kind": s.kind, "index": s.index, "text": s.text}
+                 for s in steps)
+
+
+def _member_dict(c: Optional[MemberCertificate]) -> Optional[dict]:
+    return None if c is None else {
+        "verdict": c.verdict, "hyperfield": c.hyperfield, "poly": c.poly,
+        "expr": c.expr, "method": c.method, "witness": c.witness,
+        "steps": _step_dicts(c.steps)}
 
 
 # ---------------------------------------------------------------------------
@@ -1038,11 +1079,10 @@ def _member_in_resolved(p: Polynomial, decision: Decision,
                              tuple(steps))
 
 
-def _enumeration_decision(p: Polynomial, members: AbstractSet,
+def _enumeration_decision(p: Polynomial, present: bool, size: int,
                           witness: Optional[Polynomial]) -> Decision:
-    present = p in members
     step = CertStep("enumerate", None,
-                    f"enumerated {len(members)} members; "
+                    f"enumerated {size} members; "
                     f"{p} is {'present' if present else 'absent'}")
     return Decision("yes" if present else "no", "enumeration", [step],
                     witness if present else None)

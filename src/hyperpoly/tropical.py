@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -176,7 +176,7 @@ class ReducibilityCertificate:
     trace: tuple[str, ...]
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
+        return json.dumps(vars(self), sort_keys=True)
 
     def __str__(self) -> str:
         head = {True: "REDUCIBLE", False: "IRREDUCIBLE",
