@@ -122,6 +122,8 @@ def assoc_scan(hf: Hyperfield, max_deg: int, monic_only: bool = False,
     cell instead, as expr_equal does).  polyalg's membership procedure on
     the resolved sides must then confirm the witness in one side and not
     the other, or the scan raises AssertionError."""
+    if max_deg < 1:
+        raise ValueError(f"max_deg must be at least 1, got {max_deg}")
     if not hf.is_finite():
         raise UndecidedError(f"cannot scan the infinite carrier {hf.name}")
     polys = _scan_polys(hf, max_deg, monic_only)

@@ -244,59 +244,56 @@ class PolyBox:
     def is_empty(self) -> bool:
         return not self.cells
 
-    def canonical(self) -> "PolyBox":
-        """Trim {0} top cells; if only the top cell can be nonzero, drop its
-        zero choice (it is realizable only through the excluded all-zero
-        selection)."""
+    def __post_init__(self) -> None:
+        """Normalise once, so every box is canonical: trim {0} top cells;
+        if only the top cell can be nonzero, drop its zero choice (it is
+        realizable only through the excluded all-zero selection).  Equal
+        sets then have equal cells."""
         hf = self.hf
         zero_set = hf.singleton(hf.zero())
         cells = list(self.cells)
         while len(cells) > 1 and cells[-1] == zero_set:
             cells.pop()
-        if not cells:
-            return PolyBox(hf, (), self.zero_excluded)
-        if all(c == zero_set for c in cells[:-1]):
+        if cells and all(c == zero_set for c in cells[:-1]):
             # remove_zero labels its result with hf: refuse a foreign cell
             if cells[-1].carrier != hf.name:
                 raise ValueError(
                     f"cell of {cells[-1].carrier} in a box over {hf.name}")
             top = hf.remove_zero(cells[-1])
-            if top.is_empty():
-                return PolyBox(hf, (), self.zero_excluded)
-            cells[-1] = top
-        return PolyBox(hf, tuple(cells), self.zero_excluded)
+            cells[-1:] = [] if top.is_empty() else [top]
+        object.__setattr__(self, "cells", tuple(cells))
+
+    def canonical(self) -> "PolyBox":
+        """The box itself: it is canonical since it was built.  The name
+        stays because perfbench/tracer.py wraps PolyBox.canonical by name
+        and tests/test_benchmark_contract.py requires it on the class."""
+        return self
 
     def contains(self, p: Polynomial) -> bool:
-        box = self.canonical()
-        if box.is_empty() or p.degree > box.nominal_degree:
+        if self.is_empty() or p.degree > self.nominal_degree:
             return False
-        return all(box.cell(i).contains(p.coeff(i))
-                   for i in range(box.nominal_degree + 1))
+        return all(c.contains(p.coeff(i)) for i, c in enumerate(self.cells))
 
     def is_singleton(self) -> bool:
-        box = self.canonical()
-        return bool(box.cells) and all(c.is_singleton() for c in box.cells)
+        return bool(self.cells) and all(c.is_singleton() for c in self.cells)
 
     def the_polynomial(self) -> Polynomial:
-        box = self.canonical()
-        return Polynomial.of(self.hf,
-                             [c.the_element() for c in box.cells])
+        return Polynomial.of(self.hf, [c.the_element() for c in self.cells])
 
     def member_set(self) -> frozenset:
         """All member polynomials (finite carriers only), unsorted.  The
         cells are checked once to belong to hf; each member is then built
         from its selection directly, with the leading zeros trimmed."""
         hf = self.hf
-        box = self.canonical()
-        for c in box.cells:
+        for c in self.cells:
             if c.carrier != hf.name:
                 raise ValueError(f"cell of {c.carrier} in a box over {hf.name}")
-        if not (hf.is_finite() or all(c.is_singleton() for c in box.cells)):
+        if not (hf.is_finite() or all(c.is_singleton() for c in self.cells)):
             raise UndecidedError("cannot enumerate an infinite box")
         zero = hf.zero()
         out = set()
         for combo in itertools.product(*[hf.sample_elements(c)
-                                         for c in box.cells]):
+                                         for c in self.cells]):
             top = len(combo)
             while top and combo[top - 1] == zero:
                 top -= 1
@@ -312,10 +309,9 @@ class PolyBox:
                        seed: Optional[int] = None) -> list[Polynomial]:
         """Deterministic member sample: cell-sample combinations (endpoints,
         midpoints) up to `limit`, plus seeded random mixes for large boxes."""
-        box = self.canonical()
-        if box.is_empty():
+        if self.is_empty():
             return []
-        choices = [self.hf.sample_elements(c) for c in box.cells]
+        choices = [self.hf.sample_elements(c) for c in self.cells]
         out: list[Polynomial] = []
         seen = set()
 
@@ -372,7 +368,6 @@ def boxsum(p: Polynomial, q: Polynomial) -> PolyBox:
 def box_hyperadd(a: PolyBox, b: PolyBox) -> PolyBox:
     """Set-level sum of two boxes; exact because cell choices stay independent."""
     hf = a.hf
-    a, b = a.canonical(), b.canonical()
     k = max(a.nominal_degree, b.nominal_degree)
     cells = tuple(hf.set_hyperadd(a.cell(i), b.cell(i)) for i in range(k + 1))
     zero = hf.zero()
@@ -552,13 +547,13 @@ class BoxValue:
 
     def decide(self, p: Polynomial) -> Decision:
         hf = p.hf
-        cbox = self.box.canonical()
-        if cbox.is_empty() or p.degree > cbox.nominal_degree:
+        box = self.box
+        if box.is_empty() or p.degree > box.nominal_degree:
             return Decision("no", "box", [CertStep(
                 "degree", None, f"degree {p.degree} outside the box")])
         steps = []
-        for i in range(cbox.nominal_degree + 1):
-            c, cell = p.coeff(i), cbox.cell(i)
+        for i in range(box.nominal_degree + 1):
+            c, cell = p.coeff(i), box.cell(i)
             ok = cell.contains(c)
             steps.append(CertStep("cell" if ok else "fail", i,
                                   f"coeff T^{i}: {hf.format_element(c)} "
@@ -716,9 +711,6 @@ def resolve(expr: Expr, hf: Hyperfield) -> Resolved:
 
 def product_value(left: Resolved, right: Resolved, hf: Hyperfield) -> Resolved:
     """resolve's product rule: left (x) right for two resolved sets."""
-    left, right = (BoxValue(v.box.canonical())
-                   if isinstance(v, BoxValue) else v
-                   for v in (left, right))
     for a, b in ((left, right), (right, left)):
         if isinstance(a, BoxValue) and a.box.is_singleton():
             value = b.times(a.box.the_polynomial())
@@ -858,7 +850,6 @@ def _truncate_inner(p: Polynomial, outer: Polynomial,
     hf = p.hf
     steps: list[CertStep] = []
     k = p.degree - outer.degree
-    box = box.canonical()
     if k < 0 or k > box.nominal_degree:
         steps.append(CertStep("degree", None,
                               f"no inner choice of degree {k} exists"))
@@ -1093,7 +1084,7 @@ def _enumeration_decision(p: Polynomial, present: bool, size: int,
 
 
 def _member_with_pinned(box: PolyBox, i: int, x: Element) -> Polynomial:
-    """Some member of the (canonical) box whose coefficient i equals x."""
+    """Some member of the box whose coefficient i equals x."""
     hf = box.hf
     picks: list[Element] = []
     top = box.nominal_degree
@@ -1119,25 +1110,24 @@ def _member_with_pinned(box: PolyBox, i: int, x: Element) -> Polynomial:
 def _box_pair_certificate(e1_text: str, e2_text: str, b1: PolyBox,
                           b2: PolyBox) -> EqualCertificate:
     hf = b1.hf
-    c1, c2 = b1.canonical(), b2.canonical()
-    if c1.cells == c2.cells:
+    if b1.cells == b2.cells:
         detail = (CertStep("box", None,
-                           f"both sides resolve to the box {c1}"),)
+                           f"both sides resolve to the box {b1}"),)
         return EqualCertificate("equal", hf.name, e1_text, e2_text,
                                 detail=detail)
-    k = max(c1.nominal_degree, c2.nominal_degree)
+    k = max(b1.nominal_degree, b2.nominal_degree)
     for i in range(k + 1):
-        a, b = c1.cell(i), c2.cell(i)
+        a, b = b1.cell(i), b2.cell(i)
         if a == b:
             continue
-        diff, side, c_in = a.difference(b), 1, c1
+        diff, side, b_in = a.difference(b), 1, b1
         if diff.is_empty():
-            diff, side, c_in = b.difference(a), 2, c2
-        witness = _member_with_pinned(c_in, i, hf.sample_elements(diff)[0])
+            diff, side, b_in = b.difference(a), 2, b2
+        witness = _member_with_pinned(b_in, i, hf.sample_elements(diff)[0])
         detail = CertStep("cell", i,
                           f"coefficient sets at T^{i} differ: {a} vs {b}")
-        return _unequal(e1_text, e2_text, BoxValue(c1).decide(witness),
-                        BoxValue(c2).decide(witness), witness, side, detail)
+        return _unequal(e1_text, e2_text, BoxValue(b1).decide(witness),
+                        BoxValue(b2).decide(witness), witness, side, detail)
     raise AssertionError("differing boxes with identical cells")
 
 

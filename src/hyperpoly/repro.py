@@ -281,6 +281,9 @@ CRITERIA: tuple[Callable[[], ReproResult], ...] = (
 
 
 def run_all(only: Optional[int] = None) -> list[ReproResult]:
+    if only is not None and not 1 <= only <= len(CRITERIA):
+        raise ValueError(
+            f"criterion must be in 1..{len(CRITERIA)}, got {only}")
     picked = CRITERIA if only is None else (CRITERIA[only - 1],)
     return [fn() for fn in picked]
 

@@ -17,7 +17,7 @@ from .carriers import (CarrierSet, Element, Hyperfield, TropicalHyperfield,
                        by_name)
 from .divide import _newton_roots, linear_for_root, mult_at
 from .linear import Constraint, eq, lt, feasible_point as lp_feasible_point
-from .polyalg import (Polynomial, PolyBox, boxprod, monic_decompose,
+from .polyalg import (Polynomial, PolyBox, box_of, boxprod, monic_decompose,
                       solve_linear_chain, chain_witness)
 from .sets import ExtRat, NEG_INF
 
@@ -209,8 +209,7 @@ def is_reducible(p: Polynomial, search_bound: int = 4) -> ReducibilityCertificat
     if found is not None:
         q0, r0 = found
         q = Polynomial(hf, tuple(hf.mul(lead, c) for c in q0.coeffs))
-        box = boxprod(q, r0)
-        if not (box.is_singleton() and box.the_polynomial() == p):
+        if boxprod(q, r0) != box_of(p):
             raise AssertionError("constructed factors fail verification")
         trace.append(f"verified ({q})*({r0}) = {{{p}}} cellwise")
         return ReducibilityCertificate(str(p), True, (str(q), str(r0)),
@@ -317,8 +316,7 @@ def _try_pattern(p: Polynomial, k: int, pattern: tuple[bool, ...],
                        + (hf.one(),))
         r = Polynomial(hf, tuple(Element(hf.name, v) for v in values[k:])
                        + (hf.one(),))
-        box = boxprod(q, r)
-        if box.is_singleton() and box.the_polynomial() == p:
+        if boxprod(q, r) == box_of(p):
             return q, r
     return f"pattern {inf_desc}: no strict-maximum assignment is consistent"
 
@@ -337,8 +335,7 @@ def _reducible_finite(p: Polynomial) -> ReducibilityCertificate:
     for k in range(1, n // 2 + 1):
         for q in all_polys(k):
             for r in all_polys(n - k):
-                box = boxprod(q, r)
-                if box.is_singleton() and box.the_polynomial() == p:
+                if boxprod(q, r) == box_of(p):
                     return ReducibilityCertificate(
                         str(p), True, (str(q), str(r)),
                         (f"verified ({q})*({r}) = {{{p}}} by enumeration",))

@@ -118,6 +118,12 @@ class TestAssocScan:
         with pytest.raises(UndecidedError):
             assoc_scan(by_name("T"), 1)
 
+    @pytest.mark.parametrize("max_deg", [0, -1])
+    def test_degree_below_one_is_refused(self, max_deg):
+        # no polynomial to scan is not an associative answer
+        with pytest.raises(ValueError, match="max_deg must be at least 1"):
+            assoc_scan(by_name("K"), max_deg)
+
     @pytest.mark.parametrize("hf,max_deg,monic_only", [
         (by_name("K"), 2, False),
         (by_name("S"), 1, False),

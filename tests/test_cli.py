@@ -89,6 +89,21 @@ class TestMemberAndBoxes:
         assert code == 0
         assert "(zero selection excluded)" in out
 
+    @pytest.mark.parametrize("hf,p,q", [
+        ("K", "T", "T"), ("GF(5)", "T+1", "4T"), ("P", "T", "ph(1)T"),
+        ("W", "T+1", "T-1"), ("S", "T^2+1", "-1"), ("T", "0T+1", "0T+1"),
+        ("V", "T+1", "T+2"), ("K", "T^2+T", "T^2+1"),
+    ])
+    def test_sum_prints_the_box_equal_reads(self, capsys, hf, p, q):
+        # sum prints the canonical box, the one equal compares for (p)+(q)
+        code, out, _ = run_cli(capsys, "sum", "--hf", hf, "--p", p, "--q", q)
+        assert code == 0
+        code, text, _ = run_cli(capsys, "equal", "--hf", hf,
+                                "--expr1", f"({p})+({q})",
+                                "--expr2", f"({p})+({q})")
+        assert code == 0
+        assert f"both sides resolve to the box {out.strip()}\n" in text
+
 
 class TestEqual:
     ARGS = ("equal", "--hf", "K",
@@ -215,6 +230,14 @@ class TestErrorPaths:
                                "--max-deg", "1")
         assert code == 3
         assert err.startswith("undecided:")
+
+    @pytest.mark.parametrize("deg", ["0", "-1"])
+    def test_scan_below_degree_one_exits_2(self, capsys, deg):
+        code, out, err = run_cli(capsys, "assoc-scan", "--hf", "K",
+                                 f"--max-deg={deg}")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: max_deg must be at least 1, got {deg}\n"
 
     def test_unexpected_exception_exits_4_without_traceback(self, capsys,
                                                             monkeypatch):
@@ -380,6 +403,12 @@ SET_SHAPE_CORPUS = [
     ("sum_P", 0,
      ["sum", "--hf", "P", "--p", "T+ph(1/2)", "--q", "T+ph(3/2)"]),
     ("sum_W", 0, ["sum", "--hf", "W", "--p", "T+1", "--q", "T-1"]),
+    # sums whose raw cells are not canonical: a lone top cell holding 0,
+    # and a cancelled top cell
+    ("sum_K_lone_top", 0, ["sum", "--hf", "K", "--p", "T", "--q", "T"]),
+    ("sum_GF5_cancelled_top", 0,
+     ["sum", "--hf", "GF(5)", "--p", "T+1", "--q", "4T"]),
+    ("sum_P_lone_top", 0, ["sum", "--hf", "P", "--p", "T", "--q", "ph(1)T"]),
     ("member_K_yes", 0,
      ["member", "--hf", "K", "--poly", "T^2+1", "--expr", "(T+1)*(T+1)"]),
     ("member_T_no", 1,
@@ -526,3 +555,10 @@ class TestRepro:
         assert code == 0
         assert payload["passed"] is True
         assert len(payload["results"]) == 1
+
+    @pytest.mark.parametrize("number", ["0", "-1", "15"])
+    def test_criterion_outside_the_range_exits_2(self, capsys, number):
+        code, out, err = run_cli(capsys, "repro", f"--criterion={number}")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: criterion must be in 1..14, got {number}\n"

@@ -1,4 +1,5 @@
-"""Every name a hyperpoly module imports is used in that module."""
+"""Static checks of the hyperpoly sources: every imported name is used,
+every private function has a caller, and no module re-canonicalises a box."""
 import ast
 from pathlib import Path
 
@@ -40,3 +41,16 @@ def test_every_private_function_is_referenced():
             elif isinstance(node, ast.Attribute):
                 referenced.add(node.attr)
     assert sorted(defined - referenced) == []
+
+
+def test_no_module_calls_canonical():
+    """A PolyBox is canonical when it is built (PolyBox.__post_init__), so
+    no module calls .canonical() to normalise one again."""
+    calls = []
+    for path in Path(hyperpoly.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        calls.extend(f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                     if isinstance(node, ast.Call)
+                     and isinstance(node.func, ast.Attribute)
+                     and node.func.attr == "canonical")
+    assert sorted(calls) == []

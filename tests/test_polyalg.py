@@ -1,5 +1,6 @@
 """Polynomial algebra: parsing, boxes, expression resolution, certificates."""
 
+import itertools
 import json
 from fractions import Fraction
 
@@ -314,6 +315,131 @@ class TestCanonical:
             scaled = scale_box(a, box)
             for q in box.sample_members(20):
                 assert scaled.contains(scalar_prod(a, q))
+
+
+def reference_canonical(hf, cells):
+    """PolyBox.canonical as it was written before boxes were canonical
+    when built: the canonical cells of a raw cell tuple."""
+    zero_set = hf.singleton(hf.zero())
+    cells = list(cells)
+    while len(cells) > 1 and cells[-1] == zero_set:
+        cells.pop()
+    if not cells:
+        return ()
+    if all(c == zero_set for c in cells[:-1]):
+        if cells[-1].carrier != hf.name:
+            raise ValueError(
+                f"cell of {cells[-1].carrier} in a box over {hf.name}")
+        top = hf.remove_zero(cells[-1])
+        if top.is_empty():
+            return ()
+        cells[-1] = top
+    return tuple(cells)
+
+
+BOX_RAWS = {"T": ["-inf", -1, 0, Fraction(1, 2), 1, 2],
+            "V": [0, Fraction(1, 2), 1, 2, 3],
+            "P": [None, Fraction(0), Fraction(1, 3), Fraction(1, 2),
+                  Fraction(1), Fraction(3, 2)]}
+FOREIGN = {"K": "S", "S": "K", "W": "S", "GF(3)": "K", "T": "V", "V": "T",
+           "P": "S"}
+
+
+def element_of(hf):
+    raws = BOX_RAWS.get(hf.name)
+    if raws is None:
+        return st.sampled_from(hf.elements())
+    return st.sampled_from(raws).map(hf.element)
+
+
+@st.composite
+def raw_cells(draw, hf):
+    """A cell of hf, zero-heavy: {0}, a singleton, a pair sum, the whole
+    carrier, a sum without 0, or a union of two of these."""
+    x, y = draw(element_of(hf)), draw(element_of(hf))
+    zero_set = hf.singleton(hf.zero())
+    shapes = [zero_set, zero_set, hf.singleton(x), hf.hyperadd(x, y),
+              hf.full_set()]
+    no_zero = hf.remove_zero(hf.hyperadd(x, y))
+    if not no_zero.is_empty():
+        shapes.append(no_zero)
+    a, b = draw(st.sampled_from(shapes)), draw(st.sampled_from(shapes))
+    return a.union(b) if draw(st.booleans()) else a
+
+
+@st.composite
+def raw_boxes(draw):
+    """(hf, raw cell tuple, zero_excluded), with all-{0} tuples, {0} tops,
+    lone top cells holding 0 and, now and then, a cell of another carrier."""
+    hf = by_name(draw(st.sampled_from(sorted(FOREIGN))))
+    cells = draw(st.lists(raw_cells(hf), max_size=4))
+    if cells and draw(st.integers(0, 5)) == 0:
+        other = by_name(FOREIGN[hf.name])
+        cells[draw(st.integers(0, len(cells) - 1))] = draw(raw_cells(other))
+    return hf, tuple(cells), draw(st.booleans())
+
+
+def outcome(fn):
+    """fn's value, or the type of the error it raised (a foreign cell can
+    fail in its own carrier's code)."""
+    try:
+        return fn()
+    except Exception as err:
+        return type(err)
+
+
+class TestBuiltCanonical:
+    """A PolyBox is canonical when it is built: its cells are the ones the
+    old canonical() gave for the raw cells, and it denotes the same set."""
+
+    @given(raw_boxes(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_built_box_is_the_reference_canonical_box(self, raw, data):
+        hf, cells, excluded = raw
+        expected = outcome(lambda: reference_canonical(hf, cells))
+        built = outcome(lambda: PolyBox(hf, cells, excluded))
+        if expected is ValueError:
+            assert built is ValueError
+            return
+        assert (built.cells, built.zero_excluded) == (expected, excluded)
+        reference = PolyBox(hf, expected, excluded)
+        assert reference.cells == expected
+        assert built.canonical() is built
+        foreign = any(c.carrier != hf.name for c in cells)
+        members = outcome(lambda: built.sample_members(30, seed=3))
+        assert members == outcome(lambda: reference.sample_members(30, seed=3))
+        probes = data.draw(st.lists(polys_of(hf, len(cells)), max_size=6))
+        for p in probes + ([] if isinstance(members, type) else members):
+            got = outcome(lambda: built.contains(p))
+            assert got == outcome(lambda: reference.contains(p))
+            if not foreign:
+                # the raw cells denote the same set: p pads with zeros
+                assert got == (p.degree < len(cells) and all(
+                    c.contains(p.coeff(i)) for i, c in enumerate(cells)))
+        single = outcome(built.is_singleton)
+        assert single == outcome(reference.is_singleton)
+        if single is True:
+            p = outcome(built.the_polynomial)
+            assert p == outcome(reference.the_polynomial)
+            if not foreign:
+                assert built.cells == box_of(p).cells
+        if hf.is_finite():
+            got = outcome(built.member_set)
+            assert got == outcome(reference.member_set)
+            if not foreign:
+                assert got == {
+                    Polynomial.of(hf, combo) for combo in itertools.product(
+                        *(hf.sample_elements(c) for c in cells))
+                    if not all(hf.is_zero(x) for x in combo)}
+
+
+@st.composite
+def polys_of(draw, hf, max_deg):
+    coeffs = [draw(element_of(hf))
+              for _ in range(draw(st.integers(0, max(max_deg, 0))))]
+    nonzero = element_of(hf).filter(lambda x: not hf.is_zero(x))
+    coeffs.append(draw(nonzero))
+    return Polynomial.of(hf, coeffs)
 
 
 class TestEnumeration:
