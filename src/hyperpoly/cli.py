@@ -43,7 +43,10 @@ def _parse_region(hf: Hyperfield, text: str):
         if not isinstance(hf, (TropicalHyperfield, ViroHyperfield)):
             raise ValueError(
                 f"interval regions are supported over T and V, not {hf.name}")
-        lo_s, hi_s = (part.strip() for part in text[1:-1].split(",", 1))
+        bounds = [part.strip() for part in text[1:-1].split(",")]
+        if len(bounds) != 2:
+            raise ValueError("interval region needs two bounds lo,hi")
+        lo_s, hi_s = bounds
         lo_closed, hi_closed = text[0] == "[", text[-1] == "]"
         if lo_s in ("-inf", "-oo"):
             lo, lo_closed = NEG_INF, True
@@ -324,15 +327,15 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(flag, required=True)
     p.add_argument("--points", required=True, help="finite list {a,b,c}")
 
-    p = add("axioms", _cmd_axioms, help="check the hyperfield axioms")
-    p.add_argument("--mode", choices=("auto", "exhaustive", "probe"),
-                   default="auto")
-    p.add_argument("--points", help="extra probe points {a,b,c}")
-
-    p = add("ddist", _cmd_ddist, help="double distributivity check")
-    p.add_argument("--mode", choices=("auto", "exhaustive", "probe"),
-                   default="auto")
-    p.add_argument("--points", help="extra probe points {a,b,c}")
+    finite = "; a finite carrier is always checked exhaustively"
+    for name, cmd, text in (
+            ("axioms", _cmd_axioms, "check the hyperfield axioms"),
+            ("ddist", _cmd_ddist, "double distributivity check")):
+        p = add(name, cmd, help=text)
+        p.add_argument("--mode", choices=("auto", "exhaustive", "probe"),
+                       default="auto",
+                       help="exhaustive, or a probe grid over T, V, P" + finite)
+        p.add_argument("--points", help="extra probe points {a,b,c}" + finite)
 
     p = add("trop-roots", _cmd_trop_roots,
             help="tropical root multiset of a monic polynomial")

@@ -248,17 +248,16 @@ class PolyBox:
         """Normalise once, so every box is canonical: trim {0} top cells;
         if only the top cell can be nonzero, drop its zero choice (it is
         realizable only through the excluded all-zero selection).  Equal
-        sets then have equal cells."""
+        sets then have equal cells.  A cell of another carrier is refused."""
         hf = self.hf
+        for c in self.cells:
+            if c.carrier != hf.name:
+                raise ValueError(f"cell of {c.carrier} in a box over {hf.name}")
         zero_set = hf.singleton(hf.zero())
         cells = list(self.cells)
         while len(cells) > 1 and cells[-1] == zero_set:
             cells.pop()
         if cells and all(c == zero_set for c in cells[:-1]):
-            # remove_zero labels its result with hf: refuse a foreign cell
-            if cells[-1].carrier != hf.name:
-                raise ValueError(
-                    f"cell of {cells[-1].carrier} in a box over {hf.name}")
             top = hf.remove_zero(cells[-1])
             cells[-1:] = [] if top.is_empty() else [top]
         object.__setattr__(self, "cells", tuple(cells))
@@ -281,13 +280,10 @@ class PolyBox:
         return Polynomial.of(self.hf, [c.the_element() for c in self.cells])
 
     def member_set(self) -> frozenset:
-        """All member polynomials (finite carriers only), unsorted.  The
-        cells are checked once to belong to hf; each member is then built
-        from its selection directly, with the leading zeros trimmed."""
+        """All member polynomials (finite carriers only), unsorted.  Each
+        member is built from its selection directly, with the leading zeros
+        trimmed."""
         hf = self.hf
-        for c in self.cells:
-            if c.carrier != hf.name:
-                raise ValueError(f"cell of {c.carrier} in a box over {hf.name}")
         if not (hf.is_finite() or all(c.is_singleton() for c in self.cells)):
             raise UndecidedError("cannot enumerate an infinite box")
         zero = hf.zero()

@@ -1,5 +1,6 @@
 """Carrier-level behaviour: axiom checks, arithmetic tables, parsing."""
 
+import dataclasses
 import tracemalloc
 from fractions import Fraction
 
@@ -29,7 +30,13 @@ from hyperpoly import (
     weak_signs,
 )
 from hyperpoly import carriers
-from hyperpoly.carriers import FiniteHyperfield, FiniteSet
+from hyperpoly.carriers import (
+    AxiomCheck,
+    AxiomReport,
+    FiniteHyperfield,
+    FiniteSet,
+    _points_of,
+)
 
 FINITE = [
     krasner(),
@@ -87,6 +94,171 @@ class TestAxioms:
         assert failed and all(c.counterexample for c in failed)
         assert {"hyperadd-commutative", "unique-hyperinverse"} <= \
             {c.name for c in failed}
+
+
+def reference_check_axioms(hf, probe):
+    """The axiom check as it was written law by law, kept as the oracle
+    for the table-driven `check_axioms`: same laws, order, verdicts and
+    counterexample texts."""
+    pts = _points_of(hf, probe)
+    zero, one = hf.zero(), hf.one()
+    checks = []
+    n = len(pts)
+    pair = {(i, j): hf.hyperadd(pts[i], pts[j])
+            for i in range(n) for j in range(n)}
+
+    def run(name, violation):
+        checks.append(AxiomCheck(name, violation is None,
+                                 None if violation is None else violation))
+
+    run("zero-one-distinct", None if zero != one else "0 = 1")
+
+    bad = next((f"0*{x}" for x in pts
+                if hf.mul(zero, x) != zero or hf.mul(x, zero) != zero), None)
+    run("absorbing-zero", bad)
+
+    bad = next((f"{x}*{y}" for x in pts for y in pts
+                if hf.mul(x, y) != hf.mul(y, x)), None)
+    run("mul-commutative", bad)
+
+    bad = next((f"({x}*{y})*{z}" for x in pts for y in pts for z in pts
+                if hf.mul(hf.mul(x, y), z) != hf.mul(x, hf.mul(y, z))), None)
+    run("mul-associative", bad)
+
+    bad = next((f"1*{x}" for x in pts if hf.mul(one, x) != x), None)
+    run("mul-identity", bad)
+
+    bad = next((f"{x}*inv({x})" for x in pts
+                if not hf.is_zero(x) and hf.mul(x, hf.inv(x)) != one), None)
+    run("mul-inverse", bad)
+
+    bad = next((f"{pts[i]}(+){pts[j]}" for i in range(n) for j in range(n)
+                if pair[(i, j)] != pair[(j, i)]), None)
+    run("hyperadd-commutative", bad)
+
+    bad = next((f"0(+){x}" for x in pts
+                if hf.hyperadd(zero, x) != hf.singleton(x)), None)
+    run("hyperadd-identity", bad)
+
+    bad = None
+    singles = [hf.singleton(x) for x in pts]
+    for i in range(n):
+        for j in range(n):
+            left_base = pair[(i, j)]
+            for k in range(n):
+                lhs = hf.set_hyperadd(singles[i], pair[(j, k)])
+                rhs = hf.set_hyperadd(left_base, singles[k])
+                if lhs != rhs:
+                    bad = f"{pts[i]}(+)({pts[j]}(+){pts[k]})"
+                    break
+            if bad:
+                break
+        if bad:
+            break
+    run("hyperadd-associative", bad)
+
+    bad = None
+    for i, x in enumerate(pts):
+        hits = [y for j, y in enumerate(pts) if pair[(i, j)].contains(zero)]
+        expected = hf.neg(x)
+        if probe.mode == "exhaustive":
+            if set(hits) != {expected}:
+                bad = f"inverses of {x}: {[str(h) for h in hits]}"
+                break
+        else:
+            if (expected in pts and expected not in hits) or \
+                    any(h != expected for h in hits):
+                bad = f"inverses of {x}: {[str(h) for h in hits]}"
+                break
+    run("unique-hyperinverse", bad)
+
+    bad = None
+    for i, x in enumerate(pts):
+        for j, y in enumerate(pts):
+            neg_add = hf.hyperadd(x, hf.neg(y))
+            for k, z in enumerate(pts):
+                if pair[(j, k)].contains(x) != neg_add.contains(z):
+                    bad = f"x={x}, y={y}, z={z}"
+                    break
+            if bad:
+                break
+        if bad:
+            break
+    run("reversibility", bad)
+
+    bad = next(
+        (f"{a}*({pts[i]}(+){pts[j]})" for a in pts
+         for i in range(n) for j in range(n)
+         if hf.scale_set(a, pair[(i, j)])
+         != hf.hyperadd(hf.mul(a, pts[i]), hf.mul(a, pts[j]))), None)
+    run("distributivity-left", bad)
+
+    bad = next(
+        (f"({pts[i]}(+){pts[j]})*{a}" for a in pts
+         for i in range(n) for j in range(n)
+         if hf.set_mul(pair[(i, j)], hf.singleton(a))
+         != hf.hyperadd(hf.mul(pts[i], a), hf.mul(pts[j], a))), None)
+    run("distributivity-right", bad)
+
+    return AxiomReport(hf.name, probe.mode, len(pts), tuple(checks))
+
+
+SMALL = [krasner(), signs(), weak_signs(), gf(2), gf(3)]
+
+
+@st.composite
+def perturbed_carriers(draw):
+    """A carrier of 2 or 3 payloads: the tables of K, S, W, GF(2) or GF(3)
+    with up to six entries (and possibly the one) redrawn, so most draws
+    break some axioms and some break none."""
+    base = draw(st.sampled_from(SMALL))
+    els = base.elements()
+    pays = [x.payload for x in els]
+    keys = [(a, b) for a in pays for b in pays]
+    mul = {(x.payload, y.payload): base.mul(x, y).payload
+           for x in els for y in els}
+    add = {(x.payload, y.payload): base.hyperadd(x, y).finite
+           for x in els for y in els}
+    neg = {x.payload: base.neg(x).payload for x in els}
+    inv = {x.payload: base.inv(x).payload
+           for x in els if not base.is_zero(x)}
+    for _ in range(draw(st.integers(0, 6))):
+        table = draw(st.sampled_from(["mul", "add", "neg", "inv"]))
+        if table == "mul":
+            mul[draw(st.sampled_from(keys))] = draw(st.sampled_from(pays))
+        elif table == "add":
+            add[draw(st.sampled_from(keys))] = draw(
+                st.frozensets(st.sampled_from(pays)))
+        else:
+            target = neg if table == "neg" else inv
+            target[draw(st.sampled_from(sorted(target)))] = draw(
+                st.sampled_from(pays))
+    one = draw(st.one_of(st.just(base.one().payload), st.sampled_from(pays)))
+    return FiniteHyperfield(base.name + "~", pays, base.zero().payload, one,
+                            mul, neg, inv, add)
+
+
+class TestAxiomTable:
+    """`check_axioms` gives the law-by-law reference's whole report."""
+
+    @given(perturbed_carriers(), st.data())
+    @settings(max_examples=400)
+    def test_report_equals_the_reference(self, hf, data):
+        probe = data.draw(st.one_of(
+            st.just(ProbeSpec.exhaustive()),
+            st.lists(st.sampled_from(hf.elements()), unique=True,
+                     min_size=1).map(ProbeSpec.probe)))
+        assert check_axioms(hf, probe) == reference_check_axioms(hf, probe)
+
+    @pytest.mark.parametrize(
+        "hf", [krasner(), signs(), weak_signs(),
+               weak_group(*cyclic_group_table(3)), gf(5)],
+        ids=lambda hf: hf.name)
+    def test_probe_of_every_point_is_the_exhaustive_report(self, hf):
+        exhaustive = check_axioms(hf, ProbeSpec.exhaustive())
+        probe = check_axioms(hf, ProbeSpec.probe(hf.elements()))
+        assert probe.mode == "probe"
+        assert dataclasses.replace(probe, mode="exhaustive") == exhaustive
 
 
 class TestDoubleDistributivity:

@@ -225,6 +225,14 @@ class TestErrorPaths:
         assert code == 2
         assert "interval regions are supported over T and V" in err
 
+    @pytest.mark.parametrize("region", ["[1]", "[1,2,3]"])
+    def test_interval_region_needs_two_bounds(self, capsys, region):
+        code, out, err = run_cli(capsys, "mult-set", "--hf", "V",
+                                 "--poly", "T^2+3T+1", "--region", region)
+        assert code == 2
+        assert out == ""
+        assert err == "error: interval region needs two bounds lo,hi\n"
+
     def test_scan_of_an_infinite_carrier_exits_3(self, capsys):
         code, _, err = run_cli(capsys, "assoc-scan", "--hf", "T",
                                "--max-deg", "1")
@@ -434,6 +442,14 @@ SET_SHAPE_CORPUS = [
      ["mult-set", "--hf", "K", "--poly", "T^3+T+1", "--region", "{1}"]),
     ("axioms_W", 0, ["axioms", "--hf", "W"]),
     ("axioms_T_probe", 0, ["axioms", "--hf", "T"]),
+    ("axioms_K", 0, ["axioms", "--hf", "K"]),
+    ("axioms_S", 0, ["axioms", "--hf", "S"]),
+    ("axioms_GF5", 0, ["axioms", "--hf", "GF(5)"]),
+    ("axioms_V_probe", 0, ["axioms", "--hf", "V"]),
+    ("axioms_P_probe", 0, ["axioms", "--hf", "P"]),
+    ("ddist_S", 0, ["ddist", "--hf", "S"]),
+    ("ddist_W", 1, ["ddist", "--hf", "W"]),
+    ("ddist_T_probe", 0, ["ddist", "--hf", "T"]),
     ("trop_box_certified", 0,
      ["trop-box", "--hf", "T", "--roots", "1,1,2", "--certify"]),
     ("one_one_W", 0, ["one-one", "--hf", "W"]),

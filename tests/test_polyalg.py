@@ -380,8 +380,7 @@ def raw_boxes(draw):
 
 
 def outcome(fn):
-    """fn's value, or the type of the error it raised (a foreign cell can
-    fail in its own carrier's code)."""
+    """fn's value, or the type of the error it raised."""
     try:
         return fn()
     except Exception as err:
@@ -398,39 +397,37 @@ class TestBuiltCanonical:
         hf, cells, excluded = raw
         expected = outcome(lambda: reference_canonical(hf, cells))
         built = outcome(lambda: PolyBox(hf, cells, excluded))
-        if expected is ValueError:
+        if expected is ValueError or any(c.carrier != hf.name
+                                         for c in cells):
+            # a cell of another carrier is refused wherever it stands
             assert built is ValueError
             return
         assert (built.cells, built.zero_excluded) == (expected, excluded)
         reference = PolyBox(hf, expected, excluded)
         assert reference.cells == expected
         assert built.canonical() is built
-        foreign = any(c.carrier != hf.name for c in cells)
         members = outcome(lambda: built.sample_members(30, seed=3))
         assert members == outcome(lambda: reference.sample_members(30, seed=3))
         probes = data.draw(st.lists(polys_of(hf, len(cells)), max_size=6))
         for p in probes + ([] if isinstance(members, type) else members):
             got = outcome(lambda: built.contains(p))
             assert got == outcome(lambda: reference.contains(p))
-            if not foreign:
-                # the raw cells denote the same set: p pads with zeros
-                assert got == (p.degree < len(cells) and all(
-                    c.contains(p.coeff(i)) for i, c in enumerate(cells)))
+            # the raw cells denote the same set: p pads with zeros
+            assert got == (p.degree < len(cells) and all(
+                c.contains(p.coeff(i)) for i, c in enumerate(cells)))
         single = outcome(built.is_singleton)
         assert single == outcome(reference.is_singleton)
         if single is True:
             p = outcome(built.the_polynomial)
             assert p == outcome(reference.the_polynomial)
-            if not foreign:
-                assert built.cells == box_of(p).cells
+            assert built.cells == box_of(p).cells
         if hf.is_finite():
             got = outcome(built.member_set)
             assert got == outcome(reference.member_set)
-            if not foreign:
-                assert got == {
-                    Polynomial.of(hf, combo) for combo in itertools.product(
-                        *(hf.sample_elements(c) for c in cells))
-                    if not all(hf.is_zero(x) for x in combo)}
+            assert got == {
+                Polynomial.of(hf, combo) for combo in itertools.product(
+                    *(hf.sample_elements(c) for c in cells))
+                if not all(hf.is_zero(x) for x in combo)}
 
 
 @st.composite
@@ -502,9 +499,16 @@ class TestEnumeration:
 
     def test_cell_of_another_carrier_is_refused(self):
         K, S = by_name("K"), by_name("S")
-        box = PolyBox(S, (K.full_set(), S.singleton(S.one())))
         with pytest.raises(ValueError):
-            box.member_set()
+            PolyBox(S, (K.full_set(), S.singleton(S.one()))).member_set()
+
+    def test_lower_cell_of_another_carrier_is_refused_when_built(self):
+        # before the check moved into construction, this box was built and
+        # its sample_members raised AttributeError in P's own code
+        P, S = by_name("P"), by_name("S")
+        cell = P.hyperadd(P.one(), P.one())
+        with pytest.raises(ValueError, match="cell of S in a box over P"):
+            PolyBox(P, (S.singleton(S.zero()), cell, cell))
 
     def test_top_cell_of_another_carrier_is_refused(self):
         K, S = by_name("K"), by_name("S")
