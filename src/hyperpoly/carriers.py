@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from operator import itemgetter
 from typing import Optional, Sequence, Union
 
 from .sets import (NEG_INF, POS_INF, ArcUnion, ExtRat, Interval, IntervalUnion,
@@ -31,15 +32,49 @@ class UndecidedError(Exception):
     status rather than guess."""
 
 
-@dataclass(frozen=True)
-class Element:
-    """One value of a hyperfield carrier, tagged with the carrier name."""
+class Element(tuple):
+    """One value of a hyperfield carrier, tagged with the carrier name: the
+    immutable pair (carrier, payload), so it hashes and compares as that
+    tuple does, in C."""
 
-    carrier: str
-    payload: Payload
+    __slots__ = ()
+    _fields = ("carrier", "payload")  # dataclasses.asdict rebuilds it by these
+
+    def __new__(cls, carrier: str, payload: Payload) -> "Element":
+        return tuple.__new__(cls, (carrier, payload))
+
+    def __getnewargs__(self) -> tuple:
+        return tuple(self)
+
+    carrier = property(itemgetter(0), doc="The carrier name.")
+    payload = property(itemgetter(1), doc="The value within the carrier.")
+
+    def __repr__(self) -> str:
+        return f"Element(carrier={self[0]!r}, payload={self[1]!r})"
 
     def __str__(self) -> str:
-        return format_payload(self.payload)
+        return format_payload(self[1])
+
+
+class _Interned(dict):
+    """payload -> the one Element of (carrier, payload), made on first
+    lookup."""
+
+    def __init__(self, carrier: str):
+        self.carrier = carrier
+
+    def __missing__(self, payload: Payload) -> Element:
+        x = self[payload] = Element(self.carrier, payload)
+        return x
+
+
+@lru_cache(maxsize=None)
+def _interned(carrier: str) -> _Interned:
+    """The Elements of one carrier name.  An Element is a value of its
+    (carrier, payload) pair alone, so every finite carrier and FiniteSet of
+    that name share the table.  Payloads enter it only from a carrier's own
+    payload list and tables, never as an equal payload of another type."""
+    return _Interned(carrier)
 
 
 def format_payload(payload: Payload) -> str:
@@ -104,15 +139,21 @@ class FiniteSet(CarrierSet):
     def is_singleton(self) -> bool:
         return len(self.finite) == 1
 
-    def _sole_payload(self) -> Payload:
-        return next(iter(self.finite))
+    def the_element(self) -> Element:
+        if not self.is_singleton():
+            raise ValueError(f"not a singleton: {self}")
+        return _interned(self.carrier)[next(iter(self.finite))]
 
-    def __str__(self) -> str:
+    @cached_property
+    def _text(self) -> str:
         if not self.finite:
             return "{}"
         # a finite carrier's payloads are all ints or all strs
         inner = ",".join(format_payload(p) for p in sorted(self.finite))
         return "{%s}" % inner
+
+    def __str__(self) -> str:
+        return self._text
 
 
 @dataclass(frozen=True)
@@ -348,8 +389,11 @@ class FiniteHyperfield(Hyperfield):
         # symbols sort in table order; integer payloads sort by value
         self._rank = {} if self._int_payloads else {
             p: i for i, p in enumerate(payloads)}
-        self._zero = Element(name, zero)
-        self._one = Element(name, one)
+        # one Element per payload, filled on first use so that set-up of a
+        # large field does no per-payload work
+        self._elem = _interned(name)
+        self._zero = self._elem[zero]
+        self._one = self._elem[one]
         self._mul = mul_table
         self._neg = neg_table
         self._inv = inv_table
@@ -359,7 +403,8 @@ class FiniteHyperfield(Hyperfield):
         return True
 
     def elements(self) -> list[Element]:
-        return [Element(self.name, p) for p in self._payloads]
+        elem = self._elem
+        return [elem[p] for p in self._payloads]
 
     def zero(self) -> Element:
         return self._zero
@@ -370,23 +415,29 @@ class FiniteHyperfield(Hyperfield):
     def element(self, raw) -> Element:
         if isinstance(raw, Element):
             return self.check(raw)
-        if raw in self._payloads:
-            return Element(self.name, raw)
+        payloads = self._payloads
+        if raw in payloads:
+            # the carrier's own payload, so 1.0 or True reads as 1
+            return self._elem[payloads[payloads.index(raw)]]
         raise ValueError(f"{raw!r} is not in the carrier of {self.name}")
 
+    # The single-valued operations index the (carrier, payload) pair.
     def mul(self, x: Element, y: Element) -> Element:
-        self.check(x), self.check(y)
-        return Element(self.name, self._mul[(x.payload, y.payload)])
+        if x[0] != self.name or y[0] != self.name:
+            self.check(x), self.check(y)
+        return self._elem[self._mul[x[1], y[1]]]
 
     def neg(self, x: Element) -> Element:
-        self.check(x)
-        return Element(self.name, self._neg[x.payload])
+        if x[0] != self.name:
+            self.check(x)
+        return self._elem[self._neg[x[1]]]
 
     def inv(self, x: Element) -> Element:
-        self.check(x)
+        if x[0] != self.name:
+            self.check(x)
         if x == self._zero:
             raise ZeroDivisionError(f"inv(0) in {self.name}")
-        return Element(self.name, self._inv[x.payload])
+        return self._elem[self._inv[x[1]]]
 
     def hyperadd(self, x: Element, y: Element) -> FiniteSet:
         self.check(x), self.check(y)
@@ -416,13 +467,18 @@ class FiniteHyperfield(Hyperfield):
         return FiniteSet(self.name, frozenset([x.payload]))
 
     def full_set(self) -> FiniteSet:
+        return self._full
+
+    @cached_property
+    def _full(self) -> FiniteSet:
         return FiniteSet(self.name, frozenset(self._payloads))
 
     def remove_zero(self, s: FiniteSet) -> FiniteSet:
         return FiniteSet(self.name, s.finite - {self._zero.payload})
 
     def sample_elements(self, s: FiniteSet) -> list[Element]:
-        return [Element(self.name, p) for p in sorted(s.finite)]
+        elem = self._elem
+        return [elem[p] for p in sorted(s.finite)]
 
     def sort_key(self, x: Element) -> tuple:
         if isinstance(x.payload, str):
@@ -442,12 +498,12 @@ class FiniteHyperfield(Hyperfield):
             except ValueError as err:
                 raise ValueError(f"bad {self.name} literal {text!r}") from err
             if self.modulus is not None:
-                return Element(self.name, value % self.modulus)
+                return self._elem[value % self.modulus]
             if value in self._payloads:
-                return Element(self.name, value)
+                return self._elem[value]
             raise ValueError(f"{value} is not in the carrier of {self.name}")
         if text in self._payloads:
-            return Element(self.name, text)
+            return self._elem[text]
         raise ValueError(f"{text!r} is not a symbol of {self.name}")
 
 
@@ -520,6 +576,20 @@ class CodeTable:
                         cells[t] = step[cells[t]][row[d]]
                     t += 1
         return itertools.product(*[self.choices[s] for s in cells])
+
+    def members_of_sum(self, p: Sequence[int], q: Sequence[int]):
+        """Member code tuples of p (+) q for two trimmed code tuples, each
+        trimmed of its leading zeros; the all-zero choice is no member."""
+        if len(p) < len(q):
+            p, q = q, p
+        step, zero = self.step, self.zero
+        cells = [step[c][d] for c, d in zip(p, q)] + list(p[len(q):])
+        for combo in itertools.product(*[self.choices[s] for s in cells]):
+            top = len(combo)
+            while top and combo[top - 1] == zero:
+                top -= 1
+            if top:
+                yield combo[:top]
 
 
 def _sign_mul(payloads):

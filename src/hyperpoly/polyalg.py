@@ -701,7 +701,7 @@ def resolve(expr: Expr, hf: Hyperfield) -> Resolved:
         return product_value(left, right, hf)
     if isinstance(left, BoxValue) and isinstance(right, BoxValue):
         return BoxValue(box_hyperadd(left.box, right.box))
-    return _pairwise(boxsum, left, right, hf,
+    return _pairwise(False, left, right, hf,
                      "set-level sum of coupled values")
 
 
@@ -712,19 +712,30 @@ def product_value(left: Resolved, right: Resolved, hf: Hyperfield) -> Resolved:
             value = b.times(a.box.the_polynomial())
             if value is not None:
                 return value
-    return _pairwise(boxprod, left, right, hf,
+    return _pairwise(True, left, right, hf,
                      "product of two undetermined polynomial sets")
 
 
-def _pairwise(combine, left, right, hf: Hyperfield, scope: str) -> FiniteValue:
-    """combine(p, q) over every member pair, on finite carriers only."""
+def _pairwise(product: bool, left, right, hf: Hyperfield,
+              scope: str) -> FiniteValue:
+    """p (x) q when product is set, else p (+) q, over every member pair,
+    on a finite carrier's integer codes; the members are decoded once."""
     if not hf.is_finite():
         raise UndecidedError(f"{scope} is out of scope")
-    out = set()
-    for p in left.members:
-        for q in right.members:
-            out.update(combine(p, q).member_set())
-    return FiniteValue(frozenset(out))
+    lefts, rights = left.members, right.members
+    if not (lefts and rights):
+        # no pair to combine, so the p^2 code table of GF(p) stays unbuilt
+        return FiniteValue(frozenset())
+    codes = hf.codes
+    combine = codes.members_of_product if product else codes.members_of_sum
+    rights = [codes.encode(q.coeffs) for q in rights]
+    out: set = set()
+    for p in lefts:
+        p = codes.encode(p.coeffs)
+        for q in rights:
+            out.update(combine(p, q))
+    return FiniteValue(frozenset(Polynomial(hf, codes.decode(t))
+                                 for t in out))
 
 
 # ---------------------------------------------------------------------------

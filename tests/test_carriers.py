@@ -1,6 +1,7 @@
 """Carrier-level behaviour: axiom checks, arithmetic tables, parsing."""
 
 import dataclasses
+import pickle
 import tracemalloc
 from fractions import Fraction
 
@@ -10,8 +11,10 @@ from hypothesis import strategies as st
 
 from hyperpoly import (
     PolyLeaf,
+    Polynomial,
     ProbeSpec,
     ProdNode,
+    SumNode,
     assoc_check,
     by_name,
     check_axioms,
@@ -33,6 +36,7 @@ from hyperpoly import carriers
 from hyperpoly.carriers import (
     AxiomCheck,
     AxiomReport,
+    Element,
     FiniteHyperfield,
     FiniteSet,
     _points_of,
@@ -364,10 +368,19 @@ class TestGaloisFields:
                 ProdNode(PolyLeaf(p), ProdNode(PolyLeaf(q), PolyLeaf(r))),
                 ProdNode(ProdNode(PolyLeaf(p), PolyLeaf(q)), PolyLeaf(r)), hf)
             report = assoc_check(p, q, r)
+            # a sum of boxes stays a box, and the product of two empty sums
+            # pairs no members, so neither reaches the code table either
+            total = SumNode(ProdNode(PolyLeaf(p), PolyLeaf(q)), PolyLeaf(r))
+            total_cert = expr_member(parse_poly("T^2+4T+1", hf), total)
+            empty = parse_expr("((T+1)+(1008T+1008))*((T+2)+(1008T+1007))",
+                               hf)
+            empty_cert = expr_equal(empty, empty, hf)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert cert.verdict == "equal" and report.associative is True
+        assert total_cert.verdict == "yes"
+        assert empty_cert.verdict == "equal"
         assert "codes" not in vars(hf)
         assert peak < 1_000_000
 
@@ -556,6 +569,114 @@ class TestHypersum:
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError):
             by_name("S").hypersum([])
+
+
+@dataclasses.dataclass(frozen=True)
+class ReferenceElement:
+    """Element as the frozen dataclass that the interned tuple replaced."""
+
+    carrier: str
+    payload: object
+
+    def __str__(self) -> str:
+        return carriers.format_payload(self.payload)
+
+
+ReferenceElement.__qualname__ = "Element"  # the dataclass repr reads it
+
+ELEMENT_CARRIERS = [krasner(), signs(), weak_signs(),
+                    weak_group(*cyclic_group_table(3)), gf(5),
+                    by_name("T"), by_name("V"), by_name("P")]
+
+
+def elements_of(hf):
+    if hf.is_finite():
+        return st.sampled_from(hf.elements())
+    raws = {"T": st.one_of(st.just("-inf"), rationals),
+            "V": nonneg_rationals,
+            "P": st.one_of(st.none(), rationals)}[hf.name]
+    return raws.map(hf.element)
+
+
+class TestElementValue:
+    @given(st.data())
+    @settings(max_examples=300)
+    def test_matches_the_dataclass_form(self, data):
+        hf = data.draw(st.sampled_from(ELEMENT_CARRIERS), label="hf")
+        other = data.draw(st.one_of(st.just(hf),
+                                    st.sampled_from(ELEMENT_CARRIERS)),
+                          label="other")
+        x, y = data.draw(elements_of(hf)), data.draw(elements_of(other))
+        rx, ry = (ReferenceElement(e.carrier, e.payload) for e in (x, y))
+        assert hash(x) == hash(rx)
+        assert (x == y) == (rx == ry) and (x != y) == (rx != ry)
+        assert repr(x) == repr(rx) and str(x) == str(rx)
+        # a change of meaning: an Element equals its plain pair
+        assert x == (rx.carrier, rx.payload)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(x, protocol))
+            assert type(back) is Element
+            assert (back.carrier, back.payload) == (x.carrier, x.payload)
+            assert back == x and hash(back) == hash(x)
+
+    @pytest.mark.parametrize("hf", ELEMENT_CARRIERS, ids=lambda hf: hf.name)
+    def test_fields_cannot_be_assigned(self, hf):
+        x = hf.one()
+        for field in ("carrier", "payload", "other"):
+            with pytest.raises(AttributeError):
+                setattr(x, field, hf.zero().payload)
+        assert (x.carrier, x.payload) == (hf.name, hf.one().payload)
+
+    @pytest.mark.parametrize("hf", ELEMENT_CARRIERS, ids=lambda hf: hf.name)
+    def test_dataclasses_asdict_rebuilds_elements(self, hf):
+        p = Polynomial.of(hf, [hf.one(), hf.one()])
+        assert dataclasses.asdict(p)["coeffs"] == p.coeffs
+
+    @given(st.data())
+    @settings(max_examples=200)
+    def test_finite_carriers_hand_out_one_element_per_payload(self, data):
+        hf = data.draw(st.sampled_from(
+            [hf for hf in ELEMENT_CARRIERS if hf.is_finite()]), label="hf")
+        x, y = data.draw(elements_of(hf)), data.draw(elements_of(hf))
+        assert hf.mul(x, y) is hf.mul(x, y)
+        assert hf.neg(x) is hf.neg(x)
+        if not hf.is_zero(x):
+            assert hf.inv(x) is hf.inv(x)
+        assert hf.element(x.payload) is x
+        assert hf.singleton(x).the_element() is x
+        assert hf.parse_scalar(str(x)) is x
+        assert hf.sample_elements(hf.singleton(x)) == [x]
+        assert hf.sample_elements(hf.singleton(x))[0] is x
+        assert any(e is x for e in hf.elements())
+
+    def test_an_equal_payload_of_another_type_reads_as_the_carriers_own(self):
+        # a carrier of its own name, so that 3.0 is the first lookup of 3
+        g = gf(7)
+        hf = FiniteHyperfield("GF(7) read by type", g._payloads, 0, 1, g._mul,
+                              g._neg, g._inv, g._add, modulus=7)
+        x = hf.element(3.0)
+        assert type(x.payload) is int and str(x) == "3"
+        assert hf.element(3) is x and hf.element(Fraction(3)) is x
+
+    @pytest.mark.parametrize("hf", ELEMENT_CARRIERS, ids=lambda hf: hf.name)
+    def test_foreign_elements_are_refused(self, hf):
+        nonzero = hf.one()
+        for foreign in (by_name("S" if hf.name == "K" else "K").one(),
+                        Element("elsewhere", nonzero.payload)):
+            calls = [lambda: hf.mul(foreign, nonzero),
+                     lambda: hf.mul(nonzero, foreign),
+                     lambda: hf.neg(foreign), lambda: hf.inv(foreign),
+                     lambda: hf.singleton(foreign)]
+            for call in calls:
+                with pytest.raises(ValueError):
+                    call()
+
+    def test_full_set_and_its_text_are_built_once(self):
+        hf = gf(1009)
+        full = hf.full_set()
+        assert hf.full_set() is full
+        assert str(full) is str(full)
+        assert str(full) == "{%s}" % ",".join(map(str, range(1009)))
 
 
 class TestFiniteSetOrder:

@@ -3,6 +3,7 @@
 import itertools
 import json
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -40,6 +41,7 @@ from hyperpoly import (
     scale_box,
     weak_group,
 )
+from hyperpoly import polyalg
 from hyperpoly.polyalg import (BoxValue, CoupledValue, FiniteValue,
                                chain_representatives, chain_witness,
                                solve_linear_chain)
@@ -554,6 +556,62 @@ class TestCodeTable:
         by_codes = sorted(encoded, key=codes.sort_key)
         assert [Polynomial(hf, codes.decode(t)) for t in by_codes] == \
             sorted(polys, key=Polynomial.sort_key)
+
+
+def reference_pairwise(product, left, right, hf, scope):
+    """_pairwise on Elements: every member pair's box, enumerated."""
+    if not hf.is_finite():
+        raise UndecidedError(f"{scope} is out of scope")
+    combine = boxprod if product else boxsum
+    out = set()
+    for p in left.members:
+        for q in right.members:
+            out.update(combine(p, q).member_set())
+    return FiniteValue(frozenset(out))
+
+
+class TestPairwise:
+    CARRIERS = TestEnumeration.CARRIERS
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_members_match_the_element_level_form(self, data):
+        hf = data.draw(st.sampled_from(self.CARRIERS), label="hf")
+        nonzero = element_of(hf).filter(lambda x: not hf.is_zero(x))
+
+        def leaf():
+            # a nonzero constant keeps an outer factor from being a monomial
+            return PolyLeaf(Polynomial.of(hf, [data.draw(nonzero),
+                                               data.draw(nonzero)]))
+
+        def coupled():
+            # an outer factor over a product box: a coupled value
+            return ProdNode(leaf(), ProdNode(leaf(), leaf()))
+
+        def side():
+            return data.draw(st.sampled_from(
+                [leaf, lambda: ProdNode(leaf(), leaf()), coupled]))()
+
+        node = data.draw(st.sampled_from([ProdNode, SumNode]), label="node")
+        if node is ProdNode:
+            # both factors undetermined sets: at most degree 3 + 2
+            pair = [coupled(), ProdNode(leaf(), leaf())]
+        else:
+            pair = [coupled(), side()]
+        if data.draw(st.booleans(), label="swap"):
+            pair.reverse()
+        expr = node(*pair)
+        calls = []
+
+        def spy(*args):
+            calls.append(args[0])
+            return reference_pairwise(*args)
+
+        with mock.patch.object(polyalg, "_pairwise", spy):
+            expected = resolve(expr, hf).members
+        assert resolve(expr, hf).members == expected
+        if calls:
+            assert calls == [node is ProdNode]
 
 
 # ---------------------------------------------------------------------------
