@@ -112,16 +112,17 @@ def assoc_scan(hf: Hyperfield, max_deg: int, monic_only: bool = False,
     deduplication (unordered multisets cover all bracketings).
 
     The scan runs on the carrier's integer codes (hf.codes): a polynomial
-    is a tuple of codes, the product y (x) z is kept per unordered pair as
-    its member tuples, and an outer choice x (x) (y (x) z) is the set of
-    member tuples of x (x) r over those members r.  The outer choices are
-    computed in turn and compared as they come; the first two that differ
-    make the counterexample.  Its certificate is built from those two code
-    sets: the witness is the sort_key-least member of the one-sided
-    difference and the sizes are theirs (two boxes are compared cell by
-    cell instead, as expr_equal does).  polyalg's membership procedure on
-    the resolved sides must then confirm the witness in one side and not
-    the other, or the scan raises AssertionError."""
+    is a tuple of codes, and y (x) z is kept per unordered pair as the
+    nonzero terms of its members.  An outer choice x (x) (y (x) z) is first
+    the set of the cell tuples of x (x) r over those members r; equal cell
+    sets have equal members.  Only where two consecutive choices' cells
+    differ are both expanded into members, and the first two that differ
+    in members make the counterexample.  Its certificate is built from
+    those two member sets: the witness is the sort_key-least member of the
+    one-sided difference and the sizes are theirs (two boxes are compared
+    cell by cell instead, as expr_equal does).  polyalg's membership
+    procedure on the resolved sides must then confirm the witness in one
+    side and not the other, or the scan raises AssertionError."""
     if max_deg < 1:
         raise ValueError(f"max_deg must be at least 1, got {max_deg}")
     if not hf.is_finite():
@@ -129,22 +130,21 @@ def assoc_scan(hf: Hyperfield, max_deg: int, monic_only: bool = False,
     polys = _scan_polys(hf, max_deg, monic_only)
     codes = hf.codes
     enc = [codes.encode(p.coeffs) for p in polys]
+    rows = [codes.row_terms(t) for t in enc]
+    size = [len(t) for t in enc]
     found: list[AssocReport] = []
     checked = 0
     pair: dict = {}
     inner_value: dict[tuple[int, int], Resolved] = {}
 
-    def outer_choice(m: int, a: int, b: int) -> set:
-        key = (a, b) if a <= b else (b, a)
-        inner = pair.get(key)
+    def cells(m: int, a: int, b: int) -> set:
+        """The cell tuples of x (x) (y (x) z); the scan passes a <= b."""
+        inner = pair.get((a, b))
         if inner is None:
-            inner = pair[key] = tuple(codes.members_of_product(
-                enc[key[0]], enc[key[1]]))
-        out: set = set()
-        q = enc[m]
-        for r in inner:
-            out.update(codes.members_of_product(q, r))
-        return out
+            inner = pair[(a, b)] = [codes.terms(r) for r in
+                                    codes.members_of_product(enc[a], enc[b])]
+        return codes.product_cells(rows[m], inner,
+                                   size[m] + size[a] + size[b] - 2)
 
     def side(m: int, a: int, b: int) -> Resolved:
         inner = inner_value.get((a, b))
@@ -175,12 +175,14 @@ def assoc_scan(hf: Hyperfield, max_deg: int, monic_only: bool = False,
         decomps = list(dict.fromkeys(((i, j, k), (j, i, k), (k, i, j))))
         if len(decomps) < 2:
             continue
-        prev = outer_choice(*decomps[0])
+        prev = cells(*decomps[0])
         for t in range(1, len(decomps)):
-            cur = outer_choice(*decomps[t])
+            cur = cells(*decomps[t])
             if cur != prev:
-                certify(i, j, k, decomps[t - 1], prev, decomps[t], cur)
-                break
+                s1, s2 = codes.expand(prev), codes.expand(cur)
+                if s1 != s2:
+                    certify(i, j, k, decomps[t - 1], s1, decomps[t], s2)
+                    break
             prev = cur
         if stop_after is not None and len(found) >= stop_after:
             break

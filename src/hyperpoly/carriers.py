@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import itemgetter
-from typing import Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .sets import (NEG_INF, POS_INF, ArcUnion, ExtRat, Interval, IntervalUnion,
                    _E0, _earlier_end, _is_empty, _later_start, _qadd, _qmul,
@@ -562,19 +562,42 @@ class CodeTable:
         """Orders code tuples as Polynomial.sort_key orders polynomials."""
         return (len(codes), tuple(self.rank[c] for c in reversed(codes)))
 
+    def terms(self, q: Sequence[int]) -> list:
+        """The nonzero (position, code) terms of a code tuple."""
+        return [(a, c) for a, c in enumerate(q) if c != self.zero]
+
+    def row_terms(self, q: Sequence[int]) -> list:
+        """The nonzero (position, multiplication row) terms of a code tuple."""
+        return [(a, self.mul[c]) for a, c in self.terms(q)]
+
+    def product_cells(self, q_rows: Sequence, r_terms: Iterable,
+                      size: int) -> set:
+        """The cell tuples (set numbers) of q (x) r for q's row_terms and
+        the terms of every r, where size is len(q) + len(r) - 1.  Every
+        member is trimmed: the leading cell is the leading codes' product."""
+        step, zero = self.step, self.zero
+        out: set = set()
+        for terms in r_terms:
+            cells = [zero] * size
+            for a, row in q_rows:
+                for b, d in terms:
+                    t = a + b
+                    cells[t] = step[cells[t]][row[d]]
+            out.add(tuple(cells))
+        return out
+
+    def expand(self, cell_tuples: Iterable) -> set:
+        """Every member code tuple of the products with the given cells."""
+        choices = self.choices
+        out: set = set()
+        for cells in cell_tuples:
+            out.update(itertools.product(*[choices[s] for s in cells]))
+        return out
+
     def members_of_product(self, q: Sequence[int], r: Sequence[int]):
-        """Member code tuples of q (x) r for two trimmed code tuples.  The
-        leading cell is the single nonzero product of the leading codes,
-        so every member is already trimmed."""
-        zero, step, mul = self.zero, self.step, self.mul
-        cells = [zero] * (len(q) + len(r) - 1)
-        for a, c in enumerate(q):
-            if c != zero:
-                row, t = mul[c], a
-                for d in r:
-                    if d != zero:
-                        cells[t] = step[cells[t]][row[d]]
-                    t += 1
+        """Member code tuples of q (x) r for two trimmed code tuples."""
+        (cells,) = self.product_cells(self.row_terms(q), [self.terms(r)],
+                                      len(q) + len(r) - 1)
         return itertools.product(*[self.choices[s] for s in cells])
 
     def members_of_sum(self, p: Sequence[int], q: Sequence[int]):

@@ -27,7 +27,10 @@ from hyperpoly import (
     resolved_members,
     weak_group,
 )
-from hyperpoly import polyalg
+from hyperpoly import assoc, polyalg
+from hyperpoly.carriers import CodeTable
+from hyperpoly.polyalg import (BoxValue, box_of, boxprod, format_expr,
+                               product_value, unequal_certificate)
 
 
 class TestAssocCheck:
@@ -156,6 +159,132 @@ class TestAssocScan:
         found = [tuple(sorted(rep.triple)) for rep in report.counterexamples]
         assert len(found) == len(set(found))
         assert set(found) == expected
+
+
+def reference_scan(hf, max_deg, monic_only=False, stop_after=1):
+    """The scan as it was before cell sets: every outer choice is the union
+    of the member tuples of x (x) r over the inner members r, and the outer
+    choices are compared as member sets."""
+    polys = assoc._scan_polys(hf, max_deg, monic_only)
+    codes = hf.codes
+    enc = [codes.encode(p.coeffs) for p in polys]
+    found = []
+    checked = 0
+    pair: dict = {}
+    inner_value: dict = {}
+
+    def outer_choice(m: int, a: int, b: int) -> set:
+        key = (a, b) if a <= b else (b, a)
+        inner = pair.get(key)
+        if inner is None:
+            inner = pair[key] = tuple(codes.members_of_product(
+                enc[key[0]], enc[key[1]]))
+        out: set = set()
+        q = enc[m]
+        for r in inner:
+            out.update(codes.members_of_product(q, r))
+        return out
+
+    def side(m, a, b):
+        inner = inner_value.get((a, b))
+        if inner is None:
+            inner = inner_value[(a, b)] = resolve(
+                ProdNode(PolyLeaf(polys[a]), PolyLeaf(polys[b])), hf)
+        return product_value(BoxValue(box_of(polys[m])), inner, hf)
+
+    def certify(i, j, k, d1, s1, d2, s2):
+        t1 = format_expr(assoc._outer_form(*(polys[n] for n in d1)))
+        t2 = format_expr(assoc._outer_form(*(polys[n] for n in d2)))
+        cert = unequal_certificate(
+            t1, t2, side(*d1), side(*d2), s1, s2,
+            codes.sort_key, lambda t: Polynomial(hf, codes.decode(t)))
+        found.append(assoc.AssocReport(
+            hf.name, (str(polys[i]), str(polys[j]), str(polys[k])),
+            False, (cert,)))
+
+    for i, j, k in itertools.combinations_with_replacement(
+            range(len(polys)), 3):
+        checked += 1
+        decomps = list(dict.fromkeys(((i, j, k), (j, i, k), (k, i, j))))
+        if len(decomps) < 2:
+            continue
+        prev = outer_choice(*decomps[0])
+        for t in range(1, len(decomps)):
+            cur = outer_choice(*decomps[t])
+            if cur != prev:
+                certify(i, j, k, decomps[t - 1], prev, decomps[t], cur)
+                break
+            prev = cur
+        if stop_after is not None and len(found) >= stop_after:
+            break
+    return checked, [[c.to_dict() for c in rep.comparisons] for rep in found]
+
+
+class TestScanCells:
+    """The scan compares outer choices as sets of cell tuples and expands
+    members only where two consecutive choices' cells differ."""
+
+    C3 = weak_group(*cyclic_group_table(3))
+
+    @pytest.mark.parametrize("hf,max_deg,monic_only,stop_after", [
+        (by_name("S"), 1, False, None),
+        (by_name("W"), 1, False, None),
+        (by_name("K"), 2, False, None),
+        # 303 of its 364 triples differ in cells, yet none in members
+        (C3, 1, False, None),
+        # 174 of the 340 comparisons that differ in cells agree in members
+        (by_name("W"), 2, True, 40),
+    ], ids=["S-1", "W-1", "K-2", "W(C3)-1", "W-2-monic"])
+    def test_same_report_as_the_member_union_scan(self, hf, max_deg,
+                                                  monic_only, stop_after):
+        report = assoc_scan(hf, max_deg, monic_only, stop_after=stop_after)
+        checked, certs = reference_scan(hf, max_deg, monic_only, stop_after)
+        assert report.triples_checked == checked
+        assert [[c.to_dict() for c in rep.comparisons]
+                for rep in report.counterexamples] == certs
+
+    @staticmethod
+    def count_expansions(monkeypatch):
+        calls = []
+        real = CodeTable.expand
+
+        def counted(self, cell_tuples):
+            calls.append(1)
+            return real(self, cell_tuples)
+
+        monkeypatch.setattr(CodeTable, "expand", counted)
+        return calls
+
+    def test_a_field_scan_expands_no_outer_choice(self, monkeypatch):
+        # over a field every cell is one code, and no triple is a
+        # counterexample, so the cell sets always agree
+        calls = self.count_expansions(monkeypatch)
+        report = assoc_scan(by_name("GF(5)"), 2, True, stop_after=None)
+        assert report.triples_checked == 4960
+        assert report.counterexamples == () and calls == []
+
+    def test_expansions_are_the_comparisons_whose_cells_differ(
+            self, monkeypatch):
+        # the cells of x (x) r as boxes, over every inner member r: each
+        # consecutive pair of outer choices whose cell sets differ expands
+        # both, and W(C3) degree 1 has no counterexample to stop at
+        hf = self.C3
+        polys = assoc._scan_polys(hf, 1, False)
+
+        def cells(x, y, z):
+            return {boxprod(polys[x], r).cells
+                    for r in boxprod(polys[y], polys[z]).member_set()}
+
+        differing = 0
+        for i, j, k in itertools.combinations_with_replacement(
+                range(len(polys)), 3):
+            forms = [cells(*d) for d in dict.fromkeys(
+                ((i, j, k), (j, i, k), (k, i, j)))]
+            differing += sum(a != b for a, b in zip(forms, forms[1:]))
+        calls = self.count_expansions(monkeypatch)
+        report = assoc_scan(hf, 1, stop_after=None)
+        assert report.counterexamples == ()
+        assert differing == 303 and len(calls) == 2 * differing
 
 
 class TestScanCertificates:

@@ -546,6 +546,48 @@ class TestCodeTable:
                                                        PolyLeaf(b))), hf)
         assert value.members == expected
 
+    @staticmethod
+    def reference_members_of_product(codes, q, r):
+        """members_of_product as it was before the cell kernel."""
+        zero, step, mul = codes.zero, codes.step, codes.mul
+        cells = [zero] * (len(q) + len(r) - 1)
+        for a, c in enumerate(q):
+            if c != zero:
+                row, t = mul[c], a
+                for d in r:
+                    if d != zero:
+                        cells[t] = step[cells[t]][row[d]]
+                    t += 1
+        return itertools.product(*[codes.choices[s] for s in cells])
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_cell_kernel_expands_to_the_member_union(self, data):
+        hf = data.draw(st.sampled_from(self.CARRIERS), label="hf")
+        codes = hf.codes
+        n = len(codes.elements)
+        nonzero = [c for c in range(n) if c != codes.zero]
+
+        def code_tuple(deg):
+            return tuple(data.draw(st.lists(st.integers(0, n - 1),
+                                            min_size=deg, max_size=deg))
+                         + [data.draw(st.sampled_from(nonzero))])
+
+        q = code_tuple(data.draw(st.integers(0, 2), label="deg q"))
+        deg = data.draw(st.integers(0, 2), label="deg r")
+        count = data.draw(st.integers(1, 6), label="inner members")
+        inner = list(dict.fromkeys(code_tuple(deg) for _ in range(count)))
+        reference = self.reference_members_of_product
+        expected = set()
+        for r in inner:
+            expected.update(reference(codes, q, r))
+            assert (list(codes.members_of_product(q, r))
+                    == list(reference(codes, q, r)))
+        cells = codes.product_cells(codes.row_terms(q),
+                                    [codes.terms(r) for r in inner],
+                                    len(q) + deg)
+        assert codes.expand(cells) == expected
+
     @pytest.mark.parametrize("hf", CARRIERS, ids=lambda hf: hf.name)
     def test_codes_round_trip_and_sort_like_polynomials(self, hf):
         codes = hf.codes
