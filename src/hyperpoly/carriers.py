@@ -1091,11 +1091,15 @@ class PhaseHyperfield(Hyperfield):
         return out
 
     def parse_scalar(self, text: str) -> Element:
+        """0, or a phase a*pi written ph(a) or e^{i a pi}, a rational."""
         text = text.strip()
         if text == "0":
             return self.zero()
         if text.startswith("ph(") and text.endswith(")"):
             return self.element(Fraction(text[3:-1]))
+        compact = text.replace(" ", "")
+        if compact.startswith("e^{i") and compact.endswith("pi}"):
+            return self.element(Fraction(compact[4:-3] or 1))
         raise ValueError(f"bad phase literal {text!r}")
 
 

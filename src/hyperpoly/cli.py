@@ -16,10 +16,11 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from typing import Optional, Sequence
 
-from .assoc import (AssocReport, assoc_check, assoc_scan,
-                    one_plus_one_criterion, pointwise_products_equal)
+from .assoc import (assoc_check, assoc_scan, one_plus_one_criterion,
+                    pointwise_products_equal)
 from .carriers import (CarrierSet, Hyperfield, IntervalSet, ProbeSpec,
                        TropicalHyperfield, UndecidedError, ViroHyperfield,
                        by_name, check_axioms, default_probe,
@@ -63,16 +64,17 @@ def _parse_region(hf: Hyperfield, text: str):
     raise ValueError(f"cannot parse region {text!r}")
 
 
+def _point_list(hf: Hyperfield, text: str) -> list:
+    points = _parse_region(hf, text)
+    if isinstance(points, CarrierSet):
+        raise ValueError("--points needs a finite point list {a,b,...}")
+    return points
+
+
 def _box_payload(box) -> dict:
     return {"cells": [str(c) for c in box.cells],
             "zero_excluded": box.zero_excluded,
             "display": str(box)}
-
-
-def _assoc_payload(rep: AssocReport) -> dict:
-    return {"hyperfield": rep.hyperfield, "triple": list(rep.triple),
-            "associative": rep.associative,
-            "comparisons": [c.to_dict() for c in rep.comparisons]}
 
 
 _MEMBER_EXIT = {"yes": 0, "no": 1, "undecided": 3}
@@ -137,18 +139,13 @@ def _cmd_assoc_check(hf, args):
     rep = assoc_check(parse_poly(args.p, hf), parse_poly(args.q, hf),
                       parse_poly(args.r, hf))
     code = {True: 0, False: 1, None: 3}[rep.associative]
-    return code, _assoc_payload(rep), str(rep)
+    return code, asdict(rep), str(rep)
 
 
 def _cmd_assoc_scan(hf, args):
     rep = assoc_scan(hf, args.max_deg, monic_only=args.monic_only,
                      stop_after=None if args.all else 1)
-    payload = {"command": "assoc-scan", "hyperfield": hf.name,
-               "max_deg": rep.max_deg, "monic_only": rep.monic_only,
-               "polynomials": rep.polynomials,
-               "triples_checked": rep.triples_checked,
-               "counterexamples": [_assoc_payload(r)
-                                   for r in rep.counterexamples]}
+    payload = {"command": "assoc-scan", **asdict(rep)}
     return (1 if rep.counterexamples else 0), payload, str(rep)
 
 
@@ -162,48 +159,29 @@ def _cmd_one_one(hf, args):
 
 
 def _cmd_pointwise(hf, args):
-    points = _parse_region(hf, args.points)
-    if isinstance(points, CarrierSet):
-        raise ValueError("pointwise needs a finite point list {a,b,...}")
     rep = pointwise_products_equal(parse_poly(args.p, hf),
                                    parse_poly(args.q, hf),
-                                   parse_poly(args.r, hf), points)
-    payload = {"command": "pointwise", "hyperfield": rep.hyperfield,
-               "triple": list(rep.triple), "equal": rep.equal,
-               "rows": [list(r) for r in rep.rows]}
+                                   parse_poly(args.r, hf),
+                                   _point_list(hf, args.points))
+    payload = {"command": "pointwise", **asdict(rep)}
     return (0 if rep.equal else 1), payload, str(rep)
 
 
 def _probe_spec(hf: Hyperfield, args) -> ProbeSpec:
-    mode = getattr(args, "mode", "auto")
-    if mode == "exhaustive" or (mode == "auto" and hf.is_finite()):
-        if not hf.is_finite():
-            raise ValueError(f"{hf.name} is infinite; use --mode probe")
-        return ProbeSpec.exhaustive()
-    extra = []
-    if getattr(args, "points", None):
-        pts = _parse_region(hf, args.points)
-        if isinstance(pts, CarrierSet):
-            raise ValueError("probe points must be a finite list {a,b,...}")
-        extra = pts
-    return default_probe(hf, extra)
+    """default_probe, with the --points of an infinite carrier added."""
+    read = args.points and not hf.is_finite()
+    return default_probe(hf, _point_list(hf, args.points) if read else ())
 
 
 def _cmd_axioms(hf, args):
     rep = check_axioms(hf, _probe_spec(hf, args))
-    payload = {"command": "axioms", "hyperfield": rep.hyperfield,
-               "mode": rep.mode, "points": rep.points, "ok": rep.ok,
-               "checks": [{"name": c.name, "passed": c.passed,
-                           "counterexample": c.counterexample}
-                          for c in rep.checks]}
+    payload = {"command": "axioms", "ok": rep.ok, **asdict(rep)}
     return (0 if rep.ok else 1), payload, str(rep)
 
 
 def _cmd_ddist(hf, args):
     rep = is_doubly_distributive(hf, _probe_spec(hf, args))
-    payload = {"command": "ddist", "hyperfield": rep.hyperfield,
-               "mode": rep.mode, "holds": rep.holds,
-               "counterexample": rep.counterexample}
+    payload = {"command": "ddist", **asdict(rep)}
     return (0 if rep.holds else 1), payload, str(rep)
 
 
@@ -327,15 +305,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(flag, required=True)
     p.add_argument("--points", required=True, help="finite list {a,b,c}")
 
-    finite = "; a finite carrier is always checked exhaustively"
     for name, cmd, text in (
             ("axioms", _cmd_axioms, "check the hyperfield axioms"),
             ("ddist", _cmd_ddist, "double distributivity check")):
         p = add(name, cmd, help=text)
-        p.add_argument("--mode", choices=("auto", "exhaustive", "probe"),
-                       default="auto",
-                       help="exhaustive, or a probe grid over T, V, P" + finite)
-        p.add_argument("--points", help="extra probe points {a,b,c}" + finite)
+        p.add_argument("--points", help="extra probe points {a,b,c} over T, "
+                       "V, P; a finite carrier is always checked exhaustively")
 
     p = add("trop-roots", _cmd_trop_roots,
             help="tropical root multiset of a monic polynomial")

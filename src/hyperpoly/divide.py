@@ -77,7 +77,10 @@ def quotients(p: Polynomial, a: Element) -> QuotientSet:
     else:
         reps = chain_representatives(p, ell, domains)
         exact = all(d.is_singleton() for d in domains)
-    reps = [q for q in reps if boxprod(ell, q).contains(p)]
+    for q in reps:
+        if not boxprod(ell, q).contains(p):
+            raise AssertionError(
+                f"quotient {q} of {p} at {a}: p is not in (T-a)*q")
     return QuotientSet(p, a, tuple(domains), tuple(reps), exact)
 
 

@@ -23,13 +23,11 @@ import json
 import random
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import AbstractSet, NamedTuple, Optional, Sequence, Union
 
 from .carriers import (CarrierSet, Element, FiniteHyperfield, Hyperfield,
-                       PhaseHyperfield, TropicalHyperfield, UndecidedError,
-                       by_name)
+                       TropicalHyperfield, UndecidedError, by_name)
 
 MAX_DEGREE = 6  # cap on parsed and product degrees
 
@@ -148,19 +146,11 @@ def format_poly(p: Polynomial) -> str:
     return out
 
 
-def _parse_rational(text: str) -> Fraction:
-    return Fraction(text.replace(" ", ""))
-
-
 def parse_scalar_literal(hf: Hyperfield, text: str) -> Element:
+    """The carrier's literal, in any number of parentheses."""
     text = text.strip()
     if text.startswith("(") and text.endswith(")"):
         return parse_scalar_literal(hf, text[1:-1])
-    if isinstance(hf, PhaseHyperfield):
-        compact = text.replace(" ", "")
-        if compact.startswith("e^{i") and compact.endswith("pi}"):
-            inner = compact[4:-3]
-            return hf.element(_parse_rational(inner) if inner else Fraction(1))
     return hf.parse_scalar(text)
 
 
@@ -656,6 +646,10 @@ class CoupledValue:
             if present:
                 witness = next((r for r in self.inner.enumerate_members()
                                 if boxprod(q, r).contains(p)), None)
+                if witness is None:
+                    raise AssertionError(
+                        f"{p} is a member of {self.describe()}, but no "
+                        f"inner choice gives it")
             return _enumeration_decision(p, present, len(member_codes), witness)
         return Decision("undecided", "unsupported", [CertStep(
             "scope", None,

@@ -11,9 +11,8 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .assoc import assoc_scan, one_plus_one_criterion, pointwise_products_equal
-from .carriers import (IntervalSet, ProbeSpec, by_name, check_axioms,
-                       cyclic_group_table, default_probe, gf,
-                       is_doubly_distributive, weak_group)
+from .carriers import (IntervalSet, by_name, check_axioms, cyclic_group_table,
+                       default_probe, gf, is_doubly_distributive, weak_group)
 from .divide import is_root, mult_at, mult_set, quotients
 from .polyalg import expr_equal, expr_member, parse_expr, parse_poly, replay_member
 from .sets import Interval, IntervalUnion, POS_INF, ext
@@ -43,14 +42,8 @@ def crit_01() -> ReproResult:
     t0 = time.perf_counter()
     lines = []
     ok = True
-    exhaustive = [by_name("K"), by_name("S"), by_name("W"),
-                  weak_group(*cyclic_group_table(3))]
-    for hf in exhaustive:
-        rep = check_axioms(hf, ProbeSpec.exhaustive())
-        ok = ok and rep.ok
-        lines.append(f"{hf.name}: {'ok' if rep.ok else 'VIOLATION'} "
-                     f"({rep.points} points)")
-    for hf in (by_name("T"), by_name("V"), by_name("P"), gf(5)):
+    for hf in (*map(by_name, "KSW"), weak_group(*cyclic_group_table(3)),
+               *map(by_name, "TVP"), gf(5)):
         rep = check_axioms(hf, default_probe(hf))
         ok = ok and rep.ok
         lines.append(f"{hf.name}: {'ok' if rep.ok else 'VIOLATION'} "
@@ -61,8 +54,8 @@ def crit_01() -> ReproResult:
 
 def crit_02() -> ReproResult:
     t0 = time.perf_counter()
-    s_rep = is_doubly_distributive(by_name("S"), ProbeSpec.exhaustive())
-    w_rep = is_doubly_distributive(by_name("W"), ProbeSpec.exhaustive())
+    s_rep, w_rep = (is_doubly_distributive(hf, default_probe(hf))
+                    for hf in map(by_name, "SW"))
     ok = s_rep.holds and not w_rep.holds and w_rep.counterexample is not None
     return _result(2, "double distributivity: S yes, W no", t0, ok,
                    f"S holds; W fails at {w_rep.counterexample}")

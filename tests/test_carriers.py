@@ -524,6 +524,13 @@ class TestScalarSyntax:
         for x in hf.elements():
             assert hf.parse_scalar(hf.format_element(x)) == x
 
+    @pytest.mark.parametrize("text,phase", [
+        ("e^{i1/3pi}", "ph(1/3)"), ("e^{i 1/3 pi}", "ph(1/3)"),
+        ("e^{i pi}", "ph(1)"), ("e^{i-3/2pi}", "ph(-3/2)"), ("0", "0")])
+    def test_phase_reads_both_spellings(self, text, phase):
+        P = by_name("P")
+        assert P.parse_scalar(text) == P.parse_scalar(phase)
+
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):
             by_name("S").parse_scalar("2")

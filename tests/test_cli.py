@@ -364,6 +364,45 @@ class TestStructureChecks:
         assert "not doubly distributive" in out
         assert "a=-1, b=-1, c=-1, d=-1" in out
 
+    @pytest.mark.parametrize("extra,head", [
+        ([], "axioms for P (probe, 14 points)"),
+        (["--points", "{ph(1/5)}"], "axioms for P (probe, 15 points)"),
+    ])
+    def test_points_add_a_probe_point_over_the_phases(self, capsys, extra,
+                                                      head):
+        code, out, _ = run_cli(capsys, "axioms", "--hf", "P", *extra)
+        assert (code, out.splitlines()[0]) == (0, head)
+
+    @pytest.mark.parametrize("name", ["T", "V"])
+    def test_points_reach_the_default_probe(self, capsys, monkeypatch, name):
+        # the T and V grids stay at 14 points, so the spy shows the point
+        real, specs = cli.default_probe, []
+
+        def spy(hf, extra=()):
+            specs.append(real(hf, extra))
+            return specs[-1]
+
+        monkeypatch.setattr(cli, "default_probe", spy)
+        code, _, _ = run_cli(capsys, "axioms", "--hf", name,
+                             "--points", "{7/3}")
+        (spec,), hf = specs, by_name(name)
+        assert code == 0
+        assert hf.parse_scalar("7/3") in spec.points
+        assert len(spec.points) == 14
+
+    def test_interval_points_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "axioms", "--hf", "T",
+                                 "--points", "[0,1]")
+        assert (code, out) == (2, "")
+        assert err == "error: --points needs a finite point list {a,b,...}\n"
+
+    def test_mode_is_not_an_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["axioms", "--hf", "T", "--mode", "probe"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --mode probe" in \
+            capsys.readouterr().err
+
     def test_assoc_scan_counterexample_exits_1(self, capsys):
         code, out, _ = run_cli(capsys, "assoc-scan", "--hf", "S",
                                "--max-deg", "1")
@@ -480,6 +519,11 @@ SET_SHAPE_CORPUS = [
     ("equal_K_enumerated_equal", 0,
      ["equal", "--hf", "K", "--expr1", "(T+1)*((T+1)*(T+1))",
       "--expr2", "((T+1)*(T+1))*(T+1)"]),
+    # the separating cell pins T^1 to 0, and every other first sample is 0
+    # too, so the witness takes a nonzero coefficient elsewhere
+    ("equal_K_pinned_zero_fallback", 1,
+     ["equal", "--hf", "K", "--expr1", "(T+1)+(T+1)",
+      "--expr2", "(T+1)+(1)"]),
     ("member_W_scaled_coupled", 0,
      ["member", "--hf", "W", "--poly=-T^3-1",
       "--expr", "(-1)*((T+1)*((T+1)*(T+1)))"]),

@@ -1,7 +1,9 @@
 """Roots, quotient sets, and multiplicities across carriers."""
 
 import itertools
+import re
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +25,7 @@ from hyperpoly import (
     tropical_root_points,
     weak_group,
 )
+from hyperpoly import divide
 from hyperpoly.carriers import ArcSet, ElementSet
 from hyperpoly.sets import ExtRat, Interval, IntervalUnion, NEG_INF, POS_INF
 
@@ -81,6 +84,20 @@ class TestRootsAndQuotients:
             assert mult_at(p, S.element(a)) == 1
         assert mult_set(p, [S.zero(), S.one()]) == 2
         assert mult_set(p, [S.element(-1), S.zero(), S.one()]) == 3
+
+    @pytest.mark.parametrize("name,poly,root", [
+        ("K", "T^4+T^3+T+1", "1"), ("V", "T^3+2T^2+2T+1", "1")])
+    def test_a_quotient_outside_its_product_is_loud(self, monkeypatch, name,
+                                                     poly, root):
+        # the chain walk enforces every product cell, so a walked quotient
+        # whose product misses p is a fault, not a quotient to drop
+        hf = by_name(name)
+        p, a = parse_poly(poly, hf), hf.parse_scalar(root)
+        assert quotients(p, a).representatives
+        monkeypatch.setattr(divide, "boxprod", lambda ell, q: SimpleNamespace(
+            contains=lambda r: r != p))
+        with pytest.raises(AssertionError, match=re.escape(f"of {p} at {a}")):
+            quotients(p, a)
 
     def test_non_root_has_no_quotients(self):
         S = by_name("S")

@@ -655,6 +655,32 @@ class TestPairwise:
         if calls:
             assert calls == [node is ProdNode]
 
+    def test_a_polynomial_times_an_enumerated_value(self):
+        # FiniteValue.times declines, so (T+1) pairs with every member
+        K = by_name("K")
+        expr = parse_expr(
+            "(T+1)*(((T+1)*((T+1)*(T+1)))+((T)*((T+1)*(T+1))))", K)
+        real, calls = polyalg._pairwise, []
+
+        def spy(*args):
+            calls.append(args[0])
+            return real(*args)
+
+        with mock.patch.object(polyalg, "_pairwise", spy):
+            value = resolve(expr, K)
+        assert calls == [False, True]
+        assert isinstance(value, FiniteValue) and len(value.members) == 15
+        assert parse_poly("T^4+1", K) in value.members
+
+        def times(p, members):
+            return {m for r in members for m in boxprod(p, r).member_set()}
+
+        lin, mono = parse_poly("T+1", K), parse_poly("T", K)
+        squares = boxprod(lin, lin).member_set()
+        inner = {m for x in times(lin, squares) for y in times(mono, squares)
+                 for m in boxsum(x, y).member_set()}
+        assert value.members == times(lin, inner)
+
 
 # ---------------------------------------------------------------------------
 # resolution shapes
@@ -692,6 +718,19 @@ class TestResolve:
         T = by_name("T")
         with pytest.raises(UndecidedError):
             resolve(parse_expr("((T^2+1)*((T+1)*(T+1)))+(1)", T), T)
+
+    def test_an_enumerated_member_without_a_witness_is_loud(self):
+        # membership reads the code table, the witness walks the inner
+        # members: a "yes" the walk cannot witness is a fault
+        K = by_name("K")
+        value = resolve(parse_expr("(T^2+1)*((T^2+T+1)*(T+1))", K), K)
+        p = parse_poly("T^5+T^4+T+1", K)
+        assert isinstance(value, CoupledValue)
+        assert value.decide(p).verdict == "yes"
+        with mock.patch.object(polyalg, "boxprod",
+                               lambda q, r: PolyBox(K, ())):
+            with pytest.raises(AssertionError, match="no inner choice"):
+                value.decide(p)
 
     def test_degree_cap_applies_to_products(self):
         S = by_name("S")
