@@ -9,10 +9,11 @@ those three sets coincide."""
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .carriers import Element, Hyperfield, UndecidedError
+from .carriers import CodeTable, Element, Hyperfield, UndecidedError
 from .polyalg import (MAX_DEGREE, BoxValue, CertStep, EqualCertificate, Expr,
                       MemberCertificate, Polynomial, PolyLeaf, ProdNode,
                       Resolved, _member_in_resolved, box_of, expr_equal,
@@ -102,14 +103,65 @@ def _scan_polys(hf: Hyperfield, max_deg: int,
     return out
 
 
+def _triple_rank(n: int):
+    """rank(i, j, k), for i <= j <= k < n, is the place of (i, j, k) in
+    combinations_with_replacement(range(n), 3) order: C(n+2, 3) -
+    C(n-i+2, 3) triples start below i, C(n-i+1, 2) - C(n-j+1, 2) start
+    with i and go on below j, and k - j more start with (i, j).  Since
+    C(m+1, 3) - C(m, 2) = C(m, 3), that is first[i] - second[j] + k."""
+    total = math.comb(n + 2, 3)
+    first = [total - math.comb(n - i + 1, 3) for i in range(n)]
+    second = [math.comb(n - j + 1, 2) + j for j in range(n)]
+    return lambda i, j, k: first[i] - second[j] + k
+
+
+def _symmetries(codes: CodeTable, enc: list,
+                monic_only: bool) -> list[list[int]]:
+    """The index permutations of the scan list under p -> u c^-deg(p) p(cT)
+    for units c, with u = 1 in a monic scan and every unit otherwise.  As
+    c runs over the units so does 1/c, so these are the maps that multiply
+    the coefficient of T^a in a degree-d polynomial by u c^(d-a)."""
+    index = {t: n for n, t in enumerate(enc)}
+    mul, units = codes.mul, codes.units
+    top = max(len(t) for t in enc)
+    perms = []
+    for c in units:
+        powers = [codes.one]
+        while len(powers) < top:
+            powers.append(mul[powers[-1]][c])
+        for u in [codes.one] if monic_only else units:
+            rows = [mul[mul[u][w]] for w in powers]
+            perms.append([index[tuple(rows[len(t) - 1 - a][x]
+                                      for a, x in enumerate(t))]
+                          for t in enc])
+    return perms
+
+
 def assoc_scan(hf: Hyperfield, max_deg: int, monic_only: bool = False,
                stop_after: Optional[int] = 1) -> ScanReport:
     """Exhaustive associativity scan over all positive-degree polynomial
     multisets of size three with degrees up to max_deg.  Scalar factors
     distribute exactly over hypersums, so constants cannot contribute a
     counterexample and are omitted.  Enumeration is by ascending degree and
-    lexicographic coefficients; commutativity of the set product is the only
-    deduplication (unordered multisets cover all bracketings).
+    lexicographic coefficients; commutativity of the set product makes
+    unordered multisets cover all bracketings.
+
+    A triple is compared only if no earlier associative triple maps to it
+    under a symmetry of the scan list: phi(p) = u c^-deg(p) p(cT) for units
+    c and u (u = 1 in a monic scan), which keeps degrees and monic leads.
+    A unit distributes, c(x (+) y) = cx (+) cy, and units commute, so every
+    coefficient cell of phi(x) (x) phi(y) is the matching cell of x (x) y
+    scaled as phi scales it.  So phi(x) (x) (phi(y) (x) phi(z)) is the
+    image of x (x) (y (x) z) under one bijection, the same for all three
+    outer choices: the unit u^3 c^-(deg x + deg y + deg z) times the
+    substitution T -> cT.  The choices of a triple thus agree exactly when
+    those of its image do.  An associative triple sets the bit of every
+    image in a bit array indexed by rank in the enumeration order, and a
+    triple whose bit is set is counted and skipped.  A counterexample
+    marks nothing and is compared, expanded and certified on its own, so
+    the report is that of the full scan.  The code table checks both laws
+    for its units on first use (CodeTable.units) and raises AssertionError
+    if one fails.
 
     The scan runs on the carrier's integer codes (hf.codes): a polynomial
     is a tuple of codes, and y (x) z is kept per unordered pair as the
@@ -132,6 +184,9 @@ def assoc_scan(hf: Hyperfield, max_deg: int, monic_only: bool = False,
     enc = [codes.encode(p.coeffs) for p in polys]
     rows = [codes.row_terms(t) for t in enc]
     size = [len(t) for t in enc]
+    perms = _symmetries(codes, enc, monic_only)
+    rank = _triple_rank(len(polys))
+    marks = bytearray((math.comb(len(polys) + 2, 3) + 7) // 8)
     found: list[AssocReport] = []
     checked = 0
     pair: dict = {}
@@ -171,7 +226,10 @@ def assoc_scan(hf: Hyperfield, max_deg: int, monic_only: bool = False,
 
     for i, j, k in itertools.combinations_with_replacement(
             range(len(polys)), 3):
+        here = checked  # this triple's rank
         checked += 1
+        if marks[here >> 3] >> (here & 7) & 1:
+            continue
         decomps = list(dict.fromkeys(((i, j, k), (j, i, k), (k, i, j))))
         if len(decomps) < 2:
             continue
@@ -184,6 +242,10 @@ def assoc_scan(hf: Hyperfield, max_deg: int, monic_only: bool = False,
                     certify(i, j, k, decomps[t - 1], s1, decomps[t], s2)
                     break
             prev = cur
+        else:
+            for perm in perms:
+                r = rank(*sorted((perm[i], perm[j], perm[k])))
+                marks[r >> 3] |= 1 << (r & 7)
         if stop_after is not None and len(found) >= stop_after:
             break
     return ScanReport(hf.name, max_deg, monic_only, len(polys), checked,

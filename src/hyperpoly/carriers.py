@@ -525,7 +525,7 @@ class CodeTable:
         self.code = {x: c for c, x in enumerate(self.elements)}
         pays = [x.payload for x in self.elements]
         pos = {p: c for c, p in enumerate(pays)}
-        self.zero = self.code[hf.zero()]
+        self.zero, self.one = self.code[hf.zero()], self.code[hf.one()]
         self.mul = [[pos[hf._mul[(x, y)]] for y in pays] for x in pays]
         add = [[sum(1 << pos[z] for z in hf._add[(x, y)]) for y in pays]
                for x in pays]
@@ -551,6 +551,29 @@ class CodeTable:
         for i, c in enumerate(sorted(range(n), key=lambda c: hf.sort_key(
                 self.elements[c]))):
             self.rank[c] = i
+
+    @cached_property
+    def units(self) -> list[int]:
+        """The nonzero codes, each checked against the two laws that make
+        multiplying by it a symmetry of Poly(F) (see assoc_scan):
+        c(x (+) y) = cx (+) cy and c(xy) = (cx)y for every x and y.  A table
+        that breaks either raises AssertionError."""
+        mul, step, choices = self.mul, self.step, self.choices
+        codes = range(len(mul))
+        units = [c for c in codes if c != self.zero]
+        for c in units:
+            row = mul[c]
+            for x in codes:
+                for y in codes:
+                    if row[mul[x][y]] != mul[row[x]][y]:
+                        raise AssertionError(
+                            f"c(xy) != (cx)y for codes c={c}, x={x}, y={y}")
+                    if ({row[z] for z in choices[step[x][y]]}
+                            != set(choices[step[row[x]][row[y]]])):
+                        raise AssertionError(
+                            f"c(x (+) y) != cx (+) cy for codes c={c}, "
+                            f"x={x}, y={y}")
+        return units
 
     def encode(self, coeffs: Sequence[Element]) -> tuple[int, ...]:
         return tuple(self.code[x] for x in coeffs)

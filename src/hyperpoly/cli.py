@@ -16,7 +16,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import fields, is_dataclass
 from typing import Optional, Sequence
 
 from .assoc import (assoc_check, assoc_scan, one_plus_one_criterion,
@@ -69,6 +69,20 @@ def _point_list(hf: Hyperfield, text: str) -> list:
     if isinstance(points, CarrierSet):
         raise ValueError("--points needs a finite point list {a,b,...}")
     return points
+
+
+def _plain(value):
+    """The JSON form of a report: a dataclass becomes the dict of its
+    fields, a certificate its own to_dict, a tuple a list.  Leaves are
+    shared, not copied as dataclasses.asdict copies them."""
+    if hasattr(value, "to_dict"):
+        return value.to_dict()
+    if is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name))
+                for f in fields(value)}
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    return value
 
 
 def _box_payload(box) -> dict:
@@ -139,13 +153,13 @@ def _cmd_assoc_check(hf, args):
     rep = assoc_check(parse_poly(args.p, hf), parse_poly(args.q, hf),
                       parse_poly(args.r, hf))
     code = {True: 0, False: 1, None: 3}[rep.associative]
-    return code, asdict(rep), str(rep)
+    return code, _plain(rep), str(rep)
 
 
 def _cmd_assoc_scan(hf, args):
     rep = assoc_scan(hf, args.max_deg, monic_only=args.monic_only,
                      stop_after=None if args.all else 1)
-    payload = {"command": "assoc-scan", **asdict(rep)}
+    payload = {"command": "assoc-scan", **_plain(rep)}
     return (1 if rep.counterexamples else 0), payload, str(rep)
 
 
@@ -163,25 +177,27 @@ def _cmd_pointwise(hf, args):
                                    parse_poly(args.q, hf),
                                    parse_poly(args.r, hf),
                                    _point_list(hf, args.points))
-    payload = {"command": "pointwise", **asdict(rep)}
+    payload = {"command": "pointwise", **_plain(rep)}
     return (0 if rep.equal else 1), payload, str(rep)
 
 
 def _probe_spec(hf: Hyperfield, args) -> ProbeSpec:
-    """default_probe, with the --points of an infinite carrier added."""
-    read = args.points and not hf.is_finite()
-    return default_probe(hf, _point_list(hf, args.points) if read else ())
+    """default_probe, with any --points added.  They are read over every
+    carrier, so a bad literal exits 2; a finite carrier is checked
+    exhaustively, so there a valid list changes nothing."""
+    return default_probe(
+        hf, _point_list(hf, args.points) if args.points else ())
 
 
 def _cmd_axioms(hf, args):
     rep = check_axioms(hf, _probe_spec(hf, args))
-    payload = {"command": "axioms", "ok": rep.ok, **asdict(rep)}
+    payload = {"command": "axioms", "ok": rep.ok, **_plain(rep)}
     return (0 if rep.ok else 1), payload, str(rep)
 
 
 def _cmd_ddist(hf, args):
     rep = is_doubly_distributive(hf, _probe_spec(hf, args))
-    payload = {"command": "ddist", **asdict(rep)}
+    payload = {"command": "ddist", **_plain(rep)}
     return (0 if rep.holds else 1), payload, str(rep)
 
 

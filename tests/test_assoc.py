@@ -28,7 +28,7 @@ from hyperpoly import (
     weak_group,
 )
 from hyperpoly import assoc, polyalg
-from hyperpoly.carriers import CodeTable
+from hyperpoly.carriers import CodeTable, FiniteHyperfield
 from hyperpoly.polyalg import (BoxValue, box_of, boxprod, format_expr,
                                product_value, unequal_certificate)
 
@@ -220,21 +220,54 @@ def reference_scan(hf, max_deg, monic_only=False, stop_after=1):
     return checked, [[c.to_dict() for c in rep.comparisons] for rep in found]
 
 
+def _klein_four():
+    symbols = ["1", "a", "b", "c"]
+    table = {(x, y): symbols[i ^ j] for i, x in enumerate(symbols)
+             for j, y in enumerate(symbols)}
+    return weak_group(table, symbols, "1", name="W(V4,1)")
+
+
+def scan_grid():
+    """K, S, W, GF(2), GF(3) and GF(5) up to degree 2, and W(G,e) over C2,
+    C3, C4 and V4 at degree 1, monic and not, with stop_after 1 and None;
+    the cases listed beside it in the test are not repeated."""
+    carriers = [(by_name(name), deg) for name in
+                ("K", "S", "W", "GF(2)", "GF(3)", "GF(5)") for deg in (1, 2)]
+    carriers += [(weak_group(*cyclic_group_table(n), name=f"W(C{n})"), 1)
+                 for n in (2, 3, 4)]
+    carriers += [(_klein_four(), 1)]
+    for hf, deg in carriers:
+        for monic in (True, False):
+            for stop in (1, None):
+                key = (hf.name, deg, monic, stop)
+                if key in {("S", 1, False, None), ("W", 1, False, None),
+                           ("K", 2, False, None), ("W(C3)", 1, False, None),
+                           # 295,240 triples and no counterexample, so
+                           # stop_after=1 runs the loop to the same end
+                           ("GF(5)", 2, False, 1)}:
+                    continue
+                yield pytest.param(hf, deg, monic, stop, id="-".join(
+                    [hf.name, str(deg), "monic" if monic else "all",
+                     "all-cex" if stop is None else "first"]))
+
+
 class TestScanCells:
     """The scan compares outer choices as sets of cell tuples and expands
-    members only where two consecutive choices' cells differ."""
+    members only where two consecutive choices' cells differ, at one triple
+    per symmetry orbit."""
 
     C3 = weak_group(*cyclic_group_table(3))
 
     @pytest.mark.parametrize("hf,max_deg,monic_only,stop_after", [
-        (by_name("S"), 1, False, None),
-        (by_name("W"), 1, False, None),
-        (by_name("K"), 2, False, None),
+        pytest.param(by_name("S"), 1, False, None, id="S-1"),
+        pytest.param(by_name("W"), 1, False, None, id="W-1"),
+        pytest.param(by_name("K"), 2, False, None, id="K-2"),
         # 303 of its 364 triples differ in cells, yet none in members
-        (C3, 1, False, None),
+        pytest.param(C3, 1, False, None, id="W(C3)-1"),
         # 174 of the 340 comparisons that differ in cells agree in members
-        (by_name("W"), 2, True, 40),
-    ], ids=["S-1", "W-1", "K-2", "W(C3)-1", "W-2-monic"])
+        pytest.param(by_name("W"), 2, True, 40, id="W-2-monic"),
+        *scan_grid(),
+    ])
     def test_same_report_as_the_member_union_scan(self, hf, max_deg,
                                                   monic_only, stop_after):
         report = assoc_scan(hf, max_deg, monic_only, stop_after=stop_after)
@@ -267,7 +300,9 @@ class TestScanCells:
             self, monkeypatch):
         # the cells of x (x) r as boxes, over every inner member r: each
         # consecutive pair of outer choices whose cell sets differ expands
-        # both, and W(C3) degree 1 has no counterexample to stop at
+        # both, at the triples the scan still compares.  W(C3) degree 1 has
+        # no counterexample to stop at, so those are the first triple of
+        # each symmetry orbit (303 differences over all 364 triples)
         hf = self.C3
         polys = assoc._scan_polys(hf, 1, False)
 
@@ -276,15 +311,78 @@ class TestScanCells:
                     for r in boxprod(polys[y], polys[z]).member_set()}
 
         differing = 0
-        for i, j, k in itertools.combinations_with_replacement(
-                range(len(polys)), 3):
+        for i, j, k in orbit_firsts(hf, polys, False):
             forms = [cells(*d) for d in dict.fromkeys(
                 ((i, j, k), (j, i, k), (k, i, j)))]
             differing += sum(a != b for a, b in zip(forms, forms[1:]))
         calls = self.count_expansions(monkeypatch)
         report = assoc_scan(hf, 1, stop_after=None)
         assert report.counterexamples == ()
-        assert differing == 303 and len(calls) == 2 * differing
+        assert differing == 30 and len(calls) == 2 * differing
+
+
+def symmetry_maps(hf, polys, monic_only):
+    """Each map phi(p) = u c^-deg p(cT) of the scan list, for units c and u
+    (u = 1 if monic_only), as the list of image indices, computed on
+    Elements through hf.inv and hf.mul."""
+    index = {p: n for n, p in enumerate(polys)}
+    units = [x for x in hf.elements() if not hf.is_zero(x)]
+    maps = []
+    for c in units:
+        for u in [hf.one()] if monic_only else units:
+            image = []
+            for p in polys:
+                coeffs = []
+                for a, x in enumerate(p.coeffs):
+                    scale = u
+                    for _ in range(p.degree - a):
+                        scale = hf.mul(scale, hf.inv(c))
+                    coeffs.append(hf.mul(scale, x))
+                image.append(index[Polynomial.of(hf, coeffs)])
+            maps.append(image)
+    return maps
+
+
+def orbit_firsts(hf, polys, monic_only):
+    """The triples, in scan order, that no earlier triple maps to."""
+    maps = symmetry_maps(hf, polys, monic_only)
+    seen = set()
+    for t in itertools.combinations_with_replacement(range(len(polys)), 3):
+        if t not in seen:
+            seen.update(tuple(sorted(m[n] for n in t)) for m in maps)
+            yield t
+
+
+class TestScanSymmetry:
+    """A scan compares one triple per orbit of p -> u c^-deg p(cT) and
+    carries an associative verdict to the rest of the orbit."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_rank_is_the_enumeration_index(self, n):
+        rank = assoc._triple_rank(n)
+        for place, (i, j, k) in enumerate(
+                itertools.combinations_with_replacement(range(n), 3)):
+            assert rank(i, j, k) == place
+
+    def test_the_scan_maps_the_list_as_the_element_maps_do(self):
+        hf = by_name("GF(5)")
+        for monic in (True, False):
+            polys = assoc._scan_polys(hf, 2, monic)
+            enc = [hf.codes.encode(p.coeffs) for p in polys]
+            assert (sorted(assoc._symmetries(hf.codes, enc, monic))
+                    == sorted(symmetry_maps(hf, polys, monic)))
+
+    @pytest.mark.parametrize("monic_only", [True, False])
+    def test_a_carrier_that_does_not_distribute_is_refused(self, monic_only):
+        # S with 1 (+) 1 = {0, 1}: then -1 (x) (1 (+) 1) = {0, -1}, but
+        # (-1) (+) (-1) = {-1}, and no orbit argument holds
+        S = by_name("S")
+        add = dict(S._add)
+        add[(1, 1)] = frozenset({0, 1})
+        broken = FiniteHyperfield("S'", S._payloads, 0, 1, S._mul, S._neg,
+                                  S._inv, add)
+        with pytest.raises(AssertionError, match=r"c\(x \(\+\) y\)"):
+            assoc_scan(broken, 1, monic_only, stop_after=None)
 
 
 class TestScanCertificates:

@@ -396,6 +396,18 @@ class TestStructureChecks:
         assert (code, out) == (2, "")
         assert err == "error: --points needs a finite point list {a,b,...}\n"
 
+    @pytest.mark.parametrize("command", ["axioms", "ddist"])
+    def test_points_over_a_finite_carrier_are_read(self, capsys, command):
+        # a finite carrier is checked exhaustively, so a valid list
+        # changes nothing, but a literal outside the carrier exits 2
+        plain = run_cli(capsys, command, "--hf", "K")
+        assert run_cli(capsys, command, "--hf", "K",
+                       "--points", "{1,0}") == plain
+        code, out, err = run_cli(capsys, command, "--hf", "K",
+                                 "--points", "{7}")
+        assert (code, out) == (2, "")
+        assert err == "error: 7 is not in the carrier of K\n"
+
     def test_mode_is_not_an_option(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["axioms", "--hf", "T", "--mode", "probe"])
