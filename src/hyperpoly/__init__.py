@@ -12,14 +12,13 @@ from .polyalg import (CertStep, EqualCertificate, MemberCertificate, PolyBox,
                       PolyLeaf, Polynomial, ProdNode, Resolved, SumNode,
                       box_hyperadd, box_of, boxprod, boxsum, expr_equal,
                       expr_member, format_expr, format_poly, monic_decompose,
-                      monomial, parse_expr, parse_poly, replay_member,
-                      resolve, resolved_members, scalar_prod, scale_box)
+                      parse_expr, parse_poly, replay_member, resolve,
+                      resolved_members, scalar_prod, scale_box)
 from .divide import (QuotientSet, is_root, linear_for_root, mult_at,
                      mult_set, quotients, tropical_root_points)
 from .tropical import (BoxEquivalence, ReducibilityCertificate, RootMultiset,
-                       box_equivalence, is_reducible, iterated_linear_product,
-                       linear_product_box, root_multiset,
-                       trop_hypersum_sorted)
+                       box_equivalence, is_reducible, linear_product_box,
+                       root_multiset, trop_hypersum_sorted)
 from .assoc import (AssocReport, OnePlusOneReport, PointwiseReport,
                     ScanReport, assoc_check, assoc_scan,
                     one_plus_one_criterion, pointwise_products_equal)
@@ -37,13 +36,13 @@ __all__ = [
     "PolyLeaf", "Polynomial", "ProdNode", "Resolved", "SumNode",
     "box_hyperadd", "box_of", "boxprod", "boxsum", "expr_equal",
     "expr_member", "format_expr", "format_poly", "monic_decompose",
-    "monomial", "parse_expr", "parse_poly", "replay_member", "resolve",
+    "parse_expr", "parse_poly", "replay_member", "resolve",
     "resolved_members", "scalar_prod", "scale_box",
     "QuotientSet", "is_root", "linear_for_root", "mult_at", "mult_set",
     "quotients", "tropical_root_points",
     "BoxEquivalence", "ReducibilityCertificate", "RootMultiset",
-    "box_equivalence", "is_reducible", "iterated_linear_product",
-    "linear_product_box", "root_multiset", "trop_hypersum_sorted",
+    "box_equivalence", "is_reducible", "linear_product_box",
+    "root_multiset", "trop_hypersum_sorted",
     "AssocReport", "OnePlusOneReport", "PointwiseReport", "ScanReport",
     "assoc_check", "assoc_scan", "one_plus_one_criterion",
     "pointwise_products_equal",

@@ -15,9 +15,8 @@ from typing import Optional, Sequence
 
 from .carriers import CodeTable, Element, Hyperfield, UndecidedError
 from .polyalg import (MAX_DEGREE, BoxValue, CertStep, EqualCertificate, Expr,
-                      MemberCertificate, Polynomial, PolyLeaf, ProdNode,
-                      Resolved, _member_in_resolved, box_of, expr_equal,
-                      format_expr, product_value, resolve,
+                      Polynomial, PolyLeaf, ProdNode, Resolved, _unequal,
+                      box_of, expr_equal, format_expr, product_value, resolve,
                       unequal_certificate)
 
 
@@ -267,23 +266,12 @@ class OnePlusOneReport:
     hyperfield: str
     b_set: str
     applicable: bool
-    coupled_expr: Optional[str] = None
-    free_expr: Optional[str] = None
-    coupled_shape: Optional[str] = None
-    free_shape: Optional[str] = None
-    witness: Optional[str] = None
-    free_cert: Optional[MemberCertificate] = None
-    coupled_cert: Optional[MemberCertificate] = None
+    cert: Optional[EqualCertificate] = None
 
     def certificate(self) -> EqualCertificate:
         if not self.applicable:
             raise ValueError("criterion inapplicable: 1 (+) 1 is a singleton")
-        return EqualCertificate(
-            "unequal", self.hyperfield, self.free_expr, self.coupled_expr,
-            self.witness, 1, self.free_cert, self.coupled_cert,
-            (CertStep("shape", None, f"side 1 resolves to {self.free_shape}"),
-             CertStep("shape", None,
-                      f"side 2 resolves to {self.coupled_shape}")))
+        return self.cert
 
     def __str__(self) -> str:
         if not self.applicable:
@@ -309,18 +297,17 @@ def one_plus_one_criterion(hf: Hyperfield) -> OnePlusOneReport:
     d2 = (nonzero or rest)[0]
     witness = Polynomial.of(hf, [one, d2, d1, d1, one])
     free, coupled = resolve(free_expr, hf), resolve(coupled_expr, hf)
-    free_cert = _member_in_resolved(witness, free.decide(witness),
-                                    format_expr(free_expr))
-    coupled_cert = _member_in_resolved(witness, coupled.decide(witness),
-                                       format_expr(coupled_expr))
-    if free_cert.verdict != "yes" or coupled_cert.verdict != "no":
+    cert = _unequal(format_expr(free_expr), format_expr(coupled_expr),
+                    free.decide(witness), coupled.decide(witness), witness, 1,
+                    CertStep("shape", None,
+                             f"side 1 resolves to {free.describe()}"),
+                    CertStep("shape", None,
+                             f"side 2 resolves to {coupled.describe()}"))
+    if cert.member_in.verdict != "yes" or cert.member_out.verdict != "no":
         raise AssertionError(
             f"1+1 witness construction failed over {hf.name}: "
-            f"{free_cert.verdict}/{coupled_cert.verdict}")
-    return OnePlusOneReport(
-        hf.name, str(b), True,
-        coupled_cert.expr, free_cert.expr, coupled.describe(),
-        free.describe(), str(witness), free_cert, coupled_cert)
+            f"{cert.member_in.verdict}/{cert.member_out.verdict}")
+    return OnePlusOneReport(hf.name, str(b), True, cert)
 
 
 # ---------------------------------------------------------------------------

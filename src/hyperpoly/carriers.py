@@ -167,7 +167,7 @@ class IntervalSet(CarrierSet):
 
     def contains(self, x: Element) -> bool:
         self._check_element(x)
-        return self.intervals.contains(_as_ext(x.payload))
+        return self.intervals.contains(x.payload)
 
     def union(self, other: "IntervalSet") -> "IntervalSet":
         self._check(other)
@@ -256,14 +256,6 @@ def _payload_sort_key(p: Payload) -> tuple:
     if isinstance(p, int):
         return (1, p)
     return (2, p)
-
-
-def _as_ext(payload: Payload) -> ExtRat:
-    if isinstance(payload, ExtRat):
-        return payload
-    if isinstance(payload, Fraction):
-        return ExtRat(payload)
-    raise TypeError(f"payload {payload!r} has no interval coordinate")
 
 
 class Hyperfield:
@@ -822,10 +814,6 @@ class TropicalHyperfield(Hyperfield):
     def element(self, raw) -> Element:
         if isinstance(raw, Element):
             return self.check(raw)
-        if isinstance(raw, ExtRat):
-            if raw.inf == 1:
-                raise ValueError("+inf is not a tropical element")
-            return Element(self.name, raw)
         if raw == "-inf":
             return Element(self.name, NEG_INF)
         return Element(self.name, ExtRat(Fraction(raw)))
@@ -920,10 +908,6 @@ class ViroHyperfield(Hyperfield):
     def element(self, raw) -> Element:
         if isinstance(raw, Element):
             return self.check(raw)
-        if isinstance(raw, ExtRat):
-            if raw.inf or raw.q < 0:
-                raise ValueError(f"{raw} is not a nonnegative rational")
-            return Element(self.name, raw)
         q = Fraction(raw)
         if q < 0:
             raise ValueError(f"{q} is not a nonnegative rational")

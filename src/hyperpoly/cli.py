@@ -50,7 +50,7 @@ def _parse_region(hf: Hyperfield, text: str):
         lo_s, hi_s = bounds
         lo_closed, hi_closed = text[0] == "[", text[-1] == "]"
         if lo_s in ("-inf", "-oo"):
-            lo, lo_closed = NEG_INF, True
+            lo = NEG_INF
         else:
             lo = parse_scalar_literal(hf, lo_s).payload
         if hi_s in ("inf", "+inf", "oo", "+oo"):

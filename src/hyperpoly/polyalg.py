@@ -19,7 +19,6 @@ group, so "(T+1)+T" and "((-1))+(2)" are set-level sums.
 from __future__ import annotations
 
 import itertools
-import json
 import random
 import re
 from dataclasses import dataclass
@@ -88,10 +87,6 @@ class Polynomial:
 
     def __str__(self) -> str:
         return self._text
-
-
-def monomial(hf: Hyperfield, n: int) -> Polynomial:
-    return Polynomial.of(hf, [hf.zero()] * n + [hf.one()])
 
 
 def scalar_prod(a: Element, p: Polynomial) -> Polynomial:
@@ -756,9 +751,6 @@ class MemberCertificate:
     def to_dict(self) -> dict:
         return _member_dict(self)
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
     @staticmethod
     def from_dict(data: dict) -> "MemberCertificate":
         steps = tuple(CertStep(**s) for s in data.get("steps", ()))
@@ -796,9 +788,6 @@ class EqualCertificate:
                 "member_in": _member_dict(self.member_in),
                 "member_out": _member_dict(self.member_out),
                 "detail": _step_dicts(self.detail)}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
     @staticmethod
     def from_dict(data: dict) -> "EqualCertificate":
@@ -1133,7 +1122,7 @@ def _box_pair_certificate(e1_text: str, e2_text: str, b1: PolyBox,
 
 
 def _unequal(t1: str, t2: str, d1: Decision, d2: Decision, w: Polynomial,
-             side: int, detail: CertStep) -> EqualCertificate:
+             side: int, *detail: CertStep) -> EqualCertificate:
     """The one writer of an UNEQUAL certificate: w belongs to side `side`
     only, and _member_in_resolved writes the decisions d1 and d2 of w on
     the two sides."""
@@ -1143,7 +1132,7 @@ def _unequal(t1: str, t2: str, d1: Decision, d2: Decision, w: Polynomial,
                             witness_side=side,
                             member_in=_member_in_resolved(w, d_in, t_in),
                             member_out=_member_in_resolved(w, d_out, t_out),
-                            detail=(detail,))
+                            detail=detail)
 
 
 def unequal_certificate(t1: str, t2: str, v1: Resolved, v2: Resolved,

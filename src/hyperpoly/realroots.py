@@ -135,13 +135,6 @@ class Feasibility:
     witness: Optional[Fraction] = None
     bracket: Optional[tuple[Fraction, Fraction]] = None
 
-    def describe(self) -> str:
-        if not self.feasible:
-            return "infeasible"
-        if self.witness is not None:
-            return f"witness a = {self.witness}"
-        return f"witness isolated in ({self.bracket[0]},{self.bracket[1]})"
-
 
 def _proportional(g: Quad, h: Quad) -> bool:
     (a1, b1, c1), (a2, b2, c2) = g, h

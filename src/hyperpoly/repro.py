@@ -166,11 +166,12 @@ def crit_09() -> ReproResult:
         rep = one_plus_one_criterion(by_name(name))
         if rep.applicable:
             applicable.add(name)
-            replays = (replay_member(rep.free_cert)
-                       and replay_member(rep.coupled_cert))
+            cert = rep.certificate()
+            replays = (replay_member(cert.member_in)
+                       and replay_member(cert.member_out))
             ok = ok and replays
             lines.append(f"{name}: 1(+)1 = {rep.b_set}, witness "
-                         f"{rep.witness} ({'replays' if replays else 'REPLAY FAIL'})")
+                         f"{cert.witness} ({'replays' if replays else 'REPLAY FAIL'})")
         else:
             lines.append(f"{name}: 1(+)1 = {rep.b_set} singleton, inapplicable")
     ok = ok and {"K", "W", "T", "V"} <= applicable and "S" not in applicable

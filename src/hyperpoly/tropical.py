@@ -8,7 +8,6 @@ value sets given by subset sums of the roots."""
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -50,14 +49,6 @@ def linear_product_box(roots: Sequence[Element]) -> PolyBox:
             sums.append(Element(hf.name, total))
         cells[n - s] = trop_hypersum_sorted(sums)
     return PolyBox(hf, tuple(cells))
-
-
-def iterated_linear_product(roots: Sequence[Element]) -> str:
-    """Description of S_k = union over p in S_{k-1} of (0T+a_k) (x) p."""
-    hf = _trop()
-    box = linear_product_box(roots)
-    chain = " -> ".join(f"(0T+{hf.format_element(a)})" for a in roots)
-    return f"S_n from {chain}; equals the box {box}"
 
 
 @dataclass(frozen=True)
@@ -174,9 +165,6 @@ class ReducibilityCertificate:
     reducible: Optional[bool]  # None = undecided
     factors: Optional[tuple[str, str]]
     trace: tuple[str, ...]
-
-    def to_json(self) -> str:
-        return json.dumps(vars(self), sort_keys=True)
 
     def __str__(self) -> str:
         head = {True: "REDUCIBLE", False: "IRREDUCIBLE",

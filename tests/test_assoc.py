@@ -473,13 +473,13 @@ class TestOnePlusOneCriterion:
         hf = by_name(name)
         report = one_plus_one_criterion(hf)
         assert report.applicable and report.b_set == b_text
-        if witness is not None:
-            assert report.witness == witness
-        assert report.free_cert.verdict == "yes"
-        assert report.coupled_cert.verdict == "no"
-        assert replay_member(report.free_cert)
-        assert replay_member(report.coupled_cert)
         cert = report.certificate()
+        if witness is not None:
+            assert cert.witness == witness
+        assert cert.member_in.verdict == "yes"
+        assert cert.member_out.verdict == "no"
+        assert replay_member(cert.member_in)
+        assert replay_member(cert.member_out)
         assert cert.verdict == "unequal" and cert.witness_side == 1
         assert EqualCertificate.from_dict(cert.to_dict()) == cert
 
@@ -493,8 +493,10 @@ class TestOnePlusOneCriterion:
 
     def test_coupled_shape_reveals_the_outer_factor(self):
         report = one_plus_one_criterion(by_name("K"))
-        assert report.coupled_shape.startswith("(T^2+1) (x) members of")
-        assert report.free_shape.startswith("[T^0:")
+        free, coupled = report.certificate().detail
+        assert coupled.text.startswith(
+            "side 2 resolves to (T^2+1) (x) members of")
+        assert free.text.startswith("side 1 resolves to [T^0:")
 
 
 class TestPointwiseProducts:

@@ -233,6 +233,25 @@ class TestErrorPaths:
         assert out == ""
         assert err == "error: interval region needs two bounds lo,hi\n"
 
+    @pytest.mark.parametrize("cmd,flags", [
+        ("member", ("--poly", "T^6+1", "--expr")),
+        ("equal", ("--expr2", "T+1", "--expr1")),
+        ("equal", ("--expr1", "T+1", "--expr2")),
+    ])
+    def test_out_of_resolve_scope_exits_3(self, capsys, cmd, flags):
+        code, out, _ = run_cli(
+            capsys, cmd, "--hf", "V", *flags,
+            "((T+1)*((T+1)*(T+1)))*((T+1)*((T+2)*(T+1)))",
+            "--format", "structured")
+        payload = json.loads(out)
+        assert code == 3 and payload["verdict"] == "undecided"
+        steps = payload["steps" if cmd == "member" else "detail"]
+        assert steps == [{"kind": "scope", "index": None,
+                          "text": "product of two undetermined polynomial "
+                                  "sets is out of scope"}]
+        if cmd == "member":
+            assert payload["method"] == "unsupported"
+
     def test_scan_of_an_infinite_carrier_exits_3(self, capsys):
         code, _, err = run_cli(capsys, "assoc-scan", "--hf", "T",
                                "--max-deg", "1")
@@ -272,6 +291,7 @@ class TestErrorPaths:
         assert proc.stdout.readline().startswith(b"scan over S")
         proc.stdout.close()
         err = proc.stderr.read().decode()
+        proc.stderr.close()
         assert proc.wait(timeout=60) in (0, 1)
         assert "Traceback" not in err and "BrokenPipe" not in err, err
 
@@ -294,6 +314,24 @@ class TestMultiplicities:
                                "--region", "{ph(1/3),ph(0)}")
         assert code == 0
         assert out.strip() == "2"
+
+    @pytest.mark.parametrize("region,count", [
+        ("(-inf,-1]", "0"), ("(-inf,0]", "1"), ("[-inf,0]", "2"),
+    ])
+    def test_an_open_lower_end_excludes_the_tropical_zero(self, capsys,
+                                                          region, count):
+        # T^2+0T has the roots -inf and 0
+        code, out, _ = run_cli(capsys, "mult-set", "--hf", "T",
+                               "--poly", "T^2+0T", "--region", region)
+        assert code == 0
+        assert out.strip() == count
+
+    def test_an_open_interval_at_the_tropical_zero_is_empty(self, capsys):
+        code, out, err = run_cli(capsys, "mult-set", "--hf", "T",
+                                 "--poly", "T^2+0T", "--region", "(-inf,-inf]")
+        assert code == 2
+        assert out == ""
+        assert err == "error: empty interval '(-inf,-inf]'\n"
 
     def test_quotients_listing(self, capsys):
         code, out, _ = run_cli(capsys, "quotients", "--hf", "S",

@@ -1,5 +1,6 @@
 """Polynomial algebra: parsing, boxes, expression resolution, certificates."""
 
+import dataclasses
 import itertools
 import json
 from fractions import Fraction
@@ -31,7 +32,6 @@ from hyperpoly import (
     gf,
     linear_for_root,
     monic_decompose,
-    monomial,
     parse_expr,
     parse_poly,
     replay_member,
@@ -95,7 +95,7 @@ class TestPolynomialBasics:
 
     def test_monomial_and_scalar_prod(self):
         S = by_name("S")
-        m = monomial(S, 3)
+        m = parse_poly("T^3", S)
         assert format_poly(m) == "T^3"
         sp = scalar_prod(S.element(-1), parse_poly("T+1", S))
         assert format_poly(sp) == "-T-1"
@@ -809,9 +809,48 @@ class TestExprMember:
         K = by_name("K")
         e = parse_expr("(T+1)*((T+1)*(T+1))", K)
         cert = expr_member(parse_poly("T^3+T^2+T+1", K), e)
-        again = MemberCertificate.from_dict(json.loads(cert.to_json()))
+        again = MemberCertificate.from_dict(
+            json.loads(json.dumps(cert.to_dict())))
         assert again == cert
         assert replay_member(again)
+
+
+class TestReplayRejectsTampering:
+    K = by_name("K")
+    EXPR = "(T+1)*((T+1)*(T+1))"
+
+    def cert(self, poly):
+        return expr_member(parse_poly(poly, self.K),
+                           parse_expr(self.EXPR, self.K))
+
+    @pytest.mark.parametrize("poly", ["T^3+T^2+T+1", "T^3-T^2", "T^4"])
+    def test_a_flipped_verdict_fails(self, poly):
+        cert = self.cert(poly)
+        other = {"yes": "no", "no": "yes"}[cert.verdict]
+        assert replay_member(cert)
+        assert not replay_member(dataclasses.replace(cert, verdict=other))
+
+    def test_a_coupled_witness_outside_the_inner_box_fails(self):
+        # the inner set (T+1)*(T+1) is [1; {0,1}; 1], so T^2 is not in it
+        cert = self.cert("T^3+T^2+T+1")
+        assert cert.witness == "T^2+1" and replay_member(cert)
+        assert not replay_member(dataclasses.replace(cert, witness="T^2"))
+
+    def test_a_coupled_witness_whose_product_misses_p_fails(self):
+        # (T+1)*(T^2+1) is {T^3+T^2+T+1} over K, which misses T^3+T+1
+        cert = self.cert("T^3+T+1")
+        assert cert.witness == "T^2+T+1" and replay_member(cert)
+        assert not replay_member(dataclasses.replace(cert, witness="T^2+1"))
+
+    def test_an_out_of_scope_expression_replays_only_as_undecided(self):
+        V = by_name("V")
+        cert = expr_member(parse_poly("T^6+1", V), parse_expr(
+            "((T+1)*((T+1)*(T+1)))*((T+1)*((T+2)*(T+1)))", V))
+        assert (cert.verdict, cert.method) == ("undecided", "unsupported")
+        assert replay_member(cert)
+        for verdict in ("yes", "no"):
+            assert not replay_member(
+                dataclasses.replace(cert, verdict=verdict))
 
 
 @st.composite
@@ -992,5 +1031,6 @@ class TestExprEqual:
         K = by_name("K")
         cert = expr_equal(parse_expr("(T+1)*(T+1)", K),
                           parse_expr("(T^2+1)", K), K)
-        again = EqualCertificate.from_dict(json.loads(cert.to_json()))
+        again = EqualCertificate.from_dict(
+            json.loads(json.dumps(cert.to_dict())))
         assert again == cert
