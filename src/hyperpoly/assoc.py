@@ -14,10 +14,9 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .carriers import CodeTable, Element, Hyperfield, UndecidedError
-from .polyalg import (MAX_DEGREE, BoxValue, CertStep, EqualCertificate, Expr,
+from .polyalg import (MAX_DEGREE, CertStep, EqualCertificate, Expr,
                       Polynomial, PolyLeaf, ProdNode, Resolved, _unequal,
-                      box_of, expr_equal, format_expr, product_value, resolve,
-                      unequal_certificate)
+                      expr_equal, format_expr, resolve, unequal_certificate)
 
 
 def _outer_form(outer: Polynomial, a: Polynomial, b: Polynomial) -> Expr:
@@ -205,7 +204,7 @@ def assoc_scan(hf: Hyperfield, max_deg: int, monic_only: bool = False,
         if inner is None:
             inner = inner_value[(a, b)] = resolve(
                 ProdNode(PolyLeaf(polys[a]), PolyLeaf(polys[b])), hf)
-        return product_value(BoxValue(box_of(polys[m])), inner, hf)
+        return inner.times(polys[m])
 
     def certify(i: int, j: int, k: int, d1: tuple, s1: set, d2: tuple,
                 s2: set) -> None:

@@ -259,46 +259,25 @@ def _payload_sort_key(p: Payload) -> tuple:
 
 
 class Hyperfield:
-    """Base carrier descriptor; subclasses fill in the operation table."""
+    """Base carrier descriptor.  Each carrier class defines its elements
+    and operations: zero() and one(); element(raw), which validates and
+    canonicalises a raw payload; mul, neg and inv; the set-valued
+    hyperadd(x, y), set_hyperadd(a, b), scale_set(a, s) = {a (*) x : x in
+    s}, set_mul(a, b) = {x (*) y : x in a, y in b} and neg_set; the set
+    plumbing singleton, full_set and remove_zero; sample_elements(s),
+    finitely many exact members covering every component of s; and
+    parse_scalar(text).  The base supplies the rest from these."""
 
     name: str
 
-    # -- carrier structure ---------------------------------------------------
     def is_finite(self) -> bool:
         return False
 
     def elements(self) -> list[Element]:
         raise ValueError(f"{self.name} is not a finite carrier")
 
-    def zero(self) -> Element:
-        raise NotImplementedError
-
-    def one(self) -> Element:
-        raise NotImplementedError
-
-    def element(self, raw) -> Element:
-        """Validate and canonicalize a raw payload into an Element."""
-        raise NotImplementedError
-
     def is_zero(self, x: Element) -> bool:
         return x == self.zero()
-
-    # -- single-valued operations ---------------------------------------------
-    def mul(self, x: Element, y: Element) -> Element:
-        raise NotImplementedError
-
-    def neg(self, x: Element) -> Element:
-        raise NotImplementedError
-
-    def inv(self, x: Element) -> Element:
-        raise NotImplementedError
-
-    # -- set-valued operations --------------------------------------------------
-    def hyperadd(self, x: Element, y: Element) -> CarrierSet:
-        raise NotImplementedError
-
-    def set_hyperadd(self, a: CarrierSet, b: CarrierSet) -> CarrierSet:
-        raise NotImplementedError
 
     def hypersum(self, xs: Sequence[Element]) -> CarrierSet:
         if not xs:
@@ -308,42 +287,12 @@ class Hyperfield:
             acc = self.set_hyperadd(acc, self.singleton(x))
         return acc
 
-    def scale_set(self, a: Element, s: CarrierSet) -> CarrierSet:
-        """{a (*) x : x in s} for a single element a."""
-        raise NotImplementedError
-
-    def set_mul(self, a: CarrierSet, b: CarrierSet) -> CarrierSet:
-        """Elementwise product set {x (*) y : x in a, y in b}."""
-        raise NotImplementedError
-
-    def neg_set(self, s: CarrierSet) -> CarrierSet:
-        raise NotImplementedError
-
-    # -- set plumbing -----------------------------------------------------------
-    def singleton(self, x: Element) -> CarrierSet:
-        raise NotImplementedError
-
-    def full_set(self) -> CarrierSet:
-        raise NotImplementedError
-
-    def remove_zero(self, s: CarrierSet) -> CarrierSet:
-        raise NotImplementedError
-
-    def sample_elements(self, s: CarrierSet) -> list[Element]:
-        """Finitely many exact members covering every component of s."""
-        raise NotImplementedError
-
-    # -- text -----------------------------------------------------------------
     def format_element(self, x: Element) -> str:
         return format_payload(x.payload)
-
-    def parse_scalar(self, text: str) -> Element:
-        raise NotImplementedError
 
     def sort_key(self, x: Element) -> tuple:
         return _payload_sort_key(x.payload)
 
-    # -- misc -------------------------------------------------------------------
     def check(self, x: Element) -> Element:
         if x.carrier != self.name:
             raise ValueError(f"element of {x.carrier} used in {self.name}")
@@ -780,7 +729,11 @@ def load_cayley_table(path: str) -> FiniteHyperfield:
         tokens = fh.read().split()
     if not tokens:
         raise ValueError(f"{path}: empty Cayley table file")
-    n = int(tokens[0])
+    try:
+        n = int(tokens[0])
+    except ValueError:
+        raise ValueError(f"{path}: the table size {tokens[0]!r} is not an "
+                         f"integer") from None
     if len(tokens) != 1 + n * n + 1:
         raise ValueError(f"{path}: expected {n * n} grid entries plus e")
     grid = tokens[1:1 + n * n]
@@ -1156,7 +1109,11 @@ def _build(name: str) -> Hyperfield:
     if name == "P":
         return PhaseHyperfield()
     if name.startswith("GF(") and name.endswith(")"):
-        return gf(int(name[3:-1]))
+        try:
+            p = int(name[3:-1])
+        except ValueError:
+            raise ValueError(f"unknown hyperfield {name!r}") from None
+        return gf(p)
     raise ValueError(f"unknown hyperfield {name!r}")
 
 

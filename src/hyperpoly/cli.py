@@ -29,7 +29,7 @@ from .divide import mult_at, mult_set, quotients
 from .polyalg import (boxprod, boxsum, expr_equal, expr_member, parse_expr,
                       parse_poly, parse_scalar_literal)
 from .repro import format_table, run_all
-from .sets import NEG_INF, POS_INF, Interval, IntervalUnion
+from .sets import POS_INF, Interval, IntervalUnion
 from .tropical import box_equivalence, is_reducible, linear_product_box, root_multiset
 
 
@@ -49,10 +49,7 @@ def _parse_region(hf: Hyperfield, text: str):
             raise ValueError("interval region needs two bounds lo,hi")
         lo_s, hi_s = bounds
         lo_closed, hi_closed = text[0] == "[", text[-1] == "]"
-        if lo_s in ("-inf", "-oo"):
-            lo = NEG_INF
-        else:
-            lo = parse_scalar_literal(hf, lo_s).payload
+        lo = parse_scalar_literal(hf, lo_s).payload
         if hi_s in ("inf", "+inf", "oo", "+oo"):
             hi, hi_closed = POS_INF, False
         else:

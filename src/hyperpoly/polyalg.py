@@ -180,7 +180,7 @@ def parse_poly(text: str, hf: Hyperfield) -> Polynomial:
             head, _, tail = raw.partition("T")
             if tail == "":
                 exp = 1
-            elif tail.startswith("^"):
+            elif tail[:1] == "^" and tail[1:].isdecimal():
                 exp = int(tail[1:])
             else:
                 raise ValueError(f"bad term {raw!r} in {text!r}")
@@ -262,7 +262,8 @@ class PolyBox:
         return bool(self.cells) and all(c.is_singleton() for c in self.cells)
 
     def the_polynomial(self) -> Polynomial:
-        return Polynomial.of(self.hf, [c.the_element() for c in self.cells])
+        """The sole member; canonical cells are checked, with a nonzero top."""
+        return Polynomial(self.hf, tuple(c.the_element() for c in self.cells))
 
     def member_set(self) -> frozenset:
         """All member polynomials (finite carriers only), unsorted.  Each
@@ -559,19 +560,21 @@ class CoupledValue:
         return f"({self.outer}) (x) members of {self.inner}"
 
     @cached_property
-    def _member_codes(self) -> frozenset:
-        """Every member as a code tuple, unsorted (finite carriers only),
-        enumerated on the carrier's integer codes."""
+    def _member_codes(self) -> dict:
+        """Each member's code tuple -> the sort_key-least inner choice r that
+        gives it (finite carriers only), from one walk over the inner
+        members, greatest first, so that the least r is written last."""
         hf = self.outer.hf
         if not hf.is_finite():
             raise UndecidedError(
                 "cannot enumerate members over an infinite carrier")
         codes = hf.codes
         q = codes.encode(self.outer.coeffs)
-        out: set = set()
-        for r in self.inner.member_set():
-            out.update(codes.members_of_product(q, codes.encode(r.coeffs)))
-        return frozenset(out)
+        table: dict = {}
+        for r in reversed(self.inner.enumerate_members()):
+            table.update(dict.fromkeys(
+                codes.members_of_product(q, codes.encode(r.coeffs)), r))
+        return table
 
     @cached_property
     def members(self) -> frozenset:
@@ -636,16 +639,12 @@ class CoupledValue:
             return Decision("yes", "single-unknown", steps, witness)
         if hf.is_finite():
             member_codes = self._member_codes
-            present = hf.codes.encode(p.coeffs) in member_codes
-            witness = None
-            if present:
-                witness = next((r for r in self.inner.enumerate_members()
-                                if boxprod(q, r).contains(p)), None)
-                if witness is None:
-                    raise AssertionError(
-                        f"{p} is a member of {self.describe()}, but no "
-                        f"inner choice gives it")
-            return _enumeration_decision(p, present, len(member_codes), witness)
+            witness = member_codes.get(hf.codes.encode(p.coeffs))
+            if witness is not None and not boxprod(q, witness).contains(p):
+                raise AssertionError(
+                    f"{p} is a member of {self.describe()}, but no "
+                    f"inner choice gives it")
+            return _enumeration_decision(p, len(member_codes), witness)
         return Decision("undecided", "unsupported", [CertStep(
             "scope", None,
             "several coupled coefficients over an infinite carrier")])
@@ -671,7 +670,8 @@ class FiniteValue:
         return None
 
     def decide(self, p: Polynomial) -> Decision:
-        return _enumeration_decision(p, p in self.members, len(self.members), p)
+        return _enumeration_decision(
+            p, len(self.members), p if p in self.members else None)
 
 
 Resolved = Union[BoxValue, CoupledValue, FiniteValue]
@@ -1060,13 +1060,14 @@ def _member_in_resolved(p: Polynomial, decision: Decision,
                              tuple(steps))
 
 
-def _enumeration_decision(p: Polynomial, present: bool, size: int,
+def _enumeration_decision(p: Polynomial, size: int,
                           witness: Optional[Polynomial]) -> Decision:
+    present = witness is not None
     step = CertStep("enumerate", None,
                     f"enumerated {size} members; "
                     f"{p} is {'present' if present else 'absent'}")
     return Decision("yes" if present else "no", "enumeration", [step],
-                    witness if present else None)
+                    witness)
 
 
 # ---------------------------------------------------------------------------

@@ -188,6 +188,8 @@ def crit_10() -> ReproResult:
         return hf.element(Fraction(rng.randint(-12, 12),
                                    rng.choice((1, 1, 2, 3))))
 
+    title = ("tropical linear-product boxes: iterated union = subset-sum "
+             "box, permutation invariant")
     ok = True
     for count, size in ((100, 3), (50, 4)):
         for _ in range(count):
@@ -198,17 +200,16 @@ def crit_10() -> ReproResult:
             for perm in itertools.permutations(roots):
                 ok = ok and linear_product_box(list(perm)).cells == base
             if not ok:
-                return _result(10, "tropical linear-product boxes", t0, False,
+                return _result(10, title, t0, False,
                                f"failed at roots {[str(r) for r in roots]}")
-    return _result(10, "tropical linear-product boxes: iterated union = "
-                       "subset-sum box, permutation invariant", t0, ok,
-                   "100 triples + 50 quadruples")
+    return _result(10, title, t0, ok, "100 triples + 50 quadruples")
 
 
 def crit_11() -> ReproResult:
     t0 = time.perf_counter()
     hf = by_name("T")
     rng = random.Random(202)
+    title = "tropical factorization round-trip on 100 sampled members"
     count = 0
     while count < 100:
         n = rng.randint(1, 5)
@@ -218,13 +219,12 @@ def crit_11() -> ReproResult:
         for p in box.sample_members(3, seed=count):
             rm = root_multiset(p)  # verifies mult_at agreement internally
             if [a.payload.q for a in rm.roots] != roots:
-                return _result(11, "tropical factorization round-trip", t0,
-                               False, f"{p} gave {rm}, expected {roots}")
+                return _result(11, title, t0, False,
+                               f"{p} gave {rm}, expected {roots}")
             count += 1
             if count >= 100:
                 break
-    return _result(11, "tropical factorization round-trip on 100 sampled "
-                       "members", t0, True, "root multisets recovered exactly")
+    return _result(11, title, t0, True, "root multisets recovered exactly")
 
 
 def crit_12() -> ReproResult:

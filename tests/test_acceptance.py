@@ -6,6 +6,7 @@ pytest -s or on failure), asserts the check passed, and asserts it stayed
 inside a per-check wall-clock budget.  All comparisons inside the checks are
 exact; there are no tolerances to tune."""
 import time
+from types import SimpleNamespace
 
 from hyperpoly import repro
 
@@ -88,3 +89,15 @@ def test_full_suite_under_one_minute():
     assert all(r.passed for r in results)
     assert len(results) == 14
     assert elapsed < 60.0, f"full run took {elapsed:.1f}s"
+
+
+def test_a_failing_criterion_keeps_its_title(monkeypatch):
+    passing = {n: repro.CRITERIA[n - 1]() for n in (10, 11)}
+    monkeypatch.setattr(repro, "box_equivalence",
+                        lambda roots: SimpleNamespace(equal=False))
+    monkeypatch.setattr(repro, "root_multiset",
+                        lambda p: SimpleNamespace(roots=()))
+    for number, good in passing.items():
+        failed = repro.CRITERIA[number - 1]()
+        assert good.passed and not failed.passed
+        assert failed.title == good.title

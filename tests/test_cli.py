@@ -219,6 +219,26 @@ class TestErrorPaths:
         assert code == 2
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("hf,poly,message", [
+        ("K", "T^-1+1", "bad term 'T^' in 'T^-1+1'"),
+        ("K", "T^x", "bad term 'T^x' in 'T^x'"),
+        ("GF(x)", "T+1", "unknown hyperfield 'GF(x)'"),
+    ])
+    def test_an_integer_read_names_what_it_read(self, capsys, hf, poly,
+                                                message):
+        code, out, err = run_cli(capsys, "eval", "--hf", hf, "--poly", poly,
+                                 "--at", "1")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_a_cayley_size_that_is_no_integer_is_named(self, capsys,
+                                                        tmp_path):
+        path = tmp_path / "table.txt"
+        path.write_text("x\n1 g\ng 1\n1\n")
+        code, out, err = run_cli(capsys, "eval", "--hf", f"W(G,e):{path}",
+                                 "--poly", "T+1", "--at", "1")
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: the table size 'x' is not an integer\n"
+
     def test_interval_region_needs_an_ordered_carrier(self, capsys):
         code, _, err = run_cli(capsys, "mult-set", "--hf", "S",
                                "--poly", "T^2-1", "--region", "[0,1]")
@@ -317,6 +337,7 @@ class TestMultiplicities:
 
     @pytest.mark.parametrize("region,count", [
         ("(-inf,-1]", "0"), ("(-inf,0]", "1"), ("[-inf,0]", "2"),
+        ("[-oo,0]", "2"),
     ])
     def test_an_open_lower_end_excludes_the_tropical_zero(self, capsys,
                                                           region, count):
@@ -325,6 +346,14 @@ class TestMultiplicities:
                                "--poly", "T^2+0T", "--region", region)
         assert code == 0
         assert out.strip() == count
+
+    @pytest.mark.parametrize("region", ["[-inf,3]", "[-1,3]"])
+    def test_a_region_bound_is_a_scalar_of_the_carrier(self, capsys, region):
+        # -inf and -oo read as the zero of T only; V has no negative scalar
+        code, out, err = run_cli(capsys, "mult-set", "--hf", "V",
+                                 "--poly", "T^2+3T+1", "--region", region)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
 
     def test_an_open_interval_at_the_tropical_zero_is_empty(self, capsys):
         code, out, err = run_cli(capsys, "mult-set", "--hf", "T",

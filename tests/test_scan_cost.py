@@ -130,6 +130,8 @@ class TestCachedInnerPair:
             built = side(x, inner, hf)
             assert built == direct
             assert built.describe() == direct.describe()
+            # the scan's construction: the inner value's own product rule
+            assert inner.times(x) == direct
 
     def test_full_K_degree_3_scan_resolves_each_inner_pair_once(
             self, monkeypatch):
@@ -177,6 +179,12 @@ class TestCoupledDecisionOnCodes:
         if decision.method == "enumeration":
             assert f"enumerated {len(members)} members" in \
                 decision.steps[0].text
+            # the reference witness: the first inner choice in sort_key
+            # order whose product holds p
+            reference = next((r for r in value.inner.enumerate_members()
+                              if boxprod(value.outer, r).contains(p)), None)
+            assert decision.witness == reference
+            assert (reference is None) == (decision.verdict == "no")
 
     def test_enumeration_branch_reads_the_code_set(self):
         S = by_name("S")
