@@ -299,9 +299,9 @@ def one_plus_one_criterion(hf: Hyperfield) -> OnePlusOneReport:
     cert = _unequal(format_expr(free_expr), format_expr(coupled_expr),
                     free.decide(witness), coupled.decide(witness), witness, 1,
                     CertStep("shape", None,
-                             f"side 1 resolves to {free.describe()}"),
+                             f"side 1 resolves to {free}"),
                     CertStep("shape", None,
-                             f"side 2 resolves to {coupled.describe()}"))
+                             f"side 2 resolves to {coupled}"))
     if cert.member_in.verdict != "yes" or cert.member_out.verdict != "no":
         raise AssertionError(
             f"1+1 witness construction failed over {hf.name}: "

@@ -751,6 +751,14 @@ def load_cayley_table(path: str) -> FiniteHyperfield:
     return weak_group(table, symbols, e, name=f"W(G,e):{path}")
 
 
+def _rational(body: str, kind: str, literal: str) -> Fraction:
+    """The rational written as body, read out of a literal of the kind."""
+    try:
+        return Fraction(body)
+    except (ValueError, ZeroDivisionError) as err:
+        raise ValueError(f"bad {kind} literal {literal!r}") from err
+
+
 # ---------------------------------------------------------------------------
 # tropical carrier (max-plus)
 
@@ -785,11 +793,7 @@ class TropicalHyperfield(Hyperfield):
         return Element(self.name, ExtRat(-x.payload.q))
 
     def hyperadd(self, x: Element, y: Element) -> IntervalSet:
-        self.check(x), self.check(y)
-        if x.payload != y.payload:
-            top = max(x.payload, y.payload)
-            return IntervalSet(self.name, IntervalUnion.point(top))
-        return IntervalSet(self.name, IntervalUnion((Interval(NEG_INF, x.payload),)))
+        return self.hypersum([x, y])
 
     def hypersum(self, xs: Sequence[Element]) -> IntervalSet:
         """{max} when the maximum is attained once, else [-inf, max]."""
@@ -842,7 +846,7 @@ class TropicalHyperfield(Hyperfield):
         text = text.strip()
         if text in ("-inf", "-oo"):
             return self.zero()
-        return Element(self.name, ExtRat(Fraction(text)))
+        return Element(self.name, ExtRat(_rational(text, "T", text)))
 
 
 # ---------------------------------------------------------------------------
@@ -942,7 +946,8 @@ class ViroHyperfield(Hyperfield):
         return [Element(self.name, v) for v in s.intervals.sample_values()]
 
     def parse_scalar(self, text: str) -> Element:
-        return self.element(Fraction(text.strip()))
+        text = text.strip()
+        return self.element(_rational(text, "V", text))
 
 
 # ---------------------------------------------------------------------------
@@ -1056,10 +1061,10 @@ class PhaseHyperfield(Hyperfield):
         if text == "0":
             return self.zero()
         if text.startswith("ph(") and text.endswith(")"):
-            return self.element(Fraction(text[3:-1]))
+            return self.element(_rational(text[3:-1], "phase", text))
         compact = text.replace(" ", "")
         if compact.startswith("e^{i") and compact.endswith("pi}"):
-            return self.element(Fraction(compact[4:-3] or 1))
+            return self.element(_rational(compact[4:-3] or "1", "phase", text))
         raise ValueError(f"bad phase literal {text!r}")
 
 

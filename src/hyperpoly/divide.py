@@ -175,16 +175,12 @@ def _upper_hull(pts: list[tuple[int, Fraction]]) -> list[tuple[int, Fraction]]:
 # inequalities with rational coefficients, decided exactly
 
 
-def _viro_fraction(x: Element) -> Fraction:
-    return x.payload.q
-
-
 def _viro_root_quads(p: Polynomial) -> list[Quad]:
     """0 in p(a) for quadratic p over V means |c2 a^2 - c1 a| <= c0 and
     c2 a^2 + c1 a >= c0."""
-    c0 = _viro_fraction(p.coeff(0))
-    c1 = _viro_fraction(p.coeff(1))
-    c2 = _viro_fraction(p.coeff(2))
+    c0 = p.coeff(0).payload.q
+    c1 = p.coeff(1).payload.q
+    c2 = p.coeff(2).payload.q
     return [(-c2, c1, c0), (c2, -c1, c0), (c2, c1, -c0)]
 
 
@@ -224,9 +220,9 @@ def _mult_viro_region(p: Polynomial, region: IntervalSet) -> int:
     if p.degree != 2:
         raise UndecidedError(
             "V regions are decided exactly only up to degree 2")
-    c0 = _viro_fraction(p.coeff(0))
-    c1 = _viro_fraction(p.coeff(1))
-    c2 = _viro_fraction(p.coeff(2))
+    c0 = p.coeff(0).payload.q
+    c1 = p.coeff(1).payload.q
+    c2 = p.coeff(2).payload.q
     if c0 == 0:
         # roots are exactly 0 and c1/c2: a finite set
         roots = [hf.zero()]

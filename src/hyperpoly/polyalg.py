@@ -211,7 +211,8 @@ class PolyBox:
     """Vector of per-coefficient value sets; denotes all polynomials whose
     padded coefficient vector selects from the cells, after trimming leading
     zeros.  The all-zero selection never yields a polynomial; zero_excluded
-    records that it was a possible selection."""
+    records that it was a possible selection.  A box is also a resolved
+    value: a set whose coefficients are chosen independently."""
 
     hf: Hyperfield
     cells: tuple[CarrierSet, ...]
@@ -283,9 +284,48 @@ class PolyBox:
                 out.add(Polynomial(hf, combo[:top]))
         return frozenset(out)
 
+    @cached_property
+    def members(self) -> frozenset:
+        """Every member, unsorted; enumerated at most once per box."""
+        return self.member_set()
+
     def enumerate_members(self) -> list[Polynomial]:
         """All member polynomials (finite carriers only), sorted."""
         return sorted(self.member_set(), key=Polynomial.sort_key)
+
+    def times(self, p: Polynomial) -> Resolved:
+        """p (x) this set, for one polynomial p; the empty set stays empty."""
+        if self.is_empty():
+            return self
+        if self.is_singleton():
+            return boxprod(p, self.the_polynomial())
+        hf = self.hf
+        if all(hf.is_zero(c) for c in p.coeffs[:-1]):
+            # cT^n (x) r is a singleton for every r, so the product of cT^n
+            # with a box is again a box: shift and scale
+            cells = (hf.singleton(hf.zero()),) * p.degree + tuple(
+                hf.scale_set(p.coeffs[-1], c) for c in self.cells)
+            return PolyBox(hf, cells, self.zero_excluded)
+        return CoupledValue(p, self)
+
+    def decide(self, p: Polynomial) -> Decision:
+        hf = p.hf
+        if self.is_empty() or p.degree > self.nominal_degree:
+            return Decision("no", "box", [CertStep(
+                "degree", None, f"degree {p.degree} outside the box")])
+        steps = []
+        for i in range(self.nominal_degree + 1):
+            c, cell = p.coeff(i), self.cell(i)
+            ok = cell.contains(c)
+            steps.append(CertStep("cell" if ok else "fail", i,
+                                  f"coeff T^{i}: {hf.format_element(c)} "
+                                  f"{'in' if ok else 'not in'} {cell}"))
+            if not ok:
+                break
+        return Decision("yes" if ok else "no", "box", steps)
+
+    def separator_candidates(self, seed: int) -> list[Polynomial]:
+        return self.sample_members(60, seed)
 
     def sample_members(self, limit: int = 200,
                        seed: Optional[int] = None) -> list[Polynomial]:
@@ -498,57 +538,6 @@ class Decision(NamedTuple):
 
 
 @dataclass(frozen=True)
-class BoxValue:
-    """A set of polynomials whose coefficients are chosen independently."""
-
-    box: PolyBox
-
-    def describe(self) -> str:
-        return str(self.box)
-
-    @cached_property
-    def members(self) -> frozenset:
-        """Every member, unsorted; enumerated at most once per value."""
-        return self.box.member_set()
-
-    def times(self, p: Polynomial) -> Resolved:
-        """p (x) this set, for one polynomial p; the empty set stays empty."""
-        box = self.box
-        if box.is_empty():
-            return self
-        if box.is_singleton():
-            return BoxValue(boxprod(p, box.the_polynomial()))
-        hf = box.hf
-        if all(hf.is_zero(c) for c in p.coeffs[:-1]):
-            # cT^n (x) r is a singleton for every r, so the product of cT^n
-            # with a box is again a box: shift and scale
-            cells = (hf.singleton(hf.zero()),) * p.degree + tuple(
-                hf.scale_set(p.coeffs[-1], c) for c in box.cells)
-            return BoxValue(PolyBox(hf, cells, box.zero_excluded))
-        return CoupledValue(p, box)
-
-    def decide(self, p: Polynomial) -> Decision:
-        hf = p.hf
-        box = self.box
-        if box.is_empty() or p.degree > box.nominal_degree:
-            return Decision("no", "box", [CertStep(
-                "degree", None, f"degree {p.degree} outside the box")])
-        steps = []
-        for i in range(box.nominal_degree + 1):
-            c, cell = p.coeff(i), box.cell(i)
-            ok = cell.contains(c)
-            steps.append(CertStep("cell" if ok else "fail", i,
-                                  f"coeff T^{i}: {hf.format_element(c)} "
-                                  f"{'in' if ok else 'not in'} {cell}"))
-            if not ok:
-                break
-        return Decision("yes" if ok else "no", "box", steps)
-
-    def separator_candidates(self, seed: int) -> list[Polynomial]:
-        return self.box.sample_members(60, seed)
-
-
-@dataclass(frozen=True)
 class CoupledValue:
     """outer (x) r for every member r of the inner box: the product
     coefficients are coupled through the shared choice of r."""
@@ -556,24 +545,26 @@ class CoupledValue:
     outer: Polynomial
     inner: PolyBox
 
-    def describe(self) -> str:
+    def __str__(self) -> str:
         return f"({self.outer}) (x) members of {self.inner}"
 
     @cached_property
     def _member_codes(self) -> dict:
         """Each member's code tuple -> the sort_key-least inner choice r that
-        gives it (finite carriers only), from one walk over the inner
-        members, greatest first, so that the least r is written last."""
+        gives it (finite carriers only), from one walk over the inner box's
+        cached members, greatest first, so that the least r is written
+        last."""
         hf = self.outer.hf
         if not hf.is_finite():
             raise UndecidedError(
                 "cannot enumerate members over an infinite carrier")
         codes = hf.codes
         q = codes.encode(self.outer.coeffs)
+        inner = {codes.encode(r.coeffs): r for r in self.inner.members}
         table: dict = {}
-        for r in reversed(self.inner.enumerate_members()):
-            table.update(dict.fromkeys(
-                codes.members_of_product(q, codes.encode(r.coeffs)), r))
+        for t in sorted(inner, key=codes.sort_key, reverse=True):
+            table.update(dict.fromkeys(codes.members_of_product(q, t),
+                                       inner[t]))
         return table
 
     @cached_property
@@ -642,7 +633,7 @@ class CoupledValue:
             witness = member_codes.get(hf.codes.encode(p.coeffs))
             if witness is not None and not boxprod(q, witness).contains(p):
                 raise AssertionError(
-                    f"{p} is a member of {self.describe()}, but no "
+                    f"{p} is a member of {self}, but no "
                     f"inner choice gives it")
             return _enumeration_decision(p, len(member_codes), witness)
         return Decision("undecided", "unsupported", [CertStep(
@@ -662,7 +653,7 @@ class FiniteValue:
 
     members: frozenset
 
-    def describe(self) -> str:
+    def __str__(self) -> str:
         return "{%s}" % ", ".join(str(p) for p in
                                   sorted(self.members, key=Polynomial.sort_key))
 
@@ -674,7 +665,7 @@ class FiniteValue:
             p, len(self.members), p if p in self.members else None)
 
 
-Resolved = Union[BoxValue, CoupledValue, FiniteValue]
+Resolved = Union[PolyBox, CoupledValue, FiniteValue]
 
 
 def resolved_members(value: Resolved) -> list[Polynomial]:
@@ -684,12 +675,12 @@ def resolved_members(value: Resolved) -> list[Polynomial]:
 
 def resolve(expr: Expr, hf: Hyperfield) -> Resolved:
     if isinstance(expr, PolyLeaf):
-        return BoxValue(box_of(expr.poly))
+        return box_of(expr.poly)
     left, right = resolve(expr.left, hf), resolve(expr.right, hf)
     if isinstance(expr, ProdNode):
         return product_value(left, right, hf)
-    if isinstance(left, BoxValue) and isinstance(right, BoxValue):
-        return BoxValue(box_hyperadd(left.box, right.box))
+    if isinstance(left, PolyBox) and isinstance(right, PolyBox):
+        return box_hyperadd(left, right)
     return _pairwise(False, left, right, hf,
                      "set-level sum of coupled values")
 
@@ -697,8 +688,8 @@ def resolve(expr: Expr, hf: Hyperfield) -> Resolved:
 def product_value(left: Resolved, right: Resolved, hf: Hyperfield) -> Resolved:
     """resolve's product rule: left (x) right for two resolved sets."""
     for a, b in ((left, right), (right, left)):
-        if isinstance(a, BoxValue) and a.box.is_singleton():
-            value = b.times(a.box.the_polynomial())
+        if isinstance(a, PolyBox) and a.is_singleton():
+            value = b.times(a.the_polynomial())
             if value is not None:
                 return value
     return _pairwise(True, left, right, hf,
@@ -1117,8 +1108,8 @@ def _box_pair_certificate(e1_text: str, e2_text: str, b1: PolyBox,
         witness = _member_with_pinned(b_in, i, hf.sample_elements(diff)[0])
         detail = CertStep("cell", i,
                           f"coefficient sets at T^{i} differ: {a} vs {b}")
-        return _unequal(e1_text, e2_text, BoxValue(b1).decide(witness),
-                        BoxValue(b2).decide(witness), witness, side, detail)
+        return _unequal(e1_text, e2_text, b1.decide(witness),
+                        b2.decide(witness), witness, side, detail)
     raise AssertionError("differing boxes with identical cells")
 
 
@@ -1146,8 +1137,8 @@ def unequal_certificate(t1: str, t2: str, v1: Resolved, v2: Resolved,
     member of s1 - s2, else of s2 - s1; the key is injective on one
     carrier, so it is the one a full sort would give.  Both memberships are
     stated by the membership procedure on the resolved values."""
-    if isinstance(v1, BoxValue) and isinstance(v2, BoxValue):
-        return _box_pair_certificate(t1, t2, v1.box, v2.box)
+    if isinstance(v1, PolyBox) and isinstance(v2, PolyBox):
+        return _box_pair_certificate(t1, t2, v1, v2)
     only, side = s1 - s2, 1
     if not only:
         only, side = s2 - s1, 2
@@ -1170,8 +1161,8 @@ def expr_equal(e1: Expr, e2: Expr, hf: Hyperfield) -> EqualCertificate:
     except UndecidedError as err:
         return EqualCertificate("undecided", hf.name, t1, t2,
                                 detail=(CertStep("scope", None, str(err)),))
-    if isinstance(v1, BoxValue) and isinstance(v2, BoxValue):
-        return _box_pair_certificate(t1, t2, v1.box, v2.box)
+    if isinstance(v1, PolyBox) and isinstance(v2, PolyBox):
+        return _box_pair_certificate(t1, t2, v1, v2)
     if hf.is_finite():
         s1, s2 = v1.members, v2.members
         if s1 == s2:

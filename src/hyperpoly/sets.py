@@ -360,21 +360,16 @@ class IntervalUnion(_Value):
                     out.append(_interval(lo, hi, lc, hc))
         return IntervalUnion.of(out)
 
-    def complement(self, line_lo: ExtRat = NEG_INF,
-                   line_hi: ExtRat = POS_INF) -> "IntervalUnion":
-        """Complement within the line segment [line_lo, line_hi)."""
-        whole = _make_interval(line_lo, line_hi, True, False)
-        if whole is None:
-            return IntervalUnion()
+    def complement(self) -> "IntervalUnion":
+        """Complement within the line [-inf, +inf): the gaps between parts."""
         out: list[Optional[Interval]] = []
-        cursor_lo, cursor_closed = whole.lo, whole.lo_closed
+        cursor_lo, cursor_closed = NEG_INF, True
         for p in self.parts:
             out.append(_make_interval(cursor_lo, p.lo, cursor_closed,
                                       not p.lo_closed))
             cursor_lo, cursor_closed = p.hi, not p.hi_closed
-        out.append(_make_interval(cursor_lo, whole.hi, cursor_closed,
-                                  whole.hi_closed))
-        return IntervalUnion.of(out).intersect(IntervalUnion((whole,)))
+        out.append(_make_interval(cursor_lo, POS_INF, cursor_closed, False))
+        return IntervalUnion.of(out)
 
     def difference(self, other: "IntervalUnion") -> "IntervalUnion":
         return self.intersect(other.complement())
@@ -553,19 +548,17 @@ class ArcUnion(_Value):
         return ArcUnion(IntervalUnion(), True)
 
     @staticmethod
-    def point(angle: Rat, has_zero: bool = False) -> "ArcUnion":
-        return ArcUnion(IntervalUnion.point(angle_mod(angle)), has_zero)
+    def point(angle: Rat) -> "ArcUnion":
+        return ArcUnion(IntervalUnion.point(angle_mod(angle)))
 
     @staticmethod
-    def full_circle(has_zero: bool = False) -> "ArcUnion":
-        return ArcUnion(_FULL_PARTS, has_zero)
+    def full_circle() -> "ArcUnion":
+        return ArcUnion(_FULL_PARTS)
 
     @staticmethod
-    def arc(lo: Rat, hi: Rat, lo_closed: bool, hi_closed: bool,
-            has_zero: bool = False) -> "ArcUnion":
+    def arc(lo: Rat, hi: Rat, lo_closed: bool, hi_closed: bool) -> "ArcUnion":
         """Arc from angle lo counterclockwise to hi on the universal cover."""
-        return ArcUnion(IntervalUnion.of(_wrap(lo, hi, lo_closed, hi_closed)),
-                        has_zero)
+        return ArcUnion(IntervalUnion.of(_wrap(lo, hi, lo_closed, hi_closed)))
 
     def is_full_circle(self) -> bool:
         return self.parts == _FULL_PARTS
@@ -585,8 +578,7 @@ class ArcUnion(_Value):
                         self.has_zero and other.has_zero)
 
     def difference(self, other: "ArcUnion") -> "ArcUnion":
-        gaps = other.parts.complement(_E0, _E2)
-        return ArcUnion(self.parts.intersect(gaps),
+        return ArcUnion(self.parts.difference(other.parts),
                         self.has_zero and not other.has_zero)
 
     def rotate(self, phi: Rat) -> "ArcUnion":

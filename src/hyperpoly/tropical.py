@@ -12,8 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .carriers import (CarrierSet, Element, Hyperfield, TropicalHyperfield,
-                       by_name)
+from .carriers import CarrierSet, Element, TropicalHyperfield, by_name
 from .divide import _newton_roots, linear_for_root, mult_at
 from .linear import Constraint, eq, lt, feasible_point as lp_feasible_point
 from .polyalg import (Polynomial, PolyBox, box_of, boxprod, monic_decompose,
@@ -21,20 +20,16 @@ from .polyalg import (Polynomial, PolyBox, box_of, boxprod, monic_decompose,
 from .sets import ExtRat, NEG_INF
 
 
-def _trop() -> Hyperfield:
-    return by_name("T")
-
-
 def trop_hypersum_sorted(values: Sequence[Element]) -> CarrierSet:
     """Hypersum of a list over T: {max} when the maximum is strict,
     [-inf, max] when it ties."""
-    return _trop().hypersum(values)
+    return by_name("T").hypersum(values)
 
 
 def linear_product_box(roots: Sequence[Element]) -> PolyBox:
     """The product set of the monic linear factors (0T + a_i) as a box:
     cell n-s is the hypersum of all s-subset sums of the roots."""
-    hf = _trop()
+    hf = by_name("T")
     if not roots:
         raise ValueError("no roots given")
     n = len(roots)
@@ -69,7 +64,7 @@ SAMPLES_PER_STEP = 24  # members of each grown box factored back
 
 
 def box_equivalence(roots: Sequence[Element]) -> BoxEquivalence:
-    hf = _trop()
+    hf = by_name("T")
     names = tuple(hf.format_element(a) for a in roots)
     steps: list[str] = []
     checked = 0
@@ -127,7 +122,7 @@ class RootMultiset:
         return out
 
     def __str__(self) -> str:
-        hf = _trop()
+        hf = by_name("T")
         return "{" + ", ".join(hf.format_element(a) for a in self.roots) + "}"
 
 
@@ -137,7 +132,7 @@ def root_multiset(p: Polynomial) -> RootMultiset:
     step of a hull edge of slope s contributes one root -s; trailing -inf
     coefficients contribute roots -inf.  Verified in-process against the
     subset-sum box and the recursive multiplicity."""
-    hf = _trop()
+    hf = by_name("T")
     if p.hf != hf:
         raise ValueError("root_multiset is tropical-only")
     if not p.is_monic():

@@ -29,8 +29,8 @@ from hyperpoly import (
 )
 from hyperpoly import assoc, polyalg
 from hyperpoly.carriers import CodeTable, FiniteHyperfield
-from hyperpoly.polyalg import (BoxValue, box_of, boxprod, format_expr,
-                               product_value, unequal_certificate)
+from hyperpoly.polyalg import (box_of, boxprod, format_expr, product_value,
+                               unequal_certificate)
 
 
 class TestAssocCheck:
@@ -190,7 +190,7 @@ def reference_scan(hf, max_deg, monic_only=False, stop_after=1):
         if inner is None:
             inner = inner_value[(a, b)] = resolve(
                 ProdNode(PolyLeaf(polys[a]), PolyLeaf(polys[b])), hf)
-        return product_value(BoxValue(box_of(polys[m])), inner, hf)
+        return product_value(box_of(polys[m]), inner, hf)
 
     def certify(i, j, k, d1, s1, d2, s2):
         t1 = format_expr(assoc._outer_form(*(polys[n] for n in d1)))

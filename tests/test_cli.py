@@ -230,6 +230,22 @@ class TestErrorPaths:
                                  "--at", "1")
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("hf,poly,at,message", [
+        ("K", "T+1", "x", "bad K literal 'x'"),
+        ("T", "T+1", "x", "bad T literal 'x'"),
+        ("T", "T+1", "1/0", "bad T literal '1/0'"),
+        ("V", "T+1", "x", "bad V literal 'x'"),
+        ("V", "T+1", "1/0", "bad V literal '1/0'"),
+        ("P", "T+ph(0)", "ph(x)", "bad phase literal 'ph(x)'"),
+        ("P", "T+ph(0)", "ph(1/0)", "bad phase literal 'ph(1/0)'"),
+        ("P", "T+ph(0)", "e^{ix pi}", "bad phase literal 'e^{ix pi}'"),
+    ])
+    def test_a_scalar_literal_names_its_carrier(self, capsys, hf, poly, at,
+                                                message):
+        code, out, err = run_cli(capsys, "eval", "--hf", hf, "--poly", poly,
+                                 "--at", at)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_a_cayley_size_that_is_no_integer_is_named(self, capsys,
                                                         tmp_path):
         path = tmp_path / "table.txt"
@@ -347,13 +363,16 @@ class TestMultiplicities:
         assert code == 0
         assert out.strip() == count
 
-    @pytest.mark.parametrize("region", ["[-inf,3]", "[-1,3]"])
-    def test_a_region_bound_is_a_scalar_of_the_carrier(self, capsys, region):
+    @pytest.mark.parametrize("region,message", [
+        ("[-inf,3]", "bad V literal '-inf'"),
+        ("[-1,3]", "-1 is not a nonnegative rational"),
+    ], ids=["[-inf,3]", "[-1,3]"])
+    def test_a_region_bound_is_a_scalar_of_the_carrier(self, capsys, region,
+                                                       message):
         # -inf and -oo read as the zero of T only; V has no negative scalar
         code, out, err = run_cli(capsys, "mult-set", "--hf", "V",
                                  "--poly", "T^2+3T+1", "--region", region)
-        assert (code, out) == (2, "")
-        assert err.startswith("error:")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_an_open_interval_at_the_tropical_zero_is_empty(self, capsys):
         code, out, err = run_cli(capsys, "mult-set", "--hf", "T",

@@ -15,7 +15,7 @@ from hyperpoly import (MemberCertificate, PolyLeaf, Polynomial, ProdNode,
                        format_expr, one_plus_one_criterion, parse_expr,
                        parse_poly, polyalg, replay_member, resolve, weak_group)
 from hyperpoly.cli import main
-from hyperpoly.polyalg import MAX_DEGREE, BoxValue, CoupledValue
+from hyperpoly.polyalg import MAX_DEGREE, CoupledValue, PolyBox
 
 DATA = Path(__file__).parent / "data"
 
@@ -194,7 +194,7 @@ class TestSeparatorDecidesOnce:
     def test_kept_pair_is_written_from_the_search_decisions(self,
                                                             monkeypatch):
         made = []
-        for cls in (BoxValue, CoupledValue):
+        for cls in (PolyBox, CoupledValue):
             def decide(self, p, _orig=cls.decide):
                 made.append(_orig(self, p))
                 return made[-1]
@@ -256,7 +256,7 @@ class TestDegreeCap:
         K = CARRIERS["K"]
         value = resolve(ProdNode(PolyLeaf(parse_poly("T^4+1", K)),
                                  PolyLeaf(parse_poly("T^3+T", K))), K)
-        assert value.box.nominal_degree == 7
+        assert value.nominal_degree == 7
 
     def test_full_K_degree_3_scan_matches_golden_head(self, capsys):
         code, out, _ = run_cli(capsys, "assoc-scan", "--hf", "K",

@@ -42,7 +42,7 @@ from hyperpoly import (
     weak_group,
 )
 from hyperpoly import polyalg
-from hyperpoly.polyalg import (BoxValue, CoupledValue, FiniteValue,
+from hyperpoly.polyalg import (CoupledValue, FiniteValue,
                                chain_representatives, chain_witness,
                                solve_linear_chain)
 
@@ -690,7 +690,7 @@ class TestResolve:
     def test_singleton_product_is_a_box(self):
         K = by_name("K")
         value = resolve(parse_expr("(T+1)*(T^2+1)", K), K)
-        assert isinstance(value, BoxValue)
+        assert isinstance(value, PolyBox)
 
     def test_deeper_product_is_coupled(self):
         K = by_name("K")
@@ -701,14 +701,14 @@ class TestResolve:
     def test_monomial_outer_stays_a_box(self):
         S = by_name("S")
         value = resolve(parse_expr("(T)*((T+1)*(T+1))", S), S)
-        assert isinstance(value, BoxValue)
-        assert value.box.cell(0) == S.singleton(S.zero())
+        assert isinstance(value, PolyBox)
+        assert value.cell(0) == S.singleton(S.zero())
         assert resolved_members(value) == [parse_poly("T^3+T^2+T", S)]
 
     def test_scalar_outer_rescales(self):
         S = by_name("S")
         value = resolve(parse_expr("(-1)*((T+1)*(T+1))", S), S)
-        assert isinstance(value, BoxValue)
+        assert isinstance(value, PolyBox)
         assert resolved_members(value) == [parse_poly("-T^2-T-1", S)]
 
     def test_sum_of_coupled_values_needs_enumeration(self):

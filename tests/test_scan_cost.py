@@ -19,7 +19,7 @@ from hyperpoly import (EqualCertificate, MemberCertificate, PolyLeaf,
                        expr_equal, expr_member, format_expr, format_poly,
                        parse_expr, parse_poly, resolve, weak_group)
 from hyperpoly.cli import main
-from hyperpoly.polyalg import BoxValue, CoupledValue, product_value
+from hyperpoly.polyalg import CoupledValue, PolyBox, product_value
 
 FINITE = {name: by_name(name) for name in ("K", "S", "W", "GF(5)")}
 FINITE["W(C3)"] = weak_group(*cyclic_group_table(3))
@@ -60,7 +60,7 @@ def exprs(draw, hf, depth=2):
 
 def side(outer, inner_value, hf):
     """A scan side x (x) (y (x) z) from the resolved inner pair."""
-    return product_value(BoxValue(box_of(outer)), inner_value, hf)
+    return product_value(box_of(outer), inner_value, hf)
 
 
 class TestSerialisation:
@@ -129,7 +129,7 @@ class TestCachedInnerPair:
                                                             PolyLeaf(z))), hf)
             built = side(x, inner, hf)
             assert built == direct
-            assert built.describe() == direct.describe()
+            assert str(built) == str(direct)
             # the scan's construction: the inner value's own product rule
             assert inner.times(x) == direct
 
@@ -143,6 +143,14 @@ class TestCachedInnerPair:
             return original(expr, hf)
 
         monkeypatch.setattr(assoc, "resolve", counting)
+        enumerated = []
+        member_set = PolyBox.member_set
+
+        def counting_members(box):
+            enumerated.append(box)  # the reference keeps each id unique
+            return member_set(box)
+
+        monkeypatch.setattr(PolyBox, "member_set", counting_members)
         K = by_name("K")
         rep = assoc_scan(K, 3, stop_after=None)
         # the certified sides are two of the three outer choices; their
@@ -159,6 +167,10 @@ class TestCachedInnerPair:
         assert len(rep.counterexamples) == 181
         assert len(calls) == len(set(calls)) == len(inner_pairs) == 66
         assert set(calls) == inner_pairs
+        # a coupled value reads its inner box's cached members, so each
+        # box is enumerated once however many outer factors it meets
+        assert enumerated
+        assert len({id(box) for box in enumerated}) == len(enumerated)
 
 
 class TestCoupledDecisionOnCodes:
