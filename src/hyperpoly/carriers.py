@@ -12,7 +12,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from operator import itemgetter
 from typing import Iterable, Optional, Sequence, Union
 
@@ -57,14 +57,13 @@ class Element(tuple):
 
 
 class _Interned(dict):
-    """payload -> the one Element of (carrier, payload), made on first
-    lookup."""
+    """payload -> the one value make(payload), made on first lookup."""
 
-    def __init__(self, carrier: str):
-        self.carrier = carrier
+    def __init__(self, make):
+        self.make = make
 
-    def __missing__(self, payload: Payload) -> Element:
-        x = self[payload] = Element(self.carrier, payload)
+    def __missing__(self, payload: Payload):
+        x = self[payload] = self.make(payload)
         return x
 
 
@@ -74,7 +73,7 @@ def _interned(carrier: str) -> _Interned:
     (carrier, payload) pair alone, so every finite carrier and FiniteSet of
     that name share the table.  Payloads enter it only from a carrier's own
     payload list and tables, never as an equal payload of another type."""
-    return _Interned(carrier)
+    return _Interned(partial(Element, carrier))
 
 
 def format_payload(payload: Payload) -> str:
@@ -246,6 +245,10 @@ def ElementSet(carrier: str, kind: str, finite: frozenset = frozenset(),
     return shape(carrier, value)
 
 
+def _singleton_set(carrier: str, payload: Payload) -> FiniteSet:
+    return FiniteSet(carrier, frozenset((payload,)))
+
+
 def _payload_sort_key(p: Payload) -> tuple:
     if p is None:
         return (0,)
@@ -330,9 +333,10 @@ class FiniteHyperfield(Hyperfield):
         # symbols sort in table order; integer payloads sort by value
         self._rank = {} if self._int_payloads else {
             p: i for i, p in enumerate(payloads)}
-        # one Element per payload, filled on first use so that set-up of a
-        # large field does no per-payload work
+        # one Element and one singleton FiniteSet per payload, filled on
+        # first use so that set-up of a large field does no per-payload work
         self._elem = _interned(name)
+        self._single = _Interned(partial(_singleton_set, name))
         self._zero = self._elem[zero]
         self._one = self._elem[one]
         self._mul = mul_table
@@ -384,6 +388,17 @@ class FiniteHyperfield(Hyperfield):
         self.check(x), self.check(y)
         return FiniteSet(self.name, self._add[(x.payload, y.payload)])
 
+    def hypersum(self, xs: Sequence[Element]) -> FiniteSet:
+        """Folds the payloads through the table; one FiniteSet at the end."""
+        if not xs:
+            raise ValueError("hypersum of an empty list")
+        acc, add = self.singleton(xs[0]).finite, self._add
+        for x in xs[1:]:
+            y = self.check(x)[1]
+            acc = add[(*acc, y)] if len(acc) == 1 else frozenset().union(
+                *[add[z, y] for z in acc])
+        return FiniteSet(self.name, acc)
+
     def set_hyperadd(self, a: FiniteSet, b: FiniteSet) -> FiniteSet:
         out = frozenset()
         for x in a.finite:
@@ -404,8 +419,7 @@ class FiniteHyperfield(Hyperfield):
         return FiniteSet(self.name, frozenset(self._neg[p] for p in s.finite))
 
     def singleton(self, x: Element) -> FiniteSet:
-        self.check(x)
-        return FiniteSet(self.name, frozenset([x.payload]))
+        return self._single[self.check(x)[1]]
 
     def full_set(self) -> FiniteSet:
         return self._full
@@ -888,6 +902,17 @@ class ViroHyperfield(Hyperfield):
         lo = abs(_qsub(x.payload.q, y.payload.q))
         hi = _qadd(x.payload.q, y.payload.q)
         return IntervalSet(self.name, IntervalUnion.closed(lo, hi))
+
+    def hypersum(self, xs: Sequence[Element]) -> IntervalSet:
+        """[max(0, 2 max - sum), sum]: the polygon inequality."""
+        if not xs:
+            raise ValueError("hypersum of an empty list")
+        if len(xs) == 1:
+            return self.singleton(xs[0])
+        ps = [self.check(x).payload for x in xs]
+        total, top = sum(ps[1:], ps[0]), max(ps)
+        lo = max(_E0, top + top + -total)
+        return IntervalSet(self.name, IntervalUnion.closed(lo, total))
 
     def set_hyperadd(self, a: IntervalSet, b: IntervalSet) -> IntervalSet:
         if a.is_empty() or b.is_empty():

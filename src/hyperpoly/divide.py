@@ -114,18 +114,23 @@ def mult_set(p: Polynomial, region: Region) -> int:
 
 
 def _mult_finite_region(p: Polynomial, elems: list[Element]) -> int:
-    best = 0
-    for a in elems:
-        if not is_root(p, a):
-            continue
-        qs = quotients(p, a)
-        if qs.is_empty():
-            raise AssertionError("root with empty quotient set")
-        sub = 0
-        for q in qs.representatives:
-            sub = max(sub, _mult_finite_region(q, elems))
-        best = max(best, 1 + sub)
-    return best
+    return _mult_known(p, elems, {})
+
+
+def _mult_known(p: Polynomial, elems: list[Element], known: dict) -> int:
+    """p's multiplicity, read from known if this call has divided p."""
+    if p not in known:
+        known[p] = 0
+        for a in elems:
+            if not is_root(p, a):
+                continue
+            qs = quotients(p, a)
+            if qs.is_empty():
+                raise AssertionError("root with empty quotient set")
+            sub = max((_mult_known(q, elems, known)
+                       for q in qs.representatives), default=0)
+            known[p] = max(known[p], 1 + sub)
+    return known[p]
 
 
 # ---------------------------------------------------------------------------

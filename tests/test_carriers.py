@@ -39,6 +39,7 @@ from hyperpoly.carriers import (
     Element,
     FiniteHyperfield,
     FiniteSet,
+    Hyperfield,
     _points_of,
 )
 
@@ -544,6 +545,11 @@ class TestScalarSyntax:
 # set-level algebra
 
 
+FOLD_CARRIERS = [krasner(), signs(), weak_signs(),
+                 weak_group(*cyclic_group_table(3)),
+                 weak_group(*cyclic_group_table(4)), gf(5), gf(1009)]
+
+
 @st.composite
 def finite_carrier_lists(draw):
     hf = draw(st.sampled_from(FINITE))
@@ -573,9 +579,29 @@ class TestHypersum:
             reach = hf.hyperadd(z, extra)
             assert total.includes(reach)
 
+    @given(st.sampled_from(FOLD_CARRIERS), st.data())
+    @settings(max_examples=300)
+    def test_table_fold_matches_the_base_fold(self, hf, data):
+        # the base fold: set_hyperadd over the singletons of the terms
+        xs = data.draw(st.lists(elements_of(hf), min_size=1, max_size=6))
+        assert hf.hypersum(xs) == Hyperfield.hypersum(hf, xs)
+
+    @given(st.lists(st.one_of(st.just(Fraction(0)), nonneg_rationals),
+                    min_size=1, max_size=6))
+    @settings(max_examples=300)
+    def test_viro_closed_form_matches_the_base_fold(self, raws):
+        V = by_name("V")
+        xs = [V.element(q) for q in raws]
+        assert V.hypersum(xs) == Hyperfield.hypersum(V, xs)
+
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError):
             by_name("S").hypersum([])
+
+    @pytest.mark.parametrize("name", ["GF(5)", "V"])
+    def test_empty_list_rejected_by_each_fold(self, name):
+        with pytest.raises(ValueError):
+            by_name(name).hypersum([])
 
 
 @dataclasses.dataclass(frozen=True)
@@ -677,6 +703,24 @@ class TestElementValue:
             for call in calls:
                 with pytest.raises(ValueError):
                     call()
+
+    @given(st.data())
+    @settings(max_examples=200)
+    def test_finite_carriers_hand_out_one_singleton_per_payload(self, data):
+        hf = data.draw(st.sampled_from(
+            [hf for hf in ELEMENT_CARRIERS if hf.is_finite()]), label="hf")
+        x = data.draw(elements_of(hf))
+        s = hf.singleton(x)
+        assert hf.singleton(x) is s and str(hf.singleton(x)) is str(s)
+        assert s == FiniteSet(hf.name, frozenset([x.payload]))
+
+    def test_singletons_are_made_on_first_use(self):
+        hf = weak_group(*cyclic_group_table(4))
+        assert not hf._single and not gf(1009)._single
+        for _ in range(2):
+            for x in hf.elements():
+                hf.singleton(x)
+        assert len(hf._single) == len(hf.elements())
 
     def test_full_set_and_its_text_are_built_once(self):
         hf = gf(1009)

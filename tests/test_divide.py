@@ -142,6 +142,68 @@ class TestFiniteQuotientsByBruteForce:
         assert list(qs.representatives) == expected
 
 
+def unmemoised_mult(p, elems):
+    """The multiplicity recursion without memory: every branch divides its
+    quotient again."""
+    best = 0
+    for a in elems:
+        if not is_root(p, a):
+            continue
+        qs = quotients(p, a)
+        assert not qs.is_empty()
+        sub = 0
+        for q in qs.representatives:
+            sub = max(sub, unmemoised_mult(q, elems))
+        best = max(best, 1 + sub)
+    return best
+
+
+T = by_name("T")
+MEMO_CARRIERS = [by_name(n) for n in ("S", "W", "K")] + [
+    weak_group(*cyclic_group_table(3), name="W(C3)"), gf(5), T]
+
+
+def small_elements(hf):
+    if hf.is_finite():
+        return hf.elements()
+    return [T.zero()] + [T.element(k) for k in range(-2, 3)]
+
+
+class TestOneVisitPerQuotient:
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_unmemoised_recursion(self, data):
+        hf = data.draw(st.sampled_from(MEMO_CARRIERS))
+        elems = small_elements(hf)
+        nonzero = [x for x in elems if not hf.is_zero(x)]
+        deg = data.draw(st.integers(1, 4))
+        coeffs = [data.draw(st.sampled_from(elems)) for _ in range(deg)]
+        p = Polynomial.of(hf, coeffs + [data.draw(st.sampled_from(nonzero))])
+        a = data.draw(st.sampled_from(elems))
+        region = data.draw(st.lists(st.sampled_from(elems), min_size=1,
+                                    max_size=3, unique=True))
+        assert mult_at(p, a) == unmemoised_mult(p, [a])
+        assert mult_set(p, region) == unmemoised_mult(p, region)
+
+    def test_each_quotient_is_divided_once(self, monkeypatch):
+        # the unmemoised recursion makes 4,105 and 131,296 calls here
+        calls = []
+        real = divide.quotients
+
+        def counted(p, a):
+            calls.append((p, a))
+            return real(p, a)
+
+        monkeypatch.setattr(divide, "quotients", counted)
+        W = by_name("W")
+        p = parse_poly("T^6+T^5+T^4+T^3+T^2+T+1", W)
+        assert mult_at(p, W.one()) == 6
+        assert len(calls) == len(set(calls)) == 57
+        calls.clear()
+        assert mult_set(p, [W.one(), W.neg(W.one())]) == 6
+        assert len(calls) == len(set(calls)) == 242
+
+
 class TestGaloisMultiplicity:
     @given(st.sampled_from([3, 5]),
            st.lists(st.integers(0, 4), min_size=1, max_size=4),
