@@ -301,6 +301,27 @@ class Hyperfield:
             raise ValueError(f"element of {x.carrier} used in {self.name}")
         return x
 
+    # The operations check_axioms reads, over elements and carrier sets.
+    # CodeTable gives the same names over a finite carrier's codes, and
+    # these with hyperadd, singleton and scale_set are the whole interface.
+    def value(self, x: Element) -> Element:
+        return x
+
+    def times(self, x: Element, y: Element) -> Element:
+        return self.mul(x, y)
+
+    def has(self, s: CarrierSet, x: Element) -> bool:
+        return s.contains(x)
+
+    def add_left(self, x: Element, s: CarrierSet) -> CarrierSet:
+        return self.set_hyperadd(self.singleton(x), s)
+
+    def add_right(self, s: CarrierSet, z: Element) -> CarrierSet:
+        return self.set_hyperadd(s, self.singleton(z))
+
+    def scale_right(self, s: CarrierSet, a: Element) -> CarrierSet:
+        return self.set_mul(s, self.singleton(a))
+
     def __eq__(self, other) -> bool:
         return isinstance(other, Hyperfield) and self.name == other.name
 
@@ -468,7 +489,7 @@ class CodeTable:
     Hyperaddition becomes a code -> bitmask table, and the masks a cell
     hypersum can reach are numbered in one step table: step[s][c] is the
     set (set s) (+) c, and the singleton {c} is set c.  A coefficient cell
-    of a product is then one set number."""
+    of a product is then one set number, and masks[s] is its bitmask."""
 
     def __init__(self, hf: FiniteHyperfield):
         def display(x: Element) -> tuple:
@@ -499,6 +520,7 @@ class CodeTable:
                     masks.append(total)
                 row.append(index[total])
             self.step.append(row)
+        self.masks, self.numbers = masks, index
         self.choices = [tuple(c for c in range(n) if m >> c & 1)
                         for m in masks]
         # rank[c] is the place of code c in hf.sort_key order
@@ -535,6 +557,47 @@ class CodeTable:
 
     def decode(self, codes: Sequence[int]) -> tuple[Element, ...]:
         return tuple(self.elements[c] for c in codes)
+
+    # The operations check_axioms reads (see Hyperfield.value): a value is
+    # a code and a set is a bitmask.  A set handed in is a sum x (+) y, so
+    # it has a set number.
+    def value(self, x: Element) -> int:
+        return self.code[x]
+
+    def times(self, x: int, y: int) -> int:
+        return self.mul[x][y]
+
+    def hyperadd(self, x: int, y: int) -> int:
+        return self.masks[self.step[x][y]]
+
+    def singleton(self, x: int) -> int:
+        return 1 << x
+
+    def has(self, s: int, x: int) -> int:
+        return s >> x & 1
+
+    def add_left(self, x: int, s: int) -> int:
+        """{x} (+) s: x's hyperaddition row over the members of s, which is
+        not step[s][x] when the table is not commutative."""
+        masks, row, out = self.masks, self.step[x], 0
+        for b in self.choices[self.numbers[s]]:
+            out |= masks[row[b]]
+        return out
+
+    def add_right(self, s: int, z: int) -> int:
+        return self.masks[self.step[self.numbers[s]][z]]
+
+    def scale_set(self, a: int, s: int) -> int:
+        row, out = self.mul[a], 0
+        for b in self.choices[self.numbers[s]]:
+            out |= 1 << row[b]
+        return out
+
+    def scale_right(self, s: int, a: int) -> int:
+        mul, out = self.mul, 0
+        for b in self.choices[self.numbers[s]]:
+            out |= 1 << mul[b][a]
+        return out
 
     def sort_key(self, codes: Sequence[int]) -> tuple:
         """Orders code tuples as Polynomial.sort_key orders polynomials."""
@@ -1244,62 +1307,68 @@ def check_axioms(hf: Hyperfield, probe: ProbeSpec) -> AxiomReport:
     violation texts over the probed points, and the first one is its
     counterexample.  The inverse rule tests -x only where -x is probed; an
     exhaustive check probes every -x, so there it reads set(hits) == {-x}.
+
+    The laws read their operations from ops: a finite carrier's code table
+    (values are codes and sets bitmasks), else the carrier itself.  The
+    texts name the points pts[i]; v[i] is the value of pts[i] in ops.
     """
     pts = _points_of(hf, probe)
-    zero, one = hf.zero(), hf.one()
+    ops = hf.codes if hf.is_finite() else hf
+    zero, one = ops.value(hf.zero()), ops.value(hf.one())
+    v = [ops.value(hf.check(x)) for x in pts]
     idx = range(len(pts))
-    pair = {(i, j): hf.hyperadd(pts[i], pts[j]) for i in idx for j in idx}
-    singles = [hf.singleton(x) for x in pts]
-    neg = [hf.neg(x) for x in pts]
-    hits = [[y for j, y in enumerate(pts) if pair[(i, j)].contains(zero)]
-            for i in idx]
-    minus = {(i, j): hf.hyperadd(pts[i], neg[j]) for i in idx for j in idx}
+    prod = [[ops.times(x, y) for y in v] for x in v]
+    pair = [[ops.hyperadd(x, y) for y in v] for x in v]
+    neg = [ops.value(hf.neg(x)) for x in pts]
+    hits = [[j for j in idx if ops.has(pair[i][j], zero)] for i in idx]
+    minus = [[ops.hyperadd(x, y) for y in neg] for x in v]
     laws = {
         "zero-one-distinct": iter(["0 = 1"] if zero == one else []),
         "absorbing-zero": (
-            f"0*{x}" for x in pts
-            if hf.mul(zero, x) != zero or hf.mul(x, zero) != zero),
+            f"0*{pts[i]}" for i, x in enumerate(v)
+            if ops.times(zero, x) != zero or ops.times(x, zero) != zero),
         "mul-commutative": (
-            f"{x}*{y}" for x in pts for y in pts
-            if hf.mul(x, y) != hf.mul(y, x)),
+            f"{pts[i]}*{pts[j]}" for i in idx for j in idx
+            if prod[i][j] != prod[j][i]),
         "mul-associative": (
-            f"({x}*{y})*{z}" for x in pts for y in pts for z in pts
-            if hf.mul(hf.mul(x, y), z) != hf.mul(x, hf.mul(y, z))),
-        "mul-identity": (f"1*{x}" for x in pts if hf.mul(one, x) != x),
+            f"({pts[i]}*{pts[j]})*{pts[k]}"
+            for i in idx for j in idx for k in idx
+            if ops.times(prod[i][j], v[k]) != ops.times(v[i], prod[j][k])),
+        "mul-identity": (
+            f"1*{pts[i]}" for i, x in enumerate(v) if ops.times(one, x) != x),
         "mul-inverse": (
-            f"{x}*inv({x})" for x in pts
-            if not hf.is_zero(x) and hf.mul(x, hf.inv(x)) != one),
+            f"{pts[i]}*inv({pts[i]})" for i, x in enumerate(v)
+            if x != zero and ops.times(x, ops.value(hf.inv(pts[i]))) != one),
         "hyperadd-commutative": (
             f"{pts[i]}(+){pts[j]}" for i in idx for j in idx
-            if pair[(i, j)] != pair[(j, i)]),
+            if pair[i][j] != pair[j][i]),
         "hyperadd-identity": (
-            f"0(+){x}" for x, single in zip(pts, singles)
-            if hf.hyperadd(zero, x) != single),
+            f"0(+){pts[i]}" for i, x in enumerate(v)
+            if ops.hyperadd(zero, x) != ops.singleton(x)),
         "hyperadd-associative": (
             f"{pts[i]}(+)({pts[j]}(+){pts[k]})"
             for i in idx for j in idx for k in idx
-            if hf.set_hyperadd(singles[i], pair[(j, k)])
-            != hf.set_hyperadd(pair[(i, j)], singles[k])),
+            if ops.add_left(v[i], pair[j][k])
+            != ops.add_right(pair[i][j], v[k])),
         "unique-hyperinverse": (
-            f"inverses of {x}: {[str(h) for h in hits[i]]}"
-            for i, x in enumerate(pts)
-            if (neg[i] in pts and neg[i] not in hits[i])
-            or any(h != neg[i] for h in hits[i])),
+            f"inverses of {pts[i]}: {[str(pts[j]) for j in hits[i]]}"
+            for i in idx
+            if (neg[i] in v and neg[i] not in [v[j] for j in hits[i]])
+            or any(v[j] != neg[i] for j in hits[i])),
         "reversibility": (
             f"x={pts[i]}, y={pts[j]}, z={pts[k]}"
             for i in idx for j in idx for k in idx
-            if pair[(j, k)].contains(pts[i])
-            != minus[(i, j)].contains(pts[k])),
+            if ops.has(pair[j][k], v[i]) != ops.has(minus[i][j], v[k])),
         "distributivity-left": (
-            f"{a}*({pts[i]}(+){pts[j]})"
-            for a in pts for i in idx for j in idx
-            if hf.scale_set(a, pair[(i, j)])
-            != hf.hyperadd(hf.mul(a, pts[i]), hf.mul(a, pts[j]))),
+            f"{pts[a]}*({pts[i]}(+){pts[j]})"
+            for a in idx for i in idx for j in idx
+            if ops.scale_set(v[a], pair[i][j])
+            != ops.hyperadd(prod[a][i], prod[a][j])),
         "distributivity-right": (
-            f"({pts[i]}(+){pts[j]})*{a}"
-            for a in pts for i in idx for j in idx
-            if hf.set_mul(pair[(i, j)], hf.singleton(a))
-            != hf.hyperadd(hf.mul(pts[i], a), hf.mul(pts[j], a))),
+            f"({pts[i]}(+){pts[j]})*{pts[a]}"
+            for a in idx for i in idx for j in idx
+            if ops.scale_right(pair[i][j], v[a])
+            != ops.hyperadd(prod[i][a], prod[j][a])),
     }
     checks = []
     for name, violations in laws.items():

@@ -462,52 +462,60 @@ def _literal_end(src: str, i: int) -> int:
         j = _LITERAL_TEXT.match(src, end).end()
 
 
-def parse_expr(text: str, hf: Hyperfield) -> Expr:
-    """One pass over the text (grammar in the module docstring); a product's
-    degree, the sum of its factors' (a sum's is the larger of its two), may
-    not pass MAX_DEGREE."""
-    src = text.replace(" ", "")
-    pos = 0
+class _ExprParser:
+    """One recursive-descent pass over src from pos.  Each rule returns
+    (node, degree); the rules are methods, not closures over one another,
+    so a parse leaves no reference cycle behind."""
 
-    def parse_sum() -> tuple[Expr, int]:
-        nonlocal pos
-        node, deg = parse_product()
-        while src[pos:pos + 1] == "+":
-            pos += 1
-            right, rdeg = parse_product()
+    __slots__ = ("text", "hf", "src", "pos")
+
+    def __init__(self, text: str, hf: Hyperfield):
+        self.text, self.hf = text, hf
+        self.src, self.pos = text.replace(" ", ""), 0
+
+    def sum(self) -> tuple[Expr, int]:
+        node, deg = self.product()
+        while self.src[self.pos:self.pos + 1] == "+":
+            self.pos += 1
+            right, rdeg = self.product()
             node, deg = SumNode(node, right), max(deg, rdeg)
         return node, deg
 
-    def parse_product() -> tuple[Expr, int]:
-        nonlocal pos
-        node, deg = parse_atom()
-        while src[pos:pos + 1] == "*":
-            pos += 1
-            right, rdeg = parse_atom()
+    def product(self) -> tuple[Expr, int]:
+        node, deg = self.atom()
+        while self.src[self.pos:self.pos + 1] == "*":
+            self.pos += 1
+            right, rdeg = self.atom()
             node, deg = ProdNode(node, right), deg + rdeg
             if deg > MAX_DEGREE:
                 raise ValueError(
                     f"product degree exceeds the cap {MAX_DEGREE}")
         return node, deg
 
-    def parse_atom() -> tuple[Expr, int]:
-        nonlocal pos
+    def atom(self) -> tuple[Expr, int]:
+        src, pos = self.src, self.pos
         if src[pos:pos + 1] == "(" and _scalar_end(src, pos) < 0:
-            pos += 1
-            node = parse_sum()
-            if src[pos:pos + 1] != ")":
-                raise ValueError(f"unbalanced parentheses in {text!r}")
-            pos += 1
+            self.pos += 1
+            node = self.sum()
+            if src[self.pos:self.pos + 1] != ")":
+                raise ValueError(f"unbalanced parentheses in {self.text!r}")
+            self.pos += 1
             return node
         end = _literal_end(src, pos)
         if end == pos:
-            raise ValueError(f"expected a polynomial atom in {text!r}")
-        poly = parse_poly(src[pos:end], hf)
-        pos = end
+            raise ValueError(f"expected a polynomial atom in {self.text!r}")
+        poly = parse_poly(src[pos:end], self.hf)
+        self.pos = end
         return PolyLeaf(poly), poly.degree
 
-    node, _ = parse_sum()
-    if pos != len(src):
+
+def parse_expr(text: str, hf: Hyperfield) -> Expr:
+    """One pass over the text (grammar in the module docstring); a product's
+    degree, the sum of its factors' (a sum's is the larger of its two), may
+    not pass MAX_DEGREE."""
+    parser = _ExprParser(text, hf)
+    node, _ = parser.sum()
+    if parser.pos != len(parser.src):
         raise ValueError(f"trailing input in {text!r}")
     return node
 

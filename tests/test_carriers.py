@@ -6,7 +6,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hyperpoly import (
@@ -264,6 +264,86 @@ class TestAxiomTable:
         probe = check_axioms(hf, ProbeSpec.probe(hf.elements()))
         assert probe.mode == "probe"
         assert dataclasses.replace(probe, mode="exhaustive") == exhaustive
+
+
+def klein_group_table() -> tuple[dict, list[str]]:
+    """Cayley data for C2 x C2: symbols 1, a, b, c multiply as bit xor."""
+    symbols = ["1", "a", "b", "c"]
+    table = {(x, y): symbols[i ^ j]
+             for i, x in enumerate(symbols) for j, y in enumerate(symbols)}
+    return table, symbols
+
+
+def weak_groups_both_ways():
+    """W(G,e) over C2, C3, C4 and C2 x C2, with e the identity and, where
+    the group has one, each non-identity self-inverse element."""
+    out = []
+    groups = {f"C{n}": cyclic_group_table(n)[:2] for n in (2, 3, 4)}
+    groups["V4"] = klein_group_table()
+    for group, (table, symbols) in groups.items():
+        for e in symbols:
+            if table[(e, e)] == symbols[0]:
+                out.append(weak_group(table, symbols, e,
+                                      name=f"W({group},{e})"))
+    return out
+
+
+class TestAxiomsOnLargerCarriers:
+    """The perturbation property draws 2-3 element carriers; these run the
+    code-table check against the law-by-law reference up to 13 elements."""
+
+    @pytest.mark.parametrize(
+        "hf", [gf(5), gf(7), gf(11), gf(13), *weak_groups_both_ways()],
+        ids=lambda hf: hf.name)
+    def test_exhaustive_report_equals_the_reference(self, hf):
+        probe = ProbeSpec.exhaustive()
+        report = check_axioms(hf, probe)
+        assert report == reference_check_axioms(hf, probe)
+        assert report.ok
+
+    def test_every_self_inverse_element_is_covered(self):
+        assert [hf.name for hf in weak_groups_both_ways()] == [
+            "W(C2,1)", "W(C2,g1)", "W(C3,1)", "W(C4,1)", "W(C4,g2)",
+            "W(V4,1)", "W(V4,a)", "W(V4,b)", "W(V4,c)"]
+
+
+def skewed_krasner() -> FiniteHyperfield:
+    """K with 0 (+) 1 = {0,1} but 1 (+) 0 = {1}, and 1 (+) 1 empty."""
+    add = {(0, 0): frozenset({0}), (0, 1): frozenset({0, 1}),
+           (1, 0): frozenset({1}), (1, 1): frozenset()}
+    return FiniteHyperfield("K~skew", [0, 1], 0, 1,
+                            {(x, y): x * y for x in (0, 1) for y in (0, 1)},
+                            {0: 0, 1: 1}, {1: 1}, add)
+
+
+class TestCodeTableData:
+    """The integer tables check_axioms reads decode to the carrier's own
+    operations, on non-commutative tables and empty sums too."""
+
+    @given(perturbed_carriers())
+    @example(skewed_krasner())
+    @settings(max_examples=200)
+    def test_tables_decode_to_the_carrier(self, hf):
+        codes = hf.codes
+        els, step, choices = codes.elements, codes.step, codes.choices
+        n = len(els)
+
+        def decoded(s):
+            return FiniteSet(hf.name, frozenset(els[c].payload
+                                                for c in choices[s]))
+
+        for x in range(n):
+            for y in range(n):
+                assert decoded(step[x][y]) == hf.hyperadd(els[x], els[y])
+                assert els[codes.mul[x][y]] == hf.mul(els[x], els[y])
+        for s, mask in enumerate(codes.masks):
+            assert codes.numbers[mask] == s
+            assert choices[s] == tuple(c for c in range(n) if mask >> c & 1)
+            for c in range(n):
+                union = FiniteSet(hf.name, frozenset().union(
+                    *[hf.hyperadd(els[b], els[c]).finite
+                      for b in choices[s]]))
+                assert decoded(step[s][c]) == union
 
 
 class TestDoubleDistributivity:

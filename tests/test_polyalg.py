@@ -1,6 +1,7 @@
 """Polynomial algebra: parsing, boxes, expression resolution, certificates."""
 
 import dataclasses
+import gc
 import itertools
 import json
 from fractions import Fraction
@@ -188,6 +189,34 @@ class TestExpressionGrammar:
     def test_grammar_errors(self, bad):
         with pytest.raises(ValueError):
             parse_expr(bad, by_name("S"))
+
+    @pytest.mark.parametrize("bad, message", [
+        ("(T+1", "unbalanced parentheses in '(T+1'"),
+        ("((T+1)", "unbalanced parentheses in '((T+1)'"),
+        ("T+1)", "trailing input in 'T+1)'"),
+        ("(T+1)*", "expected a polynomial atom in '(T+1)*'"),
+        ("(T+1)+", "expected a polynomial atom in '(T+1)+'"),
+        ("*T", "expected a polynomial atom in '*T'"),
+        ("(T^3)*(T^3)*(T)", "product degree exceeds the cap 6")])
+    def test_grammar_error_messages(self, bad, message):
+        with pytest.raises(ValueError) as err:
+            parse_expr(bad, by_name("S"))
+        assert str(err.value) == message
+
+    def test_parsing_leaves_no_cyclic_garbage(self):
+        texts = ["(T+1)*(T+(-1))", "((T+1)+T)*(T^2+1)", "(T+1)*((T+1)*(T))"]
+        carriers = [by_name(name) for name in ("S", "GF(5)", "T", "W")]
+        for hf in carriers:  # fill the carriers' lazy tables first
+            for text in texts:
+                parse_expr(text, hf)
+        gc.collect()
+        gc.disable()
+        try:
+            for k in range(100):
+                parse_expr(texts[k % 3], carriers[k % 4])
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 # ---------------------------------------------------------------------------
