@@ -269,7 +269,8 @@ class Hyperfield:
     s}, set_mul(a, b) = {x (*) y : x in a, y in b} and neg_set; the set
     plumbing singleton, full_set and remove_zero; sample_elements(s),
     finitely many exact members covering every component of s; and
-    parse_scalar(text).  The base supplies the rest from these."""
+    parse_scalar(text).  The base supplies hypersum and the three relays
+    of the law table's operations (see value) from these."""
 
     name: str
 
@@ -301,9 +302,8 @@ class Hyperfield:
             raise ValueError(f"element of {x.carrier} used in {self.name}")
         return x
 
-    # The operations check_axioms reads, over elements and carrier sets.
-    # CodeTable gives the same names over a finite carrier's codes, and
-    # these with hyperadd, singleton and scale_set are the whole interface.
+    # The law table (_laws) reads these three relays and the carrier's own
+    # hyperadd, singleton, set_hyperadd, scale_set, set_mul and hypersum.
     def value(self, x: Element) -> Element:
         return x
 
@@ -312,15 +312,6 @@ class Hyperfield:
 
     def has(self, s: CarrierSet, x: Element) -> bool:
         return s.contains(x)
-
-    def add_left(self, x: Element, s: CarrierSet) -> CarrierSet:
-        return self.set_hyperadd(self.singleton(x), s)
-
-    def add_right(self, s: CarrierSet, z: Element) -> CarrierSet:
-        return self.set_hyperadd(s, self.singleton(z))
-
-    def scale_right(self, s: CarrierSet, a: Element) -> CarrierSet:
-        return self.set_mul(s, self.singleton(a))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Hyperfield) and self.name == other.name
@@ -496,6 +487,7 @@ class CodeTable:
             text = hf.format_element(x)
             return (len(text), text)
 
+        self.hf = hf
         self.elements = sorted(hf.elements(), key=display)
         n = len(self.elements)
         self.code = {x: c for c, x in enumerate(self.elements)}
@@ -531,26 +523,17 @@ class CodeTable:
 
     @cached_property
     def units(self) -> list[int]:
-        """The nonzero codes, each checked against the two laws that make
-        multiplying by it a symmetry of Poly(F) (see assoc_scan):
-        c(x (+) y) = cx (+) cy and c(xy) = (cx)y for every x and y.  A table
-        that breaks either raises AssertionError."""
-        mul, step, choices = self.mul, self.step, self.choices
-        codes = range(len(mul))
-        units = [c for c in codes if c != self.zero]
-        for c in units:
-            row = mul[c]
-            for x in codes:
-                for y in codes:
-                    if row[mul[x][y]] != mul[row[x]][y]:
-                        raise AssertionError(
-                            f"c(xy) != (cx)y for codes c={c}, x={x}, y={y}")
-                    if ({row[z] for z in choices[step[x][y]]}
-                            != set(choices[step[row[x]][row[y]]])):
-                        raise AssertionError(
-                            f"c(x (+) y) != cx (+) cy for codes c={c}, "
-                            f"x={x}, y={y}")
-        return units
+        """The nonzero codes.  Multiplying by one is a symmetry of Poly(F)
+        (see assoc_scan) if c(xy) = (cx)y and c(x (+) y) = cx (+) cy for all
+        c, x and y, 0 included: two laws of _laws, read exhaustively.  A
+        table that breaks either raises AssertionError."""
+        laws = _laws(self.hf, ProbeSpec.exhaustive())[1]
+        for law, broken in [("mul-associative", "c(xy) != (cx)y"), (
+                "distributivity-left", "c(x (+) y) != cx (+) cy")]:
+            bad = next(laws[law], None)
+            if bad is not None:
+                raise AssertionError(f"{broken} at {bad}")
+        return [c for c in range(len(self.mul)) if c != self.zero]
 
     def encode(self, coeffs: Sequence[Element]) -> tuple[int, ...]:
         return tuple(self.code[x] for x in coeffs)
@@ -558,9 +541,9 @@ class CodeTable:
     def decode(self, codes: Sequence[int]) -> tuple[Element, ...]:
         return tuple(self.elements[c] for c in codes)
 
-    # The operations check_axioms reads (see Hyperfield.value): a value is
-    # a code and a set is a bitmask.  A set handed in is a sum x (+) y, so
-    # it has a set number.
+    # The operations the law table reads (see Hyperfield.value): a value is
+    # a code and a set is a bitmask.  A set handed in is a singleton or a
+    # sum x (+) y, so it has a set number.
     def value(self, x: Element) -> int:
         return self.code[x]
 
@@ -576,16 +559,13 @@ class CodeTable:
     def has(self, s: int, x: int) -> int:
         return s >> x & 1
 
-    def add_left(self, x: int, s: int) -> int:
-        """{x} (+) s: x's hyperaddition row over the members of s, which is
-        not step[s][x] when the table is not commutative."""
-        masks, row, out = self.masks, self.step[x], 0
-        for b in self.choices[self.numbers[s]]:
-            out |= masks[row[b]]
+    def set_hyperadd(self, s: int, t: int) -> int:
+        """The union of s (+) c over the members c of t: one lookup when t
+        is a singleton, and left to right when the table does not commute."""
+        masks, row, out = self.masks, self.step[self.numbers[s]], 0
+        for c in self.choices[self.numbers[t]]:
+            out |= masks[row[c]]
         return out
-
-    def add_right(self, s: int, z: int) -> int:
-        return self.masks[self.step[self.numbers[s]][z]]
 
     def scale_set(self, a: int, s: int) -> int:
         row, out = self.mul[a], 0
@@ -593,11 +573,19 @@ class CodeTable:
             out |= 1 << row[b]
         return out
 
-    def scale_right(self, s: int, a: int) -> int:
-        mul, out = self.mul, 0
+    def set_mul(self, s: int, t: int) -> int:
+        mul, right, out = self.mul, self.choices[self.numbers[t]], 0
         for b in self.choices[self.numbers[s]]:
-            out |= 1 << mul[b][a]
+            row = mul[b]
+            for c in right:
+                out |= 1 << row[c]
         return out
+
+    def hypersum(self, xs: Sequence[int]) -> int:
+        step, s = self.step, xs[0]
+        for x in xs[1:]:
+            s = step[s][x]
+        return self.masks[s]
 
     def sort_key(self, codes: Sequence[int]) -> tuple:
         """Orders code tuples as Polynomial.sort_key orders polynomials."""
@@ -1297,21 +1285,19 @@ def _points_of(hf: Hyperfield, probe: ProbeSpec) -> list[Element]:
     return list(probe.points)
 
 
-def check_axioms(hf: Hyperfield, probe: ProbeSpec) -> AxiomReport:
-    """Decide (exhaustive) or falsify (probe) the hyperfield axioms.
-
-    Covers the hypergroup axioms for (+) (identity, unique hyperinverse,
-    reversibility, associativity as sets, commutativity), the commutative
-    monoid axioms with inverses for (*), the absorbing zero, and both
-    distributivity clauses.  Each law is the lazy sequence of its
-    violation texts over the probed points, and the first one is its
-    counterexample.  The inverse rule tests -x only where -x is probed; an
-    exhaustive check probes every -x, so there it reads set(hits) == {-x}.
+def _laws(hf: Hyperfield, probe: ProbeSpec) -> tuple[list[Element], dict]:
+    """The probed points and, per law, the lazy sequence of its violation
+    texts over them: the hypergroup axioms for (+) (identity, unique
+    hyperinverse, reversibility, associativity as sets, commutativity), the
+    commutative monoid axioms with inverses for (*), the absorbing zero,
+    both distributivity clauses and (a(+)b)(c(+)d) = ac(+)ad(+)bc(+)bd as
+    sets.  The inverse rule tests -x only where -x is probed; an exhaustive
+    check probes every -x, so there it reads set(hits) == {-x}.
 
     The laws read their operations from ops: a finite carrier's code table
     (values are codes and sets bitmasks), else the carrier itself.  The
-    texts name the points pts[i]; v[i] is the value of pts[i] in ops.
-    """
+    texts name the points pts[i], and v[i] is the value of pts[i] in ops;
+    a double-distributivity text prints the carrier's own sets."""
     pts = _points_of(hf, probe)
     ops = hf.codes if hf.is_finite() else hf
     zero, one = ops.value(hf.zero()), ops.value(hf.one())
@@ -1319,10 +1305,19 @@ def check_axioms(hf: Hyperfield, probe: ProbeSpec) -> AxiomReport:
     idx = range(len(pts))
     prod = [[ops.times(x, y) for y in v] for x in v]
     pair = [[ops.hyperadd(x, y) for y in v] for x in v]
+    single = [ops.singleton(x) for x in v]
     neg = [ops.value(hf.neg(x)) for x in pts]
     hits = [[j for j in idx if ops.has(pair[i][j], zero)] for i in idx]
     minus = [[ops.hyperadd(x, y) for y in neg] for x in v]
-    laws = {
+
+    def unequal_products(a: Element, b: Element, c: Element,
+                         d: Element) -> str:
+        lhs = hf.set_mul(hf.hyperadd(a, b), hf.hyperadd(c, d))
+        rhs = hf.hypersum([hf.mul(a, c), hf.mul(a, d),
+                           hf.mul(b, c), hf.mul(b, d)])
+        return f"a={a}, b={b}, c={c}, d={d}: {lhs} != {rhs}"
+
+    return pts, {
         "zero-one-distinct": iter(["0 = 1"] if zero == one else []),
         "absorbing-zero": (
             f"0*{pts[i]}" for i, x in enumerate(v)
@@ -1344,12 +1339,12 @@ def check_axioms(hf: Hyperfield, probe: ProbeSpec) -> AxiomReport:
             if pair[i][j] != pair[j][i]),
         "hyperadd-identity": (
             f"0(+){pts[i]}" for i, x in enumerate(v)
-            if ops.hyperadd(zero, x) != ops.singleton(x)),
+            if ops.hyperadd(zero, x) != single[i]),
         "hyperadd-associative": (
             f"{pts[i]}(+)({pts[j]}(+){pts[k]})"
             for i in idx for j in idx for k in idx
-            if ops.add_left(v[i], pair[j][k])
-            != ops.add_right(pair[i][j], v[k])),
+            if ops.set_hyperadd(single[i], pair[j][k])
+            != ops.set_hyperadd(pair[i][j], single[k])),
         "unique-hyperinverse": (
             f"inverses of {pts[i]}: {[str(pts[j]) for j in hits[i]]}"
             for i in idx
@@ -1367,14 +1362,25 @@ def check_axioms(hf: Hyperfield, probe: ProbeSpec) -> AxiomReport:
         "distributivity-right": (
             f"({pts[i]}(+){pts[j]})*{pts[a]}"
             for a in idx for i in idx for j in idx
-            if ops.scale_right(pair[i][j], v[a])
+            if ops.set_mul(pair[i][j], single[a])
             != ops.hyperadd(prod[i][a], prod[j][a])),
+        "double-distributivity": (
+            unequal_products(pts[a], pts[b], pts[c], pts[d])
+            for a in idx for b in idx for c in idx for d in idx
+            if ops.set_mul(pair[a][b], pair[c][d])
+            != ops.hypersum([prod[a][c], prod[a][d], prod[b][c], prod[b][d]])),
     }
-    checks = []
-    for name, violations in laws.items():
-        bad = next(violations, None)
-        checks.append(AxiomCheck(name, bad is None, bad))
-    return AxiomReport(hf.name, probe.mode, len(pts), tuple(checks))
+
+
+def check_axioms(hf: Hyperfield, probe: ProbeSpec) -> AxiomReport:
+    """Decide (exhaustive) or falsify (probe) the hyperfield axioms: every
+    law of _laws but double distributivity, each with its first violation
+    as its counterexample."""
+    pts, laws = _laws(hf, probe)
+    laws.pop("double-distributivity")
+    firsts = [(name, next(bad, None)) for name, bad in laws.items()]
+    return AxiomReport(hf.name, probe.mode, len(pts), tuple(
+        AxiomCheck(name, bad is None, bad) for name, bad in firsts))
 
 
 @dataclass(frozen=True)
@@ -1391,18 +1397,7 @@ class DdistReport:
 
 
 def is_doubly_distributive(hf: Hyperfield, probe: ProbeSpec) -> DdistReport:
-    """Check (a(+)b)(c(+)d) = ac(+)ad(+)bc(+)bd as sets on all probed quadruples."""
-    pts = _points_of(hf, probe)
-    for a in pts:
-        for b in pts:
-            left = hf.hyperadd(a, b)
-            for c in pts:
-                for d in pts:
-                    lhs = hf.set_mul(left, hf.hyperadd(c, d))
-                    rhs = hf.hypersum([hf.mul(a, c), hf.mul(a, d),
-                                       hf.mul(b, c), hf.mul(b, d)])
-                    if lhs != rhs:
-                        why = (f"a={a}, b={b}, c={c}, d={d}: "
-                               f"{lhs} != {rhs}")
-                        return DdistReport(hf.name, probe.mode, False, why)
-    return DdistReport(hf.name, probe.mode, True)
+    """Check (a(+)b)(c(+)d) = ac(+)ad(+)bc(+)bd as sets on all probed
+    quadruples: the first violation of that law in _laws."""
+    bad = next(_laws(hf, probe)[1]["double-distributivity"], None)
+    return DdistReport(hf.name, probe.mode, bad is None, bad)

@@ -12,10 +12,12 @@ from hyperpoly import (
     Polynomial,
     PolyLeaf,
     ProdNode,
+    ProbeSpec,
     UndecidedError,
     assoc_check,
     assoc_scan,
     by_name,
+    check_axioms,
     cyclic_group_table,
     expr_equal,
     one_plus_one_criterion,
@@ -382,6 +384,36 @@ class TestScanSymmetry:
         broken = FiniteHyperfield("S'", S._payloads, 0, 1, S._mul, S._neg,
                                   S._inv, add)
         with pytest.raises(AssertionError, match=r"c\(x \(\+\) y\)"):
+            assoc_scan(broken, 1, monic_only, stop_after=None)
+
+
+class TestScanUnitLaws:
+    """The scan's symmetry needs c(xy) = (cx)y and c(x (+) y) = cx (+) cy
+    for every c, x and y of the code table, 0 included."""
+
+    @staticmethod
+    def redrawn(name, mul=None, add=None):
+        hf = by_name(name)
+        return FiniteHyperfield(f"{name}'", hf._payloads, 0, 1,
+                                {**hf._mul, **(mul or {})}, hf._neg, hf._inv,
+                                {**hf._add, **(add or {})})
+
+    @pytest.mark.parametrize("monic_only", [True, False])
+    def test_a_carrier_that_does_not_associate_is_refused(self, monic_only):
+        # S with 1 (x) 1 = -1: then (-1 (x) -1) (x) 1 = -1, but
+        # -1 (x) (-1 (x) 1) = 1
+        broken = self.redrawn("S", mul={(1, 1): -1})
+        with pytest.raises(AssertionError, match=r"^c\(xy\) != \(cx\)y"):
+            assoc_scan(broken, 1, monic_only, stop_after=None)
+
+    @pytest.mark.parametrize("monic_only", [True, False])
+    def test_a_law_broken_only_at_zero_is_refused(self, monic_only):
+        # K with 1 (+) 1 empty: 0 (x) (1 (+) 1) is empty, but 0 (+) 0 = {0}.
+        # No unit breaks a law, so a check of the units alone would scan.
+        broken = self.redrawn("K", add={(1, 1): frozenset()})
+        assert not check_axioms(broken, ProbeSpec.exhaustive()).ok
+        with pytest.raises(AssertionError,
+                           match=r"^c\(x \(\+\) y\) != cx \(\+\) cy"):
             assoc_scan(broken, 1, monic_only, stop_after=None)
 
 

@@ -36,6 +36,7 @@ from hyperpoly import carriers
 from hyperpoly.carriers import (
     AxiomCheck,
     AxiomReport,
+    DdistReport,
     Element,
     FiniteHyperfield,
     FiniteSet,
@@ -208,6 +209,25 @@ def reference_check_axioms(hf, probe):
     return AxiomReport(hf.name, probe.mode, len(pts), tuple(checks))
 
 
+def reference_is_doubly_distributive(hf, probe):
+    """The double-distributivity check as it was written, a loop over the
+    carrier's own sets, kept as the oracle for the law table's reading."""
+    pts = _points_of(hf, probe)
+    for a in pts:
+        for b in pts:
+            left = hf.hyperadd(a, b)
+            for c in pts:
+                for d in pts:
+                    lhs = hf.set_mul(left, hf.hyperadd(c, d))
+                    rhs = hf.hypersum([hf.mul(a, c), hf.mul(a, d),
+                                       hf.mul(b, c), hf.mul(b, d)])
+                    if lhs != rhs:
+                        why = (f"a={a}, b={b}, c={c}, d={d}: "
+                               f"{lhs} != {rhs}")
+                        return DdistReport(hf.name, probe.mode, False, why)
+    return DdistReport(hf.name, probe.mode, True)
+
+
 SMALL = [krasner(), signs(), weak_signs(), gf(2), gf(3)]
 
 
@@ -288,18 +308,25 @@ def weak_groups_both_ways():
     return out
 
 
+LARGER = [gf(5), gf(7), gf(11), gf(13), *weak_groups_both_ways()]
+
+
 class TestAxiomsOnLargerCarriers:
     """The perturbation property draws 2-3 element carriers; these run the
     code-table check against the law-by-law reference up to 13 elements."""
 
-    @pytest.mark.parametrize(
-        "hf", [gf(5), gf(7), gf(11), gf(13), *weak_groups_both_ways()],
-        ids=lambda hf: hf.name)
+    @pytest.mark.parametrize("hf", LARGER, ids=lambda hf: hf.name)
     def test_exhaustive_report_equals_the_reference(self, hf):
         probe = ProbeSpec.exhaustive()
         report = check_axioms(hf, probe)
         assert report == reference_check_axioms(hf, probe)
         assert report.ok
+
+    @pytest.mark.parametrize("hf", LARGER, ids=lambda hf: hf.name)
+    def test_exhaustive_ddist_equals_the_reference(self, hf):
+        probe = ProbeSpec.exhaustive()
+        assert is_doubly_distributive(hf, probe) == \
+            reference_is_doubly_distributive(hf, probe)
 
     def test_every_self_inverse_element_is_covered(self):
         assert [hf.name for hf in weak_groups_both_ways()] == [
@@ -344,6 +371,23 @@ class TestCodeTableData:
                     *[hf.hyperadd(els[b], els[c]).finite
                       for b in choices[s]]))
                 assert decoded(step[s][c]) == union
+
+
+class TestDdistTable:
+    """`is_doubly_distributive` reads one law of the law table, on codes
+    for a finite carrier, and gives the loop reference's whole report."""
+
+    @given(perturbed_carriers(),
+           st.lists(st.integers(0, 2), min_size=1, max_size=6))
+    @example(skewed_krasner(), [1, 0, 1])
+    @settings(max_examples=300)
+    def test_report_equals_the_reference(self, hf, picks):
+        els = hf.elements()
+        # a probe of drawn points, repeats allowed
+        points = [els[i % len(els)] for i in picks]
+        for probe in (ProbeSpec.exhaustive(), ProbeSpec.probe(points)):
+            assert is_doubly_distributive(hf, probe) == \
+                reference_is_doubly_distributive(hf, probe)
 
 
 class TestDoubleDistributivity:

@@ -587,6 +587,11 @@ SET_SHAPE_CORPUS = [
     ("ddist_S", 0, ["ddist", "--hf", "S"]),
     ("ddist_W", 1, ["ddist", "--hf", "W"]),
     ("ddist_T_probe", 0, ["ddist", "--hf", "T"]),
+    # the counterexample text over the continuous carriers, and the
+    # exhaustive code-table path of a 13-element field
+    ("ddist_V_probe", 1, ["ddist", "--hf", "V"]),
+    ("ddist_P_probe", 1, ["ddist", "--hf", "P"]),
+    ("ddist_GF13", 0, ["ddist", "--hf", "GF(13)"]),
     ("trop_box_certified", 0,
      ["trop-box", "--hf", "T", "--roots", "1,1,2", "--certify"]),
     ("one_one_W", 0, ["one-one", "--hf", "W"]),
