@@ -90,7 +90,8 @@ class ScanReport:
 
 def _scan_polys(hf: Hyperfield, max_deg: int,
                 monic_only: bool) -> list[Polynomial]:
-    elems = hf.codes.elements
+    # display order, shortest text first: the scan's enumeration order
+    elems = sorted(hf.elements(), key=lambda x: (len(str(x)), str(x)))
     nonzero = [e for e in elems if not hf.is_zero(e)]
     leads = [hf.one()] if monic_only else nonzero
     out = []

@@ -249,18 +249,6 @@ def _singleton_set(carrier: str, payload: Payload) -> FiniteSet:
     return FiniteSet(carrier, frozenset((payload,)))
 
 
-def _payload_sort_key(p: Payload) -> tuple:
-    if p is None:
-        return (0,)
-    if isinstance(p, ExtRat):
-        return (1, p._key())
-    if isinstance(p, Fraction):
-        return (1, p)
-    if isinstance(p, int):
-        return (1, p)
-    return (2, p)
-
-
 class Hyperfield:
     """Base carrier descriptor.  Each carrier class defines its elements
     and operations: zero() and one(); element(raw), which validates and
@@ -295,7 +283,7 @@ class Hyperfield:
         return format_payload(x.payload)
 
     def sort_key(self, x: Element) -> tuple:
-        return _payload_sort_key(x.payload)
+        return (x.payload is not None, x.payload)  # P's zero None first
 
     def check(self, x: Element) -> Element:
         if x.carrier != self.name:
@@ -342,11 +330,10 @@ class FiniteHyperfield(Hyperfield):
         self.modulus = modulus
         self._payloads = payloads
         self._int_payloads = all(isinstance(p, int) for p in payloads)
-        # symbols sort in table order; integer payloads sort by value
-        self._rank = {} if self._int_payloads else {
-            p: i for i, p in enumerate(payloads)}
+        # an element's place in payloads is its sort key and its code
+        self._place = {p: i for i, p in enumerate(payloads)}
         # one Element and one singleton FiniteSet per payload, filled on
-        # first use so that set-up of a large field does no per-payload work
+        # first use so that set-up of a large field builds none of them
         self._elem = _interned(name)
         self._single = _Interned(partial(_singleton_set, name))
         self._zero = self._elem[zero]
@@ -447,10 +434,8 @@ class FiniteHyperfield(Hyperfield):
         elem = self._elem
         return [elem[p] for p in sorted(s.finite)]
 
-    def sort_key(self, x: Element) -> tuple:
-        if isinstance(x.payload, str):
-            return (2, self._rank[x.payload])
-        return _payload_sort_key(x.payload)
+    def sort_key(self, x: Element) -> int:
+        return self._place[x.payload]
 
     @cached_property
     def codes(self) -> "CodeTable":
@@ -475,24 +460,20 @@ class FiniteHyperfield(Hyperfield):
 
 
 class CodeTable:
-    """A finite carrier as integer codes.  Elements are numbered in display
-    order (shortest text first), so a polynomial is a tuple of codes.
+    """A finite carrier as integer codes.  An element's code is its place in
+    the carrier's payload list, which is also its sort key, so a polynomial
+    is a tuple of codes and code tuples sort as polynomials do.
     Hyperaddition becomes a code -> bitmask table, and the masks a cell
     hypersum can reach are numbered in one step table: step[s][c] is the
     set (set s) (+) c, and the singleton {c} is set c.  A coefficient cell
     of a product is then one set number, and masks[s] is its bitmask."""
 
     def __init__(self, hf: FiniteHyperfield):
-        def display(x: Element) -> tuple:
-            text = hf.format_element(x)
-            return (len(text), text)
-
         self.hf = hf
-        self.elements = sorted(hf.elements(), key=display)
+        self.elements = hf.elements()
         n = len(self.elements)
         self.code = {x: c for c, x in enumerate(self.elements)}
-        pays = [x.payload for x in self.elements]
-        pos = {p: c for c, p in enumerate(pays)}
+        pays, pos = hf._payloads, hf._place
         self.zero, self.one = self.code[hf.zero()], self.code[hf.one()]
         self.mul = [[pos[hf._mul[(x, y)]] for y in pays] for x in pays]
         add = [[sum(1 << pos[z] for z in hf._add[(x, y)]) for y in pays]
@@ -515,11 +496,6 @@ class CodeTable:
         self.masks, self.numbers = masks, index
         self.choices = [tuple(c for c in range(n) if m >> c & 1)
                         for m in masks]
-        # rank[c] is the place of code c in hf.sort_key order
-        self.rank = [0] * n
-        for i, c in enumerate(sorted(range(n), key=lambda c: hf.sort_key(
-                self.elements[c]))):
-            self.rank[c] = i
 
     @cached_property
     def units(self) -> list[int]:
@@ -589,7 +565,7 @@ class CodeTable:
 
     def sort_key(self, codes: Sequence[int]) -> tuple:
         """Orders code tuples as Polynomial.sort_key orders polynomials."""
-        return (len(codes), tuple(self.rank[c] for c in reversed(codes)))
+        return (len(codes), codes[::-1])
 
     def terms(self, q: Sequence[int]) -> list:
         """The nonzero (position, code) terms of a code tuple."""

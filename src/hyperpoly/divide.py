@@ -99,6 +99,8 @@ def mult_set(p: Polynomial, region: Region) -> int:
     region is a root, else 1 + max of mult_set(q, region) over all roots
     a in the region and quotients q."""
     hf = p.hf
+    if p.degree == 0:
+        return 0  # a nonzero constant has no root
     if isinstance(region, FiniteSet):
         return _mult_finite_region(p, hf.sample_elements(region))
     if not isinstance(region, CarrierSet):

@@ -125,9 +125,6 @@ class ExtRat(_Value):
     def _fields(self) -> tuple:
         return (self.q, self.inf)
 
-    def _key(self) -> "ExtRat":
-        return self
-
     def __eq__(self, other) -> bool:
         if other.__class__ is not ExtRat:
             return NotImplemented

@@ -479,6 +479,24 @@ class TestScanCertificates:
             assert replay_member(cert.member_in)
             assert replay_member(cert.member_out)
 
+    def test_scan_over_unsorted_symbols(self, unsorted_symbols):
+        # the scan enumerates in display order, shortest text first, which
+        # is neither the table order of the codes nor the natural order
+        hf = unsorted_symbols
+        polys = assoc._scan_polys(hf, 1, True)
+        assert [str(p) for p in polys] == ["T", "T+b", "T+m", "T+aa",
+                                           "T+zz"]
+        assert [str(p) for p in assoc._scan_polys(hf, 1, False)[:5]] == [
+            "bT", "bT+b", "bT+m", "bT+aa", "bT+zz"]
+        report = assoc_scan(hf, 1, stop_after=None)
+        assert len(report.counterexamples) == 416
+        for rep in report.counterexamples:
+            cert = rep.counterexample
+            witness, side = self.least_one_sided(cert, hf)
+            assert (cert.witness, cert.witness_side) == (str(witness), side)
+            assert replay_member(cert.member_in)
+            assert replay_member(cert.member_out)
+
     def test_membership_disagreement_stops_the_scan(self, monkeypatch):
         # the scan's own sets name the witness; polyalg's membership
         # procedure must confirm it, so a flipped verdict is an error

@@ -858,12 +858,12 @@ class TestFiniteSetOrder:
     @given(st.sampled_from(FINITE + [gf(7), gf(13)]), st.data())
     @settings(max_examples=200)
     def test_printed_and_sampled_in_payload_key_order(self, hf, data):
-        # a finite carrier's payloads are all ints or all strs, so their
-        # natural order is the _payload_sort_key order
+        # a finite carrier's payloads are all ints or all strs, so they
+        # have a natural order, and sets print and sample in it
         pays = [x.payload for x in hf.elements()]
         chosen = data.draw(st.sets(st.sampled_from(pays)))
         s = FiniteSet(hf.name, frozenset(chosen))
-        ordered = sorted(chosen, key=carriers._payload_sort_key)
+        ordered = sorted(chosen)
         text = ",".join(carriers.format_payload(p) for p in ordered)
         assert str(s) == "{" + text + "}"
         assert [x.payload for x in hf.sample_elements(s)] == ordered
@@ -892,7 +892,7 @@ class TestWeakGroups:
     def test_symbols_sort_in_table_order(self):
         G = weak_group(*cyclic_group_table(5))
         keys = [G.sort_key(x) for x in G.elements()]
-        assert keys == sorted(keys) == [(2, i) for i in range(6)]
+        assert keys == list(range(6))
 
     def test_cyclic_table_self_inverse_choice(self):
         _, _, e3 = cyclic_group_table(3)

@@ -381,6 +381,13 @@ class TestMultiplicities:
         assert out == ""
         assert err == "error: empty interval '(-inf,-inf]'\n"
 
+    @pytest.mark.parametrize("hf", ["T", "V"])
+    def test_a_constant_has_no_root_in_any_region(self, capsys, hf):
+        # V decides regions only up to degree 2, but degree 0 has no root
+        code, out, err = run_cli(capsys, "mult-set", "--hf", hf,
+                                 "--poly", "2", "--region", "[0,1]")
+        assert (code, out, err) == (0, "0\n", "")
+
     def test_quotients_listing(self, capsys):
         code, out, _ = run_cli(capsys, "quotients", "--hf", "S",
                                "--poly", "T^3-T", "--root=1")
@@ -655,6 +662,16 @@ SET_SHAPE_CORPUS = [
     ("pointwise_T_ties", 0,
      ["pointwise", "--hf", "T", "--p", "0T+1", "--q", "0T+1",
       "--r", "0T+(-1)", "--points", "{-1,0,1}"]),
+    # the Fourier-Motzkin factor search: every strict-maximum system of the
+    # first is infeasible, and the second factors with a -inf coefficient
+    ("reducible_T_infeasible", 1,
+     ["reducible", "--hf", "T", "--poly", "0T^2+(-1)T+(-1)"]),
+    ("reducible_T_neg_inf_factor", 0,
+     ["reducible", "--hf", "T", "--poly", "0T^2+1T"]),
+    # the inner factor's top cell holds only zero
+    ("member_K_inner_degree", 1,
+     ["member", "--hf", "K", "--poly", "T^2+1",
+      "--expr", "(T+1)*((T^2+1)+(T^2))"]),
 ]
 
 

@@ -347,6 +347,13 @@ class TestViroRegions:
         assert mult_set(p, [V.element(9)]) == 0
 
 
+class TestFiniteSetRegion:
+    def test_a_carrier_set_region_counts_each_member(self):
+        # T^2-1 = (T-1)(T+1) over S, and the quotient T+1 has the root -1
+        S = by_name("S")
+        assert mult_set(parse_poly("T^2-1", S), S.full_set()) == 2
+
+
 class TestContinuousRegionScope:
     def test_phase_regions_are_refused(self):
         P = by_name("P")
@@ -361,6 +368,11 @@ class TestContinuousRegionScope:
         with pytest.raises(UndecidedError, match="continuous root regions "
                                                  "over P are out of scope"):
             mult_set(parse_poly("T+ph(1)", P), region)
+
+    def test_a_constant_has_no_root_on_an_arc(self):
+        P = by_name("P")
+        region = P.hyperadd(P.element(Fraction(0)), P.element(Fraction(1, 2)))
+        assert mult_set(parse_poly("ph(1/3)", P), region) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -628,6 +628,22 @@ class TestCodeTable:
         assert [Polynomial(hf, codes.decode(t)) for t in by_codes] == \
             sorted(polys, key=Polynomial.sort_key)
 
+    def test_codes_sort_like_polynomials_over_unsorted_symbols(
+            self, unsorted_symbols):
+        # table, natural and display order all differ
+        hf = unsorted_symbols
+        pays = [x.payload for x in hf.elements()]
+        display = sorted(pays, key=lambda p: (len(p), p))
+        assert len({tuple(pays), tuple(sorted(pays)), tuple(display)}) == 3
+        self.test_codes_round_trip_and_sort_like_polynomials(hf)
+
+    @pytest.mark.parametrize("hf", CARRIERS, ids=lambda hf: hf.name)
+    def test_a_code_is_the_place_in_the_payload_list(self, hf):
+        elems = hf.elements()
+        places = tuple(range(len(elems)))
+        assert hf.codes.encode(elems) == places
+        assert tuple(hf.sort_key(x) for x in elems) == places
+
 
 def reference_pairwise(product, left, right, hf, scope):
     """_pairwise on Elements: every member pair's box, enumerated."""
@@ -739,6 +755,24 @@ class TestResolve:
         value = resolve(parse_expr("(-1)*((T+1)*(T+1))", S), S)
         assert isinstance(value, PolyBox)
         assert resolved_members(value) == [parse_poly("-T^2-T-1", S)]
+
+    @pytest.mark.parametrize("name,text", [
+        ("K", "{T^4+1, T^4+T+1, T^4+T^2+1, T^4+T^2+T+1, T^4+T^3+1, "
+              "T^4+T^3+T+1, T^4+T^3+T^2+1, T^4+T^3+T^2+T+1}"),
+        ("W", "{T^4-T^3-T^2-T+1, T^4-T^3-T^2+1, T^4-T^3-T^2+T+1, "
+              "T^4-T^3-T+1, T^4-T^3+1, T^4-T^3+T+1, T^4-T^3+T^2-T+1, "
+              "T^4-T^3+T^2+1, T^4-T^3+T^2+T+1, T^4-T^2-T+1, T^4-T^2+1, "
+              "T^4-T^2+T+1, T^4-T+1, T^4+1, T^4+T+1, T^4+T^2-T+1, "
+              "T^4+T^2+1, T^4+T^2+T+1, T^4+T^3-T^2-T+1, T^4+T^3-T^2+1, "
+              "T^4+T^3-T^2+T+1, T^4+T^3-T+1, T^4+T^3+1, T^4+T^3+T+1, "
+              "T^4+T^3+T^2-T+1, T^4+T^3+T^2+1, T^4+T^3+T^2+T+1}"),
+    ])
+    def test_an_enumerated_value_prints_in_polynomial_order(self, name,
+                                                            text):
+        hf = by_name(name)
+        value = resolve(parse_expr("((T+1)*(T+1))*((T+1)*(T+1))", hf), hf)
+        assert isinstance(value, FiniteValue)
+        assert str(value) == text
 
     def test_sum_of_coupled_values_needs_enumeration(self):
         W = by_name("W")
