@@ -22,8 +22,9 @@ import itertools
 import random
 import re
 from dataclasses import dataclass
-from functools import cached_property
-from typing import AbstractSet, NamedTuple, Optional, Sequence, Union
+from functools import cache, cached_property
+from typing import (AbstractSet, Callable, Iterator, NamedTuple, Optional,
+                    Sequence, Union)
 
 from .carriers import (CarrierSet, Element, FiniteHyperfield, Hyperfield,
                        TropicalHyperfield, UndecidedError, by_name)
@@ -309,17 +310,17 @@ class PolyBox:
         return CoupledValue(p, self)
 
     def decide(self, p: Polynomial) -> Decision:
-        hf = p.hf
         if self.is_empty() or p.degree > self.nominal_degree:
-            return Decision("no", "box", [CertStep(
-                "degree", None, f"degree {p.degree} outside the box")])
+            return Decision("no", "box", [StepRecord(
+                "degree", None, "degree {} outside the box".format,
+                (p.degree,))])
         steps = []
         for i in range(self.nominal_degree + 1):
             c, cell = p.coeff(i), self.cell(i)
             ok = cell.contains(c)
-            steps.append(CertStep("cell" if ok else "fail", i,
-                                  f"coeff T^{i}: {hf.format_element(c)} "
-                                  f"{'in' if ok else 'not in'} {cell}"))
+            steps.append(StepRecord("cell" if ok else "fail", i,
+                                    "coeff T^{}: {} {} {}".format,
+                                    (i, c, "in" if ok else "not in", cell)))
             if not ok:
                 break
         return Decision("yes" if ok else "no", "box", steps)
@@ -538,11 +539,30 @@ def format_expr(node: Expr) -> str:
 # _member_in_resolved alone writes it out as a MemberCertificate.
 
 
+class StepRecord(NamedTuple):
+    """One step of a decision, raw: its kind and index, and a format with
+    the values its text names.  The writers alone read the text."""
+
+    kind: str
+    index: Optional[int]
+    fmt: Callable[..., str]
+    values: tuple
+
+    @property
+    def text(self) -> str:
+        return self.fmt(*self.values)
+
+
 class Decision(NamedTuple):
     verdict: str  # 'yes' | 'no' | 'undecided'
     method: str
-    steps: Sequence[CertStep]
-    witness: Optional[Polynomial] = None  # the inner choice, or p itself
+    steps: Sequence[StepRecord]
+    found: Union[None, Polynomial, Callable[[], Polynomial]] = None
+
+    @property
+    def witness(self) -> Optional[Polynomial]:
+        """The inner choice, or p itself; a chain `yes` builds it when read."""
+        return self.found() if callable(self.found) else self.found
 
 
 @dataclass(frozen=True)
@@ -603,38 +623,34 @@ class CoupledValue:
             # factor, so 0 not in p(a) already refutes membership; the chain
             # derivation below is complete either way and carries the detail
             a = hf.mul(hf.neg(q.coeff(0)), hf.inv(q.coeff(1)))
-            pa = p.eval(a)
+            mono = p.monomial_values(a)
+            pa = hf.hypersum(mono)  # p(a)
             method = "chain"
             if not pa.contains(hf.zero()):
-                mono = ", ".join(hf.format_element(v)
-                                 for v in p.monomial_values(a))
                 pre_steps = pre_steps + [
-                    CertStep("root", None,
-                             f"the outer factor {q} has root "
-                             f"{hf.format_element(a)}, so every member does"),
-                    CertStep("eval", None,
-                             f"p({hf.format_element(a)}) = hypersum of "
-                             f"[{mono}] = {pa} does not contain 0"),
-                ]
+                    StepRecord("root", None, "the outer factor {} has root "
+                               "{}, so every member does".format, (q, a)),
+                    StepRecord("eval", None, _eval_text, (a, mono, pa))]
                 method = "root-obstruction"
             domains, steps = solve_linear_chain(p, q, cells)
             steps = pre_steps + steps
             if domains is None:
                 return Decision("no", method, steps)
-            assert method == "chain", \
-                "chain found a member past a root obstruction"
-            witness = chain_witness(p, q, domains)
-            steps.append(CertStep("witness", None,
-                                  f"inner choice r = {witness}; "
-                                  f"p in ({q})*(r) checks cellwise"))
+            if method != "chain":
+                raise AssertionError(
+                    "chain found a member past a root obstruction")
+            # chain_witness is looked up when called, so a tracer sees it
+            witness = cache(lambda: chain_witness(p, q, domains))
+            steps.append(StepRecord("witness", None, _chain_choice_text,
+                                    (witness, q)))
             return Decision("yes", "chain", steps, witness)
         if sum(1 for c in cells if not c.is_singleton()) <= 1:
             witness, steps = solve_single_free(p, q, cells)
             steps = pre_steps + steps
             if witness is None:
                 return Decision("no", "single-unknown", steps)
-            steps.append(CertStep("witness", None,
-                                  f"inner choice r = {witness}"))
+            steps.append(StepRecord("witness", None,
+                                    "inner choice r = {}".format, (witness,)))
             return Decision("yes", "single-unknown", steps, witness)
         if hf.is_finite():
             member_codes = self._member_codes
@@ -644,15 +660,14 @@ class CoupledValue:
                     f"{p} is a member of {self}, but no "
                     f"inner choice gives it")
             return _enumeration_decision(p, len(member_codes), witness)
-        return Decision("undecided", "unsupported", [CertStep(
-            "scope", None,
-            "several coupled coefficients over an infinite carrier")])
+        return Decision("undecided", "unsupported", [StepRecord(
+            "scope", None, str,
+            ("several coupled coefficients over an infinite carrier",))])
 
-    def separator_candidates(self, seed: int) -> list[Polynomial]:
-        out: list[Polynomial] = []
+    def separator_candidates(self, seed: int) -> Iterator[Polynomial]:
+        """Drawn lazily, one inner choice's product sample at a time."""
         for r in self.inner.sample_members(12, seed):
-            out.extend(boxprod(self.outer, r).sample_members(8, seed))
-        return out
+            yield from boxprod(self.outer, r).sample_members(8, seed)
 
 
 @dataclass(frozen=True)
@@ -832,32 +847,30 @@ def _member_dict(c: Optional[MemberCertificate]) -> Optional[dict]:
 # exact membership solvers
 
 
-def _truncate_inner(p: Polynomial, outer: Polynomial,
-                    box: PolyBox) -> tuple[Optional[list[CarrierSet]], list[CertStep]]:
+def _truncate_inner(p: Polynomial, outer: Polynomial, box: PolyBox
+                    ) -> tuple[Optional[list[CarrierSet]], list[StepRecord]]:
     """Cells for the inner factor when p must equal outer (x) r exactly:
     deg r = deg p - deg outer, cells above must allow 0, top cell loses 0."""
     hf = p.hf
-    steps: list[CertStep] = []
+    steps: list[StepRecord] = []
     k = p.degree - outer.degree
     if k < 0 or k > box.nominal_degree:
-        steps.append(CertStep("degree", None,
-                              f"no inner choice of degree {k} exists"))
+        steps.append(StepRecord("degree", None, "no inner choice of degree "
+                                "{} exists".format, (k,)))
         return None, steps
     zero = hf.zero()
     for j in range(k + 1, box.nominal_degree + 1):
         if not box.cell(j).contains(zero):
-            steps.append(CertStep(
-                "degree", j,
-                f"inner cell T^{j} = {box.cell(j)} cannot vanish, so every "
-                f"member of the product has degree {outer.degree + j} > "
-                f"{p.degree}"))
+            steps.append(StepRecord(
+                "degree", j, "inner cell T^{} = {} cannot vanish, so every "
+                "member of the product has degree {} > {}".format,
+                (j, box.cell(j), outer.degree + j, p.degree)))
             return None, steps
     cells = [box.cell(i) for i in range(k + 1)]
     top = hf.remove_zero(cells[k])
     if top.is_empty():
-        steps.append(CertStep(
-            "degree", k,
-            f"inner cell T^{k} = {cells[k]} has no nonzero choice"))
+        steps.append(StepRecord("degree", k, "inner cell T^{} = {} has no "
+                                "nonzero choice".format, (k, cells[k])))
         return None, steps
     cells[k] = top
     return cells, steps
@@ -865,66 +878,85 @@ def _truncate_inner(p: Polynomial, outer: Polynomial,
 
 def solve_linear_chain(p: Polynomial, ell: Polynomial,
                        cells: list[CarrierSet]
-                       ) -> tuple[Optional[list[CarrierSet]], list[CertStep]]:
+                       ) -> tuple[Optional[list[CarrierSet]], list[StepRecord]]:
     """Domains for r with p in ell (x) r, ell linear, via the reversibility
     chain c_i in l0*d_i (+) l1*d_{i-1}.  Returns (domains, trace); domains
     are arc-consistent along the chain, None when some domain empties."""
     hf = p.hf
     l0, l1 = ell.coeff(0), ell.coeff(1)
     m = len(cells) - 1
-    steps: list[CertStep] = []
+    steps: list[StepRecord] = []
     domains = list(cells)
 
-    def narrow(i: int, sols: CarrierSet, why: str) -> bool:
+    def narrow(i: int, sols: CarrierSet, fmt, *why) -> bool:
         domains[i] = domains[i].intersect(sols)
-        tail = ""
-        if domains[i].is_singleton():
-            tail = f"; d{i} must be {hf.format_element(domains[i].the_element())}"
-        steps.append(CertStep("narrow", i, f"{why} -> domain {domains[i]}{tail}"))
+        steps.append(StepRecord("narrow", i, _narrowed,
+                                (fmt, why, i, domains[i])))
         return not domains[i].is_empty()
 
-    def pin(i: int, c: Element, u: Element, why: str) -> bool:
-        """Narrow d_i to the one value with c = u*d_i."""
-        v = hf.mul(c, hf.inv(u))
-        if narrow(i, hf.singleton(v), f"{why} pins d{i} = {hf.format_element(v)}"):
+    def pin(i: int, j: int, k: int, lead: str = "") -> bool:
+        """Narrow d_i to the one value with c_j = l_k*d_i."""
+        v = hf.mul(p.coeff(j), hf.inv(ell.coeff(k)))
+        if narrow(i, hf.singleton(v), "{0}c{1} = l{2}*d{3} pins d{3} = {4} "
+                  "-> ".format, lead, j, k, i, v):
             return True
-        steps.append(CertStep("fail", i,
-                              f"pinned value is outside cell {cells[i]}"))
+        steps.append(StepRecord("fail", i, "pinned value is outside cell "
+                                "{}".format, (cells[i],)))
         return False
 
     # exact pins at both ends
     if hf.is_zero(l0):
         if not hf.is_zero(p.coeff(0)):
-            steps.append(CertStep(
-                "fail", 0,
-                f"c0 = {hf.format_element(p.coeff(0))} but the product's "
-                f"constant term is always 0"))
+            steps.append(StepRecord("fail", 0, "c0 = {} but the product's "
+                                    "constant term is always 0".format,
+                                    (p.coeff(0),)))
             return None, steps
         for i in range(1, m + 2):
-            if not pin(i - 1, p.coeff(i), l1, f"c{i} = l1*d{i-1}"):
+            if not pin(i - 1, i, 1):
                 return None, steps
         return domains, steps
-    if not (pin(0, p.coeff(0), l0, "c0 = l0*d0")
-            and pin(m, p.coeff(m + 1), l1, f"leading c{m+1} = l1*d{m}")):
+    if not (pin(0, 0, 0) and pin(m, m + 1, 1, "leading ")):
         return None, steps
 
     for i in range(1, m + 1):
         prev = domains[i - 1]
         cur = domains[i]
-        shifted = _solve_term(hf, p.coeff(i), l0, hf.scale_set(l1, prev))
-        ci = hf.format_element(p.coeff(i))
-        ok = narrow(i, shifted,
-                    f"c{i} = {ci} in l0*d{i} (+) l1*d{i-1} gives d{i} in {shifted}"
-                    f"; intersect {cur}")
-        if not ok:
-            forward = hf.set_hyperadd(hf.scale_set(l0, cur),
-                                      hf.scale_set(l1, prev))
-            steps.append(CertStep(
-                "fail", i,
-                f"with d{i} in {cur} and d{i-1} in {prev}, "
-                f"c{i} ranges over {forward} which does not contain {ci}"))
+        ci = p.coeff(i)
+        shifted = _solve_term(hf, ci, l0, hf.scale_set(l1, prev))
+        if not narrow(i, shifted, "c{0} = {1} in l0*d{0} (+) l1*d{2} gives "
+                      "d{0} in {3}; intersect {4} -> ".format,
+                      i, ci, i - 1, shifted, cur):
+            steps.append(StepRecord("fail", i, _chain_gap_text,
+                                    (hf, ell, i, cur, prev, ci)))
             return None, steps
     return domains, steps
+
+
+def _chain_gap_text(hf: Hyperfield, ell: Polynomial, i: int, cur: CarrierSet,
+                    prev: CarrierSet, ci: Element) -> str:
+    forward = hf.set_hyperadd(hf.scale_set(ell.coeff(0), cur),
+                              hf.scale_set(ell.coeff(1), prev))
+    return (f"with d{i} in {cur} and d{i-1} in {prev}, "
+            f"c{i} ranges over {forward} which does not contain {ci}")
+
+
+def _narrowed(fmt: Callable[..., str], why: tuple, i: int,
+              dom: CarrierSet) -> str:
+    """fmt's text, then d_i's domain, and d_i's value when it has one."""
+    text = f"{fmt(*why)}domain {dom}"
+    if dom.is_singleton():
+        return f"{text}; d{i} must be {dom.the_element()}"
+    return text
+
+
+def _eval_text(a: Element, mono: list[Element], pa: CarrierSet) -> str:
+    return (f"p({a}) = hypersum of [{', '.join(map(str, mono))}] = {pa} "
+            f"does not contain 0")
+
+
+def _chain_choice_text(witness: Callable[[], Polynomial],
+                       q: Polynomial) -> str:
+    return f"inner choice r = {witness()}; p in ({q})*(r) checks cellwise"
 
 
 def _solve_term(hf: Hyperfield, c: Element, u: Element,
@@ -975,14 +1007,14 @@ def chain_representatives(p: Polynomial, ell: Polynomial,
 
 
 def solve_single_free(p: Polynomial, q: Polynomial, cells: list[CarrierSet]
-                      ) -> tuple[Optional[Polynomial], list[CertStep]]:
+                      ) -> tuple[Optional[Polynomial], list[StepRecord]]:
     """Membership p in q (x) r where at most one cell of r is undetermined.
 
     Returns (an inner choice r with p in q (x) r, trace); r is None when
     some constraint fails.  The free cell, if any, takes the first sampled
     value of its feasible set."""
     hf = p.hf
-    steps: list[CertStep] = []
+    steps: list[StepRecord] = []
     free = [i for i, c in enumerate(cells) if not c.is_singleton()]
     if len(free) > 1:
         raise UndecidedError("more than one undetermined inner coefficient")
@@ -1004,33 +1036,28 @@ def solve_single_free(p: Polynomial, q: Polynomial, cells: list[CarrierSet]
                     unknown_mult = qs
             else:
                 terms.append(hf.mul(q.coeff(s), pinned[t]))
-        ci = hf.format_element(p.coeff(i))
+        ci = p.coeff(i)
         if unknown_mult is None:
             value = hf.hypersum(terms)
-            if not value.contains(p.coeff(i)):
-                steps.append(CertStep(
-                    "fail", i, f"c{i} = {ci} not in the pinned hypersum {value}"))
+            if not value.contains(ci):
+                steps.append(StepRecord("fail", i, "c{} = {} not in the "
+                                        "pinned hypersum {}".format,
+                                        (i, ci, value)))
                 return None, steps
-            steps.append(CertStep("check", i,
-                                  f"c{i} = {ci} in pinned hypersum {value}"))
+            steps.append(StepRecord("check", i, "c{} = {} in pinned hypersum "
+                                    "{}".format, (i, ci, value)))
             continue
         if terms:
-            sols = _solve_term(hf, p.coeff(i), unknown_mult,
-                               hf.hypersum(terms))
+            sols = _solve_term(hf, ci, unknown_mult, hf.hypersum(terms))
         else:
-            sols = hf.singleton(hf.mul(p.coeff(i), hf.inv(unknown_mult)))
+            sols = hf.singleton(hf.mul(ci, hf.inv(unknown_mult)))
         feasible = feasible.intersect(sols)
-        tail = ""
-        if feasible.is_singleton():
-            tail = (f"; d{f} must be "
-                    f"{hf.format_element(feasible.the_element())}")
-        steps.append(CertStep(
-            "narrow", i,
-            f"c{i} = {ci} forces d{f} in {sols}; running domain {feasible}{tail}"))
+        steps.append(StepRecord("narrow", i, _narrowed, (
+            "c{} = {} forces d{} in {}; running ".format, (i, ci, f, sols),
+            f, feasible)))
         if feasible.is_empty():
-            steps.append(CertStep("fail", i,
-                                  f"no value of d{f} satisfies all "
-                                  f"constraints through c{i}"))
+            steps.append(StepRecord("fail", i, "no value of d{} satisfies all "
+                                    "constraints through c{}".format, (f, i)))
             return None, steps
     if f is not None:
         pinned[f] = hf.sample_elements(feasible)[0]
@@ -1052,19 +1079,20 @@ def expr_member(p: Polynomial, expr: Expr) -> MemberCertificate:
 def _member_in_resolved(p: Polynomial, decision: Decision,
                         expr_text: str) -> MemberCertificate:
     """The one writer of a membership certificate: a resolved value's
-    decision on p, written out."""
-    verdict, method, steps, witness = decision
-    return MemberCertificate(verdict, p.hf.name, str(p), expr_text, method,
-                             None if witness is None else str(witness),
-                             tuple(steps))
+    decision on p, written out, its raw steps rendered as text."""
+    witness = decision.witness
+    return MemberCertificate(
+        decision.verdict, p.hf.name, str(p), expr_text, decision.method,
+        None if witness is None else str(witness),
+        tuple([CertStep(s.kind, s.index, s.text) for s in decision.steps]))
 
 
 def _enumeration_decision(p: Polynomial, size: int,
                           witness: Optional[Polynomial]) -> Decision:
     present = witness is not None
-    step = CertStep("enumerate", None,
-                    f"enumerated {size} members; "
-                    f"{p} is {'present' if present else 'absent'}")
+    step = StepRecord("enumerate", None,
+                      "enumerated {} members; {} is {}".format,
+                      (size, p, "present" if present else "absent"))
     return Decision("yes" if present else "no", "enumeration", [step],
                     witness)
 
@@ -1179,11 +1207,14 @@ def expr_equal(e1: Expr, e2: Expr, hf: Hyperfield) -> EqualCertificate:
                                f"{len(s1)} polynomials"),)
             return EqualCertificate("equal", hf.name, t1, t2, detail=detail)
         return unequal_certificate(t1, t2, v1, v2, s1, s2)
-    # one side is coupled over an infinite carrier: hunt for a separator
-    # on decisions, and write out only the separating pair
-    candidates = (v1.separator_candidates(SEPARATOR_SEED)
-                  + v2.separator_candidates(SEPARATOR_SEED))
-    for tried, w in enumerate(dict.fromkeys(candidates), 1):
+    # one side is coupled over an infinite carrier: draw candidates until
+    # one separates the two sides' decisions, and write out only that pair
+    seen: set = set()
+    candidates = (w for w in itertools.chain(
+        v1.separator_candidates(SEPARATOR_SEED),
+        v2.separator_candidates(SEPARATOR_SEED))
+        if not (w in seen or seen.add(w)))
+    for tried, w in enumerate(candidates, 1):
         d1, d2 = v1.decide(w), v2.decide(w)
         if {d1.verdict, d2.verdict} == {"yes", "no"}:
             return _unequal(t1, t2, d1, d2, w, 1 if d1.verdict == "yes" else 2,

@@ -4,7 +4,9 @@ A constraint is (A, B, C) meaning A*a^2 + B*a + C >= 0.  Feasibility over an
 IntervalUnion with rational endpoints is decided exactly: interiors are
 covered by rational sample points between root brackets, and isolated
 boundary points at irrational quadratic roots are handled symbolically (sign
-of a linear remainder against a shrinking rational bracket).
+of a linear remainder against a shrinking rational bracket).  Each
+quadratic is scaled to integer coefficients once, and every sign at a
+rational point a = n/d is read on integers, from A*n^2 + B*n*d + C*d^2.
 """
 from __future__ import annotations
 
@@ -15,12 +17,21 @@ from typing import Optional
 
 from .sets import ExtRat, IntervalUnion
 
-Quad = tuple[Fraction, Fraction, Fraction]
+Quad = tuple[Fraction, Fraction, Fraction]  # or ints, once scaled
 
 
-def qeval(g: Quad, a: Fraction) -> Fraction:
+def integer_quad(g: Quad) -> Quad:
+    """g times its coefficients' common denominator: same roots and signs."""
+    scale = math.lcm(*(x.denominator for x in g))
+    return tuple(int(x * scale) for x in g)
+
+
+def sign_at(g: Quad, a: Fraction) -> int:
+    """The sign of g at a = n/d (d > 0), that of A*n^2 + B*n*d + C*d^2."""
     A, B, C = g
-    return A * a * a + B * a + C
+    n, d = a.numerator, a.denominator
+    v = (A * n + B * d) * n + C * d * d
+    return (v > 0) - (v < 0)
 
 
 def sqrt_exact(x: Fraction) -> Optional[Fraction]:
@@ -43,16 +54,16 @@ class IrrationalRoot:
 
     def refined(self, times: int = 1) -> "IrrationalRoot":
         lo, hi = self.lo, self.hi
-        flo = qeval(self.quad, lo)
+        slo = sign_at(self.quad, lo)
         for _ in range(times):
             mid = (lo + hi) / 2
-            fm = qeval(self.quad, mid)
-            if fm == 0:
+            sm = sign_at(self.quad, mid)
+            if sm == 0:
                 raise AssertionError("irrational bracket hit a rational root")
-            if (flo < 0) != (fm < 0):
+            if (slo < 0) != (sm < 0):
                 hi = mid
             else:
-                lo, flo = mid, fm
+                lo, slo = mid, sm
         return IrrationalRoot(self.quad, lo, hi)
 
     def avoid(self, point: Fraction) -> "IrrationalRoot":
@@ -64,7 +75,7 @@ class IrrationalRoot:
 
     def compare(self, point: Fraction) -> int:
         """-1 if the root is below the rational point, +1 if above."""
-        if qeval(self.quad, point) == 0:
+        if sign_at(self.quad, point) == 0:
             raise AssertionError("point is a root")
         cur = self.avoid(point)
         return -1 if cur.hi <= point else 1
@@ -96,7 +107,7 @@ def roots_of(g: Quad) -> tuple[list[Fraction], list[IrrationalRoot]]:
         e_hi = (-B + sgn * (s_hi if sgn > 0 else s_lo)) / (2 * A)
         lo, hi = min(e_lo, e_hi), max(e_lo, e_hi)
         root = IrrationalRoot(g, lo, hi)
-        if qeval(g, lo) == 0 or qeval(g, hi) == 0:
+        if sign_at(g, lo) == 0 or sign_at(g, hi) == 0:
             raise AssertionError("non-square disc with rational bracket root")
         out.append(root)
     out.sort(key=lambda r: r.lo)
@@ -107,15 +118,12 @@ def sign_at_root(h: Quad, root: IrrationalRoot) -> int:
     """Exact sign of h at the irrational root of root.quad."""
     A, B, C = h
     gA, gB, gC = root.quad
-    # h - (A/gA) * g is linear at the root (gA != 0 for irrational roots)
-    u = B - A * gB / gA
-    v = C - A * gC / gA
+    # gA*h - A*g = u*a + v is linear, gA*h at the root (gA != 0 there)
+    u = B * gA - A * gB
+    v = C * gA - A * gC
     if u == 0:
-        return 0 if v == 0 else (1 if v > 0 else -1)
-    crit = Fraction(-v, u)
-    side = root.compare(crit)
-    value_sign = 1 if u > 0 else -1
-    return value_sign * side
+        return (v * gA > 0) - (v * gA < 0)
+    return (1 if u * gA > 0 else -1) * root.compare(Fraction(-v, u))
 
 
 def root_in_union(root: IrrationalRoot, union: IntervalUnion) -> bool:
@@ -145,6 +153,7 @@ def feasible_point(union: IntervalUnion, quads: list[Quad]) -> Feasibility:
     """Exact: is there a real a in the union with g(a) >= 0 for all g?"""
     if union.is_empty():
         return Feasibility(False)
+    quads = [integer_quad(g) for g in quads]
     rational_marks: set[Fraction] = set()
     irrational: list[IrrationalRoot] = []
     for g in quads:
@@ -189,7 +198,7 @@ def feasible_point(union: IntervalUnion, quads: list[Quad]) -> Feasibility:
         candidates.append(Fraction(0))
 
     for a in sorted(set(candidates)):
-        if union.contains(ExtRat(a)) and all(qeval(g, a) >= 0 for g in quads):
+        if union.contains(ExtRat(a)) and all(sign_at(g, a) >= 0 for g in quads):
             return Feasibility(True, witness=a)
     # only isolated irrational boundary points remain possible
     for root in irrational:

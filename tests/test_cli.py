@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperpoly import Polynomial, by_name, cli, format_poly, polyalg
+from hyperpoly import Polynomial, assoc, by_name, cli, format_poly, polyalg
 from hyperpoly.cli import main
 from hyperpoly.polyalg import (EqualCertificate, MemberCertificate,
                                parse_scalar_literal, replay_member)
@@ -709,6 +709,82 @@ class TestCertificatesWrittenOnce:
         unequal = [c for c in comps if c["verdict"] == "unequal"]
         assert code == 1 and unequal
         assert len(written) == 2 * len(unequal)
+
+    @pytest.fixture
+    def rendered(self, monkeypatch):
+        """How often chain_witness runs and a step record renders its text."""
+        counts = {"chain_witness": 0, "text": 0}
+        real_witness = polyalg.chain_witness
+        real_text = polyalg.StepRecord.text.fget
+
+        def witness(*args):
+            counts["chain_witness"] += 1
+            return real_witness(*args)
+
+        def text(record):
+            counts["text"] += 1
+            return real_text(record)
+
+        monkeypatch.setattr(polyalg, "chain_witness", witness)
+        monkeypatch.setattr(polyalg.StepRecord, "text", property(text))
+        return counts
+
+    def test_undecided_search_builds_no_witness_and_no_text(self, capsys,
+                                                            rendered):
+        code, _ = self.comparisons(capsys, "--p=2T^2+2T+3", "--q=3T+2",
+                                   "--r=1/2T^2+3T+1")
+        assert code == 3
+        assert rendered == {"chain_witness": 0, "text": 0}
+
+    def test_only_written_decisions_render(self, capsys, rendered):
+        code, comps = self.comparisons(capsys, "--p", "T+1", "--q", "T+2",
+                                       "--r", "T+3")
+        subs = [c[side] for c in comps if c["verdict"] == "unequal"
+                for side in ("member_in", "member_out")]
+        assert code == 1 and subs
+        assert rendered["chain_witness"] == sum(
+            s["method"] == "chain" and s["verdict"] == "yes" for s in subs)
+        assert rendered["text"] == sum(len(s["steps"]) for s in subs)
+
+    @pytest.mark.parametrize("triple", [("T+1", "T+2", "T^2+T+1"),
+                                        ("T+1", "2T+1", "T+1/2"),
+                                        ("T^2+1", "T^2+2T+3", "T^2+T+1")])
+    def test_search_stops_at_its_first_separator(self, capsys, monkeypatch,
+                                                 triple):
+        """Each comparison decides both sides of every candidate tried, and
+        the last member sample drawn holds the separator."""
+        decided, drawn, comparisons = [], [], []
+        for cls in (polyalg.PolyBox, polyalg.CoupledValue):
+            def decide(value, p, real=cls.decide):
+                decided.append(p)
+                return real(value, p)
+            monkeypatch.setattr(cls, "decide", decide)
+        real_sample = polyalg.PolyBox.sample_members
+
+        def sample(box, *args):
+            drawn.append(real_sample(box, *args))
+            return drawn[-1]
+
+        real_equal = assoc.expr_equal
+
+        def expr_equal(*args):
+            decided.clear()
+            drawn.clear()
+            cert = real_equal(*args)
+            comparisons.append((cert, len(decided), drawn[-1:]))
+            return cert
+
+        monkeypatch.setattr(polyalg.PolyBox, "sample_members", sample)
+        monkeypatch.setattr(assoc, "expr_equal", expr_equal)
+        code, _ = self.comparisons(
+            capsys, *(f"--{k}={v}" for k, v in zip("pqr", triple)))
+        assert code == 1
+        cert, decides, last = comparisons[-1]
+        assert cert.verdict == "unequal" and cert.detail[0].kind == "search"
+        tried = int(re.search(r"among (\d+) sampled",
+                              cert.detail[0].text).group(1))
+        assert decides == 2 * tried
+        assert cert.witness in [str(p) for p in last[0]]
 
 
 class TestSetShapeGoldenCorpus:

@@ -1,5 +1,6 @@
 """Static checks of the hyperpoly sources: every imported name is used,
-every private function has a caller, and no module re-canonicalises a box."""
+every private function has a caller, no module re-canonicalises a box, and
+no run-time check is an assert statement."""
 import ast
 from pathlib import Path
 
@@ -54,3 +55,14 @@ def test_no_module_calls_canonical():
                      and isinstance(node.func, ast.Attribute)
                      and node.func.attr == "canonical")
     assert sorted(calls) == []
+
+
+def test_no_assert_statement():
+    """`python -O` strips assert statements, so every run-time check in the
+    package raises AssertionError explicitly instead."""
+    found = []
+    for path in Path(hyperpoly.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found.extend(f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                     if isinstance(node, ast.Assert))
+    assert sorted(found) == []

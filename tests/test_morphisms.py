@@ -12,7 +12,7 @@ import random
 import pytest
 
 from hyperpoly import (Polynomial, PolyLeaf, ProbeSpec, ProdNode,
-                       check_axioms, expr_member)
+                       check_axioms, expr_member, mult_at, quotients)
 from hyperpoly.carriers import FiniteHyperfield
 
 
@@ -50,6 +50,24 @@ def poly_mul(f, g, p):
     return out
 
 
+def divide_root(f, root, p):
+    """(f div (T - root), f(root)) over GF(p), by synthetic division."""
+    out, carry = [], 0
+    for c in reversed(f):
+        carry = (carry * root + c) % p
+        out.append(carry)
+    return out[-2::-1], out[-1]
+
+
+def with_root(rng, p, root, mult, degree):
+    """A random classical polynomial of the given degree with (T - root)^mult
+    as a factor, coefficients from T^0 up."""
+    f = classical(rng, p, degree - mult)
+    for _ in range(mult):
+        f = poly_mul(f, [-root % p, 1], p)
+    return f
+
+
 def classical(rng, p, degree):
     """A random polynomial over GF(p), coefficients from T^0 up, with a
     nonzero leading coefficient."""
@@ -81,3 +99,45 @@ def test_projected_classical_products_are_members(p, order):
                      ProdNode(ProdNode(leaves[0], leaves[1]), leaves[2])):
             verdicts.append(expr_member(target, expr).verdict)
     assert verdicts == ["yes"] * 120
+
+
+def projected_roots(p, order, count):
+    """(carrier, projection, [(f, root, its classical multiplicity)]):
+    seeded classical polynomials of degree 2-4 with a chosen root."""
+    hf, rep = quotient(p, order)
+    rng = random.Random(f"roots GF({p})/U{order}")
+    cases = []
+    for _ in range(count):
+        root, degree = rng.randrange(p), rng.randint(2, 4)
+        f = with_root(rng, p, root, rng.randint(1, degree), degree)
+        mult, rest = 0, f
+        while len(rest) > 1 and divide_root(rest, root, p)[1] == 0:
+            rest, mult = divide_root(rest, root, p)[0], mult + 1
+        cases.append((f, root, mult))
+    return hf, rep, cases
+
+
+@pytest.mark.parametrize("p,order", QUOTIENTS, ids=IDS)
+def test_projected_multiplicity_is_at_least_the_classical(p, order):
+    """A morphism maps each classical quotient step to a hyperfield one,
+    so the recursive multiplicity of the projected root can only grow."""
+    hf, rep, cases = projected_roots(p, order, 40)
+    for f, root, mult in cases:
+        image = Polynomial.of(hf, [rep[c] for c in f])
+        assert mult_at(image, hf.element(rep[root])) >= mult, (f, root)
+
+
+@pytest.mark.parametrize("p,order", QUOTIENTS, ids=IDS)
+def test_projected_quotient_is_a_representative(p, order):
+    """f = (T - root) q classically, so the projection of q is one of the
+    quotients of the projection of f at the projected root; over a finite
+    carrier the representatives are every quotient."""
+    hf, rep, cases = projected_roots(p, order, 40)
+    for f, root, _ in cases:
+        q, remainder = divide_root(f, root, p)
+        assert remainder == 0
+        image = Polynomial.of(hf, [rep[c] for c in f])
+        found = quotients(image, hf.element(rep[root]))
+        assert found.exact
+        assert Polynomial.of(hf, [rep[c] for c in q]) in \
+            found.representatives, (f, root)

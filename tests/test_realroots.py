@@ -11,9 +11,10 @@ from hyperpoly.realroots import (
     Feasibility,
     IrrationalRoot,
     feasible_point,
-    qeval,
+    integer_quad,
     root_in_union,
     roots_of,
+    sign_at,
     sign_at_root,
     sqrt_exact,
 )
@@ -21,6 +22,16 @@ from hyperpoly.sets import ExtRat, Interval, IntervalUnion, NEG_INF, POS_INF
 
 small = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 quads = st.tuples(small, small, small)
+
+
+def qeval(g, a):
+    """g at a in Fraction arithmetic: the reference for the integer signs."""
+    A, B, C = g
+    return A * a * a + B * a + C
+
+
+def sign(x):
+    return (x > 0) - (x < 0)
 
 
 def float_roots(g):
@@ -48,6 +59,34 @@ class TestSqrtExact:
     @given(st.fractions(min_value=0, max_value=40, max_denominator=12))
     def test_square_round_trip(self, x):
         assert sqrt_exact(x * x) == x
+
+
+coefficients = st.one_of(st.just(0), st.integers(-10**6, 10**6),
+                         st.fractions(max_denominator=10**4))
+
+
+class TestIntegerSigns:
+    @given(st.tuples(coefficients, coefficients, coefficients),
+           st.fractions(max_denominator=10**4))
+    @settings(max_examples=500)
+    def test_integer_sign_is_the_sign_of_qeval(self, g, a):
+        a = Fraction(a)
+        scaled = integer_quad(g)
+        assert all(type(x) is int for x in scaled)
+        assert sign_at(scaled, a) == sign_at(g, a) == sign(qeval(g, a))
+
+    def test_scaling_by_the_common_denominator(self):
+        g = (Fraction(1, 2), Fraction(-3, 4), Fraction(1, 6))
+        assert integer_quad(g) == (6, -9, 2)
+        assert integer_quad((0, 5, Fraction(-1, 3))) == (0, 15, -1)
+
+    @given(quads)
+    def test_scaling_keeps_the_roots(self, g):
+        rats, irrs = roots_of(g)
+        int_rats, int_irrs = roots_of(integer_quad(g))
+        assert int_rats == rats and len(int_irrs) == len(irrs)
+        for root in int_irrs:
+            assert qeval(g, root.lo) * qeval(g, root.hi) < 0
 
 
 class TestRootsOf:
