@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 from .carriers import CodeTable, Element, Hyperfield, UndecidedError
 from .polyalg import (MAX_DEGREE, CertStep, EqualCertificate, Expr,
                       Polynomial, PolyLeaf, ProdNode, Resolved, _unequal,
-                      expr_equal, format_expr, resolve, unequal_certificate)
+                      equal_values, format_expr, resolve, unequal_certificate)
 
 
 def _outer_form(outer: Polynomial, a: Polynomial, b: Polynomial) -> Expr:
@@ -30,11 +30,6 @@ class AssocReport:
     associative: Optional[bool]  # None when some comparison is undecided
     comparisons: tuple[EqualCertificate, ...]
 
-    @property
-    def counterexample(self) -> Optional[EqualCertificate]:
-        return next((c for c in self.comparisons if c.verdict == "unequal"),
-                    None)
-
     def __str__(self) -> str:
         head = {True: "ASSOCIATIVE", False: "NOT ASSOCIATIVE",
                 None: "UNDECIDED"}[self.associative]
@@ -45,21 +40,23 @@ class AssocReport:
 
 
 def assoc_check(p: Polynomial, q: Polynomial, r: Polynomial) -> AssocReport:
-    """Compare the direct bracketings p*(q*r) vs (p*q)*r, then the other
-    outer choices of the multiset {p,q,r}."""
+    """Resolve the three outer choices A = p*(q*r), C = q*(p*r) and
+    B = r*(p*q) once each, then compare A with the direct bracketing
+    (p*q)*r, which is the set B since the set product commutes, A with C,
+    and C with B, stopping at the first unequal comparison."""
     hf = p.hf
     if p.degree + q.degree + r.degree > MAX_DEGREE:
         raise ValueError(f"product degree exceeds the cap {MAX_DEGREE}")
-    direct = expr_equal(
-        _outer_form(p, q, r),
-        ProdNode(ProdNode(PolyLeaf(p), PolyLeaf(q)), PolyLeaf(r)), hf)
-    comparisons = [direct]
-    if direct.verdict != "unequal":
-        comparisons.append(expr_equal(_outer_form(p, q, r),
-                                      _outer_form(q, p, r), hf))
-    if all(c.verdict != "unequal" for c in comparisons):
-        comparisons.append(expr_equal(_outer_form(q, p, r),
-                                      _outer_form(r, p, q), hf))
+    (ta, va), (tc, vc), (tb, vb) = ((format_expr(e), resolve(e, hf)) for e in (
+        _outer_form(p, q, r), _outer_form(q, p, r), _outer_form(r, p, q)))
+    direct = format_expr(ProdNode(ProdNode(PolyLeaf(p), PolyLeaf(q)),
+                                  PolyLeaf(r)))
+    comparisons = []
+    for t1, v1, t2, v2 in ((ta, va, direct, vb), (ta, va, tc, vc),
+                           (tc, vc, tb, vb)):
+        comparisons.append(equal_values(t1, t2, v1, v2, hf))
+        if comparisons[-1].verdict == "unequal":
+            break
     verdicts = {c.verdict for c in comparisons}
     associative = (False if "unequal" in verdicts
                    else None if "undecided" in verdicts else True)

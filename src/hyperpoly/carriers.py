@@ -605,20 +605,6 @@ class CodeTable:
                                       len(q) + len(r) - 1)
         return itertools.product(*[self.choices[s] for s in cells])
 
-    def members_of_sum(self, p: Sequence[int], q: Sequence[int]):
-        """Member code tuples of p (+) q for two trimmed code tuples, each
-        trimmed of its leading zeros; the all-zero choice is no member."""
-        if len(p) < len(q):
-            p, q = q, p
-        step, zero = self.step, self.zero
-        cells = [step[c][d] for c, d in zip(p, q)] + list(p[len(q):])
-        for combo in itertools.product(*[self.choices[s] for s in cells]):
-            top = len(combo)
-            while top and combo[top - 1] == zero:
-                top -= 1
-            if top:
-                yield combo[:top]
-
 
 def _sign_mul(payloads):
     return {(x, y): x * y for x in payloads for y in payloads}
@@ -925,10 +911,7 @@ class ViroHyperfield(Hyperfield):
         return Element(self.name, ExtRat(1 / x.payload.q))
 
     def hyperadd(self, x: Element, y: Element) -> IntervalSet:
-        self.check(x), self.check(y)
-        lo = abs(_qsub(x.payload.q, y.payload.q))
-        hi = _qadd(x.payload.q, y.payload.q)
-        return IntervalSet(self.name, IntervalUnion.closed(lo, hi))
+        return self.hypersum([x, y])
 
     def hypersum(self, xs: Sequence[Element]) -> IntervalSet:
         """[max(0, 2 max - sum), sum]: the polygon inequality."""

@@ -704,8 +704,10 @@ def resolve(expr: Expr, hf: Hyperfield) -> Resolved:
         return product_value(left, right, hf)
     if isinstance(left, PolyBox) and isinstance(right, PolyBox):
         return box_hyperadd(left, right)
-    return _pairwise(False, left, right, hf,
-                     "set-level sum of coupled values")
+    if not hf.is_finite():
+        raise UndecidedError("set-level sum of coupled values is out of scope")
+    return FiniteValue(frozenset().union(*(
+        boxsum(p, q).members for p in left.members for q in right.members)))
 
 
 def product_value(left: Resolved, right: Resolved, hf: Hyperfield) -> Resolved:
@@ -715,28 +717,26 @@ def product_value(left: Resolved, right: Resolved, hf: Hyperfield) -> Resolved:
             value = b.times(a.the_polynomial())
             if value is not None:
                 return value
-    return _pairwise(True, left, right, hf,
-                     "product of two undetermined polynomial sets")
+    return _pairwise(left, right, hf)
 
 
-def _pairwise(product: bool, left, right, hf: Hyperfield,
-              scope: str) -> FiniteValue:
-    """p (x) q when product is set, else p (+) q, over every member pair,
-    on a finite carrier's integer codes; the members are decoded once."""
+def _pairwise(left, right, hf: Hyperfield) -> FiniteValue:
+    """p (x) q over every member pair, on a finite carrier's integer codes;
+    the members are decoded once."""
     if not hf.is_finite():
-        raise UndecidedError(f"{scope} is out of scope")
+        raise UndecidedError(
+            "product of two undetermined polynomial sets is out of scope")
     lefts, rights = left.members, right.members
     if not (lefts and rights):
         # no pair to combine, so the p^2 code table of GF(p) stays unbuilt
         return FiniteValue(frozenset())
     codes = hf.codes
-    combine = codes.members_of_product if product else codes.members_of_sum
     rights = [codes.encode(q.coeffs) for q in rights]
     out: set = set()
     for p in lefts:
         p = codes.encode(p.coeffs)
         for q in rights:
-            out.update(combine(p, q))
+            out.update(codes.members_of_product(p, q))
     return FiniteValue(frozenset(Polynomial(hf, codes.decode(t))
                                  for t in out))
 
@@ -1197,6 +1197,13 @@ def expr_equal(e1: Expr, e2: Expr, hf: Hyperfield) -> EqualCertificate:
     except UndecidedError as err:
         return EqualCertificate("undecided", hf.name, t1, t2,
                                 detail=(CertStep("scope", None, str(err)),))
+    return equal_values(t1, t2, v1, v2, hf)
+
+
+def equal_values(t1: str, t2: str, v1: Resolved, v2: Resolved,
+                 hf: Hyperfield) -> EqualCertificate:
+    """Equality of two resolved sets written t1 and t2: two boxes cell by
+    cell, a finite carrier by enumeration, otherwise a separator search."""
     if isinstance(v1, PolyBox) and isinstance(v2, PolyBox):
         return _box_pair_certificate(t1, t2, v1, v2)
     if hf.is_finite():

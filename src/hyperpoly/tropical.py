@@ -28,21 +28,21 @@ def trop_hypersum_sorted(values: Sequence[Element]) -> CarrierSet:
 
 def linear_product_box(roots: Sequence[Element]) -> PolyBox:
     """The product set of the monic linear factors (0T + a_i) as a box:
-    cell n-s is the hypersum of all s-subset sums of the roots."""
+    cell n-s is the hypersum of all s-subset sums of the roots.  With the
+    roots sorted r_1 >= ... >= r_n, the largest is S_s = r_1 + ... + r_s,
+    and another subset attains it exactly when r_s = r_{s+1}, so the cell
+    is {S_s}, or [-inf, S_s] on that tie."""
     hf = by_name("T")
     if not roots:
         raise ValueError("no roots given")
-    n = len(roots)
+    rs = sorted((a.payload for a in roots), reverse=True)
+    n = len(rs)
     cells: list[CarrierSet] = [None] * (n + 1)
     cells[n] = hf.singleton(hf.one())
-    for s in range(1, n + 1):
-        sums = []
-        for combo in itertools.combinations(range(n), s):
-            total = roots[combo[0]].payload
-            for t in combo[1:]:
-                total = total + roots[t].payload
-            sums.append(Element(hf.name, total))
-        cells[n - s] = trop_hypersum_sorted(sums)
+    for s, total in enumerate(itertools.accumulate(rs), 1):
+        top = Element(hf.name, total)
+        tie = s < n and rs[s - 1] == rs[s]
+        cells[n - s] = trop_hypersum_sorted([top, top] if tie else [top])
     return PolyBox(hf, tuple(cells))
 
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -31,8 +32,15 @@ from hyperpoly import (
 )
 from hyperpoly import assoc, polyalg
 from hyperpoly.carriers import CodeTable, FiniteHyperfield
+from hyperpoly.cli import _plain
 from hyperpoly.polyalg import (box_of, boxprod, format_expr, product_value,
                                unequal_certificate)
+
+
+def counterexample(report):
+    """The first unequal comparison of an associativity report, or None."""
+    return next((c for c in report.comparisons if c.verdict == "unequal"),
+                None)
 
 
 class TestAssocCheck:
@@ -45,7 +53,7 @@ class TestAssocCheck:
         report = assoc_check(p, q, p)
         assert report.associative is False
         assert report.comparisons[0].verdict == "equal"
-        cex = report.counterexample
+        cex = counterexample(report)
         assert cex is not None and cex.witness == "T^4+T+1"
         assert replay_member(cex.member_in) and replay_member(cex.member_out)
         assert str(report).startswith("NOT ASSOCIATIVE")
@@ -70,13 +78,78 @@ class TestAssocCheck:
         report = assoc_check(parse_poly("T+1", hf), parse_poly("T+2", hf),
                              parse_poly("T^2+1", hf))
         assert report.associative is True
-        assert report.counterexample is None
+        assert counterexample(report) is None
 
     def test_infinite_carrier_without_separator_is_undecided(self):
         T = by_name("T")
         p = parse_poly("T+1", T)
         report = assoc_check(p, p, p)
         assert report.associative is None
+
+
+def reference_assoc_check(p, q, r):
+    """assoc_check as three expr_equal calls, each resolving both of its
+    sides: the direct bracketings, then p*(q*r) against q*(p*r), then
+    q*(p*r) against r*(p*q)."""
+    hf = p.hf
+    direct = expr_equal(
+        assoc._outer_form(p, q, r),
+        ProdNode(ProdNode(PolyLeaf(p), PolyLeaf(q)), PolyLeaf(r)), hf)
+    comparisons = [direct]
+    if direct.verdict != "unequal":
+        comparisons.append(expr_equal(assoc._outer_form(p, q, r),
+                                      assoc._outer_form(q, p, r), hf))
+    if all(c.verdict != "unequal" for c in comparisons):
+        comparisons.append(expr_equal(assoc._outer_form(q, p, r),
+                                      assoc._outer_form(r, p, q), hf))
+    verdicts = {c.verdict for c in comparisons}
+    associative = (False if "unequal" in verdicts
+                   else None if "undecided" in verdicts else True)
+    return assoc.AssocReport(hf.name, (str(p), str(q), str(r)), associative,
+                             tuple(comparisons))
+
+
+def same_reports(report, reference):
+    assert str(report) == str(reference)
+    assert json.dumps(_plain(report)) == json.dumps(_plain(reference))
+
+
+class TestAssocCheckReference:
+    """assoc_check resolves each of a triple's three outer choices once
+    and reports what three expr_equal calls report."""
+
+    FINITE = [by_name(name) for name in ("K", "S", "W", "GF(5)")] + [
+        weak_group(*cyclic_group_table(3), name="W(C3)")]
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_finite_triples_match_the_reference(self, data):
+        hf = data.draw(st.sampled_from(self.FINITE), label="hf")
+        elems = hf.elements()
+        nonzero = [x for x in elems if not hf.is_zero(x)]
+        # degrees up to (1, 2, 2), in any order
+        degrees = [data.draw(st.integers(1, top))
+                   for top in data.draw(st.permutations([1, 2, 2]))]
+
+        def poly(deg):
+            coeffs = [data.draw(st.sampled_from(elems)) for _ in range(deg)]
+            return Polynomial.of(hf, coeffs + [data.draw(
+                st.sampled_from(nonzero))])
+
+        p, q, r = (poly(d) for d in degrees)
+        same_reports(assoc_check(p, q, r), reference_assoc_check(p, q, r))
+
+    @pytest.mark.parametrize("name,triple", [
+        ("T", ("T+1", "T+2", "T+3")),
+        ("T", ("T^2+0", "T+0", "T+0")),
+        ("V", ("2T^2+2T+3", "3T+2", "1/2T^2+3T+1")),
+        ("V", ("T+1", "T+2", "T+3")),
+        ("P", ("T+ph(1)", "T+ph(0)", "T+ph(1/2)")),
+    ])
+    def test_continuous_triples_match_the_reference(self, name, triple):
+        hf = by_name(name)
+        p, q, r = (parse_poly(t, hf) for t in triple)
+        same_reports(assoc_check(p, q, r), reference_assoc_check(p, q, r))
 
 
 class TestAssocScan:
@@ -86,7 +159,7 @@ class TestAssocScan:
         assert len(report.counterexamples) == 1
         cex = report.counterexamples[0]
         assert cex.triple == ("T+1", "T+1", "T^2+1")
-        cert = cex.counterexample
+        cert = counterexample(cex)
         assert cert.verdict == "unequal"
         assert replay_member(cert.member_in) and replay_member(cert.member_out)
         assert "counterexample(s)" in str(report)
@@ -467,7 +540,7 @@ class TestScanCertificates:
                             stop_after=stop_after)
         assert report.counterexamples
         for rep in report.counterexamples:
-            cert = rep.counterexample
+            cert = counterexample(rep)
             witness, side = self.least_one_sided(cert, hf)
             assert (cert.witness, cert.witness_side) == (str(witness), side)
             sizes = [len(resolved_members(resolve(parse_expr(t, hf), hf)))
@@ -491,7 +564,7 @@ class TestScanCertificates:
         report = assoc_scan(hf, 1, stop_after=None)
         assert len(report.counterexamples) == 416
         for rep in report.counterexamples:
-            cert = rep.counterexample
+            cert = counterexample(rep)
             witness, side = self.least_one_sided(cert, hf)
             assert (cert.witness, cert.witness_side) == (str(witness), side)
             assert replay_member(cert.member_in)

@@ -43,6 +43,7 @@ from hyperpoly.carriers import (
     Hyperfield,
     _points_of,
 )
+from hyperpoly.sets import IntervalUnion
 
 FINITE = [
     krasner(),
@@ -559,6 +560,7 @@ class TestViro:
         V = by_name("V")
         s = V.hyperadd(V.element(a), V.element(b))
         lo, hi = abs(a - b), a + b
+        assert s.intervals == IntervalUnion.closed(lo, hi)
         assert s.contains(V.element(lo)) and s.contains(V.element(hi))
         if lo > 0:
             assert not s.contains(V.element(lo * Fraction(99, 100)))

@@ -765,9 +765,9 @@ class TestCertificatesWrittenOnce:
             drawn.append(real_sample(box, *args))
             return drawn[-1]
 
-        real_equal = assoc.expr_equal
+        real_equal = assoc.equal_values
 
-        def expr_equal(*args):
+        def equal_values(*args):
             decided.clear()
             drawn.clear()
             cert = real_equal(*args)
@@ -775,7 +775,7 @@ class TestCertificatesWrittenOnce:
             return cert
 
         monkeypatch.setattr(polyalg.PolyBox, "sample_members", sample)
-        monkeypatch.setattr(assoc, "expr_equal", expr_equal)
+        monkeypatch.setattr(assoc, "equal_values", equal_values)
         code, _ = self.comparisons(
             capsys, *(f"--{k}={v}" for k, v in zip("pqr", triple)))
         assert code == 1

@@ -189,6 +189,34 @@ class TestReplay:
         cert = one_plus_one_criterion(CARRIERS["K"]).certificate()
         assert calls[cert.expr1] == calls[cert.expr2] == 1
 
+    @pytest.mark.parametrize("name,triple", [
+        ("W", ("T+1", "T^2+T+1", "T^2-T+1")),
+        ("K", ("T+1", "T^2+T+1", "T+1")),
+        ("T", ("T+1", "T+2", "T+3")),
+    ])
+    def test_assoc_check_resolves_each_outer_choice_once(self, monkeypatch,
+                                                         name, triple):
+        # the set product commutes, so (p*q)*r is the set r*(p*q): a
+        # triple has three sets, and a finite carrier enumerates each once
+        hf = CARRIERS[name]
+        p, q, r = (parse_poly(t, hf) for t in triple)
+        calls = count_top_level_resolves(monkeypatch)
+        enumerated = []
+        real = CoupledValue._member_codes.func
+
+        def member_codes(value):
+            enumerated.append(value)
+            return real(value)
+
+        monkeypatch.setattr(CoupledValue._member_codes, "func", member_codes)
+        report = assoc_check(p, q, r)
+        assert report.associative is True
+        outer = [f"({a})*(({b})*({c}))"
+                 for a, b, c in ((p, q, r), (q, p, r), (r, p, q))]
+        assert [calls.get(t) for t in outer] == [1, 1, 1]
+        assert f"(({p})*({q}))*({r})" not in calls
+        assert len(enumerated) == (3 if hf.is_finite() else 0)
+
 
 class TestSeparatorDecidesOnce:
     def test_kept_pair_is_written_from_the_search_decisions(self,

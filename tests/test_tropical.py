@@ -1,5 +1,6 @@
 """Tropical subset-sum boxes, root multisets, and exact reducibility."""
 
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -9,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperpoly import (
+    Element,
+    PolyBox,
     UndecidedError,
     boxprod,
     box_equivalence,
@@ -67,7 +70,33 @@ class TestHypersumShortcut:
             trop_hypersum_sorted([])
 
 
+def subset_walk_box(roots):
+    """linear_product_box by its definition: cell n-s is the hypersum of
+    every s-subset sum of the roots."""
+    n = len(roots)
+    cells = [None] * n + [T.singleton(T.one())]
+    for s in range(1, n + 1):
+        sums = []
+        for combo in itertools.combinations(roots, s):
+            total = combo[0].payload
+            for a in combo[1:]:
+                total = total + a.payload
+            sums.append(Element(T.name, total))
+        cells[n - s] = T.hypersum(sums)
+    return PolyBox(T, tuple(cells))
+
+
 class TestLinearProductBox:
+    @given(st.lists(st.one_of(trop_vals, st.sampled_from([-1, 0, 2])),
+                    min_size=1, max_size=6))
+    @settings(max_examples=300)
+    def test_closed_form_matches_the_subset_walk(self, raws):
+        # small integers repeat often, so ties and -inf runs are drawn
+        roots = elems(raws)
+        box, walk = linear_product_box(roots), subset_walk_box(roots)
+        assert box.cells == walk.cells
+        assert str(box) == str(walk)
+
     def test_single_root(self):
         box = linear_product_box(elems([5]))
         assert box.cell(0) == T.singleton(T.element(5))
