@@ -4,7 +4,8 @@ a is a root of p when 0 is in p(a), equivalently when p lies in the
 hyperproduct (T-a) (x) q for some q; the quotients q are exactly the
 solutions of the reversed coefficient chain c0 = -a*d0, c_i in
 -a*d_i (+) d_{i-1}, c_n = d_{n-1}.  Multiplicity is 1 plus the best
-multiplicity among quotients, recursively.
+multiplicity among quotients, recursively; over T, S and K it has a
+closed form (Baker & Lorscheid, arXiv:1811.04966), which mult_at reads.
 """
 from __future__ import annotations
 
@@ -15,8 +16,8 @@ from typing import Optional, Sequence, Union
 from .carriers import (CarrierSet, Element, FiniteSet, Hyperfield,
                        IntervalSet, TropicalHyperfield, UndecidedError,
                        ViroHyperfield)
-from .polyalg import (Polynomial, _chain_walk, boxprod, chain_representatives,
-                      solve_linear_chain)
+from .polyalg import (Polynomial, _chain_walk, chain_representatives,
+                      in_product, solve_linear_chain)
 from .realroots import Quad, feasible_point
 from .sets import ExtRat, Interval, IntervalUnion, POS_INF
 
@@ -48,7 +49,7 @@ class QuotientSet:
 
     def contains(self, q: Polynomial) -> bool:
         ell = linear_for_root(self.poly.hf, self.root)
-        return boxprod(ell, q).contains(self.poly)
+        return in_product(self.poly, ell, q)
 
     def describe(self) -> str:
         if self.is_empty():
@@ -78,20 +79,49 @@ def quotients(p: Polynomial, a: Element) -> QuotientSet:
         reps = chain_representatives(p, ell, domains)
         exact = all(d.is_singleton() for d in domains)
     for q in reps:
-        if not boxprod(ell, q).contains(p):
+        if not in_product(p, ell, q):
             raise AssertionError(
                 f"quotient {q} of {p} at {a}: p is not in (T-a)*q")
     return QuotientSet(p, a, tuple(domains), tuple(reps), exact)
 
 
 def mult_at(p: Polynomial, a: Element) -> int:
-    """Recursive multiplicity of the root a in p.
+    """Multiplicity of the root a in p, 0 when a is not a root.
 
-    Exact for finite carriers and whenever every chain domain is a
-    singleton; otherwise the recursion branches over sampled
-    representatives (domain endpoints and midpoints), a lower bound in
-    general that the reproduction suite checks against known values."""
-    return _mult_finite_region(p, [a])
+    Exact by theorem over T, S and K, where no quotient is taken: over T
+    it is the width of the Newton-polygon edge of slope -a (at -inf, the
+    number of low -inf coefficients); over S the sign changes of the
+    coefficients of p(aT) for a = +-1, and the lowest nonzero index at
+    0; over K ord p at 0 and deg p - ord p at 1.  On every other finite
+    carrier it is mult_by_quotients, exact because the quotients are
+    enumerated exhaustively.  Over V and P it is mult_by_quotients over
+    sampled quotient representatives, a lower bound."""
+    hf = p.hf
+    hf.check(a)
+    if isinstance(hf, TropicalHyperfield):
+        return dict(_newton_roots(p)).get(a, 0)
+    if hf.name not in ("S", "K"):
+        return mult_by_quotients(p, [a])
+    cs = [c.payload for c in p.coeffs]
+    order = next(i for i, c in enumerate(cs) if c)
+    if a.payload == 0:
+        return order
+    if hf.name == "K":
+        # with c0 != 0 the all-ones q of degree n-1 is a quotient of p by
+        # T+1 = T-1, so mult_1 p >= n by induction, and a factor T^order
+        # shifts every quotient by T^order
+        return p.degree - order
+    signs = [c * a.payload ** i for i, c in enumerate(cs) if c]
+    return sum(x != y for x, y in zip(signs, signs[1:]))
+
+
+def mult_by_quotients(p: Polynomial, elems: list[Element]) -> int:
+    """The quotient recursion: 0 when no a in elems is a root of p, else 1
+    plus the best mult_by_quotients(q, elems) over the roots a in elems
+    and the quotients q of p by T-a.  Exact on finite carriers and
+    whenever every chain domain is a singleton; otherwise a lower bound
+    over sampled representatives (domain endpoints and midpoints)."""
+    return _mult_known(p, elems, {})
 
 
 def mult_set(p: Polynomial, region: Region) -> int:
@@ -102,21 +132,17 @@ def mult_set(p: Polynomial, region: Region) -> int:
     if p.degree == 0:
         return 0  # a nonzero constant has no root
     if isinstance(region, FiniteSet):
-        return _mult_finite_region(p, hf.sample_elements(region))
+        return mult_by_quotients(p, hf.sample_elements(region))
     if not isinstance(region, CarrierSet):
-        return _mult_finite_region(p, list(region))
+        return mult_by_quotients(p, list(region))
     if isinstance(hf, ViroHyperfield):
         return _mult_viro_region(p, region)
     if isinstance(hf, TropicalHyperfield):
         roots = tropical_root_points(p)
         inside = [a for a in roots if region.contains(a)]
-        return _mult_finite_region(p, inside) if inside else 0
+        return mult_by_quotients(p, inside) if inside else 0
     raise UndecidedError(
         f"continuous root regions over {hf.name} are out of scope")
-
-
-def _mult_finite_region(p: Polynomial, elems: list[Element]) -> int:
-    return _mult_known(p, elems, {})
 
 
 def _mult_known(p: Polynomial, elems: list[Element], known: dict) -> int:
@@ -236,7 +262,7 @@ def _mult_viro_region(p: Polynomial, region: IntervalSet) -> int:
         if c1 != 0:
             roots.append(hf.element(Fraction(c1, c2)))
         inside = [a for a in roots if region.contains(a)]
-        return _mult_finite_region(p, inside) if inside else 0
+        return mult_by_quotients(p, inside) if inside else 0
     quads = _viro_root_quads(p)
     positive = IntervalUnion((Interval(ExtRat(Fraction(0)), POS_INF,
                                        False, False),))

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .carriers import CarrierSet, Element, TropicalHyperfield, by_name
-from .divide import _newton_roots, linear_for_root, mult_at
+from .divide import _newton_roots, linear_for_root, mult_by_quotients
 from .linear import Constraint, eq, lt, feasible_point as lp_feasible_point
 from .polyalg import (Polynomial, PolyBox, box_of, boxprod, monic_decompose,
                       solve_linear_chain, chain_witness)
@@ -131,7 +131,7 @@ def root_multiset(p: Polynomial) -> RootMultiset:
     upper concave hull of the finite coefficient points (i, c_i): each unit
     step of a hull edge of slope s contributes one root -s; trailing -inf
     coefficients contribute roots -inf.  Verified in-process against the
-    subset-sum box and the recursive multiplicity."""
+    subset-sum box and the quotient recursion, mult_by_quotients."""
     hf = by_name("T")
     if p.hf != hf:
         raise ValueError("root_multiset is tropical-only")
@@ -143,9 +143,10 @@ def root_multiset(p: Polynomial) -> RootMultiset:
     if not linear_product_box(result.roots).contains(p):
         raise AssertionError(f"hull roots {result} fail the box check")
     for a, count in result.counts().items():
-        if mult_at(p, a) != count:
+        if mult_by_quotients(p, [a]) != count:
             raise AssertionError(
-                f"mult_at({p}, {hf.format_element(a)}) != {count}")
+                f"mult_by_quotients({p}, [{hf.format_element(a)}]) "
+                f"!= {count}")
     return result
 
 

@@ -3,7 +3,6 @@
 import itertools
 import re
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +26,7 @@ from hyperpoly import (
 )
 from hyperpoly import divide
 from hyperpoly.carriers import ArcSet, ElementSet
+from hyperpoly.polyalg import MAX_DEGREE
 from hyperpoly.sets import ExtRat, Interval, IntervalUnion, NEG_INF, POS_INF
 
 
@@ -94,8 +94,7 @@ class TestRootsAndQuotients:
         hf = by_name(name)
         p, a = parse_poly(poly, hf), hf.parse_scalar(root)
         assert quotients(p, a).representatives
-        monkeypatch.setattr(divide, "boxprod", lambda ell, q: SimpleNamespace(
-            contains=lambda r: r != p))
+        monkeypatch.setattr(divide, "in_product", lambda r, ell, q: r != p)
         with pytest.raises(AssertionError, match=re.escape(f"of {p} at {a}")):
             quotients(p, a)
 
@@ -398,16 +397,31 @@ def descartes_count(coeffs, a):
     return sum(x != y for x, y in zip(signs, signs[1:]))
 
 
+def krasner_count(coeffs, a):
+    """Over K: ord p at 0 and deg p - ord p at 1."""
+    order = next(i for i, c in enumerate(coeffs) if c)
+    return order if a == 0 else len(coeffs) - 1 - order
+
+
 class TestClosedFormMultiplicities:
+    """mult_at reads the closed forms; the quotient recursion must agree."""
+
     @given(st.lists(st.sampled_from([None, -3, -2, -1, 0, 1, 2, 3]),
                     max_size=4),
-           st.integers(-3, 3), st.integers(-3, 3))
+           st.integers(-3, 3), st.one_of(st.none(), st.integers(-3, 3)))
     @settings(max_examples=200, deadline=None)
     def test_tropical_mult_at_is_the_newton_edge_width(self, low, top, a):
         coeffs = low + [top]
         T = by_name("T")
         p = Polynomial.of(T, ["-inf" if c is None else c for c in coeffs])
-        assert mult_at(p, T.element(a)) == newton_width(coeffs, a)
+        if a is None:
+            # -inf is a root once per low -inf coefficient
+            want = next(i for i, c in enumerate(coeffs) if c is not None)
+            root = T.zero()
+        else:
+            want, root = newton_width(coeffs, a), T.element(a)
+        assert mult_at(p, root) == want
+        assert divide.mult_by_quotients(p, [root]) == want
 
     @given(st.lists(st.sampled_from([-1, 0, 1]), max_size=5),
            st.sampled_from([-1, 1]), st.sampled_from([-1, 0, 1]))
@@ -416,4 +430,32 @@ class TestClosedFormMultiplicities:
         coeffs = low + [top]
         S = by_name("S")
         p = Polynomial.of(S, coeffs)
-        assert mult_at(p, S.element(a)) == descartes_count(coeffs, a)
+        want = descartes_count(coeffs, a)
+        assert mult_at(p, S.element(a)) == want
+        assert divide.mult_by_quotients(p, [S.element(a)]) == want
+
+    def test_krasner_mult_at_is_deg_minus_ord(self):
+        K = by_name("K")
+        polys = [p for d in range(MAX_DEGREE + 1) for p in all_polys(K, d)]
+        assert len(polys) == 127
+        for p in polys:
+            coeffs = [c.payload for c in p.coeffs]
+            for a in (0, 1):
+                want = krasner_count(coeffs, a)
+                assert mult_at(p, K.element(a)) == want, (p, a)
+                assert divide.mult_by_quotients(p, [K.element(a)]) == want
+
+    def test_no_quotient_is_taken(self, monkeypatch):
+        def refused(p, a):
+            raise AssertionError("quotients called")
+
+        monkeypatch.setattr(divide, "quotients", refused)
+        T, S, K = by_name("T"), by_name("S"), by_name("K")
+        assert mult_at(parse_poly("0T^3+1T^2", T), T.zero()) == 2
+        assert mult_at(parse_poly("0T^4+2", T), T.element(Fraction(1, 2))) == 4
+        assert mult_at(parse_poly("0T^2+2", T), T.element(0)) == 0
+        assert mult_at(parse_poly("T^4-T^3-T+1", S), S.one()) == 2
+        assert mult_at(parse_poly("T^3-T", S), S.zero()) == 1
+        assert mult_at(parse_poly("T^5+T^2", K), K.one()) == 3
+        assert mult_at(parse_poly("T^5+T^2", K), K.zero()) == 2
+        assert isinstance(mult_at(parse_poly("T^2+1", K), K.one()), int)

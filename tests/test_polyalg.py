@@ -470,6 +470,57 @@ def polys_of(draw, hf, max_deg):
     return Polynomial.of(hf, coeffs)
 
 
+def polys_of_degree(hf, degree):
+    """Polynomials of exactly this degree over hf."""
+    nonzero = element_of(hf).filter(lambda x: not hf.is_zero(x))
+    return st.tuples(st.lists(element_of(hf), min_size=degree,
+                              max_size=degree), nonzero).map(
+        lambda t: Polynomial.of(hf, list(t[0]) + [t[1]]))
+
+
+class TestInProduct:
+    """in_product(p, q, r) is boxprod(q, r).contains(p), read cell by cell
+    without the box."""
+
+    CARRIERS = [by_name(n) for n in ("K", "S", "W", "T", "V", "P")] + [
+        gf(5), weak_group(*cyclic_group_table(3), name="W(C3)")]
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_box_product(self, data):
+        hf = data.draw(st.sampled_from(self.CARRIERS))
+        q, r = data.draw(polys_of(hf, 2)), data.draw(polys_of(hf, 2))
+        box = boxprod(q, r)
+        n = q.degree + r.degree
+        # degrees below, at and above deg q + deg r, and members of the box
+        # with one coefficient redrawn
+        probes = [data.draw(polys_of_degree(hf, d))
+                  for d in (n - 1, n, n + 1) if d >= 0]
+        for p in box.sample_members(6, seed=data.draw(st.integers(0, 9))):
+            probes.append(p)
+            i = data.draw(st.integers(0, p.degree))
+            coeffs = list(p.coeffs)
+            coeffs[i] = data.draw(element_of(hf))
+            if not (i == p.degree and hf.is_zero(coeffs[i])):
+                probes.append(Polynomial.of(hf, coeffs))
+        for p in probes:
+            assert polyalg.in_product(p, q, r) == box.contains(p), (p, q, r)
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_across_carriers_is_a_value_error(self, data):
+        hf, other = data.draw(st.lists(st.sampled_from(self.CARRIERS),
+                                       min_size=2, max_size=2, unique=True))
+        polys = [data.draw(polys_of(hf, 2)) for _ in range(3)]
+        spot = data.draw(st.integers(0, 2))
+        polys[spot] = data.draw(polys_of(other, 2))
+        with pytest.raises(ValueError, match="across hyperfields"):
+            polyalg.in_product(*polys)
+        if spot:
+            with pytest.raises(ValueError, match="across hyperfields"):
+                boxprod(polys[1], polys[2])
+
+
 class TestEnumeration:
     CARRIERS = [by_name("K"), by_name("S"), by_name("W"), gf(3),
                 weak_group(*cyclic_group_table(3))]
@@ -791,8 +842,7 @@ class TestResolve:
         p = parse_poly("T^5+T^4+T+1", K)
         assert isinstance(value, CoupledValue)
         assert value.decide(p).verdict == "yes"
-        with mock.patch.object(polyalg, "boxprod",
-                               lambda q, r: PolyBox(K, ())):
+        with mock.patch.object(polyalg, "in_product", lambda p, q, r: False):
             with pytest.raises(AssertionError, match="no inner choice"):
                 value.decide(p)
 

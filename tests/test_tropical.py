@@ -3,6 +3,7 @@
 import itertools
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,7 @@ from hyperpoly import (
     root_multiset,
     trop_hypersum_sorted,
 )
+from hyperpoly import tropical
 
 T = by_name("T")
 
@@ -170,6 +172,16 @@ class TestRootMultiset:
             root_multiset(parse_poly("1T^2+2", T))
         with pytest.raises(ValueError):
             root_multiset(parse_poly("T^2+1", by_name("S")))
+
+    def test_a_disagreeing_recursion_is_loud(self, monkeypatch):
+        # the hull count is checked against the quotient recursion, not
+        # against mult_at, which reads the same hull
+        real = tropical.mult_by_quotients
+        monkeypatch.setattr(tropical, "mult_by_quotients",
+                            lambda p, elems: real(p, elems) + 1)
+        with pytest.raises(AssertionError,
+                           match=re.escape("mult_by_quotients(0T^2+2, [1])")):
+            root_multiset(parse_poly("0T^2+2", T))
 
     @given(st.lists(trop_vals, min_size=1, max_size=4))
     @settings(max_examples=60, deadline=None)
