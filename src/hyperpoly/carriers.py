@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
 from operator import itemgetter
@@ -67,15 +67,6 @@ class _Interned(dict):
         return x
 
 
-@lru_cache(maxsize=None)
-def _interned(carrier: str) -> _Interned:
-    """The Elements of one carrier name.  An Element is a value of its
-    (carrier, payload) pair alone, so every finite carrier and FiniteSet of
-    that name share the table.  Payloads enter it only from a carrier's own
-    payload list and tables, never as an equal payload of another type."""
-    return _Interned(partial(Element, carrier))
-
-
 def format_payload(payload: Payload) -> str:
     if payload is None:
         return "0"
@@ -112,44 +103,45 @@ class CarrierSet:
 
 @dataclass(frozen=True)
 class FiniteSet(CarrierSet):
-    """Payloads of a finite carrier, stored explicitly."""
+    """A subset of a finite carrier as one int: bit c of mask is set when
+    the element of code c is a member.  Sets compare by name and mask; hf,
+    the carrier that made the set, decodes it, as names may be shared."""
 
-    finite: frozenset
+    mask: int
+    hf: "FiniteHyperfield" = field(compare=False, repr=False)
 
     def is_empty(self) -> bool:
-        return not self.finite
+        return not self.mask
 
     def contains(self, x: Element) -> bool:
         self._check_element(x)
-        return x.payload in self.finite
+        code = self.hf._place.get(x[1])
+        return code is not None and self.mask >> code & 1 == 1
 
     def union(self, other: "FiniteSet") -> "FiniteSet":
         self._check(other)
-        return FiniteSet(self.carrier, self.finite | other.finite)
+        return FiniteSet(self.carrier, self.mask | other.mask, self.hf)
 
     def intersect(self, other: "FiniteSet") -> "FiniteSet":
         self._check(other)
-        return FiniteSet(self.carrier, self.finite & other.finite)
+        return FiniteSet(self.carrier, self.mask & other.mask, self.hf)
 
     def difference(self, other: "FiniteSet") -> "FiniteSet":
         self._check(other)
-        return FiniteSet(self.carrier, self.finite - other.finite)
+        return FiniteSet(self.carrier, self.mask & ~other.mask, self.hf)
 
     def is_singleton(self) -> bool:
-        return len(self.finite) == 1
+        return self.mask.bit_count() == 1
 
     def the_element(self) -> Element:
         if not self.is_singleton():
             raise ValueError(f"not a singleton: {self}")
-        return _interned(self.carrier)[next(iter(self.finite))]
+        hf = self.hf
+        return hf._elem[hf._payloads[self.mask.bit_length() - 1]]
 
     @cached_property
     def _text(self) -> str:
-        if not self.finite:
-            return "{}"
-        # a finite carrier's payloads are all ints or all strs
-        inner = ",".join(format_payload(p) for p in sorted(self.finite))
-        return "{%s}" % inner
+        return "{%s}" % ",".join(map(str, self.hf.sample_elements(self)))
 
     def __str__(self) -> str:
         return self._text
@@ -233,20 +225,15 @@ class ArcSet(CarrierSet):
         return str(self.arcs)
 
 
-def ElementSet(carrier: str, kind: str, finite: frozenset = frozenset(),
+def ElementSet(carrier: str, kind: str,
                intervals: IntervalUnion = IntervalUnion(),
                arcs: ArcUnion = ArcUnion()) -> CarrierSet:
-    """The set of shape kind ('finite', 'intervals' or 'arcs') built from
-    the matching field.  Kept for callers outside the package; the package
-    builds FiniteSet, IntervalSet and ArcSet directly."""
-    shape, value = {"finite": (FiniteSet, finite),
-                    "intervals": (IntervalSet, intervals),
+    """The set of shape kind ('intervals' or 'arcs') built from the
+    matching field.  Kept for callers outside the package; the package
+    builds IntervalSet and ArcSet directly, and FiniteSet in its carrier."""
+    shape, value = {"intervals": (IntervalSet, intervals),
                     "arcs": (ArcSet, arcs)}[kind]
     return shape(carrier, value)
-
-
-def _singleton_set(carrier: str, payload: Payload) -> FiniteSet:
-    return FiniteSet(carrier, frozenset((payload,)))
 
 
 class Hyperfield:
@@ -319,29 +306,41 @@ class FiniteHyperfield(Hyperfield):
     """Carrier given by tables over hashable payload symbols.
 
     A table is anything indexed like a dict: mul_table maps (x, y) to the
-    product, hyperadd_table maps (x, y) to a frozenset, neg_table and
-    inv_table map x.  A prime field passes its modulus; its literals then
-    reduce mod p."""
+    product, hyperadd_table maps (x, y) to a collection of payloads,
+    neg_table and inv_table map x.  All but inv_table are read once, into
+    codes.  A prime field passes its modulus, by which its literals
+    reduce, and code_rows, its product and sum rows already indexed by
+    codes (which are its payloads), in place of mul_table and
+    hyperadd_table, so that it builds no p x p table."""
 
     def __init__(self, name: str, payloads: Sequence[Payload], zero, one,
                  mul_table, neg_table, inv_table, hyperadd_table,
-                 modulus: Optional[int] = None):
+                 modulus: Optional[int] = None, *,
+                 code_rows: Optional[tuple] = None):
         self.name = name
         self.modulus = modulus
         self._payloads = payloads
         self._int_payloads = all(isinstance(p, int) for p in payloads)
         # an element's place in payloads is its sort key and its code
-        self._place = {p: i for i, p in enumerate(payloads)}
-        # one Element and one singleton FiniteSet per payload, filled on
-        # first use so that set-up of a large field builds none of them
-        self._elem = _interned(name)
-        self._single = _Interned(partial(_singleton_set, name))
+        place = self._place = {p: i for i, p in enumerate(payloads)}
+        # one Element per payload, entered only from the payload list and
+        # the tables, and one FiniteSet per singleton or full mask, both
+        # filled on first use: set-up of a large field builds none of them
+        self._elem = _Interned(partial(Element, name))
+        self._set = partial(FiniteSet, name, hf=self)
+        self._single = _Interned(self._set)
         self._zero = self._elem[zero]
         self._one = self._elem[one]
-        self._mul = mul_table
-        self._neg = neg_table
         self._inv = inv_table
-        self._add = hyperadd_table
+        if code_rows is None:
+            code_rows = ([[place[mul_table[x, y]] for y in payloads]
+                          for x in payloads],
+                         [[sum({1 << place[z] for z in hyperadd_table[x, y]})
+                           for y in payloads] for x in payloads])
+        elif mul_table is not None or hyperadd_table is not None:
+            raise ValueError("code_rows replace mul_table and hyperadd_table")
+        self.codes = CodeTable(self, *code_rows,
+                               [place[neg_table[p]] for p in payloads])
 
     def is_finite(self) -> bool:
         return True
@@ -365,82 +364,60 @@ class FiniteHyperfield(Hyperfield):
             return self._elem[payloads[payloads.index(raw)]]
         raise ValueError(f"{raw!r} is not in the carrier of {self.name}")
 
-    # The single-valued operations index the (carrier, payload) pair.
+    def _code(self, x: Element) -> int:
+        if x[0] != self.name:
+            self.check(x)
+        return self._place[x[1]]
+
+    # The single-valued operations read the code tables.
     def mul(self, x: Element, y: Element) -> Element:
-        if x[0] != self.name or y[0] != self.name:
-            self.check(x), self.check(y)
-        return self._elem[self._mul[x[1], y[1]]]
+        code = self.codes.mul[self._code(x)][self._code(y)]
+        return self._elem[self._payloads[code]]
 
     def neg(self, x: Element) -> Element:
-        if x[0] != self.name:
-            self.check(x)
-        return self._elem[self._neg[x[1]]]
+        return self._elem[self._payloads[self.codes.neg[self._code(x)]]]
 
     def inv(self, x: Element) -> Element:
-        if x[0] != self.name:
-            self.check(x)
-        if x == self._zero:
+        if self._code(x) == self.codes.zero:
             raise ZeroDivisionError(f"inv(0) in {self.name}")
         return self._elem[self._inv[x[1]]]
 
+    # The set operations wrap those of codes: elements in, a FiniteSet out.
     def hyperadd(self, x: Element, y: Element) -> FiniteSet:
-        self.check(x), self.check(y)
-        return FiniteSet(self.name, self._add[(x.payload, y.payload)])
+        return self._set(self.codes.hyperadd(self._code(x), self._code(y)))
 
     def hypersum(self, xs: Sequence[Element]) -> FiniteSet:
-        """Folds the payloads through the table; one FiniteSet at the end."""
-        if not xs:
-            raise ValueError("hypersum of an empty list")
-        acc, add = self.singleton(xs[0]).finite, self._add
-        for x in xs[1:]:
-            y = self.check(x)[1]
-            acc = add[(*acc, y)] if len(acc) == 1 else frozenset().union(
-                *[add[z, y] for z in acc])
-        return FiniteSet(self.name, acc)
+        return self._set(self.codes.hypersum([self._code(x) for x in xs]))
 
     def set_hyperadd(self, a: FiniteSet, b: FiniteSet) -> FiniteSet:
-        out = frozenset()
-        for x in a.finite:
-            for y in b.finite:
-                out |= self._add[(x, y)]
-        return FiniteSet(self.name, out)
+        return self._set(self.codes.set_hyperadd(a.mask, b.mask))
 
     def scale_set(self, a: Element, s: FiniteSet) -> FiniteSet:
-        self.check(a)
-        return FiniteSet(self.name,
-                         frozenset(self._mul[(a.payload, p)] for p in s.finite))
+        return self._set(self.codes.scale_set(self._code(a), s.mask))
 
     def set_mul(self, a: FiniteSet, b: FiniteSet) -> FiniteSet:
-        out = frozenset(self._mul[(x, y)] for x in a.finite for y in b.finite)
-        return FiniteSet(self.name, out)
+        return self._set(self.codes.set_mul(a.mask, b.mask))
 
     def neg_set(self, s: FiniteSet) -> FiniteSet:
-        return FiniteSet(self.name, frozenset(self._neg[p] for p in s.finite))
+        return self._set(self.codes.neg_set(s.mask))
 
     def singleton(self, x: Element) -> FiniteSet:
-        return self._single[self.check(x)[1]]
+        return self._single[self.codes.singleton(self._code(x))]
 
     def full_set(self) -> FiniteSet:
-        return self._full
-
-    @cached_property
-    def _full(self) -> FiniteSet:
-        return FiniteSet(self.name, frozenset(self._payloads))
+        return self._single[self.codes.full]
 
     def remove_zero(self, s: FiniteSet) -> FiniteSet:
-        return FiniteSet(self.name, s.finite - {self._zero.payload})
+        return self._set(self.codes.remove_zero(s.mask))
 
     def sample_elements(self, s: FiniteSet) -> list[Element]:
-        elem = self._elem
-        return [elem[p] for p in sorted(s.finite)]
+        """The members in the payloads' natural order (integers by value,
+        symbols as strings), in which a set also prints."""
+        elem, pays = self._elem, self._payloads
+        return sorted(elem[pays[c]] for c in self.codes.members[s.mask])
 
     def sort_key(self, x: Element) -> int:
         return self._place[x.payload]
-
-    @cached_property
-    def codes(self) -> "CodeTable":
-        """The integer-code tables of this carrier, built on first use."""
-        return CodeTable(self)
 
     def parse_scalar(self, text: str) -> Element:
         text = text.strip()
@@ -459,43 +436,67 @@ class FiniteHyperfield(Hyperfield):
         raise ValueError(f"{text!r} is not a symbol of {self.name}")
 
 
-class CodeTable:
-    """A finite carrier as integer codes.  An element's code is its place in
-    the carrier's payload list, which is also its sort key, so a polynomial
-    is a tuple of codes and code tuples sort as polynomials do.
-    Hyperaddition becomes a code -> bitmask table, and the masks a cell
-    hypersum can reach are numbered in one step table: step[s][c] is the
-    set (set s) (+) c, and the singleton {c} is set c.  A coefficient cell
-    of a product is then one set number, and masks[s] is its bitmask."""
+def _set_bits(s: int) -> tuple[int, ...]:
+    codes = []
+    while s:
+        low = s & -s
+        codes.append(low.bit_length() - 1)
+        s ^= low
+    return tuple(codes)
 
-    def __init__(self, hf: FiniteHyperfield):
+
+class CodeTable:
+    """A finite carrier's arithmetic on ints, each finite set operation
+    written once.  A value is an element's code, its place in the payload
+    list and so its sort key (code tuples sort as polynomials do); a set is
+    a mask whose bit c is set when code c is a member.  mul[x][y] is the
+    code of x (*) y, add[x][y] the mask of x (+) y and neg[x] the code of
+    -x.  The carrier's FiniteSet methods and the law table read these."""
+
+    def __init__(self, hf: "FiniteHyperfield", mul, add, neg: list):
         self.hf = hf
-        self.elements = hf.elements()
-        n = len(self.elements)
-        self.code = {x: c for c, x in enumerate(self.elements)}
-        pays, pos = hf._payloads, hf._place
-        self.zero, self.one = self.code[hf.zero()], self.code[hf.one()]
-        self.mul = [[pos[hf._mul[(x, y)]] for y in pays] for x in pays]
-        add = [[sum(1 << pos[z] for z in hf._add[(x, y)]) for y in pays]
-               for x in pays]
-        masks = [1 << c for c in range(n)]
-        index = {m: c for c, m in enumerate(masks)}
-        self.step = []
+        self.place = hf._place
+        self.zero = self.value(hf.zero())
+        self.one = self.value(hf.one())
+        self.mul = mul
+        self.add = add
+        self.neg = neg
+        self.full = (1 << len(neg)) - 1
+        # members[s] is the codes of s, lowest first: its set bits, walked
+        # the first time s is read
+        self.members = _Interned(_set_bits)
+
+    @cached_property
+    def _numbered(self) -> tuple[list, list, list]:
+        """The scan and enumeration kernels' step table, built when one of
+        them first reads it: the masks a cell hypersum can reach are
+        numbered, {c} is set c, and step[s][c] is the number of (set s) (+)
+        c, so a product cell is one set number, masks[s] is its mask and
+        choices[s] its codes.  It grows by walking each new mask's set bits."""
+        add, codes = self.add, range(len(self.neg))
+        masks = [1 << c for c in codes]
+        numbers = {m: c for c, m in enumerate(masks)}
+        step = []
         for mask in masks:  # grows while new sums appear
-            row = []
-            for c in range(n):
+            rows = [add[b] for b in self.members[mask]]
+            out = []
+            for c in codes:
                 total = 0
-                for b in range(n):
-                    if mask >> b & 1:
-                        total |= add[b][c]
-                if total not in index:
-                    index[total] = len(masks)
+                for row in rows:
+                    total |= row[c]
+                s = numbers.get(total)
+                if s is None:
+                    s = numbers[total] = len(masks)
                     masks.append(total)
-                row.append(index[total])
-            self.step.append(row)
-        self.masks, self.numbers = masks, index
-        self.choices = [tuple(c for c in range(n) if m >> c & 1)
-                        for m in masks]
+                out.append(s)
+            step.append(out)
+        return step, masks, [self.members[m] for m in masks]
+
+    step = cached_property(lambda self: self._numbered[0])
+    masks = cached_property(lambda self: self._numbered[1])
+    choices = cached_property(lambda self: self._numbered[2])
+
+    elements = cached_property(lambda self: self.hf.elements())
 
     @cached_property
     def units(self) -> list[int]:
@@ -509,25 +510,22 @@ class CodeTable:
             bad = next(laws[law], None)
             if bad is not None:
                 raise AssertionError(f"{broken} at {bad}")
-        return [c for c in range(len(self.mul)) if c != self.zero]
+        return [c for c in range(len(self.neg)) if c != self.zero]
 
     def encode(self, coeffs: Sequence[Element]) -> tuple[int, ...]:
-        return tuple(self.code[x] for x in coeffs)
+        return tuple(self.place[x[1]] for x in coeffs)
 
     def decode(self, codes: Sequence[int]) -> tuple[Element, ...]:
         return tuple(self.elements[c] for c in codes)
 
-    # The operations the law table reads (see Hyperfield.value): a value is
-    # a code and a set is a bitmask.  A set handed in is a singleton or a
-    # sum x (+) y, so it has a set number.
     def value(self, x: Element) -> int:
-        return self.code[x]
+        return self.place[x[1]]
 
     def times(self, x: int, y: int) -> int:
         return self.mul[x][y]
 
     def hyperadd(self, x: int, y: int) -> int:
-        return self.masks[self.step[x][y]]
+        return self.add[x][y]
 
     def singleton(self, x: int) -> int:
         return 1 << x
@@ -536,32 +534,49 @@ class CodeTable:
         return s >> x & 1
 
     def set_hyperadd(self, s: int, t: int) -> int:
-        """The union of s (+) c over the members c of t: one lookup when t
-        is a singleton, and left to right when the table does not commute."""
-        masks, row, out = self.masks, self.step[self.numbers[s]], 0
-        for c in self.choices[self.numbers[t]]:
-            out |= masks[row[c]]
+        """The union of x (+) y over x in s and y in t, in that order, since
+        a table need not commute."""
+        add, right, out = self.add, self.members[t], 0
+        for x in self.members[s]:
+            row = add[x]
+            for y in right:
+                out |= row[y]
         return out
 
     def scale_set(self, a: int, s: int) -> int:
         row, out = self.mul[a], 0
-        for b in self.choices[self.numbers[s]]:
-            out |= 1 << row[b]
+        for x in self.members[s]:
+            out |= 1 << row[x]
         return out
 
     def set_mul(self, s: int, t: int) -> int:
-        mul, right, out = self.mul, self.choices[self.numbers[t]], 0
-        for b in self.choices[self.numbers[s]]:
-            row = mul[b]
-            for c in right:
-                out |= 1 << row[c]
+        mul, right, out = self.mul, self.members[t], 0
+        for x in self.members[s]:
+            row = mul[x]
+            for y in right:
+                out |= 1 << row[y]
         return out
 
     def hypersum(self, xs: Sequence[int]) -> int:
-        step, s = self.step, xs[0]
-        for x in xs[1:]:
-            s = step[s][x]
-        return self.masks[s]
+        """x1 (+) ... (+) xn, folded left to right through the table."""
+        if not xs:
+            raise ValueError("hypersum of an empty list")
+        add, s = self.add, 1 << xs[0]
+        for y in xs[1:]:
+            out = 0
+            for x in self.members[s]:
+                out |= add[x][y]
+            s = out
+        return s
+
+    def neg_set(self, s: int) -> int:
+        neg, out = self.neg, 0
+        for x in self.members[s]:
+            out |= 1 << neg[x]
+        return out
+
+    def remove_zero(self, s: int) -> int:
+        return s & ~(1 << self.zero)
 
     def sort_key(self, codes: Sequence[int]) -> tuple:
         """Orders code tuples as Polynomial.sort_key orders polynomials."""
@@ -610,15 +625,11 @@ def _sign_mul(payloads):
     return {(x, y): x * y for x in payloads for y in payloads}
 
 
-def _frozen(add: dict) -> dict:
-    return {k: frozenset(v) for k, v in add.items()}
-
-
 def krasner() -> FiniteHyperfield:
     payloads = [0, 1]
     add = {(0, 0): {0}, (0, 1): {1}, (1, 0): {1}, (1, 1): {0, 1}}
     return FiniteHyperfield("K", payloads, 0, 1, _sign_mul(payloads),
-                            {0: 0, 1: 1}, {1: 1}, _frozen(add))
+                            {0: 0, 1: 1}, {1: 1}, add)
 
 
 def _signs_like(name: str, self_sum) -> FiniteHyperfield:
@@ -635,7 +646,7 @@ def _signs_like(name: str, self_sum) -> FiniteHyperfield:
             else:
                 add[(x, y)] = {-1, 0, 1}
     return FiniteHyperfield(name, payloads, 0, 1, _sign_mul(payloads),
-                            {-1: 1, 0: 0, 1: -1}, {1: 1, -1: -1}, _frozen(add))
+                            {-1: 1, 0: 0, 1: -1}, {1: 1, -1: -1}, add)
 
 
 def signs() -> FiniteHyperfield:
@@ -646,32 +657,17 @@ def weak_signs() -> FiniteHyperfield:
     return _signs_like("W", lambda x: {x, -x})
 
 
-class _ProductModP:
-    """The p x p product table of GF(p), computed on lookup."""
-
-    __slots__ = ("p",)
-
-    def __init__(self, p: int):
-        self.p = p
-
-    def __getitem__(self, xy: tuple[int, int]) -> int:
-        x, y = xy
-        return x * y % self.p
+def _row_mod(entry, p: int, x: int) -> _Interned:
+    """Row x of a GF(p) table, filled on lookup: y -> entry(p, x, y)."""
+    return _Interned(partial(entry, p, x))
 
 
-class _SumModP:
-    """The p x p hyperaddition table of GF(p), computed on lookup: every
-    sum is one of p singletons."""
+def _product_mod(p: int, x: int, y: int) -> int:
+    return x * y % p
 
-    __slots__ = ("p", "sums")
 
-    def __init__(self, p: int):
-        self.p = p
-        self.sums = tuple(frozenset([z]) for z in range(p))
-
-    def __getitem__(self, xy: tuple[int, int]) -> frozenset:
-        x, y = xy
-        return self.sums[(x + y) % self.p]
+def _sum_mod(p: int, x: int, y: int) -> int:
+    return 1 << (x + y) % p  # the mask of the singleton {x + y mod p}
 
 
 def gf(p: int) -> FiniteHyperfield:
@@ -680,10 +676,16 @@ def gf(p: int) -> FiniteHyperfield:
     if p > 1009:
         raise ValueError("GF(p) supported for p <= 1009")
     payloads = range(p)
-    neg = {x: (-x) % p for x in payloads}
+    neg = [(-x) % p for x in payloads]
     inv = {x: pow(x, p - 2, p) for x in payloads[1:]}
-    return FiniteHyperfield(f"GF({p})", payloads, 0, 1 % p, _ProductModP(p),
-                            neg, inv, _SumModP(p), modulus=p)
+    entries = (_product_mod, _sum_mod)
+    if p < 128:  # list rows read fastest, and cost at most 128^2 entries
+        mul, add = ([[f(p, x, y) for y in payloads] for x in payloads]
+                    for f in entries)
+    else:  # rows filled on lookup, so that no p x p table is built
+        mul, add = (_Interned(partial(_row_mod, f, p)) for f in entries)
+    return FiniteHyperfield(f"GF({p})", payloads, 0, 1 % p, None, neg, inv,
+                            None, modulus=p, code_rows=(mul, add))
 
 
 def weak_group(table: dict, symbols: Sequence[str], e: str,
@@ -737,7 +739,7 @@ def weak_group(table: dict, symbols: Sequence[str], e: str,
             add[(g, h)] = full if h == table[(e, g)] else nonzero
     neg = {"0": "0", **{g: table[(e, g)] for g in symbols}}
     return FiniteHyperfield(name or f"W(G,{e})", payloads, "0", identity,
-                            mul, neg, inv_table, _frozen(add))
+                            mul, neg, inv_table, add)
 
 
 def cyclic_group_table(n: int) -> tuple[dict, list[str], str]:
@@ -1268,6 +1270,8 @@ def _laws(hf: Hyperfield, probe: ProbeSpec) -> tuple[list[Element], dict]:
     neg = [ops.value(hf.neg(x)) for x in pts]
     hits = [[j for j in idx if ops.has(pair[i][j], zero)] for i in idx]
     minus = [[ops.hyperadd(x, y) for y in neg] for x in v]
+    # the associativity law's n^3 set sums take few distinct arguments
+    sadd = lru_cache(maxsize=None)(ops.set_hyperadd)
 
     def unequal_products(a: Element, b: Element, c: Element,
                          d: Element) -> str:
@@ -1302,8 +1306,7 @@ def _laws(hf: Hyperfield, probe: ProbeSpec) -> tuple[list[Element], dict]:
         "hyperadd-associative": (
             f"{pts[i]}(+)({pts[j]}(+){pts[k]})"
             for i in idx for j in idx for k in idx
-            if ops.set_hyperadd(single[i], pair[j][k])
-            != ops.set_hyperadd(pair[i][j], single[k])),
+            if sadd(single[i], pair[j][k]) != sadd(pair[i][j], single[k])),
         "unique-hyperinverse": (
             f"inverses of {pts[i]}: {[str(pts[j]) for j in hits[i]]}"
             for i in idx

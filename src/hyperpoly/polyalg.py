@@ -742,7 +742,7 @@ def _pairwise(left, right, hf: Hyperfield) -> FiniteValue:
             "product of two undetermined polynomial sets is out of scope")
     lefts, rights = left.members, right.members
     if not (lefts and rights):
-        # no pair to combine, so the p^2 code table of GF(p) stays unbuilt
+        # no pair to combine, so the step table of GF(p) stays unbuilt
         return FiniteValue(frozenset())
     codes = hf.codes
     rights = [codes.encode(q.coeffs) for q in rights]

@@ -36,6 +36,8 @@ from hyperpoly.cli import _plain
 from hyperpoly.polyalg import (box_of, boxprod, format_expr, product_value,
                                unequal_certificate)
 
+from finite_tables import payload_tables
+
 
 def counterexample(report):
     """The first unequal comparison of an associativity report, or None."""
@@ -452,10 +454,10 @@ class TestScanSymmetry:
         # S with 1 (+) 1 = {0, 1}: then -1 (x) (1 (+) 1) = {0, -1}, but
         # (-1) (+) (-1) = {-1}, and no orbit argument holds
         S = by_name("S")
-        add = dict(S._add)
+        mul, neg, inv, add = payload_tables(S)
         add[(1, 1)] = frozenset({0, 1})
-        broken = FiniteHyperfield("S'", S._payloads, 0, 1, S._mul, S._neg,
-                                  S._inv, add)
+        broken = FiniteHyperfield("S'", S._payloads, 0, 1, mul, neg, inv,
+                                  add)
         with pytest.raises(AssertionError, match=r"c\(x \(\+\) y\)"):
             assoc_scan(broken, 1, monic_only, stop_after=None)
 
@@ -467,9 +469,10 @@ class TestScanUnitLaws:
     @staticmethod
     def redrawn(name, mul=None, add=None):
         hf = by_name(name)
+        base_mul, neg, inv, base_add = payload_tables(hf)
         return FiniteHyperfield(f"{name}'", hf._payloads, 0, 1,
-                                {**hf._mul, **(mul or {})}, hf._neg, hf._inv,
-                                {**hf._add, **(add or {})})
+                                {**base_mul, **(mul or {})}, neg, inv,
+                                {**base_add, **(add or {})})
 
     @pytest.mark.parametrize("monic_only", [True, False])
     def test_a_carrier_that_does_not_associate_is_refused(self, monic_only):

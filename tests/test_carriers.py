@@ -1,6 +1,7 @@
 """Carrier-level behaviour: axiom checks, arithmetic tables, parsing."""
 
 import dataclasses
+import itertools
 import pickle
 import tracemalloc
 from fractions import Fraction
@@ -26,8 +27,10 @@ from hyperpoly import (
     is_doubly_distributive,
     krasner,
     load_cayley_table,
+    mult_at,
     parse_expr,
     parse_poly,
+    quotients,
     signs,
     weak_group,
     weak_signs,
@@ -39,11 +42,12 @@ from hyperpoly.carriers import (
     DdistReport,
     Element,
     FiniteHyperfield,
-    FiniteSet,
     Hyperfield,
     _points_of,
 )
 from hyperpoly.sets import IntervalUnion
+
+from finite_tables import finite_set, payload_tables, payloads
 
 FINITE = [
     krasner(),
@@ -233,21 +237,15 @@ SMALL = [krasner(), signs(), weak_signs(), gf(2), gf(3)]
 
 
 @st.composite
-def perturbed_carriers(draw):
-    """A carrier of 2 or 3 payloads: the tables of K, S, W, GF(2) or GF(3)
-    with up to six entries (and possibly the one) redrawn, so most draws
-    break some axioms and some break none."""
+def perturbed_tables(draw):
+    """The FiniteHyperfield arguments of a carrier of 2 or 3 payloads: the
+    tables of K, S, W, GF(2) or GF(3) with up to six entries (and possibly
+    the one) redrawn, so most draws break some axioms and some break
+    none."""
     base = draw(st.sampled_from(SMALL))
-    els = base.elements()
-    pays = [x.payload for x in els]
+    pays = [x.payload for x in base.elements()]
     keys = [(a, b) for a in pays for b in pays]
-    mul = {(x.payload, y.payload): base.mul(x, y).payload
-           for x in els for y in els}
-    add = {(x.payload, y.payload): base.hyperadd(x, y).finite
-           for x in els for y in els}
-    neg = {x.payload: base.neg(x).payload for x in els}
-    inv = {x.payload: base.inv(x).payload
-           for x in els if not base.is_zero(x)}
+    mul, neg, inv, add = payload_tables(base)
     for _ in range(draw(st.integers(0, 6))):
         table = draw(st.sampled_from(["mul", "add", "neg", "inv"]))
         if table == "mul":
@@ -260,8 +258,11 @@ def perturbed_carriers(draw):
             target[draw(st.sampled_from(sorted(target)))] = draw(
                 st.sampled_from(pays))
     one = draw(st.one_of(st.just(base.one().payload), st.sampled_from(pays)))
-    return FiniteHyperfield(base.name + "~", pays, base.zero().payload, one,
-                            mul, neg, inv, add)
+    return base.name + "~", pays, base.zero().payload, one, mul, neg, inv, add
+
+
+def perturbed_carriers():
+    return perturbed_tables().map(lambda args: FiniteHyperfield(*args))
 
 
 class TestAxiomTable:
@@ -357,21 +358,140 @@ class TestCodeTableData:
         n = len(els)
 
         def decoded(s):
-            return FiniteSet(hf.name, frozenset(els[c].payload
-                                                for c in choices[s]))
+            return finite_set(hf, [els[c].payload for c in choices[s]])
 
         for x in range(n):
             for y in range(n):
                 assert decoded(step[x][y]) == hf.hyperadd(els[x], els[y])
                 assert els[codes.mul[x][y]] == hf.mul(els[x], els[y])
         for s, mask in enumerate(codes.masks):
-            assert codes.numbers[mask] == s
+            assert codes.masks.index(mask) == s
             assert choices[s] == tuple(c for c in range(n) if mask >> c & 1)
             for c in range(n):
-                union = FiniteSet(hf.name, frozenset().union(
-                    *[hf.hyperadd(els[b], els[c]).finite
+                union = finite_set(hf, frozenset().union(
+                    *[payloads(hf.hyperadd(els[b], els[c]))
                       for b in choices[s]]))
                 assert decoded(step[s][c]) == union
+
+
+def unsorted_group() -> FiniteHyperfield:
+    """W(G,e) over the cyclic group zz, b, aa = b^2, m = b^3 with e = aa:
+    its payloads in table order (0, zz, b, aa, m) are not in natural order
+    (0, aa, b, m, zz)."""
+    symbols = ["zz", "b", "aa", "m"]
+    table = {(x, y): symbols[(i + j) % 4]
+             for i, x in enumerate(symbols) for j, y in enumerate(symbols)}
+    return weak_group(table, symbols, "aa", name="W(C4 unsorted,aa)")
+
+
+# A finite carrier's set operations on frozensets of payloads, read from
+# payload-keyed tables: the reference for the operations on masks.
+def reference_hypersum(add, xs):
+    acc = frozenset([xs[0]])
+    for y in xs[1:]:
+        acc = frozenset().union(*[add[z, y] for z in acc])
+    return acc
+
+
+def reference_set_hyperadd(add, a, b):
+    out = frozenset()
+    for x in a:
+        for y in b:
+            out |= add[(x, y)]
+    return out
+
+
+def reference_scale_set(mul, a, s):
+    return frozenset(mul[(a, p)] for p in s)
+
+
+def reference_set_mul(mul, a, b):
+    return frozenset(mul[(x, y)] for x in a for y in b)
+
+
+def reference_neg_set(neg, s):
+    return frozenset(neg[p] for p in s)
+
+
+def reference_text(s):
+    if not s:
+        return "{}"
+    return "{%s}" % ",".join(carriers.format_payload(p) for p in sorted(s))
+
+
+REFERENCE_CARRIERS = [krasner(), signs(), weak_signs(), gf(5),
+                      *weak_groups_both_ways(), unsorted_group(),
+                      skewed_krasner()]
+
+
+class TestSetOperationsReference:
+    """Every finite set operation, on masks, gives the frozenset reference:
+    the built-in, W(G,e) and perturbed tables, an unsorted symbol table,
+    and a table with empty and non-commutative sums."""
+
+    @pytest.mark.parametrize("hf", REFERENCE_CARRIERS,
+                             ids=[hf.name for hf in REFERENCE_CARRIERS])
+    def test_every_set_prints_and_decodes_as_the_reference(self, hf):
+        # every subset, so that a set printed or sampled in place order
+        # fails on the unsorted symbol table whatever the examples drawn
+        pays = [x.payload for x in hf.elements()]
+        for k in range(len(pays) + 1):
+            for chosen in itertools.combinations(pays, k):
+                ref, s = frozenset(chosen), finite_set(hf, chosen)
+                assert payloads(s) == ref
+                assert str(s) == reference_text(ref)
+                assert [x.payload for x in hf.sample_elements(s)] == \
+                    sorted(ref)
+                assert s.is_singleton() == (k == 1)
+                if k == 1:
+                    assert s.the_element() is hf.element(*ref)
+
+    @given(st.one_of(
+        st.sampled_from(REFERENCE_CARRIERS).map(
+            lambda hf: (hf, payload_tables(hf))),
+        # a redrawn carrier's own input tables, so that the conversion
+        # into code tables is checked too
+        perturbed_tables().map(
+            lambda args: (FiniteHyperfield(*args), args[4:]))), st.data())
+    @settings(max_examples=300)
+    def test_operations_equal_the_frozenset_reference(self, carrier, data):
+        hf, (mul, neg, _, add) = carrier
+        pays = [x.payload for x in hf.elements()]
+        a, b = (frozenset(data.draw(st.sets(st.sampled_from(pays)),
+                                    label=label)) for label in "ab")
+        sa, sb = finite_set(hf, a), finite_set(hf, b)
+        x = hf.element(data.draw(st.sampled_from(pays), label="x"))
+        xs = data.draw(st.lists(st.sampled_from(pays), min_size=1,
+                                max_size=5), label="xs")
+        for s, ref in ((sa, a), (sb, b)):
+            assert payloads(s) == ref
+            assert str(s) == reference_text(ref)
+            assert [y.payload for y in hf.sample_elements(s)] == sorted(ref)
+            assert s.is_singleton() == (len(ref) == 1)
+            assert s.is_empty() == (not ref)
+            if len(ref) == 1:
+                assert s.the_element() == hf.element(*ref)
+            else:
+                with pytest.raises(ValueError):
+                    s.the_element()
+            assert s.contains(x) == (x.payload in ref)
+        assert payloads(sa.union(sb)) == a | b
+        assert payloads(sa.intersect(sb)) == a & b
+        assert payloads(sa.difference(sb)) == a - b
+        assert sa.includes(sb) == (b <= a)
+        y = hf.element(xs[0])
+        assert payloads(hf.hyperadd(x, y)) == add[x.payload, y.payload]
+        assert payloads(hf.hypersum([hf.element(p) for p in xs])) == \
+            reference_hypersum(add, xs)
+        assert payloads(hf.set_hyperadd(sa, sb)) == \
+            reference_set_hyperadd(add, a, b)
+        assert payloads(hf.scale_set(x, sa)) == \
+            reference_scale_set(mul, x.payload, a)
+        assert payloads(hf.set_mul(sa, sb)) == reference_set_mul(mul, a, b)
+        assert payloads(hf.neg_set(sa)) == reference_neg_set(neg, a)
+        assert payloads(hf.remove_zero(sa)) == a - {hf.zero().payload}
+        assert payloads(hf.full_set()) == frozenset(pays)
+        assert payloads(hf.singleton(x)) == {x.payload}
 
 
 class TestDdistTable:
@@ -465,6 +585,19 @@ class TestGaloisFields:
                 gf(bad)
         assert gf(1009).element(1008).payload == 1008
 
+    def test_modulus_reduces_literals_and_leaves_tables_on_payloads(self):
+        # payload tables read the same with or without a modulus; only
+        # code_rows hand in tables already indexed by codes
+        g = gf(7)
+        tables = payload_tables(g)
+        hf = FiniteHyperfield("GF(7)", g._payloads, 0, 1, *tables, modulus=7)
+        assert hf.codes.mul == g.codes.mul and hf.codes.add == g.codes.add
+        assert hf.codes.neg == g.codes.neg
+        assert hf.parse_scalar("9") == g.parse_scalar("9") == g.element(2)
+        with pytest.raises(ValueError, match="code_rows"):
+            FiniteHyperfield("GF(7)", g._payloads, 0, 1, *tables, modulus=7,
+                             code_rows=(g.codes.mul, g.codes.add))
+
     def test_largest_field_is_built_without_tables(self):
         # Products and sums of GF(1009) are computed on lookup; p^2 dict
         # tables would take hundreds of megabytes.
@@ -480,12 +613,12 @@ class TestGaloisFields:
     def test_largest_field_decides_without_the_code_table(self,
                                                            monkeypatch):
         # resolve never yields a coupled value over GF(p), so deciding
-        # equality and associativity must not build the p^2 code tables;
-        # building them here fails at once instead of running for minutes
-        def refuse(hf):
-            raise AssertionError(f"code table of {hf.name} built")
+        # equality and associativity must not build the p^2 step table;
+        # building it here fails at once instead of running for minutes
+        def refuse(codes):
+            raise AssertionError(f"step table of {codes.hf.name} built")
 
-        monkeypatch.setattr(carriers, "CodeTable", refuse)
+        monkeypatch.setattr(carriers.CodeTable, "_numbered", property(refuse))
         tracemalloc.start()
         try:
             hf = gf(1009)
@@ -507,8 +640,21 @@ class TestGaloisFields:
         assert cert.verdict == "equal" and report.associative is True
         assert total_cert.verdict == "yes"
         assert empty_cert.verdict == "equal"
-        assert "codes" not in vars(hf)
+        assert "_numbered" not in vars(hf.codes)
         assert peak < 1_000_000
+
+    def test_largest_field_answers_queries_without_a_step_table(self):
+        # membership, quotients and multiplicities read the set operations
+        # on masks, which need no numbered step table
+        hf = gf(1009)
+        p = parse_poly("T^2+1008", hf)  # (T-1)(T+1)
+        q, r = parse_poly("T+1008", hf), parse_poly("T+1", hf)
+        assert expr_member(p, ProdNode(PolyLeaf(q), PolyLeaf(r))).verdict \
+            == "yes"
+        assert [str(x) for x in quotients(p, hf.one()).representatives] \
+            == ["T+1"]
+        assert mult_at(p, hf.one()) == 1
+        assert "_numbered" not in vars(hf.codes)
 
     def test_cancelling_sum_decides_without_the_code_table(self):
         # (T+1)+(6T+6) cancels to the empty set over GF(7), and its product
@@ -518,7 +664,7 @@ class TestGaloisFields:
         e = parse_expr("(T+1)*((T+1)+(6T+6))", hf)
         assert expr_equal(e, e, hf).verdict == "equal"
         assert expr_member(parse_poly("T+1", hf), e).verdict == "no"
-        assert "codes" not in vars(hf)
+        assert "_numbered" not in vars(hf.codes)
 
     def test_int_literals_reduce_mod_p(self):
         hf = gf(5)
@@ -811,8 +957,8 @@ class TestElementValue:
     def test_an_equal_payload_of_another_type_reads_as_the_carriers_own(self):
         # a carrier of its own name, so that 3.0 is the first lookup of 3
         g = gf(7)
-        hf = FiniteHyperfield("GF(7) read by type", g._payloads, 0, 1, g._mul,
-                              g._neg, g._inv, g._add, modulus=7)
+        hf = FiniteHyperfield("GF(7) read by type", g._payloads, 0, 1,
+                              *payload_tables(g), modulus=7)
         x = hf.element(3.0)
         assert type(x.payload) is int and str(x) == "3"
         assert hf.element(3) is x and hf.element(Fraction(3)) is x
@@ -838,7 +984,7 @@ class TestElementValue:
         x = data.draw(elements_of(hf))
         s = hf.singleton(x)
         assert hf.singleton(x) is s and str(hf.singleton(x)) is str(s)
-        assert s == FiniteSet(hf.name, frozenset([x.payload]))
+        assert s == finite_set(hf, [x.payload])
 
     def test_singletons_are_made_on_first_use(self):
         hf = weak_group(*cyclic_group_table(4))
@@ -864,7 +1010,7 @@ class TestFiniteSetOrder:
         # have a natural order, and sets print and sample in it
         pays = [x.payload for x in hf.elements()]
         chosen = data.draw(st.sets(st.sampled_from(pays)))
-        s = FiniteSet(hf.name, frozenset(chosen))
+        s = finite_set(hf, chosen)
         ordered = sorted(chosen)
         text = ",".join(carriers.format_payload(p) for p in ordered)
         assert str(s) == "{" + text + "}"
@@ -883,13 +1029,13 @@ class TestWeakGroups:
         relabel = {"0": 0, "1": 1, "g1": -1}
 
         def image(s):
-            return frozenset(relabel[p] for p in s.finite)
+            return frozenset(relabel[p] for p in payloads(s))
 
         for x in G.elements():
             for y in G.elements():
                 expected = W.hyperadd(W.element(relabel[x.payload]),
                                       W.element(relabel[y.payload]))
-                assert image(G.hyperadd(x, y)) == expected.finite
+                assert image(G.hyperadd(x, y)) == payloads(expected)
 
     def test_symbols_sort_in_table_order(self):
         G = weak_group(*cyclic_group_table(5))
@@ -922,9 +1068,9 @@ class TestWeakGroups:
         direct = weak_group(table, symbols, e)
         for x in direct.elements():
             for y in direct.elements():
-                assert loaded.hyperadd(loaded.element(x.payload),
-                                       loaded.element(y.payload)).finite == \
-                    direct.hyperadd(x, y).finite
+                assert payloads(loaded.hyperadd(
+                    loaded.element(x.payload), loaded.element(y.payload))) \
+                    == payloads(direct.hyperadd(x, y))
         assert by_name(f"W(G,e):{path}").name.endswith("z3.txt")
 
     def test_cayley_file_validation(self, tmp_path):

@@ -11,8 +11,8 @@ import random
 
 import pytest
 
-from hyperpoly import (Polynomial, PolyLeaf, ProbeSpec, ProdNode,
-                       check_axioms, expr_member, mult_at, quotients)
+from hyperpoly import (Polynomial, PolyLeaf, ProbeSpec, ProdNode, assoc_scan,
+                       by_name, check_axioms, expr_member, mult_at, quotients)
 from hyperpoly.carriers import FiniteHyperfield
 
 
@@ -141,3 +141,56 @@ def test_projected_quotient_is_a_representative(p, order):
         assert found.exact
         assert Polynomial.of(hf, [rep[c] for c in q]) in \
             found.representatives, (f, root)
+
+
+def relabelled_tables(hf, relabel):
+    """The product, negation and hyperaddition tables of a finite carrier,
+    with every payload renamed by relabel."""
+    els = hf.elements()
+    mul = {(relabel[x.payload], relabel[y.payload]):
+           relabel[hf.mul(x, y).payload] for x in els for y in els}
+    neg = {relabel[x.payload]: relabel[hf.neg(x).payload] for x in els}
+    add = {(relabel[x.payload], relabel[y.payload]):
+           frozenset(relabel[z.payload]
+                     for z in hf.sample_elements(hf.hyperadd(x, y)))
+           for x in els for y in els}
+    return mul, neg, add
+
+
+def least_non_square(p):
+    return min(x for x in range(2, p) if pow(x, (p - 1) // 2, p) != 1)
+
+
+# GF(p)/GF(p)^x has two classes, 0 and the units, as K has; for p = 3 mod
+# 4, -1 is not a square, and GF(p)/squares has the three classes of W:
+# 0, the squares (+1) and the non-squares (-1).
+ISOMORPHIC = ([(p, p - 1, "K", {0: 0, 1: 1}) for p in (3, 5, 7, 11, 13)]
+              + [(p, (p - 1) // 2, "W", {0: 0, 1: 1, least_non_square(p): -1})
+                 for p in (7, 11, 19)])
+ISO_IDS = [f"GF({p})/U{order}~{name}" for p, order, name, _ in ISOMORPHIC]
+
+
+@pytest.mark.parametrize("p,order,name,relabel", ISOMORPHIC, ids=ISO_IDS)
+def test_quotient_has_the_tables_of_the_hand_written_carrier(p, order, name,
+                                                             relabel):
+    hf, _ = quotient(p, order)
+    assert relabelled_tables(hf, relabel) == \
+        relabelled_tables(by_name(name), {x: x for x in (-1, 0, 1)})
+
+
+@pytest.mark.parametrize("p,order,name,relabel", ISOMORPHIC, ids=ISO_IDS)
+def test_quotient_scans_as_the_hand_written_carrier(p, order, name, relabel):
+    scans = [assoc_scan(hf, 1, stop_after=None)
+             for hf in (quotient(p, order)[0], by_name(name))]
+    assert len({(s.polynomials, s.triples_checked, len(s.counterexamples))
+                for s in scans}) == 1
+
+
+def test_squares_of_thirteen_are_not_weak_signs():
+    # -1 is a square mod 13, so the class of 1 is its own negative there,
+    # while W has -1 != 1
+    hf, _ = quotient(13, 6)
+    relabel = {0: 0, 1: 1, least_non_square(13): -1}
+    assert hf.neg(hf.one()) == hf.one()
+    assert relabelled_tables(hf, relabel) != \
+        relabelled_tables(by_name("W"), {x: x for x in (-1, 0, 1)})
