@@ -12,8 +12,8 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache, partial
-from operator import itemgetter
+from functools import cached_property, lru_cache, partial, reduce
+from operator import itemgetter, or_
 from typing import Iterable, Optional, Sequence, Union
 
 from .sets import (NEG_INF, POS_INF, ArcUnion, ExtRat, Interval, IntervalUnion,
@@ -57,13 +57,13 @@ class Element(tuple):
 
 
 class _Interned(dict):
-    """payload -> the one value make(payload), made on first lookup."""
+    """key -> the one value make(key), made on first lookup."""
 
     def __init__(self, make):
         self.make = make
 
-    def __missing__(self, payload: Payload):
-        x = self[payload] = self.make(payload)
+    def __missing__(self, key):
+        x = self[key] = self.make(key)
         return x
 
 
@@ -451,7 +451,8 @@ class CodeTable:
     list and so its sort key (code tuples sort as polynomials do); a set is
     a mask whose bit c is set when code c is a member.  mul[x][y] is the
     code of x (*) y, add[x][y] the mask of x (+) y and neg[x] the code of
-    -x.  The carrier's FiniteSet methods and the law table read these."""
+    -x; step[s][y] is the mask of (set s) (+) y, which every finite sum
+    reads.  The carrier's FiniteSet methods and the law table read these."""
 
     def __init__(self, hf: "FiniteHyperfield", mul, add, neg: list):
         self.hf = hf
@@ -465,36 +466,20 @@ class CodeTable:
         # members[s] is the codes of s, lowest first: its set bits, walked
         # the first time s is read
         self.members = _Interned(_set_bits)
+        # a plain dict, as CPython specialises subscripts only on exact
+        # dicts; step_row(s) adds step[s] the first time mask s is read
+        self.step: dict = {}
 
-    @cached_property
-    def _numbered(self) -> tuple[list, list, list]:
-        """The scan and enumeration kernels' step table, built when one of
-        them first reads it: the masks a cell hypersum can reach are
-        numbered, {c} is set c, and step[s][c] is the number of (set s) (+)
-        c, so a product cell is one set number, masks[s] is its mask and
-        choices[s] its codes.  It grows by walking each new mask's set bits."""
-        add, codes = self.add, range(len(self.neg))
-        masks = [1 << c for c in codes]
-        numbers = {m: c for c, m in enumerate(masks)}
-        step = []
-        for mask in masks:  # grows while new sums appear
-            rows = [add[b] for b in self.members[mask]]
-            out = []
-            for c in codes:
-                total = 0
-                for row in rows:
-                    total |= row[c]
-                s = numbers.get(total)
-                if s is None:
-                    s = numbers[total] = len(masks)
-                    masks.append(total)
-                out.append(s)
-            step.append(out)
-        return step, masks, [self.members[m] for m in masks]
-
-    step = cached_property(lambda self: self._numbered[0])
-    masks = cached_property(lambda self: self._numbered[1])
-    choices = cached_property(lambda self: self._numbered[2])
+    def step_row(self, s: int):
+        """step[s]: a singleton's row is its own add row; any other mask's
+        joins its members' rows once (the empty mask's is all empty)."""
+        row = self.step.get(s)
+        if row is None:
+            rows = [self.add[x] for x in self.members[s]]
+            row = self.step[s] = rows[0] if len(rows) == 1 else [
+                reduce(or_, [r[y] for r in rows], 0)
+                for y in range(len(self.neg))]
+        return row
 
     elements = cached_property(lambda self: self.hf.elements())
 
@@ -536,11 +521,9 @@ class CodeTable:
     def set_hyperadd(self, s: int, t: int) -> int:
         """The union of x (+) y over x in s and y in t, in that order, since
         a table need not commute."""
-        add, right, out = self.add, self.members[t], 0
-        for x in self.members[s]:
-            row = add[x]
-            for y in right:
-                out |= row[y]
+        row, out = self.step_row(s), 0
+        for y in self.members[t]:
+            out |= row[y]
         return out
 
     def scale_set(self, a: int, s: int) -> int:
@@ -558,15 +541,15 @@ class CodeTable:
         return out
 
     def hypersum(self, xs: Sequence[int]) -> int:
-        """x1 (+) ... (+) xn, folded left to right through the table."""
+        """x1 (+) ... (+) xn, folded left to right through the step table."""
         if not xs:
             raise ValueError("hypersum of an empty list")
-        add, s = self.add, 1 << xs[0]
+        step, s = self.step, 1 << xs[0]
         for y in xs[1:]:
-            out = 0
-            for x in self.members[s]:
-                out |= add[x][y]
-            s = out
+            try:
+                s = step[s][y]
+            except KeyError:
+                s = self.step_row(s)[y]
         return s
 
     def neg_set(self, s: int) -> int:
@@ -592,33 +575,36 @@ class CodeTable:
 
     def product_cells(self, q_rows: Sequence, r_terms: Iterable,
                       size: int) -> set:
-        """The cell tuples (set numbers) of q (x) r for q's row_terms and
-        the terms of every r, where size is len(q) + len(r) - 1.  Every
-        member is trimmed: the leading cell is the leading codes' product."""
-        step, zero = self.step, self.zero
+        """The cell tuples (masks) of q (x) r for q's row_terms and the
+        terms of every r, where size is len(q) + len(r) - 1.  Every member
+        is trimmed: the leading cell is the leading codes' product."""
+        step, zero = self.step, 1 << self.zero
         out: set = set()
         for terms in r_terms:
             cells = [zero] * size
             for a, row in q_rows:
                 for b, d in terms:
                     t = a + b
-                    cells[t] = step[cells[t]][row[d]]
+                    try:
+                        cells[t] = step[cells[t]][row[d]]
+                    except KeyError:
+                        cells[t] = self.step_row(cells[t])[row[d]]
             out.add(tuple(cells))
         return out
 
     def expand(self, cell_tuples: Iterable) -> set:
         """Every member code tuple of the products with the given cells."""
-        choices = self.choices
+        members = self.members
         out: set = set()
         for cells in cell_tuples:
-            out.update(itertools.product(*[choices[s] for s in cells]))
+            out.update(itertools.product(*[members[s] for s in cells]))
         return out
 
     def members_of_product(self, q: Sequence[int], r: Sequence[int]):
         """Member code tuples of q (x) r for two trimmed code tuples."""
         (cells,) = self.product_cells(self.row_terms(q), [self.terms(r)],
                                       len(q) + len(r) - 1)
-        return itertools.product(*[self.choices[s] for s in cells])
+        return itertools.product(*[self.members[s] for s in cells])
 
 
 def _sign_mul(payloads):

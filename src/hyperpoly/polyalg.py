@@ -740,14 +740,10 @@ def _pairwise(left, right, hf: Hyperfield) -> FiniteValue:
     if not hf.is_finite():
         raise UndecidedError(
             "product of two undetermined polynomial sets is out of scope")
-    lefts, rights = left.members, right.members
-    if not (lefts and rights):
-        # no pair to combine, so the step table of GF(p) stays unbuilt
-        return FiniteValue(frozenset())
     codes = hf.codes
-    rights = [codes.encode(q.coeffs) for q in rights]
+    rights = [codes.encode(q.coeffs) for q in right.members]
     out: set = set()
-    for p in lefts:
+    for p in left.members:
         p = codes.encode(p.coeffs)
         for q in rights:
             out.update(codes.members_of_product(p, q))

@@ -354,24 +354,27 @@ class TestCodeTableData:
     @settings(max_examples=200)
     def test_tables_decode_to_the_carrier(self, hf):
         codes = hf.codes
-        els, step, choices = codes.elements, codes.step, codes.choices
+        els, row = codes.elements, codes.step_row
         n = len(els)
 
-        def decoded(s):
-            return finite_set(hf, [els[c].payload for c in choices[s]])
+        def bits(mask):
+            return tuple(c for c in range(n) if mask >> c & 1)
+
+        def decoded(mask):
+            return finite_set(hf, [els[c].payload for c in bits(mask)])
 
         for x in range(n):
             for y in range(n):
-                assert decoded(step[x][y]) == hf.hyperadd(els[x], els[y])
+                assert decoded(row(1 << x)[y]) == hf.hyperadd(els[x], els[y])
                 assert els[codes.mul[x][y]] == hf.mul(els[x], els[y])
-        for s, mask in enumerate(codes.masks):
-            assert codes.masks.index(mask) == s
-            assert choices[s] == tuple(c for c in range(n) if mask >> c & 1)
+        for mask in range(1 << n):  # the empty mask too
+            assert codes.members[mask] == bits(mask)
             for c in range(n):
                 union = finite_set(hf, frozenset().union(
                     *[payloads(hf.hyperadd(els[b], els[c]))
-                      for b in choices[s]]))
-                assert decoded(step[s][c]) == union
+                      for b in bits(mask)]))
+                assert decoded(row(mask)[c]) == union
+            assert codes.step[mask] is row(mask)
 
 
 def unsorted_group() -> FiniteHyperfield:
@@ -610,15 +613,18 @@ class TestGaloisFields:
         assert peak < 1_000_000
         assert hf.mul(hf.element(1008), hf.element(1008)) == hf.one()
 
-    def test_largest_field_decides_without_the_code_table(self,
-                                                           monkeypatch):
-        # resolve never yields a coupled value over GF(p), so deciding
-        # equality and associativity must not build the p^2 step table;
-        # building it here fails at once instead of running for minutes
-        def refuse(codes):
-            raise AssertionError(f"step table of {codes.hf.name} built")
+    @staticmethod
+    def assert_step_rows_are_add_rows(codes):
+        # a sum of singletons over GF(p) is a singleton, so every row the
+        # step table holds is a singleton's, the carrier's own add row
+        assert codes.step
+        for mask, row in codes.step.items():
+            assert mask.bit_count() == 1
+            assert row is codes.add[mask.bit_length() - 1]
 
-        monkeypatch.setattr(carriers.CodeTable, "_numbered", property(refuse))
+    def test_largest_field_decides_without_the_code_table(self):
+        # deciding equality and associativity over GF(p) steps only through
+        # singleton rows, so no p x p table is built
         tracemalloc.start()
         try:
             hf = gf(1009)
@@ -628,7 +634,7 @@ class TestGaloisFields:
                 ProdNode(ProdNode(PolyLeaf(p), PolyLeaf(q)), PolyLeaf(r)), hf)
             report = assoc_check(p, q, r)
             # a sum of boxes stays a box, and the product of two empty sums
-            # pairs no members, so neither reaches the code table either
+            # pairs no members
             total = SumNode(ProdNode(PolyLeaf(p), PolyLeaf(q)), PolyLeaf(r))
             total_cert = expr_member(parse_poly("T^2+4T+1", hf), total)
             empty = parse_expr("((T+1)+(1008T+1008))*((T+2)+(1008T+1007))",
@@ -640,12 +646,12 @@ class TestGaloisFields:
         assert cert.verdict == "equal" and report.associative is True
         assert total_cert.verdict == "yes"
         assert empty_cert.verdict == "equal"
-        assert "_numbered" not in vars(hf.codes)
+        self.assert_step_rows_are_add_rows(hf.codes)
         assert peak < 1_000_000
 
     def test_largest_field_answers_queries_without_a_step_table(self):
         # membership, quotients and multiplicities read the set operations
-        # on masks, which need no numbered step table
+        # on masks, whose step rows over GF(p) are the add rows themselves
         hf = gf(1009)
         p = parse_poly("T^2+1008", hf)  # (T-1)(T+1)
         q, r = parse_poly("T+1008", hf), parse_poly("T+1", hf)
@@ -654,17 +660,16 @@ class TestGaloisFields:
         assert [str(x) for x in quotients(p, hf.one()).representatives] \
             == ["T+1"]
         assert mult_at(p, hf.one()) == 1
-        assert "_numbered" not in vars(hf.codes)
+        self.assert_step_rows_are_add_rows(hf.codes)
 
     def test_cancelling_sum_decides_without_the_code_table(self):
         # (T+1)+(6T+6) cancels to the empty set over GF(7), and its product
-        # with T+1 stays an empty box instead of a coupled value, whose
-        # members would be enumerated on the p^2 code table
+        # with T+1 stays an empty box instead of a coupled value
         hf = gf(7)
         e = parse_expr("(T+1)*((T+1)+(6T+6))", hf)
         assert expr_equal(e, e, hf).verdict == "equal"
         assert expr_member(parse_poly("T+1", hf), e).verdict == "no"
-        assert "_numbered" not in vars(hf.codes)
+        self.assert_step_rows_are_add_rows(hf.codes)
 
     def test_int_literals_reduce_mod_p(self):
         hf = gf(5)

@@ -631,16 +631,16 @@ class TestCodeTable:
     @staticmethod
     def reference_members_of_product(codes, q, r):
         """members_of_product as it was before the cell kernel."""
-        zero, step, mul = codes.zero, codes.step, codes.mul
-        cells = [zero] * (len(q) + len(r) - 1)
+        zero, step, mul = codes.zero, codes.step_row, codes.mul
+        cells = [1 << zero] * (len(q) + len(r) - 1)
         for a, c in enumerate(q):
             if c != zero:
                 row, t = mul[c], a
                 for d in r:
                     if d != zero:
-                        cells[t] = step[cells[t]][row[d]]
+                        cells[t] = step(cells[t])[row[d]]
                     t += 1
-        return itertools.product(*[codes.choices[s] for s in cells])
+        return itertools.product(*[codes.members[s] for s in cells])
 
     @given(st.data())
     @settings(max_examples=150, deadline=None)
@@ -665,6 +665,11 @@ class TestCodeTable:
             expected.update(reference(codes, q, r))
             assert (list(codes.members_of_product(q, r))
                     == list(reference(codes, q, r)))
+            # a cell is a mask, the same as boxprod's FiniteSet cell
+            box = boxprod(*(Polynomial(hf, codes.decode(t)) for t in (q, r)))
+            assert codes.product_cells(codes.row_terms(q), [codes.terms(r)],
+                                       len(q) + deg) == {
+                tuple(cell.mask for cell in box.cells)}
         cells = codes.product_cells(codes.row_terms(q),
                                     [codes.terms(r) for r in inner],
                                     len(q) + deg)
