@@ -120,15 +120,15 @@ class FiniteSet(CarrierSet):
 
     def union(self, other: "FiniteSet") -> "FiniteSet":
         self._check(other)
-        return FiniteSet(self.carrier, self.mask | other.mask, self.hf)
+        return self.hf._set[self.mask | other.mask]
 
     def intersect(self, other: "FiniteSet") -> "FiniteSet":
         self._check(other)
-        return FiniteSet(self.carrier, self.mask & other.mask, self.hf)
+        return self.hf._set[self.mask & other.mask]
 
     def difference(self, other: "FiniteSet") -> "FiniteSet":
         self._check(other)
-        return FiniteSet(self.carrier, self.mask & ~other.mask, self.hf)
+        return self.hf._set[self.mask & ~other.mask]
 
     def is_singleton(self) -> bool:
         return self.mask.bit_count() == 1
@@ -321,14 +321,12 @@ class FiniteHyperfield(Hyperfield):
         self.modulus = modulus
         self._payloads = payloads
         self._int_payloads = all(isinstance(p, int) for p in payloads)
-        # an element's place in payloads is its sort key and its code
+        # a payload's place is its sort key and code; its Element and text,
+        # and each mask's FiniteSet, are made on first use (set-up makes none)
         place = self._place = {p: i for i, p in enumerate(payloads)}
-        # one Element per payload, entered only from the payload list and
-        # the tables, and one FiniteSet per singleton or full mask, both
-        # filled on first use: set-up of a large field builds none of them
         self._elem = _Interned(partial(Element, name))
-        self._set = partial(FiniteSet, name, hf=self)
-        self._single = _Interned(self._set)
+        self._texts = _Interned(format_payload)
+        self._set = _Interned(partial(FiniteSet, name, hf=self))
         self._zero = self._elem[zero]
         self._one = self._elem[one]
         self._inv = inv_table
@@ -364,6 +362,9 @@ class FiniteHyperfield(Hyperfield):
             return self._elem[payloads[payloads.index(raw)]]
         raise ValueError(f"{raw!r} is not in the carrier of {self.name}")
 
+    def format_element(self, x: Element) -> str:
+        return self._texts[x[1]]
+
     def _code(self, x: Element) -> int:
         if x[0] != self.name:
             self.check(x)
@@ -382,33 +383,33 @@ class FiniteHyperfield(Hyperfield):
             raise ZeroDivisionError(f"inv(0) in {self.name}")
         return self._elem[self._inv[x[1]]]
 
-    # The set operations wrap those of codes: elements in, a FiniteSet out.
+    # The set operations wrap those of codes: elements in, interned sets out.
     def hyperadd(self, x: Element, y: Element) -> FiniteSet:
-        return self._set(self.codes.hyperadd(self._code(x), self._code(y)))
+        return self._set[self.codes.hyperadd(self._code(x), self._code(y))]
 
     def hypersum(self, xs: Sequence[Element]) -> FiniteSet:
-        return self._set(self.codes.hypersum([self._code(x) for x in xs]))
+        return self._set[self.codes.hypersum([self._code(x) for x in xs])]
 
     def set_hyperadd(self, a: FiniteSet, b: FiniteSet) -> FiniteSet:
-        return self._set(self.codes.set_hyperadd(a.mask, b.mask))
+        return self._set[self.codes.set_hyperadd(a.mask, b.mask)]
 
     def scale_set(self, a: Element, s: FiniteSet) -> FiniteSet:
-        return self._set(self.codes.scale_set(self._code(a), s.mask))
+        return self._set[self.codes.scale_set(self._code(a), s.mask)]
 
     def set_mul(self, a: FiniteSet, b: FiniteSet) -> FiniteSet:
-        return self._set(self.codes.set_mul(a.mask, b.mask))
+        return self._set[self.codes.set_mul(a.mask, b.mask)]
 
     def neg_set(self, s: FiniteSet) -> FiniteSet:
-        return self._set(self.codes.neg_set(s.mask))
+        return self._set[self.codes.neg_set(s.mask)]
 
     def singleton(self, x: Element) -> FiniteSet:
-        return self._single[self.codes.singleton(self._code(x))]
+        return self._set[self.codes.singleton(self._code(x))]
 
     def full_set(self) -> FiniteSet:
-        return self._single[self.codes.full]
+        return self._set[self.codes.full]
 
     def remove_zero(self, s: FiniteSet) -> FiniteSet:
-        return self._set(self.codes.remove_zero(s.mask))
+        return self._set[self.codes.remove_zero(s.mask)]
 
     def sample_elements(self, s: FiniteSet) -> list[Element]:
         """The members in the payloads' natural order (integers by value,
@@ -600,11 +601,15 @@ class CodeTable:
             out.update(itertools.product(*[members[s] for s in cells]))
         return out
 
+    def cells_of_product(self, q: Sequence[int], r: Sequence[int]) -> tuple:
+        """The one cell tuple (masks) of q (x) r for two trimmed code tuples."""
+        return self.product_cells(self.row_terms(q), [self.terms(r)],
+                                  len(q) + len(r) - 1).pop()
+
     def members_of_product(self, q: Sequence[int], r: Sequence[int]):
         """Member code tuples of q (x) r for two trimmed code tuples."""
-        (cells,) = self.product_cells(self.row_terms(q), [self.terms(r)],
-                                      len(q) + len(r) - 1)
-        return itertools.product(*[self.members[s] for s in cells])
+        return itertools.product(*map(self.members.__getitem__,
+                                      self.cells_of_product(q, r)))
 
 
 def _sign_mul(payloads):

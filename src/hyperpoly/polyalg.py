@@ -114,11 +114,12 @@ def format_poly(p: Polynomial) -> str:
     '-' join would re-parse through neg which is the identity there."""
     hf = p.hf
     sign_join = isinstance(hf, FiniteHyperfield)
-    always_coeff = isinstance(hf, TropicalHyperfield)
-    parts: list[tuple[str, str]] = []
+    one = None if isinstance(hf, TropicalHyperfield) else \
+        hf.format_element(hf.one())
+    parts: list[str] = []
     for i in range(p.degree, -1, -1):
-        c = p.coeff(i)
-        if hf.is_zero(c) and not (i == 0 and not parts):
+        c = p.coeffs[i]
+        if hf.is_zero(c) and (i or parts):
             continue
         text = hf.format_element(c)
         op = "+"
@@ -126,20 +127,10 @@ def format_poly(p: Polynomial) -> str:
             op, text = "-", text[1:]
         if text.startswith("-"):
             text = f"({text})"
-        if i == 0:
-            parts.append((op, text))
-            continue
-        var = "T" if i == 1 else f"T^{i}"
-        if not always_coeff and text == hf.format_element(hf.one()):
-            text = ""
-        parts.append((op, text + var))
-    out = ""
-    for op, body in parts:
-        if not out:
-            out = body if op == "+" else op + body
-        else:
-            out += op + body
-    return out
+        if i:
+            text = ("" if text == one else text) + ("T" if i == 1 else f"T^{i}")
+        parts.append(op + text)
+    return "".join(parts).removeprefix("+")
 
 
 def parse_scalar_literal(hf: Hyperfield, text: str) -> Element:
@@ -207,8 +198,18 @@ def parse_poly(text: str, hf: Hyperfield) -> Polynomial:
 # coefficient boxes
 
 
+class _KeptDecisions:
+    """A frozen resolved value keeps _decide(p) per p, as it keeps members."""
+
+    _decisions = cached_property(lambda self: {})
+
+    def decide(self, p: Polynomial) -> Decision:
+        return self._decisions.get(p) or self._decisions.setdefault(
+            p, self._decide(p))
+
+
 @dataclass(frozen=True)
-class PolyBox:
+class PolyBox(_KeptDecisions):
     """Vector of per-coefficient value sets; denotes all polynomials whose
     padded coefficient vector selects from the cells, after trimming leading
     zeros.  The all-zero selection never yields a polynomial; zero_excluded
@@ -309,7 +310,7 @@ class PolyBox:
             return PolyBox(hf, cells, self.zero_excluded)
         return CoupledValue(p, self)
 
-    def decide(self, p: Polynomial) -> Decision:
+    def _decide(self, p: Polynomial) -> Decision:
         if self.is_empty() or p.degree > self.nominal_degree:
             return Decision("no", "box", [StepRecord(
                 "degree", None, "degree {} outside the box".format,
@@ -378,6 +379,10 @@ def boxprod(p: Polynomial, q: Polynomial) -> PolyBox:
     if p.hf != q.hf:
         raise ValueError("product across hyperfields")
     hf = p.hf
+    if hf.is_finite():  # the cell kernel's masks, as the interned sets
+        enc = hf.codes.encode
+        cells = hf.codes.cells_of_product(enc(p.coeffs), enc(q.coeffs))
+        return PolyBox(hf, tuple([hf._set[m] for m in cells]))
     return PolyBox(hf, tuple(hf.hypersum(_cell_terms(p, q, i))
                              for i in range(p.degree + q.degree + 1)))
 
@@ -580,7 +585,7 @@ class Decision(NamedTuple):
 
 
 @dataclass(frozen=True)
-class CoupledValue:
+class CoupledValue(_KeptDecisions):
     """outer (x) r for every member r of the inner box: the product
     coefficients are coupled through the shared choice of r."""
 
@@ -623,7 +628,7 @@ class CoupledValue:
                                 self.inner)
         return None
 
-    def decide(self, p: Polynomial) -> Decision:
+    def _decide(self, p: Polynomial) -> Decision:
         """The chain solver for a linear outer factor, the single-unknown
         solver when at most one inner cell is open, else enumeration over
         a finite carrier."""
@@ -685,7 +690,7 @@ class CoupledValue:
 
 
 @dataclass(frozen=True)
-class FiniteValue:
+class FiniteValue(_KeptDecisions):
     """An explicitly enumerated set of polynomials (finite carriers only)."""
 
     members: frozenset
@@ -697,7 +702,7 @@ class FiniteValue:
     def times(self, p: Polynomial) -> None:
         return None
 
-    def decide(self, p: Polynomial) -> Decision:
+    def _decide(self, p: Polynomial) -> Decision:
         return _enumeration_decision(
             p, len(self.members), p if p in self.members else None)
 

@@ -1,6 +1,7 @@
 """A finite carrier read back on payloads: its sets as payload sets and its
 tables as payload-keyed dicts, for tests that compare it with references
-written on payloads or that rebuild it with some entries redrawn."""
+written on payloads or that rebuild it with some entries redrawn; and the
+check that a prime field's step table holds only its own add rows."""
 
 from hyperpoly.carriers import FiniteSet
 
@@ -11,9 +12,10 @@ def payloads(s: FiniteSet) -> frozenset:
 
 
 def finite_set(hf, members) -> FiniteSet:
-    """The set of hf whose members have the given payloads."""
+    """The set of hf whose members have the given payloads: the carrier's
+    interned set of their mask."""
     codes = {hf.sort_key(hf.element(p)) for p in members}
-    return FiniteSet(hf.name, sum(1 << c for c in codes), hf)
+    return hf._set[sum(1 << c for c in codes)]
 
 
 def payload_tables(hf) -> tuple[dict, dict, dict, dict]:
@@ -27,3 +29,12 @@ def payload_tables(hf) -> tuple[dict, dict, dict, dict]:
     add = {(x.payload, y.payload): payloads(hf.hyperadd(x, y))
            for x in els for y in els}
     return mul, neg, inv, add
+
+
+def assert_step_rows_are_add_rows(codes) -> None:
+    """A sum of singletons over GF(p) is a singleton, so every row the step
+    table holds is a singleton's, the carrier's own add row."""
+    assert codes.step
+    for mask, row in codes.step.items():
+        assert mask.bit_count() == 1
+        assert row is codes.add[mask.bit_length() - 1]

@@ -153,6 +153,26 @@ class TestAssocCheckReference:
         p, q, r = (parse_poly(t, hf) for t in triple)
         same_reports(assoc_check(p, q, r), reference_assoc_check(p, q, r))
 
+    def test_comparisons_share_their_decisions(self, monkeypatch):
+        # the three separator searches of the undecided V triple draw many
+        # of the same candidates on the same sides; each value decides a
+        # candidate once (the reference, with no sharing, decides 1,320)
+        computed = []
+        for cls in (polyalg.PolyBox, polyalg.CoupledValue,
+                    polyalg.FiniteValue):
+            def counted(value, p, real=cls._decide):
+                computed.append(p)
+                return real(value, p)
+            monkeypatch.setattr(cls, "_decide", counted)
+        V = by_name("V")
+        p, q, r = (parse_poly(t, V)
+                   for t in ("2T^2+2T+3", "3T+2", "1/2T^2+3T+1"))
+        assert assoc_check(p, q, r).associative is None
+        assert len(computed) <= 990
+        computed.clear()
+        reference_assoc_check(p, q, r)
+        assert len(computed) == 1320
+
 
 class TestAssocScan:
     def test_krasner_degree_two(self):

@@ -42,12 +42,14 @@ from hyperpoly.carriers import (
     DdistReport,
     Element,
     FiniteHyperfield,
+    FiniteSet,
     Hyperfield,
     _points_of,
 )
 from hyperpoly.sets import IntervalUnion
 
-from finite_tables import finite_set, payload_tables, payloads
+from finite_tables import (assert_step_rows_are_add_rows, finite_set,
+                           payload_tables, payloads)
 
 FINITE = [
     krasner(),
@@ -613,15 +615,6 @@ class TestGaloisFields:
         assert peak < 1_000_000
         assert hf.mul(hf.element(1008), hf.element(1008)) == hf.one()
 
-    @staticmethod
-    def assert_step_rows_are_add_rows(codes):
-        # a sum of singletons over GF(p) is a singleton, so every row the
-        # step table holds is a singleton's, the carrier's own add row
-        assert codes.step
-        for mask, row in codes.step.items():
-            assert mask.bit_count() == 1
-            assert row is codes.add[mask.bit_length() - 1]
-
     def test_largest_field_decides_without_the_code_table(self):
         # deciding equality and associativity over GF(p) steps only through
         # singleton rows, so no p x p table is built
@@ -646,7 +639,7 @@ class TestGaloisFields:
         assert cert.verdict == "equal" and report.associative is True
         assert total_cert.verdict == "yes"
         assert empty_cert.verdict == "equal"
-        self.assert_step_rows_are_add_rows(hf.codes)
+        assert_step_rows_are_add_rows(hf.codes)
         assert peak < 1_000_000
 
     def test_largest_field_answers_queries_without_a_step_table(self):
@@ -660,7 +653,7 @@ class TestGaloisFields:
         assert [str(x) for x in quotients(p, hf.one()).representatives] \
             == ["T+1"]
         assert mult_at(p, hf.one()) == 1
-        self.assert_step_rows_are_add_rows(hf.codes)
+        assert_step_rows_are_add_rows(hf.codes)
 
     def test_cancelling_sum_decides_without_the_code_table(self):
         # (T+1)+(6T+6) cancels to the empty set over GF(7), and its product
@@ -669,7 +662,7 @@ class TestGaloisFields:
         e = parse_expr("(T+1)*((T+1)+(6T+6))", hf)
         assert expr_equal(e, e, hf).verdict == "equal"
         assert expr_member(parse_poly("T+1", hf), e).verdict == "no"
-        self.assert_step_rows_are_add_rows(hf.codes)
+        assert_step_rows_are_add_rows(hf.codes)
 
     def test_int_literals_reduce_mod_p(self):
         hf = gf(5)
@@ -993,11 +986,11 @@ class TestElementValue:
 
     def test_singletons_are_made_on_first_use(self):
         hf = weak_group(*cyclic_group_table(4))
-        assert not hf._single and not gf(1009)._single
+        assert not hf._set and not gf(1009)._set
         for _ in range(2):
             for x in hf.elements():
                 hf.singleton(x)
-        assert len(hf._single) == len(hf.elements())
+        assert len(hf._set) == len(hf.elements())
 
     def test_full_set_and_its_text_are_built_once(self):
         hf = gf(1009)
@@ -1005,6 +998,61 @@ class TestElementValue:
         assert hf.full_set() is full
         assert str(full) is str(full)
         assert str(full) == "{%s}" % ",".join(map(str, range(1009)))
+
+
+class TestInternedSets:
+    """A finite carrier hands out one FiniteSet per mask: every set
+    operation returns the carrier's interned set of its result."""
+
+    CARRIERS = [by_name("K"), by_name("S"), by_name("W"), gf(5), gf(1009),
+                weak_group(*cyclic_group_table(3)),
+                weak_group(*cyclic_group_table(4))]
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_every_set_operation_returns_the_interned_set(self, data):
+        hf = data.draw(st.sampled_from(self.CARRIERS), label="hf")
+        elems = hf.elements()
+        picks = st.lists(st.sampled_from(elems), min_size=1, max_size=4)
+        a, b = (hf._set[sum({1 << hf.sort_key(x) for x in data.draw(picks)})]
+                for _ in range(2))
+        x, y = data.draw(st.sampled_from(elems)), data.draw(st.sampled_from(elems))
+        xs = data.draw(picks)
+        results = [hf.hyperadd(x, y), hf.hypersum(xs), hf.set_hyperadd(a, b),
+                   hf.scale_set(x, a), hf.set_mul(a, b), hf.neg_set(a),
+                   hf.singleton(x), hf.full_set(), hf.remove_zero(a),
+                   a.union(b), a.intersect(b), a.difference(b)]
+        for s in results:
+            assert type(s) is FiniteSet and s.hf is hf
+            assert s is hf._set[s.mask]
+            assert str(s) is str(hf._set[s.mask])
+
+    def test_carriers_sharing_a_name_decode_through_their_own(self):
+        c3, c5 = (weak_group(*cyclic_group_table(n)) for n in (3, 5))
+        assert c3.name == c5.name == "W(G,1)"
+        a, b = c3.full_set(), c5.full_set()
+        assert a.hf is c3 and b.hf is c5 and a is not b
+        assert [str(x) for x in c3.sample_elements(a)] == ["0", "1", "g1", "g2"]
+        assert str(b) == "{0,1,g1,g2,g3,g4}" and str(a) == "{0,1,g1,g2}"
+        for s in (a.union(a), a.intersect(a), a.difference(c3.singleton(
+                c3.zero()))):
+            assert s.hf is c3 and s is c3._set[s.mask]
+        g4 = c5.element("g4")
+        assert c5.singleton(g4).the_element() is g4
+
+    @pytest.mark.parametrize("op", ["union", "intersect", "difference"])
+    def test_a_union_across_carriers_still_raises(self, op):
+        K, S = by_name("K"), by_name("S")
+        with pytest.raises(ValueError, match="across carriers"):
+            getattr(K.full_set(), op)(S.full_set())
+        with pytest.raises(ValueError, match="across carriers"):
+            getattr(S.singleton(S.one()), op)(by_name("T").full_set())
+
+    def test_sets_are_made_on_first_use(self):
+        hf = gf(1009)
+        assert not hf._set
+        hf.hypersum([hf.element(1000), hf.element(20), hf.element(5)])
+        assert list(hf._set) == [1 << 16]
 
 
 class TestFiniteSetOrder:

@@ -47,7 +47,7 @@ from hyperpoly.polyalg import (CoupledValue, FiniteValue,
                                chain_representatives, chain_witness,
                                solve_linear_chain)
 
-from finite_tables import payloads
+from finite_tables import assert_step_rows_are_add_rows, payloads
 
 FINITE_NAMES = ["K", "S", "W", "GF(3)", "GF(5)"]
 
@@ -123,7 +123,80 @@ class TestPolynomialBasics:
         assert p.eval(S.one()) == S.full_set()
 
 
+def reference_format_poly(p):
+    """format_poly as it was written per term: the unit's text read again
+    for every term, and the parts joined one at a time."""
+    hf = p.hf
+    sign_join = hf.is_finite()
+    always_coeff = hf.name == "T"
+    parts = []
+    for i in range(p.degree, -1, -1):
+        c = p.coeff(i)
+        if hf.is_zero(c) and not (i == 0 and not parts):
+            continue
+        text = hf.format_element(c)
+        op = "+"
+        if sign_join and text.startswith("-"):
+            op, text = "-", text[1:]
+        if text.startswith("-"):
+            text = f"({text})"
+        if i == 0:
+            parts.append((op, text))
+            continue
+        var = "T" if i == 1 else f"T^{i}"
+        if not always_coeff and text == hf.format_element(hf.one()):
+            text = ""
+        parts.append((op, text + var))
+    out = ""
+    for op, body in parts:
+        if not out:
+            out = body if op == "+" else op + body
+        else:
+            out += op + body
+    return out
+
+
+# every carrier kind, with the scalars its text forms must cover: negative
+# and -inf tropical coefficients, Viro magnitudes, phases, group symbols
+TEXT_CARRIERS = ([by_name(n) for n in ("K", "S", "W", "T", "V", "P")]
+                 + [gf(5), gf(1009), weak_group(*cyclic_group_table(3)),
+                    weak_group(*cyclic_group_table(4))])
+
+
+@st.composite
+def any_polys(draw, max_deg=4):
+    hf = draw(st.sampled_from(TEXT_CARRIERS))
+    if hf.is_finite():
+        scalars = st.sampled_from(hf.elements())
+    else:
+        raws = {"T": st.one_of(st.just("-inf"), st.fractions(
+                    min_value=-6, max_value=6, max_denominator=4)),
+                "V": st.fractions(min_value=0, max_value=6, max_denominator=4),
+                "P": st.one_of(st.none(), st.fractions(
+                    min_value=0, max_value=2, max_denominator=6))}[hf.name]
+        scalars = raws.map(hf.element)
+    deg = draw(st.integers(0, max_deg))
+    coeffs = [draw(scalars) for _ in range(deg)]
+    coeffs.append(draw(scalars.filter(lambda x: not hf.is_zero(x))))
+    return Polynomial.of(hf, coeffs)
+
+
 class TestTextForms:
+    @given(any_polys())
+    @settings(max_examples=400)
+    def test_format_equals_the_per_term_reference_and_round_trips(self, p):
+        text = format_poly(p)
+        assert text == reference_format_poly(p)
+        assert parse_poly(text, p.hf) == p
+
+    @pytest.mark.parametrize("name,text", [
+        ("T", "(-2)T^3+0T^2+(-1/2)T+(-3)"), ("T", "0T^4+(-1)T"),
+        ("V", "T^2+1/2T"), ("P", "T^2+ph(1/2)T+ph(3/2)"), ("P", "ph(1)T"),
+        ("S", "-T^2-1"), ("GF(1009)", "T^3+1008")])
+    def test_every_carrier_kind_keeps_its_text(self, name, text):
+        p = parse_poly(text, by_name(name))
+        assert format_poly(p) == reference_format_poly(p) == text
+
     @given(finite_polys())
     @settings(max_examples=200)
     def test_round_trip_finite(self, p):
@@ -271,6 +344,55 @@ class TestBoxProduct:
         box = boxprod(p, p)
         lead = hf.mul(p.coeffs[-1], p.coeffs[-1])
         assert box.cell(2 * p.degree) == hf.singleton(lead)
+
+
+def reference_boxprod(p, q):
+    """boxprod as it was built over a finite carrier before the cell
+    kernel: each cell the hypersum of its Element products."""
+    hf = p.hf
+    return PolyBox(hf, tuple(
+        hf.hypersum([hf.mul(p.coeff(k), q.coeff(i - k))
+                     for k in range(max(0, i - q.degree),
+                                    min(i, p.degree) + 1)])
+        for i in range(p.degree + q.degree + 1)))
+
+
+class TestFiniteBoxprodReference:
+    CARRIERS = [by_name("K"), by_name("S"), by_name("W"),
+                weak_group(*cyclic_group_table(3)), gf(5), gf(7), gf(1009)]
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_cells_and_text_equal_the_element_built_reference(self, data):
+        hf = data.draw(st.sampled_from(self.CARRIERS), label="hf")
+        elems = hf.elements()
+        nonzero = [e for e in elems if not hf.is_zero(e)]
+
+        def poly(label):
+            deg = data.draw(st.integers(0, 3), label=f"deg {label}")
+            coeffs = [data.draw(st.sampled_from(elems)) for _ in range(deg)]
+            coeffs.append(data.draw(st.sampled_from(nonzero)))
+            return Polynomial.of(hf, coeffs)
+
+        p, q = poly("p"), poly("q")
+        box, ref = boxprod(p, q), reference_boxprod(p, q)
+        assert box.cells == ref.cells and box == ref
+        assert str(box) == str(ref)
+        # each cell is the carrier's interned set of its mask
+        assert all(c is hf._set[c.mask] for c in box.cells)
+
+    @given(st.lists(st.lists(st.integers(0, 1008), min_size=1, max_size=4),
+                    min_size=2, max_size=6))
+    @settings(max_examples=30, deadline=None)
+    def test_largest_field_steps_only_through_add_rows(self, raws):
+        # sampled GF(1009) products equal the reference, and the kernel
+        # steps only through singleton rows: no p x p table is built
+        hf = gf(1009)
+        polys = [Polynomial.of(hf, r + [1]) for r in raws]
+        for p, q in zip(polys, polys[1:]):
+            box = boxprod(p, q)
+            assert box == reference_boxprod(p, q) and box.is_singleton()
+        assert_step_rows_are_add_rows(hf.codes)
 
 
 class TestBoxSum:
@@ -665,8 +787,9 @@ class TestCodeTable:
             expected.update(reference(codes, q, r))
             assert (list(codes.members_of_product(q, r))
                     == list(reference(codes, q, r)))
-            # a cell is a mask, the same as boxprod's FiniteSet cell
-            box = boxprod(*(Polynomial(hf, codes.decode(t)) for t in (q, r)))
+            # a cell is a mask, the same as the Element-built box's cell
+            box = reference_boxprod(*(Polynomial(hf, codes.decode(t))
+                                      for t in (q, r)))
             assert codes.product_cells(codes.row_terms(q), [codes.terms(r)],
                                        len(q) + deg) == {
                 tuple(cell.mask for cell in box.cells)}
@@ -845,13 +968,38 @@ class TestResolve:
         # membership reads the code table, the witness walks the inner
         # members: a "yes" the walk cannot witness is a fault
         K = by_name("K")
-        value = resolve(parse_expr("(T^2+1)*((T^2+T+1)*(T+1))", K), K)
+        expr = parse_expr("(T^2+1)*((T^2+T+1)*(T+1))", K)
+        value = resolve(expr, K)
         p = parse_poly("T^5+T^4+T+1", K)
         assert isinstance(value, CoupledValue)
         assert value.decide(p).verdict == "yes"
+        # a value keeps its decisions, so the fault is shown on a fresh one
         with mock.patch.object(polyalg, "in_product", lambda p, q, r: False):
             with pytest.raises(AssertionError, match="no inner choice"):
-                value.decide(p)
+                resolve(expr, K).decide(p)
+
+    @pytest.mark.parametrize("name,text,p", [
+        ("K", "(T^2+1)*((T^2+T+1)*(T+1))", "T^5+T^4+T+1"),
+        ("W", "(T+1)*(T+1)", "T^2+T+1"),
+        ("V", "(T+1)*((T+1)*(T+2))", "T^3+2T+2"),
+        ("W", "((T+1)*((T+1)*(T+1)))+(1)", "T^3+T")])
+    def test_a_value_decides_each_polynomial_once(self, name, text, p):
+        hf = by_name(name)
+        value, p = resolve(parse_expr(text, hf), hf), parse_poly(p, hf)
+        computed = []
+        real = type(value)._decide
+
+        def counted(self, p):
+            computed.append(p)
+            return real(self, p)
+
+        with mock.patch.object(type(value), "_decide", counted):
+            first = value.decide(p)
+            assert value.decide(p) is first
+            other = resolve(parse_expr(text, hf), hf).decide(p)
+        assert computed == [p, p]
+        assert other[:2] == first[:2] and other.witness == first.witness
+        assert [s.text for s in other.steps] == [s.text for s in first.steps]
 
     def test_degree_cap_applies_to_products(self):
         S = by_name("S")
