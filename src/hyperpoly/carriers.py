@@ -13,14 +13,13 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial, reduce
-from operator import itemgetter, or_
+from operator import attrgetter, itemgetter, or_
 from typing import Iterable, Optional, Sequence, Union
 
-from .sets import (NEG_INF, POS_INF, ArcUnion, ExtRat, Interval, IntervalUnion,
-                   _E0, _earlier_end, _is_empty, _later_start, _qadd, _qmul,
-                   _qsub, _ratio, _wrap, angle_mod,
-                   arcs_minkowski, interval_add, interval_max,
-                   interval_mul_nonneg, minor_arc)
+from .sets import (EXT_ZERO, NEG_INF, POS_INF, ArcUnion, ExtRat, Interval,
+                   IntervalUnion, angle_mod, arcs_minkowski, interval_add,
+                   interval_max, interval_mul_nonneg, interval_triangle,
+                   minor_arc, minor_arcs, qadd, qmul)
 
 Payload = Union[int, str, ExtRat, Fraction, None]
 
@@ -104,14 +103,20 @@ class CarrierSet:
 @dataclass(frozen=True)
 class FiniteSet(CarrierSet):
     """A subset of a finite carrier as one int: bit c of mask is set when
-    the element of code c is a member.  Sets compare by name and mask; hf,
-    the carrier that made the set, decodes it, as names may be shared."""
+    the element of code c is a member.  hf, the carrier that made the set,
+    decodes it, as names may be shared; sets compare by name, mask and hf,
+    so that a mask is read in one code order (see FiniteHyperfield.__eq__),
+    and hash by name and mask."""
 
     mask: int
-    hf: "FiniteHyperfield" = field(compare=False, repr=False)
+    hf: "FiniteHyperfield" = field(hash=False, repr=False)
 
     def is_empty(self) -> bool:
         return not self.mask
+
+    def _check(self, other: "FiniteSet") -> None:
+        if type(other) is not FiniteSet or other.hf != self.hf:
+            raise ValueError("set operation across carriers")
 
     def contains(self, x: Element) -> bool:
         self._check_element(x)
@@ -148,29 +153,39 @@ class FiniteSet(CarrierSet):
 
 
 @dataclass(frozen=True)
-class IntervalSet(CarrierSet):
+class _ExactSet(CarrierSet):
+    """A set held as one exact value of sets.py, its body (an IntervalUnion
+    or an ArcUnion), whose own union, intersect and difference it wraps."""
+
+    def is_empty(self) -> bool:
+        return self._body.is_empty()
+
+    def union(self, other: "_ExactSet") -> "_ExactSet":
+        self._check(other)
+        return type(self)(self.carrier, self._body.union(other._body))
+
+    def intersect(self, other: "_ExactSet") -> "_ExactSet":
+        self._check(other)
+        return type(self)(self.carrier, self._body.intersect(other._body))
+
+    def difference(self, other: "_ExactSet") -> "_ExactSet":
+        self._check(other)
+        return type(self)(self.carrier, self._body.difference(other._body))
+
+    def __str__(self) -> str:
+        return str(self._body)
+
+
+@dataclass(frozen=True)
+class IntervalSet(_ExactSet):
     """A union of intervals of extended rationals (the T and V carriers)."""
 
     intervals: IntervalUnion
-
-    def is_empty(self) -> bool:
-        return self.intervals.is_empty()
+    _body = property(attrgetter("intervals"))
 
     def contains(self, x: Element) -> bool:
         self._check_element(x)
         return self.intervals.contains(x.payload)
-
-    def union(self, other: "IntervalSet") -> "IntervalSet":
-        self._check(other)
-        return IntervalSet(self.carrier, self.intervals.union(other.intervals))
-
-    def intersect(self, other: "IntervalSet") -> "IntervalSet":
-        self._check(other)
-        return IntervalSet(self.carrier, self.intervals.intersect(other.intervals))
-
-    def difference(self, other: "IntervalSet") -> "IntervalSet":
-        self._check(other)
-        return IntervalSet(self.carrier, self.intervals.difference(other.intervals))
 
     def is_singleton(self) -> bool:
         parts = self.intervals.parts
@@ -179,36 +194,19 @@ class IntervalSet(CarrierSet):
     def _sole_payload(self) -> Payload:
         return self.intervals.parts[0].lo
 
-    def __str__(self) -> str:
-        return str(self.intervals)
-
 
 @dataclass(frozen=True)
-class ArcSet(CarrierSet):
+class ArcSet(_ExactSet):
     """Circle angles plus the optional zero element (the P carrier)."""
 
     arcs: ArcUnion
-
-    def is_empty(self) -> bool:
-        return self.arcs.is_empty()
+    _body = property(attrgetter("arcs"))
 
     def contains(self, x: Element) -> bool:
         self._check_element(x)
         if x.payload is None:
             return self.arcs.has_zero
         return self.arcs.contains_angle(x.payload)
-
-    def union(self, other: "ArcSet") -> "ArcSet":
-        self._check(other)
-        return ArcSet(self.carrier, self.arcs.union(other.arcs))
-
-    def intersect(self, other: "ArcSet") -> "ArcSet":
-        self._check(other)
-        return ArcSet(self.carrier, self.arcs.intersect(other.arcs))
-
-    def difference(self, other: "ArcSet") -> "ArcSet":
-        self._check(other)
-        return ArcSet(self.carrier, self.arcs.difference(other.arcs))
 
     def is_singleton(self) -> bool:
         if self.arcs.has_zero:
@@ -220,9 +218,6 @@ class ArcSet(CarrierSet):
         if self.arcs.has_zero:
             return None
         return self.arcs.parts.parts[0].lo.q
-
-    def __str__(self) -> str:
-        return str(self.arcs)
 
 
 def ElementSet(carrier: str, kind: str,
@@ -240,12 +235,12 @@ class Hyperfield:
     """Base carrier descriptor.  Each carrier class defines its elements
     and operations: zero() and one(); element(raw), which validates and
     canonicalises a raw payload; mul, neg and inv; the set-valued
-    hyperadd(x, y), set_hyperadd(a, b), scale_set(a, s) = {a (*) x : x in
-    s}, set_mul(a, b) = {x (*) y : x in a, y in b} and neg_set; the set
-    plumbing singleton, full_set and remove_zero; sample_elements(s),
-    finitely many exact members covering every component of s; and
-    parse_scalar(text).  The base supplies hypersum and the three relays
-    of the law table's operations (see value) from these."""
+    set_hyperadd(a, b), scale_set(a, s) = {a (*) x : x in s}, set_mul(a,
+    b) = {x (*) y : x in a, y in b} and neg_set; the set plumbing
+    singleton, full_set and remove_zero; sample_elements(s), finitely many
+    exact members covering every component of s; and parse_scalar(text).
+    The base supplies hypersum, hyperadd(x, y) = hypersum([x, y]) and the
+    law table's three relays (see value); a carrier may define faster sums."""
 
     name: str
 
@@ -257,6 +252,9 @@ class Hyperfield:
 
     def is_zero(self, x: Element) -> bool:
         return x == self.zero()
+
+    def hyperadd(self, x: Element, y: Element) -> CarrierSet:
+        return self.hypersum([x, y])
 
     def hypersum(self, xs: Sequence[Element]) -> CarrierSet:
         if not xs:
@@ -342,6 +340,12 @@ class FiniteHyperfield(Hyperfield):
 
     def is_finite(self) -> bool:
         return True
+
+    def __eq__(self, other) -> bool:  # names are shared, code orders not
+        return self is other or (Hyperfield.__eq__(self, other)
+                                 and self._place == other._place)
+
+    __hash__ = Hyperfield.__hash__
 
     def elements(self) -> list[Element]:
         elem = self._elem
@@ -780,17 +784,46 @@ def _rational(body: str, kind: str, literal: str) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# tropical carrier (max-plus)
+# interval carriers: tropical (max-plus) and Viro
 
 
-class TropicalHyperfield(Hyperfield):
+class _IntervalHyperfield(Hyperfield):
+    """A carrier whose sets are IntervalSets over a line whose least value
+    is the zero, and on which neg is the identity.  A set operation that
+    is a union over part pairs reads one rule of sets.py (see _pairwise)."""
+
+    def neg(self, x: Element) -> Element:
+        return self.check(x)
+
+    def _pairwise(self, rule, a: IntervalSet, b: IntervalSet) -> IntervalSet:
+        """The union of rule(i, j) over the parts i of a and j of b."""
+        return IntervalSet(self.name, IntervalUnion.of(
+            rule(i, j) for i in a.intervals.parts for j in b.intervals.parts))
+
+    def singleton(self, x: Element) -> IntervalSet:
+        self.check(x)
+        return IntervalSet(self.name, IntervalUnion.point(x.payload))
+
+    def full_set(self) -> IntervalSet:
+        whole = Interval(self.zero().payload, POS_INF, True, False)
+        return IntervalSet(self.name, IntervalUnion((whole,)))
+
+    def remove_zero(self, s: IntervalSet) -> IntervalSet:
+        return IntervalSet(self.name,
+                           s.intervals.remove_point(self.zero().payload))
+
+    def sample_elements(self, s: IntervalSet) -> list[Element]:
+        return [Element(self.name, v) for v in s.intervals.sample_values()]
+
+
+class TropicalHyperfield(_IntervalHyperfield):
     name = "T"
 
     def zero(self) -> Element:
         return Element(self.name, NEG_INF)
 
     def one(self) -> Element:
-        return Element(self.name, _E0)
+        return Element(self.name, EXT_ZERO)
 
     def element(self, raw) -> Element:
         if isinstance(raw, Element):
@@ -803,17 +836,11 @@ class TropicalHyperfield(Hyperfield):
         self.check(x), self.check(y)
         return Element(self.name, x.payload + y.payload)
 
-    def neg(self, x: Element) -> Element:
-        return self.check(x)
-
     def inv(self, x: Element) -> Element:
         self.check(x)
         if x.payload.inf:
             raise ZeroDivisionError("inv(-inf)")
         return Element(self.name, ExtRat(-x.payload.q))
-
-    def hyperadd(self, x: Element, y: Element) -> IntervalSet:
-        return self.hypersum([x, y])
 
     def hypersum(self, xs: Sequence[Element]) -> IntervalSet:
         """{max} when the maximum is attained once, else [-inf, max]."""
@@ -828,39 +855,23 @@ class TropicalHyperfield(Hyperfield):
     def set_hyperadd(self, a: IntervalSet, b: IntervalSet) -> IntervalSet:
         if a.is_empty() or b.is_empty():
             raise ValueError("set_hyperadd of an empty set")
-        maxes = IntervalUnion.of(
-            interval_max(i, j) for i in a.intervals.parts for j in b.intervals.parts)
+        maxes = self._pairwise(interval_max, a, b)
         meet = a.intervals.intersect(b.intervals)
-        if not meet.is_empty():
-            top, attained = meet.max_value()
-            maxes = maxes.union(IntervalUnion((Interval(NEG_INF, top, True, attained),)))
-        return IntervalSet(self.name, maxes)
+        if meet.is_empty():
+            return maxes
+        top, attained = meet.max_value()
+        return IntervalSet(self.name, maxes.intervals.union(
+            IntervalUnion((Interval(NEG_INF, top, True, attained),))))
 
     def scale_set(self, a: Element, s: IntervalSet) -> IntervalSet:
         self.check(a)
         return IntervalSet(self.name, s.intervals.translate(a.payload))
 
     def set_mul(self, a: IntervalSet, b: IntervalSet) -> IntervalSet:
-        out = IntervalUnion.of(
-            interval_add(i, j) for i in a.intervals.parts for j in b.intervals.parts)
-        return IntervalSet(self.name, out)
+        return self._pairwise(interval_add, a, b)
 
     def neg_set(self, s: IntervalSet) -> IntervalSet:
         return s
-
-    def singleton(self, x: Element) -> IntervalSet:
-        self.check(x)
-        return IntervalSet(self.name, IntervalUnion.point(x.payload))
-
-    def full_set(self) -> IntervalSet:
-        whole = Interval(NEG_INF, POS_INF, True, False)
-        return IntervalSet(self.name, IntervalUnion((whole,)))
-
-    def remove_zero(self, s: IntervalSet) -> IntervalSet:
-        return IntervalSet(self.name, s.intervals.remove_point(NEG_INF))
-
-    def sample_elements(self, s: IntervalSet) -> list[Element]:
-        return [Element(self.name, v) for v in s.intervals.sample_values()]
 
     def parse_scalar(self, text: str) -> Element:
         text = text.strip()
@@ -869,15 +880,11 @@ class TropicalHyperfield(Hyperfield):
         return Element(self.name, ExtRat(_rational(text, "T", text)))
 
 
-# ---------------------------------------------------------------------------
-# Viro carrier (triangle inequality)
-
-
-class ViroHyperfield(Hyperfield):
+class ViroHyperfield(_IntervalHyperfield):
     name = "V"
 
     def zero(self) -> Element:
-        return Element(self.name, _E0)
+        return Element(self.name, EXT_ZERO)
 
     def one(self) -> Element:
         return Element(self.name, ExtRat(Fraction(1)))
@@ -892,19 +899,13 @@ class ViroHyperfield(Hyperfield):
 
     def mul(self, x: Element, y: Element) -> Element:
         self.check(x), self.check(y)
-        return Element(self.name, ExtRat(_qmul(x.payload.q, y.payload.q)))
-
-    def neg(self, x: Element) -> Element:
-        return self.check(x)
+        return Element(self.name, ExtRat(qmul(x.payload.q, y.payload.q)))
 
     def inv(self, x: Element) -> Element:
         self.check(x)
         if x.payload.q == 0:
             raise ZeroDivisionError("inv(0)")
         return Element(self.name, ExtRat(1 / x.payload.q))
-
-    def hyperadd(self, x: Element, y: Element) -> IntervalSet:
-        return self.hypersum([x, y])
 
     def hypersum(self, xs: Sequence[Element]) -> IntervalSet:
         """[max(0, 2 max - sum), sum]: the polygon inequality."""
@@ -914,35 +915,13 @@ class ViroHyperfield(Hyperfield):
             return self.singleton(xs[0])
         ps = [self.check(x).payload for x in xs]
         total, top = sum(ps[1:], ps[0]), max(ps)
-        lo = max(_E0, top + top + -total)
+        lo = max(EXT_ZERO, top + top + -total)
         return IntervalSet(self.name, IntervalUnion.closed(lo, total))
 
     def set_hyperadd(self, a: IntervalSet, b: IntervalSet) -> IntervalSet:
         if a.is_empty() or b.is_empty():
             raise ValueError("set_hyperadd of an empty set")
-        out = []
-        for i in a.intervals.parts:
-            for j in b.intervals.parts:
-                out.append(self._pair(i, j))
-        return IntervalSet(self.name, IntervalUnion.of(out))
-
-    @staticmethod
-    def _pair(i: Interval, j: Interval) -> Interval:
-        (meet_lo, lo_closed), (meet_hi, hi_closed) = \
-            _later_start(i, j), _earlier_end(i, j)
-        if not _is_empty(meet_lo, meet_hi, lo_closed, hi_closed):
-            lo, lo_closed = _E0, True  # i and j overlap
-        elif i.hi <= j.lo:
-            gap = _qsub(j.lo.q, i.hi.q)
-            lo = ExtRat(gap)
-            lo_closed = (gap > 0 and j.lo_closed and i.hi_closed)
-        else:
-            gap = _qsub(i.lo.q, j.hi.q)
-            lo = ExtRat(gap)
-            lo_closed = (gap > 0 and i.lo_closed and j.hi_closed)
-        hi = i.hi + j.hi
-        hi_closed = i.hi_closed and j.hi_closed and hi.inf == 0
-        return Interval(lo, hi, lo_closed, hi_closed)
+        return self._pairwise(interval_triangle, a, b)
 
     def scale_set(self, a: Element, s: IntervalSet) -> IntervalSet:
         self.check(a)
@@ -951,27 +930,10 @@ class ViroHyperfield(Hyperfield):
         return IntervalSet(self.name, s.intervals.scale(a.payload.q))
 
     def set_mul(self, a: IntervalSet, b: IntervalSet) -> IntervalSet:
-        out = IntervalUnion.of(
-            interval_mul_nonneg(i, j)
-            for i in a.intervals.parts for j in b.intervals.parts)
-        return IntervalSet(self.name, out)
+        return self._pairwise(interval_mul_nonneg, a, b)
 
     def neg_set(self, s: IntervalSet) -> IntervalSet:
         return s
-
-    def singleton(self, x: Element) -> IntervalSet:
-        self.check(x)
-        return IntervalSet(self.name, IntervalUnion.point(x.payload))
-
-    def full_set(self) -> IntervalSet:
-        whole = Interval(_E0, POS_INF, True, False)
-        return IntervalSet(self.name, IntervalUnion((whole,)))
-
-    def remove_zero(self, s: IntervalSet) -> IntervalSet:
-        return IntervalSet(self.name, s.intervals.remove_point(Fraction(0)))
-
-    def sample_elements(self, s: IntervalSet) -> list[Element]:
-        return [Element(self.name, v) for v in s.intervals.sample_values()]
 
     def parse_scalar(self, text: str) -> Element:
         text = text.strip()
@@ -1002,7 +964,7 @@ class PhaseHyperfield(Hyperfield):
         self.check(x), self.check(y)
         if x.payload is None or y.payload is None:
             return self.zero()
-        return Element(self.name, angle_mod(_qadd(x.payload, y.payload)))
+        return Element(self.name, angle_mod(qadd(x.payload, y.payload)))
 
     def neg(self, x: Element) -> Element:
         self.check(x)
@@ -1048,7 +1010,7 @@ class PhaseHyperfield(Hyperfield):
             parts.extend(anti.antipode().parts.parts)
         for p in au.parts.parts:
             for q in bu.parts.parts:
-                parts.extend(_phase_generic_pieces(p, q))
+                parts.extend(minor_arcs(p, q))
         return ArcSet(self.name, ArcUnion(IntervalUnion.of(parts), has_zero))
 
     def scale_set(self, a: Element, s: ArcSet) -> ArcSet:
@@ -1094,30 +1056,6 @@ class PhaseHyperfield(Hyperfield):
         if compact.startswith("e^{i") and compact.endswith("pi}"):
             return self.element(_rational(compact[4:-3] or "1", "phase", text))
         raise ValueError(f"bad phase literal {text!r}")
-
-
-def _phase_generic_pieces(p: Interval, q: Interval) -> list[Interval]:
-    """Union of open minor arcs over x in p, y in q, skipping equal and
-    antipodal pairs (those are handled separately by set_hyperadd).
-
-    The angles a, b (of p) and c, d (of q) are handled as integers over
-    their common denominator."""
-    ends = (p.lo.q, p.hi.q, q.lo.q, q.hi.q)
-    den = math.lcm(*(e._denominator for e in ends))
-    a, b, c, d = (e._numerator * (den // e._denominator) for e in ends)
-    s_lo, s_hi = c - b, d - a
-    out: list[Interval] = []
-    for k in range(s_lo // den - 1, -(-s_hi // den) + 2):
-        if not (s_hi > k * den and s_lo < (k + 1) * den):
-            continue
-        if k % 2 == 0:
-            start = max(a, c - (k + 1) * den) + k * den
-            end = min(d, b + (k + 1) * den)
-        else:
-            start = max(c, a + k * den)
-            end = min(b, d - k * den) + (k + 1) * den
-        out.extend(_wrap(_ratio(start, den), _ratio(end, den), False, False))
-    return out
 
 
 # ---------------------------------------------------------------------------

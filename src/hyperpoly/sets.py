@@ -13,7 +13,8 @@ Two families live here:
   circle is always expressed at 0).
 
 Canonical form (parts sorted, disjoint, maximal) makes set equality plain
-structural equality.
+structural equality.  The endpoint rules of the carriers' set operations
+live here too: ``interval_*`` for T and V, the arc functions for P.
 
 All four types are immutable ``__slots__`` values whose equality and hash
 are those of their field tuples, as for frozen dataclasses.  Finite
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Optional
 
 Rat = Fraction
@@ -49,7 +50,7 @@ def _ratio(n: int, d: int) -> Fraction:
     return _frac(n // g, d // g)
 
 
-def _qadd(x: Fraction, y: Fraction) -> Fraction:
+def qadd(x: Fraction, y: Fraction) -> Fraction:
     xd, yd = x._denominator, y._denominator
     return _ratio(x._numerator * yd + y._numerator * xd, xd * yd)
 
@@ -59,7 +60,7 @@ def _qsub(x: Fraction, y: Fraction) -> Fraction:
     return _ratio(x._numerator * yd - y._numerator * xd, xd * yd)
 
 
-def _qmul(x: Fraction, y: Fraction) -> Fraction:
+def qmul(x: Fraction, y: Fraction) -> Fraction:
     return _ratio(x._numerator * y._numerator, x._denominator * y._denominator)
 
 
@@ -151,7 +152,7 @@ class ExtRat(_Value):
 
     def __add__(self, other: "ExtRat") -> "ExtRat":
         if self.inf == 0 and other.inf == 0:
-            return ExtRat(_qadd(self.q, other.q))
+            return ExtRat(qadd(self.q, other.q))
         if -1 in (self.inf, other.inf):
             if 1 in (self.inf, other.inf):
                 raise ArithmeticError("cannot add -inf and +inf")
@@ -185,7 +186,7 @@ def _cmp(a: ExtRat, b: ExtRat) -> int:
 
 NEG_INF = ExtRat(inf=-1)
 POS_INF = ExtRat(inf=1)
-_E0 = ExtRat(_ZERO)
+EXT_ZERO = ExtRat(_ZERO)
 _E2 = ExtRat(Fraction(2))
 
 
@@ -234,7 +235,7 @@ class Interval(_Value):
             return self.lo
         if self.lo.inf == -1:
             if self.hi.inf == 1:
-                return _E0
+                return EXT_ZERO
             return self.hi + ExtRat(Fraction(-1))
         if self.hi.inf == 1:
             return self.lo + ExtRat(Fraction(1))
@@ -467,12 +468,29 @@ def interval_mul_nonneg(a: Interval, b: Interval) -> Interval:
     """Product set {x*y} for intervals inside the nonnegative rationals."""
     if a.lo.inf or b.lo.inf or a.hi.inf or b.hi.inf:
         raise ValueError("products need bounded nonnegative intervals")
-    lo = ExtRat(_qmul(a.lo.q, b.lo.q))
-    hi = ExtRat(_qmul(a.hi.q, b.hi.q))
+    lo = ExtRat(qmul(a.lo.q, b.lo.q))
+    hi = ExtRat(qmul(a.hi.q, b.hi.q))
     lo_closed = ((a.lo_closed and b.lo_closed)
                  or (a.lo.q == 0 and a.lo_closed)
                  or (b.lo.q == 0 and b.lo_closed))
     hi_closed = a.hi_closed and b.hi_closed
+    return Interval(lo, hi, lo_closed, hi_closed)
+
+
+def interval_triangle(a: Interval, b: Interval) -> Interval:
+    """{z : |x - y| <= z <= x + y, x in a, y in b} for intervals inside
+    the nonnegative rationals: the triangle carrier's sum of a and b."""
+    (meet_lo, lo_closed), (meet_hi, hi_closed) = \
+        _later_start(a, b), _earlier_end(a, b)
+    if not _is_empty(meet_lo, meet_hi, lo_closed, hi_closed):
+        lo, lo_closed = EXT_ZERO, True  # a and b overlap
+    else:  # the gap from the lower interval's end to the other's start
+        low, high = (a, b) if a.hi <= b.lo else (b, a)
+        gap = _qsub(high.lo.q, low.hi.q)
+        lo = ExtRat(gap)
+        lo_closed = gap > 0 and high.lo_closed and low.hi_closed
+    hi = a.hi + b.hi
+    hi_closed = a.hi_closed and b.hi_closed and hi.inf == 0
     return Interval(lo, hi, lo_closed, hi_closed)
 
 
@@ -501,7 +519,7 @@ def _wrap(lo: Rat, hi: Rat, lo_closed: bool, hi_closed: bool) -> list[Interval]:
     hn, hd = hi._numerator, hi._denominator
     span = hn * ld - ln * hd - 2 * ld * hd  # sign of (hi - lo) - 2
     if span > 0 or (span == 0 and (lo_closed or hi_closed)):
-        return [_interval(_E0, _E2, True, False)]
+        return [_interval(EXT_ZERO, _E2, True, False)]
     # shift both ends down by the even integer 2k with lo - 2k in [0, 2)
     k = ln // (2 * ld)
     ln -= 2 * k * ld
@@ -509,8 +527,8 @@ def _wrap(lo: Rat, hi: Rat, lo_closed: bool, hi_closed: bool) -> list[Interval]:
     lo_e = ExtRat(_frac(ln, ld))
     if span == 0:  # circle minus the single point lo (mod 2)
         if ln == 0:
-            return [_interval(_E0, _E2, False, False)]
-        return [_interval(_E0, lo_e, True, False),
+            return [_interval(EXT_ZERO, _E2, False, False)]
+        return [_interval(EXT_ZERO, lo_e, True, False),
                 _interval(lo_e, _E2, False, False)]
     over = hn - 2 * hd  # sign of hi - 2, after the shift
     if over < 0 or (over == 0 and not hi_closed):
@@ -520,11 +538,11 @@ def _wrap(lo: Rat, hi: Rat, lo_closed: bool, hi_closed: bool) -> list[Interval]:
         return [_interval(lo_e, hi_e, lo_closed, hi_closed)]
     out = [_interval(lo_e, _E2, lo_closed, False)]
     if over > 0 or hi_closed:
-        out.append(_interval(_E0, ExtRat(_frac(over, hd)), True, hi_closed))
+        out.append(_interval(EXT_ZERO, ExtRat(_frac(over, hd)), True, hi_closed))
     return out
 
 
-_FULL_PARTS = IntervalUnion((Interval(_E0, _E2, True, False),))
+_FULL_PARTS = IntervalUnion((Interval(EXT_ZERO, _E2, True, False),))
 
 
 class ArcUnion(_Value):
@@ -584,7 +602,7 @@ class ArcUnion(_Value):
             phi = Fraction(phi)
         out: list[Interval] = []
         for p in self.parts.parts:
-            out.extend(_wrap(_qadd(p.lo.q, phi), _qadd(p.hi.q, phi),
+            out.extend(_wrap(qadd(p.lo.q, phi), qadd(p.hi.q, phi),
                              p.lo_closed, p.hi_closed))
         return ArcUnion(IntervalUnion.of(out), self.has_zero)
 
@@ -636,8 +654,32 @@ def arcs_minkowski(a: ArcUnion, b: ArcUnion) -> IntervalUnion:
     out: list[Interval] = []
     for p in a.parts.parts:
         for q in b.parts.parts:
-            lo = _qadd(p.lo.q, q.lo.q)
-            hi = _qadd(p.hi.q, q.hi.q)
+            lo = qadd(p.lo.q, q.lo.q)
+            hi = qadd(p.hi.q, q.hi.q)
             out.extend(_wrap(lo, hi, p.lo_closed and q.lo_closed,
                              p.hi_closed and q.hi_closed))
     return IntervalUnion.of(out)
+
+
+def minor_arcs(p: Interval, q: Interval) -> list[Interval]:
+    """The angle parts of the union of the open minor arcs between x in p
+    and y in q, over the pairs that are neither equal nor antipodal.
+
+    The angles a, b (of p) and c, d (of q) are handled as integers over
+    their common denominator."""
+    ends = (p.lo.q, p.hi.q, q.lo.q, q.hi.q)
+    den = lcm(*(e._denominator for e in ends))
+    a, b, c, d = (e._numerator * (den // e._denominator) for e in ends)
+    s_lo, s_hi = c - b, d - a
+    out: list[Interval] = []
+    for k in range(s_lo // den - 1, -(-s_hi // den) + 2):
+        if not (s_hi > k * den and s_lo < (k + 1) * den):
+            continue
+        if k % 2 == 0:
+            start = max(a, c - (k + 1) * den) + k * den
+            end = min(d, b + (k + 1) * den)
+        else:
+            start = max(c, a + k * den)
+            end = min(b, d - k * den) + (k + 1) * den
+        out.extend(_wrap(_ratio(start, den), _ratio(end, den), False, False))
+    return out

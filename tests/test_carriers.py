@@ -37,6 +37,7 @@ from hyperpoly import (
 )
 from hyperpoly import carriers
 from hyperpoly.carriers import (
+    ArcSet,
     AxiomCheck,
     AxiomReport,
     DdistReport,
@@ -44,9 +45,10 @@ from hyperpoly.carriers import (
     FiniteHyperfield,
     FiniteSet,
     Hyperfield,
+    IntervalSet,
     _points_of,
 )
-from hyperpoly.sets import IntervalUnion
+from hyperpoly.sets import NEG_INF, ArcUnion, Interval, IntervalUnion, ext
 
 from finite_tables import (assert_step_rows_are_add_rows, finite_set,
                            payload_tables, payloads)
@@ -874,6 +876,69 @@ class TestHypersum:
             by_name(name).hypersum([])
 
 
+SUM_CARRIERS = [by_name("T"), by_name("V"), by_name("P"), krasner(), signs(),
+                weak_signs(), gf(5), weak_group(*cyclic_group_table(3))]
+
+
+@st.composite
+def line_sets(draw, hf):
+    """A nonempty set of T or V: up to three random parts, and for T maybe
+    also a part reaching down to -inf or the point -inf alone."""
+    ends = rationals if hf.name == "T" else nonneg_rationals
+    parts = []
+    for lo, hi, lc, hc in draw(st.lists(st.tuples(
+            ends, ends, st.booleans(), st.booleans()), min_size=1,
+            max_size=3)):
+        lo, hi = min(lo, hi), max(lo, hi)
+        parts.append(Interval(ext(lo), ext(hi), lc or lo == hi,
+                              hc or lo == hi))
+    if hf.name == "T" and draw(st.booleans()):
+        top = draw(st.one_of(st.none(), ends))
+        parts.append(Interval(NEG_INF, NEG_INF) if top is None else
+                     Interval(NEG_INF, ext(top), True, draw(st.booleans())))
+    return IntervalSet(hf.name, IntervalUnion.of(parts))
+
+
+@st.composite
+def arc_sets(draw, hf):
+    """A nonempty set of P: up to three random arcs, with or without 0."""
+    has_zero = draw(st.booleans())
+    arcs = ArcUnion(IntervalUnion(), has_zero)
+    for lo, span, lc, hc in draw(st.lists(st.tuples(
+            st.fractions(0, 2, max_denominator=6),
+            st.fractions(0, Fraction(5, 2), max_denominator=6),
+            st.booleans(), st.booleans()), min_size=0 if has_zero else 1,
+            max_size=3)):
+        arcs = arcs.union(ArcUnion.arc(lo, lo + span, lc or span == 0,
+                                       hc or span == 0))
+    return ArcSet(hf.name, arcs)
+
+
+class TestSums:
+    """hyperadd, each carrier's own rule or the base's, is the base fold
+    of its two terms; set_hyperadd holds the sums of its sets' members."""
+
+    @given(st.sampled_from(SUM_CARRIERS), st.data())
+    @settings(max_examples=400)
+    def test_hyperadd_is_the_fold_of_its_two_terms(self, hf, data):
+        # P's draws hold 0, and y is often x or -x: equal and antipodal
+        x = data.draw(elements_of(hf), label="x")
+        y = data.draw(st.one_of(elements_of(hf), st.just(x),
+                                st.just(hf.neg(x))), label="y")
+        assert hf.hyperadd(x, y) == Hyperfield.hypersum(hf, [x, y])
+
+    @given(st.sampled_from(INFINITE), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_set_hyperadd_holds_every_pointwise_sum(self, hf, data):
+        sets = arc_sets(hf) if hf.name == "P" else line_sets(hf)
+        a, b = data.draw(sets, label="a"), data.draw(sets, label="b")
+        total = hf.set_hyperadd(a, b)
+        for x in hf.sample_elements(a):
+            for y in hf.sample_elements(b):
+                for z in hf.sample_elements(hf.hyperadd(x, y)):
+                    assert total.contains(z), f"{x} (+) {y} holds {z}"
+
+
 @dataclasses.dataclass(frozen=True)
 class ReferenceElement:
     """Element as the frozen dataclass that the interned tuple replaced."""
@@ -1039,6 +1104,23 @@ class TestInternedSets:
             assert s.hf is c3 and s is c3._set[s.mask]
         g4 = c5.element("g4")
         assert c5.singleton(g4).the_element() is g4
+
+    @pytest.mark.parametrize("op", ["union", "intersect", "difference"])
+    def test_same_named_carriers_of_other_code_orders_do_not_mix(self, op):
+        table, symbols, e = cyclic_group_table(3)
+        first = weak_group(table, symbols, e)
+        other = weak_group(table, list(reversed(symbols)), e)
+        again = weak_group(table, symbols, e)
+        assert first.name == other.name == again.name == "W(G,1)"
+        g2, one = first.singleton(first.element("g2")), \
+            other.singleton(other.one())
+        assert g2.mask == one.mask and g2 != one and first != other
+        with pytest.raises(ValueError, match="across carriers"):
+            getattr(g2, op)(one)
+        # a carrier built again from the same table is the same carrier
+        same = again.singleton(again.element("g2"))
+        assert same == g2 and again == first and hash(again) == hash(first)
+        assert getattr(g2, op)(same) is getattr(g2, op)(g2)
 
     @pytest.mark.parametrize("op", ["union", "intersect", "difference"])
     def test_a_union_across_carriers_still_raises(self, op):

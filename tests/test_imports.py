@@ -1,6 +1,7 @@
 """Static checks of the hyperpoly sources: every imported name is used,
-every private function has a caller, no module re-canonicalises a box, and
-no run-time check is an assert statement."""
+no module imports a private name of sets.py, every private function has a
+caller, no module re-canonicalises a box, and no run-time check is an
+assert statement."""
 import ast
 from pathlib import Path
 
@@ -24,6 +25,19 @@ def test_every_imported_name_is_used(path):
             imported.update(a.asname or a.name for a in node.names)
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     assert sorted(imported - used) == []
+
+
+def test_no_module_imports_a_private_name_of_sets():
+    """sets.py keeps its endpoint arithmetic to itself: the carriers and
+    every other module read only its public names."""
+    private = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        private.extend(f"{path.name}: {a.name}" for node in ast.walk(tree)
+                       if isinstance(node, ast.ImportFrom)
+                       and node.module == "sets"
+                       for a in node.names if a.name.startswith("_"))
+    assert sorted(private) == []
 
 
 def test_every_private_function_is_referenced():
