@@ -233,12 +233,13 @@ def ElementSet(carrier: str, kind: str,
 
 class Hyperfield:
     """Base carrier descriptor.  Each carrier class defines its elements
-    and operations: zero() and one(); element(raw), which validates and
-    canonicalises a raw payload; mul, neg and inv; the set-valued
-    set_hyperadd(a, b), scale_set(a, s) = {a (*) x : x in s}, set_mul(a,
-    b) = {x (*) y : x in a, y in b} and neg_set; the set plumbing
-    singleton, full_set and remove_zero; sample_elements(s), finitely many
-    exact members covering every component of s; and parse_scalar(text).
+    and operations: _zero and _one, made once and returned by zero() and
+    one(); element(raw), which validates and canonicalises a raw payload;
+    mul, neg and inv; the set-valued set_hyperadd(a, b), scale_set(a, s) =
+    {a (*) x : x in s}, set_mul(a, b) = {x (*) y : x in a, y in b} and
+    neg_set; the set plumbing singleton, full_set and remove_zero;
+    sample_elements(s), finitely many exact members covering every
+    component of s; and parse_scalar(text).
     The base supplies hypersum, hyperadd(x, y) = hypersum([x, y]) and the
     law table's three relays (see value); a carrier may define faster sums."""
 
@@ -250,8 +251,14 @@ class Hyperfield:
     def elements(self) -> list[Element]:
         raise ValueError(f"{self.name} is not a finite carrier")
 
+    def zero(self) -> Element:
+        return self._zero
+
+    def one(self) -> Element:
+        return self._one
+
     def is_zero(self, x: Element) -> bool:
-        return x == self.zero()
+        return x == self._zero
 
     def hyperadd(self, x: Element, y: Element) -> CarrierSet:
         return self.hypersum([x, y])
@@ -350,12 +357,6 @@ class FiniteHyperfield(Hyperfield):
     def elements(self) -> list[Element]:
         elem = self._elem
         return [elem[p] for p in self._payloads]
-
-    def zero(self) -> Element:
-        return self._zero
-
-    def one(self) -> Element:
-        return self._one
 
     def element(self, raw) -> Element:
         if isinstance(raw, Element):
@@ -777,10 +778,22 @@ def load_cayley_table(path: str) -> FiniteHyperfield:
 
 def _rational(body: str, kind: str, literal: str) -> Fraction:
     """The rational written as body, read out of a literal of the kind."""
+    if body.isdecimal():  # a plain integer, which int reads as Fraction does
+        return Fraction(int(body))
     try:
         return Fraction(body)
     except (ValueError, ZeroDivisionError) as err:
         raise ValueError(f"bad {kind} literal {literal!r}") from err
+
+
+def _exact(raw, kind: str) -> Fraction:
+    """raw as a Fraction.  A float is refused: its binary expansion is
+    seldom the rational that was written."""
+    if type(raw) is Fraction:
+        return raw
+    if isinstance(raw, float):
+        raise ValueError(f"{kind} takes exact rationals, not the float {raw!r}")
+    return Fraction(raw)
 
 
 # ---------------------------------------------------------------------------
@@ -818,29 +831,25 @@ class _IntervalHyperfield(Hyperfield):
 
 class TropicalHyperfield(_IntervalHyperfield):
     name = "T"
-
-    def zero(self) -> Element:
-        return Element(self.name, NEG_INF)
-
-    def one(self) -> Element:
-        return Element(self.name, EXT_ZERO)
+    _zero, _one = Element(name, NEG_INF), Element(name, EXT_ZERO)
 
     def element(self, raw) -> Element:
         if isinstance(raw, Element):
             return self.check(raw)
         if raw == "-inf":
-            return Element(self.name, NEG_INF)
-        return Element(self.name, ExtRat(Fraction(raw)))
+            return self._zero
+        return Element(self.name, ExtRat(_exact(raw, self.name)))
 
     def mul(self, x: Element, y: Element) -> Element:
-        self.check(x), self.check(y)
-        return Element(self.name, x.payload + y.payload)
+        if not x[0] == y[0] == self.name:
+            self.check(x), self.check(y)
+        return Element(self.name, x[1] + y[1])
 
     def inv(self, x: Element) -> Element:
         self.check(x)
         if x.payload.inf:
             raise ZeroDivisionError("inv(-inf)")
-        return Element(self.name, ExtRat(-x.payload.q))
+        return Element(self.name, -x.payload)
 
     def hypersum(self, xs: Sequence[Element]) -> IntervalSet:
         """{max} when the maximum is attained once, else [-inf, max]."""
@@ -882,17 +891,12 @@ class TropicalHyperfield(_IntervalHyperfield):
 
 class ViroHyperfield(_IntervalHyperfield):
     name = "V"
-
-    def zero(self) -> Element:
-        return Element(self.name, EXT_ZERO)
-
-    def one(self) -> Element:
-        return Element(self.name, ExtRat(Fraction(1)))
+    _zero, _one = Element(name, EXT_ZERO), Element(name, ExtRat(Fraction(1)))
 
     def element(self, raw) -> Element:
         if isinstance(raw, Element):
             return self.check(raw)
-        q = Fraction(raw)
+        q = _exact(raw, self.name)
         if q < 0:
             raise ValueError(f"{q} is not a nonnegative rational")
         return Element(self.name, ExtRat(q))
@@ -946,19 +950,14 @@ class ViroHyperfield(_IntervalHyperfield):
 
 class PhaseHyperfield(Hyperfield):
     name = "P"
-
-    def zero(self) -> Element:
-        return Element(self.name, None)
-
-    def one(self) -> Element:
-        return Element(self.name, Fraction(0))
+    _zero, _one = Element(name, None), Element(name, Fraction(0))
 
     def element(self, raw) -> Element:
         if isinstance(raw, Element):
             return self.check(raw)
         if raw is None:
-            return Element(self.name, None)
-        return Element(self.name, Fraction(raw) % 2)
+            return self._zero
+        return Element(self.name, angle_mod(_exact(raw, self.name)))
 
     def mul(self, x: Element, y: Element) -> Element:
         self.check(x), self.check(y)

@@ -241,6 +241,9 @@ class PolyBox(_KeptDecisions):
         for c in self.cells:
             if c.carrier != hf.name:
                 raise ValueError(f"cell of {c.carrier} in a box over {hf.name}")
+        top = self.cells[-1] if self.cells else None
+        if top is not None and not (top.is_empty() or top.contains(hf.zero())):
+            return  # a top cell without zero: nothing to trim or drop
         zero_set = hf.singleton(hf.zero())
         cells = list(self.cells)
         while len(cells) > 1 and cells[-1] == zero_set:

@@ -13,8 +13,12 @@ Two families live here:
   circle is always expressed at 0).
 
 Canonical form (parts sorted, disjoint, maximal) makes set equality plain
-structural equality.  The endpoint rules of the carriers' set operations
-live here too: ``interval_*`` for T and V, the arc functions for P.
+structural equality.  ``IntervalUnion.of`` sorts and merges any parts into
+that form.  ``intersect``, ``translate`` by a finite c and ``scale`` build
+their parts directly instead: their inputs are canonical and their maps
+keep order, so the parts come out sorted, disjoint and maximal.  The
+endpoint rules of the carriers' set operations live here too:
+``interval_*`` for T and V, the arc functions for P.
 
 All four types are immutable ``__slots__`` values whose equality and hash
 are those of their field tuples, as for frozen dataclasses.  Finite
@@ -22,7 +26,10 @@ endpoints compare by cross-multiplying the integer numerators and
 denominators of their Fractions, never through Fraction's generic
 comparison.  The arithmetic on hot paths (sums, differences and products
 of endpoints, angles mod 2) also runs on those integer pairs and builds
-the reduced result Fraction directly from its two integer slots.
+the reduced result Fraction directly from its two integer slots, and a
+finite result ExtRat from that Fraction, both without re-checking.  An
+ExtRat is not read from a float, whose binary expansion is seldom the
+rational that was meant.
 """
 from __future__ import annotations
 
@@ -115,6 +122,9 @@ class ExtRat(_Value):
                 raise ValueError("inf flag must be -1, 0 or 1")
             q = _ZERO
         elif type(q) is not Fraction:
+            if isinstance(q, float):
+                raise ValueError(f"an extended rational is exact, not the "
+                                 f"float {q!r}")
             q = Fraction(q)
         _set_q(self, q)
         _set_inf(self, inf)
@@ -152,7 +162,7 @@ class ExtRat(_Value):
 
     def __add__(self, other: "ExtRat") -> "ExtRat":
         if self.inf == 0 and other.inf == 0:
-            return ExtRat(qadd(self.q, other.q))
+            return _ext(qadd(self.q, other.q))
         if -1 in (self.inf, other.inf):
             if 1 in (self.inf, other.inf):
                 raise ArithmeticError("cannot add -inf and +inf")
@@ -161,7 +171,7 @@ class ExtRat(_Value):
 
     def __neg__(self) -> "ExtRat":
         if self.inf == 0:
-            return ExtRat(_frac(-self.q._numerator, self.q._denominator))
+            return _ext(_frac(-self.q._numerator, self.q._denominator))
         return ExtRat(inf=-self.inf)
 
     def __str__(self) -> str:
@@ -174,6 +184,14 @@ class ExtRat(_Value):
 
 _set_q = ExtRat.q.__set__
 _set_inf = ExtRat.inf.__set__
+
+
+def _ext(q: Fraction) -> ExtRat:
+    """The finite ExtRat of the reduced Fraction q, built without checks."""
+    e = _new(ExtRat)
+    _set_q(e, q)
+    _set_inf(e, 0)
+    return e
 
 
 def _cmp(a: ExtRat, b: ExtRat) -> int:
@@ -349,6 +367,9 @@ class IntervalUnion(_Value):
         return IntervalUnion.of(self.parts + other.parts)
 
     def intersect(self, other: "IntervalUnion") -> "IntervalUnion":
+        """The meets of the part pairs, in the order of the pairs: both
+        unions are canonical, so the meets are sorted, disjoint and
+        maximal, and need no pass through ``of``."""
         out = []
         for a in self.parts:
             for b in other.parts:
@@ -356,7 +377,7 @@ class IntervalUnion(_Value):
                 hi, hc = _earlier_end(a, b)
                 if not _is_empty(lo, hi, lc, hc):
                     out.append(_interval(lo, hi, lc, hc))
-        return IntervalUnion.of(out)
+        return IntervalUnion(tuple(out))
 
     def complement(self) -> "IntervalUnion":
         """Complement within the line [-inf, +inf): the gaps between parts."""
@@ -384,22 +405,26 @@ class IntervalUnion(_Value):
         return IntervalUnion.of(out)
 
     def translate(self, c: ExtRat) -> "IntervalUnion":
-        """Image under x -> x + c (c finite, or -inf collapsing all to -inf)."""
+        """Image under x -> x + c (c finite, or -inf collapsing all to -inf).
+        A finite c keeps order, so the images of the parts are canonical."""
         if c.inf == -1:
             return IntervalUnion.point(NEG_INF) if self.parts else self
-        return IntervalUnion.of(
+        return IntervalUnion(tuple([
             _interval(p.lo + c, p.hi + c, p.lo_closed, p.hi_closed)
-            for p in self.parts)
+            for p in self.parts]))
 
     def scale(self, c: Rat) -> "IntervalUnion":
-        """Image under x -> c*x for finite rational c > 0."""
-        if c <= 0:
+        """Image under x -> c*x for finite rational c > 0, which keeps
+        order, so the images of the parts are canonical."""
+        if type(c) is not Fraction:
+            c = ext(c).q
+        if c._numerator <= 0:
             raise ValueError("scale expects a positive rational")
         def s(v: ExtRat) -> ExtRat:
-            return v if v.inf else ExtRat(v.q * c)
-        return IntervalUnion.of(
+            return v if v.inf else _ext(qmul(v.q, c))
+        return IntervalUnion(tuple([
             _interval(s(p.lo), s(p.hi), p.lo_closed, p.hi_closed)
-            for p in self.parts)
+            for p in self.parts]))
 
     def max_value(self) -> tuple[ExtRat, bool]:
         """(supremum, attained) of a nonempty union."""
@@ -468,8 +493,8 @@ def interval_mul_nonneg(a: Interval, b: Interval) -> Interval:
     """Product set {x*y} for intervals inside the nonnegative rationals."""
     if a.lo.inf or b.lo.inf or a.hi.inf or b.hi.inf:
         raise ValueError("products need bounded nonnegative intervals")
-    lo = ExtRat(qmul(a.lo.q, b.lo.q))
-    hi = ExtRat(qmul(a.hi.q, b.hi.q))
+    lo = _ext(qmul(a.lo.q, b.lo.q))
+    hi = _ext(qmul(a.hi.q, b.hi.q))
     lo_closed = ((a.lo_closed and b.lo_closed)
                  or (a.lo.q == 0 and a.lo_closed)
                  or (b.lo.q == 0 and b.lo_closed))
@@ -524,7 +549,7 @@ def _wrap(lo: Rat, hi: Rat, lo_closed: bool, hi_closed: bool) -> list[Interval]:
     k = ln // (2 * ld)
     ln -= 2 * k * ld
     hn -= 2 * k * hd
-    lo_e = ExtRat(_frac(ln, ld))
+    lo_e = _ext(_frac(ln, ld))
     if span == 0:  # circle minus the single point lo (mod 2)
         if ln == 0:
             return [_interval(EXT_ZERO, _E2, False, False)]
@@ -532,13 +557,13 @@ def _wrap(lo: Rat, hi: Rat, lo_closed: bool, hi_closed: bool) -> list[Interval]:
                 _interval(lo_e, _E2, False, False)]
     over = hn - 2 * hd  # sign of hi - 2, after the shift
     if over < 0 or (over == 0 and not hi_closed):
-        hi_e = ExtRat(_frac(hn, hd))
+        hi_e = _ext(_frac(hn, hd))
         if _is_empty(lo_e, hi_e, lo_closed, hi_closed):
             return []
         return [_interval(lo_e, hi_e, lo_closed, hi_closed)]
     out = [_interval(lo_e, _E2, lo_closed, False)]
     if over > 0 or hi_closed:
-        out.append(_interval(EXT_ZERO, ExtRat(_frac(over, hd)), True, hi_closed))
+        out.append(_interval(EXT_ZERO, _ext(_frac(over, hd)), True, hi_closed))
     return out
 
 

@@ -804,6 +804,25 @@ class TestScalarSyntax:
         P = by_name("P")
         assert P.parse_scalar(text) == P.parse_scalar(phase)
 
+    @pytest.mark.parametrize("body", [
+        "12", "0", "007", "-0", "-3", "+3", " 7 ", "1/2", "-3/4", "2.50",
+        "1e3", "1_000", "1_0/2_0", "١٢", "３", "٣/4",
+        "", " ", "abc", "1/0", "1/-2", "--1", "1__0", "_1", "1_", "²",
+        "0x10", "3j", "inf", "nan"])
+    def test_a_literal_reads_as_fraction_reads_it(self, body):
+        # integers take a shorter path; the value and the errors are
+        # Fraction's own, for every spelling it accepts or refuses
+        try:
+            expected = Fraction(body)
+        except (ValueError, ZeroDivisionError):
+            with pytest.raises(ValueError, match="bad T literal 'x'"):
+                carriers._rational(body, "T", "x")
+            return
+        got = carriers._rational(body, "T", "x")
+        assert type(got) is Fraction and got == expected
+        assert (got.numerator, got.denominator) == (
+            expected.numerator, expected.denominator)
+
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):
             by_name("S").parse_scalar("2")
@@ -1025,6 +1044,25 @@ class TestElementValue:
         x = hf.element(3.0)
         assert type(x.payload) is int and str(x) == "3"
         assert hf.element(3) is x and hf.element(Fraction(3)) is x
+
+    @pytest.mark.parametrize("name", ["T", "V", "P"])
+    def test_a_continuous_carrier_refuses_a_float(self, name):
+        # 0.1 is not the rational 1/10 but 3602879701896397/2^55
+        hf = by_name(name)
+        for raw in (0.1, 0.5, 2.0):
+            with pytest.raises(ValueError, match=f"^{name} .*float"):
+                hf.element(raw)
+        exact = hf.element(Fraction(1, 10))
+        assert hf.element("1/10") == hf.element("0.1") == exact
+        assert str(exact) in ("1/10", "ph(1/10)")
+        assert hf.element(2) == hf.element(Fraction(2))
+
+    @pytest.mark.parametrize("hf", INFINITE, ids=lambda hf: hf.name)
+    def test_zero_and_one_are_made_once(self, hf):
+        assert hf.zero() is hf.zero() and hf.one() is hf.one()
+        assert hf.is_zero(hf.zero()) and not hf.is_zero(hf.one())
+        x = hf.element(Fraction(3, 2))
+        assert hf.mul(x, hf.one()) == x
 
     @pytest.mark.parametrize("hf", ELEMENT_CARRIERS, ids=lambda hf: hf.name)
     def test_foreign_elements_are_refused(self, hf):

@@ -546,6 +546,21 @@ class TestBuiltCanonical:
     """A PolyBox is canonical when it is built: its cells are the ones the
     old canonical() gave for the raw cells, and it denotes the same set."""
 
+    @pytest.mark.parametrize("name", ["K", "S", "W", "GF(5)", "T", "V", "P"])
+    def test_a_top_cell_without_zero_leaves_the_cells_as_given(self, name):
+        # nothing to trim or drop, so the given tuple is kept as it is
+        hf = by_name(name)
+        p = Polynomial.of(hf, [hf.zero(), hf.one(), hf.zero(), hf.one()])
+        q = Polynomial.of(hf, [hf.one(), hf.one()])
+        for cells in (tuple(hf.singleton(c) for c in p.coeffs),
+                      tuple(hf.hyperadd(c, hf.one()) for c in q.coeffs)
+                      + (hf.singleton(hf.one()),)):
+            assert PolyBox(hf, cells).cells is cells
+            assert cells == reference_canonical(hf, cells)
+        assert box_of(p).cells == reference_canonical(hf, box_of(p).cells)
+        assert boxprod(p, q).cells == reference_canonical(
+            hf, boxprod(p, q).cells)
+
     @given(raw_boxes(), st.data())
     @settings(max_examples=300, deadline=None)
     def test_built_box_is_the_reference_canonical_box(self, raw, data):

@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperpoly.sets import (ArcUnion, ExtRat, Interval, IntervalUnion,
-                            NEG_INF, POS_INF, _make_interval, _wrap,
-                            angle_mod, arcs_minkowski, ext, interval_add,
-                            interval_max, minor_arc)
+                            NEG_INF, POS_INF, _earlier_end, _later_start,
+                            _make_interval, _wrap, angle_mod, arcs_minkowski,
+                            ext, interval_add, interval_max, minor_arc)
 
 rationals = st.fractions(min_value=-8, max_value=8,
                          max_denominator=4).map(Fraction)
@@ -218,6 +218,117 @@ class TestIntervalUnion:
         half_open = IntervalUnion.of([Interval(ext(0), ext(2), True, False)])
         top, attained = half_open.max_value()
         assert top == ext(2) and not attained
+
+
+class TestFloatsRefused:
+    def test_an_extended_rational_is_not_read_from_a_float(self):
+        for make in (lambda: ExtRat(0.1), lambda: ext(0.5),
+                     lambda: IntervalUnion.closed(0.1, 1),
+                     lambda: IntervalUnion.point(2.0)):
+            with pytest.raises(ValueError, match="float"):
+                make()
+        assert ExtRat(Fraction(1, 10)) == ExtRat("1/10") == ext("0.1")
+        assert IntervalUnion.closed(0, 1) == IntervalUnion.closed(
+            Fraction(0), ExtRat(1))
+
+
+# Endpoints of the wide unions: rationals and both infinities.
+ext_ends = st.one_of(rationals.map(ext), st.sampled_from([NEG_INF, POS_INF]))
+wide_unions = st.lists(
+    st.tuples(ext_ends, ext_ends, st.booleans(), st.booleans()),
+    max_size=4).map(make_union)
+
+
+# The earlier forms of the operations that now build their results
+# directly: each part list goes through IntervalUnion.of, and each finite
+# extended rational through the checked constructor.
+def reference_add(x, y):
+    if x.inf == 0 and y.inf == 0:
+        return ExtRat(x.q + y.q)
+    if -1 in (x.inf, y.inf):
+        if 1 in (x.inf, y.inf):
+            raise ArithmeticError("cannot add -inf and +inf")
+        return NEG_INF
+    return POS_INF
+
+
+def reference_neg(x):
+    return ExtRat(-x.q) if x.inf == 0 else ExtRat(inf=-x.inf)
+
+
+def reference_intersect(a, b):
+    out = []
+    for p in a.parts:
+        for q in b.parts:
+            lo, lc = _later_start(p, q)
+            hi, hc = _earlier_end(p, q)
+            out.append(_make_interval(lo, hi, lc, hc))
+    return IntervalUnion.of(out)
+
+
+def reference_translate(u, c):
+    if c.inf == -1:
+        return IntervalUnion.point(NEG_INF) if u.parts else u
+    return IntervalUnion.of(
+        Interval(reference_add(p.lo, c), reference_add(p.hi, c),
+                 p.lo_closed, p.hi_closed) for p in u.parts)
+
+
+def reference_scale(u, c):
+    def s(v):
+        return v if v.inf else ExtRat(v.q * c)
+    return IntervalUnion.of(Interval(s(p.lo), s(p.hi), p.lo_closed,
+                                     p.hi_closed) for p in u.parts)
+
+
+def outcome(fn):
+    """fn's value, or the type of the error it raised."""
+    try:
+        return fn()
+    except Exception as err:
+        return type(err)
+
+
+def assert_same_canonical(got, expected):
+    assert got == expected
+    assert IntervalUnion.of(got.parts) == got
+    for p in got.parts:
+        for v in (p.lo, p.hi):
+            assert type(v.q) is Fraction and is_reduced(v.q)
+
+
+class TestDirectBuilds:
+    """intersect, translate and scale of canonical unions give the
+    canonical union that the earlier forms made through of, and the
+    unchecked finite results of + and negation are the checked ones."""
+
+    @given(wide_unions, wide_unions)
+    @settings(max_examples=300, deadline=None)
+    def test_intersect_is_the_reference(self, a, b):
+        assert_same_canonical(a.intersect(b), reference_intersect(a, b))
+
+    @given(wide_unions, st.one_of(rationals.map(ext), st.just(NEG_INF)))
+    @settings(max_examples=200, deadline=None)
+    def test_translate_is_the_reference(self, u, c):
+        assert_same_canonical(u.translate(c), reference_translate(u, c))
+
+    @given(wide_unions, rationals.filter(lambda q: q > 0))
+    @settings(max_examples=200, deadline=None)
+    def test_scale_is_the_reference(self, u, c):
+        assert_same_canonical(u.scale(c), reference_scale(u, c))
+        with pytest.raises(ValueError):
+            u.scale(-c)
+
+    @given(ext_keys, ext_keys)
+    @settings(max_examples=200, deadline=None)
+    def test_add_and_negation_are_the_reference(self, a, b):
+        x, y = from_key(a), from_key(b)
+        got = outcome(lambda: x + y)
+        assert got == outcome(lambda: reference_add(x, y))
+        assert -x == reference_neg(x)
+        for v in ([got] if isinstance(got, ExtRat) else []) + [-x]:
+            assert type(v.q) is Fraction and is_reduced(v.q)
+            assert hash(v) == hash((v.q, v.inf))
 
 
 def sample_members(u, limit=12):
