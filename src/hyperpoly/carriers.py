@@ -19,7 +19,7 @@ from typing import Iterable, Optional, Sequence, Union
 from .sets import (EXT_ZERO, NEG_INF, POS_INF, ArcUnion, ExtRat, Interval,
                    IntervalUnion, angle_mod, arcs_minkowski, interval_add,
                    interval_max, interval_mul_nonneg, interval_triangle,
-                   minor_arc, minor_arcs, qadd, qmul)
+                   minor_arc, minor_arcs, qadd, qmul, qsub)
 
 Payload = Union[int, str, ExtRat, Fraction, None]
 
@@ -951,6 +951,7 @@ class ViroHyperfield(_IntervalHyperfield):
 class PhaseHyperfield(Hyperfield):
     name = "P"
     _zero, _one = Element(name, None), Element(name, Fraction(0))
+    _half_turn = Fraction(1)  # the angle of -1
 
     def element(self, raw) -> Element:
         if isinstance(raw, Element):
@@ -969,13 +970,14 @@ class PhaseHyperfield(Hyperfield):
         self.check(x)
         if x.payload is None:
             return x
-        return Element(self.name, (x.payload + 1) % 2)
+        return Element(self.name, angle_mod(qadd(x.payload, self._half_turn)))
 
     def inv(self, x: Element) -> Element:
         self.check(x)
         if x.payload is None:
             raise ZeroDivisionError("inv(0)")
-        return Element(self.name, (-x.payload) % 2)
+        turn = qsub(self._one.payload, x.payload)  # the angle 0 - x
+        return Element(self.name, angle_mod(turn))
 
     def hyperadd(self, x: Element, y: Element) -> ArcSet:
         self.check(x), self.check(y)
@@ -985,7 +987,7 @@ class PhaseHyperfield(Hyperfield):
             return self.singleton(x)
         if x.payload == y.payload:
             return self.singleton(x)
-        if (x.payload - y.payload) % 2 == 1:
+        if angle_mod(qsub(x.payload, y.payload)) == self._half_turn:
             arcs = ArcUnion.point(x.payload).union(ArcUnion.point(y.payload))
             return ArcSet(self.name, ArcUnion(arcs.parts, has_zero=True))
         return ArcSet(self.name, minor_arc(x.payload, y.payload))

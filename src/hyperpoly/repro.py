@@ -217,7 +217,7 @@ def crit_11() -> ReproResult:
                         for _ in range(n)), reverse=True)
         box = linear_product_box([hf.element(r) for r in roots])
         for p in box.sample_members(3, seed=count):
-            rm = root_multiset(p)  # checks its counts by quotient recursion
+            rm = root_multiset(p)  # replays its roots on the subset-sum box
             if [a.payload.q for a in rm.roots] != roots:
                 return _result(11, title, t0, False,
                                f"{p} gave {rm}, expected {roots}")

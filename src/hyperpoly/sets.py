@@ -28,8 +28,8 @@ comparison.  The arithmetic on hot paths (sums, differences and products
 of endpoints, angles mod 2) also runs on those integer pairs and builds
 the reduced result Fraction directly from its two integer slots, and a
 finite result ExtRat from that Fraction, both without re-checking.  An
-ExtRat is not read from a float, whose binary expansion is seldom the
-rational that was meant.
+ExtRat, and an angle given to the arc functions, is not read from a
+float, whose binary expansion is seldom the rational that was meant.
 """
 from __future__ import annotations
 
@@ -62,7 +62,7 @@ def qadd(x: Fraction, y: Fraction) -> Fraction:
     return _ratio(x._numerator * yd + y._numerator * xd, xd * yd)
 
 
-def _qsub(x: Fraction, y: Fraction) -> Fraction:
+def qsub(x: Fraction, y: Fraction) -> Fraction:
     xd, yd = x._denominator, y._denominator
     return _ratio(x._numerator * yd - y._numerator * xd, xd * yd)
 
@@ -511,7 +511,7 @@ def interval_triangle(a: Interval, b: Interval) -> Interval:
         lo, lo_closed = EXT_ZERO, True  # a and b overlap
     else:  # the gap from the lower interval's end to the other's start
         low, high = (a, b) if a.hi <= b.lo else (b, a)
-        gap = _qsub(high.lo.q, low.hi.q)
+        gap = qsub(high.lo.q, low.hi.q)
         lo = ExtRat(gap)
         lo_closed = gap > 0 and high.lo_closed and low.hi_closed
     hi = a.hi + b.hi
@@ -521,11 +521,12 @@ def interval_triangle(a: Interval, b: Interval) -> Interval:
 
 # --- circle sets -----------------------------------------------------------
 
-def angle_mod(a: Rat) -> Rat:
-    if type(a) is Fraction:
-        d = a._denominator
-        return _frac(a._numerator % (2 * d), d)
-    return a % 2
+def angle_mod(a: Rat) -> Fraction:
+    """The angle a (an int or Fraction, in units of pi) reduced to [0, 2)."""
+    if type(a) is not Fraction:
+        a = ExtRat(a).q  # refuses a float
+    d = a._denominator
+    return _frac(a._numerator % (2 * d), d)
 
 
 def _wrap(lo: Rat, hi: Rat, lo_closed: bool, hi_closed: bool) -> list[Interval]:
@@ -537,9 +538,9 @@ def _wrap(lo: Rat, hi: Rat, lo_closed: bool, hi_closed: bool) -> list[Interval]:
     handled as integer numerator/denominator pairs.
     """
     if type(lo) is not Fraction:
-        lo = Fraction(lo)
+        lo = ExtRat(lo).q  # refuses a float
     if type(hi) is not Fraction:
-        hi = Fraction(hi)
+        hi = ExtRat(hi).q
     ln, ld = lo._numerator, lo._denominator
     hn, hd = hi._numerator, hi._denominator
     span = hn * ld - ln * hd - 2 * ld * hd  # sign of (hi - lo) - 2
@@ -624,7 +625,7 @@ class ArcUnion(_Value):
     def rotate(self, phi: Rat) -> "ArcUnion":
         """Image of the angle part under multiplication by the phase phi."""
         if type(phi) is not Fraction:
-            phi = Fraction(phi)
+            phi = ExtRat(phi).q  # refuses a float
         out: list[Interval] = []
         for p in self.parts.parts:
             out.extend(_wrap(qadd(p.lo.q, phi), qadd(p.hi.q, phi),

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .carriers import CarrierSet, Element, TropicalHyperfield, by_name
-from .divide import _newton_roots, linear_for_root, mult_by_quotients
+from .divide import _newton_roots, linear_for_root
 from .linear import Constraint, eq, lt, feasible_point as lp_feasible_point
 from .polyalg import (Polynomial, PolyBox, box_of, boxprod, monic_decompose,
                       solve_linear_chain, chain_witness)
@@ -130,10 +130,11 @@ def root_multiset(p: Polynomial) -> RootMultiset:
     """The unique root multiset of a monic tropical polynomial, from the
     upper concave hull of the finite coefficient points (i, c_i): each unit
     step of a hull edge of slope s contributes one root -s; trailing -inf
-    coefficients contribute roots -inf.  Verified in-process against the
-    subset-sum box and the quotient recursion, mult_by_quotients."""
-    hf = by_name("T")
-    if p.hf != hf:
+    coefficients contribute roots -inf.  Replayed in-process on the
+    subset-sum box: p lies in the product of the linear factors T - a_i,
+    and the T root multiset is unique (Baker & Lorscheid), so the roots
+    are certain.  The quotient recursion is compared in the test suite."""
+    if p.hf != by_name("T"):
         raise ValueError("root_multiset is tropical-only")
     if not p.is_monic():
         raise ValueError("root_multiset needs a monic polynomial")
@@ -142,11 +143,6 @@ def root_multiset(p: Polynomial) -> RootMultiset:
     result = RootMultiset(tuple(roots))
     if not linear_product_box(result.roots).contains(p):
         raise AssertionError(f"hull roots {result} fail the box check")
-    for a, count in result.counts().items():
-        if mult_by_quotients(p, [a]) != count:
-            raise AssertionError(
-                f"mult_by_quotients({p}, [{hf.format_element(a)}]) "
-                f"!= {count}")
     return result
 
 

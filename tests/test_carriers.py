@@ -767,6 +767,22 @@ class TestPhase:
         assert P.mul(P.element(Fraction(3, 2)), P.element(Fraction(3, 2))) == \
             P.element(1)
 
+    @given(st.fractions(min_value=-6, max_value=6, max_denominator=12),
+           st.fractions(min_value=-6, max_value=6, max_denominator=12))
+    @settings(max_examples=200)
+    def test_element_operations_are_the_remainders_mod_two(self, a, b):
+        # neg, inv and the antipode test read the angles' integer slots;
+        # they agree with Fraction's generic % 2, negative angles included
+        P = by_name("P")
+        x, y = P.element(a), P.element(b)
+        assert x.payload == a % 2
+        assert P.neg(x) == Element("P", (x.payload + 1) % 2)
+        assert P.inv(x) == Element("P", (-x.payload) % 2)
+        antipodal = (x.payload - y.payload) % 2 == 1
+        assert P.hyperadd(x, y).contains(P.zero()) == antipodal
+        for z in (P.neg(x), P.inv(x)):
+            assert type(z.payload) is Fraction and 0 <= z.payload < 2
+
 
 # ---------------------------------------------------------------------------
 # parsing and formatting

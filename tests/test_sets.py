@@ -371,6 +371,29 @@ class TestArcs:
         assert angle_mod(Fraction(5, 2)) == Fraction(1, 2)
         assert angle_mod(Fraction(-1, 4)) == Fraction(7, 4)
 
+    def test_the_arc_helpers_refuse_a_float(self):
+        # 0.1 is not the rational 1/10 but 3602879701896397/2^55
+        arc = ArcUnion.arc(Fraction(1, 10), Fraction(1, 2), True, True)
+        for call in (lambda: angle_mod(0.1),
+                     lambda: _wrap(0.1, Fraction(1, 2), True, True),
+                     lambda: _wrap(Fraction(0), 0.5, True, True),
+                     lambda: ArcUnion.arc(0.1, 0.5, True, True),
+                     lambda: ArcUnion.point(0.25),
+                     lambda: arc.rotate(0.5),
+                     lambda: arc.contains_angle(0.25)):
+            with pytest.raises(ValueError, match="exact.*float"):
+                call()
+
+    def test_the_arc_helpers_read_ints_and_fractions(self):
+        assert angle_mod(5) == Fraction(1) and angle_mod(-1) == Fraction(1)
+        assert type(angle_mod(3)) is Fraction
+        arc = ArcUnion.arc(0, 1, True, True)
+        assert arc == ArcUnion.arc(Fraction(0), Fraction(1), True, True)
+        assert arc.rotate(1) == arc.rotate(Fraction(1)) == \
+            ArcUnion.arc(1, 2, True, True)
+        assert _wrap(3, 4, True, False) == _wrap(Fraction(1), Fraction(2),
+                                                  True, False)
+
     def test_minor_arc_is_open_between(self):
         arc = minor_arc(Fraction(0), Fraction(1, 2))
         assert arc.contains_angle(Fraction(1, 4))

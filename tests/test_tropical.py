@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from hyperpoly import (
     Element,
     PolyBox,
+    Polynomial,
     UndecidedError,
     boxprod,
     box_equivalence,
@@ -24,6 +25,8 @@ from hyperpoly import (
     trop_hypersum_sorted,
 )
 from hyperpoly import tropical
+from hyperpoly.divide import mult_by_quotients
+from hyperpoly.polyalg import MAX_DEGREE
 
 T = by_name("T")
 
@@ -173,14 +176,28 @@ class TestRootMultiset:
         with pytest.raises(ValueError):
             root_multiset(parse_poly("T^2+1", by_name("S")))
 
-    def test_a_disagreeing_recursion_is_loud(self, monkeypatch):
-        # the hull count is checked against the quotient recursion, not
-        # against mult_at, which reads the same hull
-        real = tropical.mult_by_quotients
-        monkeypatch.setattr(tropical, "mult_by_quotients",
-                            lambda p, elems: real(p, elems) + 1)
+    @given(st.integers(1, MAX_DEGREE).flatmap(
+               lambda d: st.lists(trop_vals, min_size=d, max_size=d)),
+           finite_vals)
+    @settings(max_examples=300, deadline=None)
+    def test_hull_counts_are_the_quotient_recursion(self, low, other):
+        # root_multiset reads the Newton hull only; the quotient recursion,
+        # a second algorithm, must count every root the same, and give 0
+        # at -inf and at a finite value that is not a hull root
+        p = Polynomial.of(T, low + [0])
+        counts = root_multiset(p).counts()
+        assert sum(counts.values()) == p.degree
+        for a in set(counts) | {T.zero(), T.element(other)}:
+            assert mult_by_quotients(p, [a]) == counts.get(a, 0), (p, a)
+
+    def test_a_failing_box_replay_is_loud(self, monkeypatch):
+        # the hull roots are replayed on the subset-sum box of their linear
+        # factors; a box that misses p stops the answer
+        real = tropical.linear_product_box
+        monkeypatch.setattr(tropical, "linear_product_box",
+                            lambda roots: real(list(roots) + [T.one()]))
         with pytest.raises(AssertionError,
-                           match=re.escape("mult_by_quotients(0T^2+2, [1])")):
+                           match=re.escape("hull roots {1, 1} fail the box")):
             root_multiset(parse_poly("0T^2+2", T))
 
     @given(st.lists(trop_vals, min_size=1, max_size=4))
