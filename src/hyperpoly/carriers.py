@@ -19,7 +19,7 @@ from typing import Iterable, Optional, Sequence, Union
 from .sets import (EXT_ZERO, NEG_INF, POS_INF, ArcUnion, ExtRat, Interval,
                    IntervalUnion, angle_mod, arcs_minkowski, interval_add,
                    interval_max, interval_mul_nonneg, interval_triangle,
-                   minor_arc, minor_arcs, qadd, qmul, qsub)
+                   minor_arc, minor_arcs, qadd, qinv, qmul, qsub)
 
 Payload = Union[int, str, ExtRat, Fraction, None]
 
@@ -241,7 +241,8 @@ class Hyperfield:
     sample_elements(s), finitely many exact members covering every
     component of s; and parse_scalar(text).
     The base supplies hypersum, hyperadd(x, y) = hypersum([x, y]) and the
-    law table's three relays (see value); a carrier may define faster sums."""
+    law table's three relays (see value); a carrier may define faster sums:
+    P's hypersum starts from its own two-point hyperadd."""
 
     name: str
 
@@ -909,7 +910,7 @@ class ViroHyperfield(_IntervalHyperfield):
         self.check(x)
         if x.payload.q == 0:
             raise ZeroDivisionError("inv(0)")
-        return Element(self.name, ExtRat(1 / x.payload.q))
+        return Element(self.name, ExtRat(qinv(x.payload.q)))
 
     def hypersum(self, xs: Sequence[Element]) -> IntervalSet:
         """[max(0, 2 max - sum), sum]: the polygon inequality."""
@@ -991,6 +992,13 @@ class PhaseHyperfield(Hyperfield):
             arcs = ArcUnion.point(x.payload).union(ArcUnion.point(y.payload))
             return ArcSet(self.name, ArcUnion(arcs.parts, has_zero=True))
         return ArcSet(self.name, minor_arc(x.payload, y.payload))
+
+    def hypersum(self, xs: Sequence[Element]) -> ArcSet:
+        """The base fold, started from P's own sum of the first two terms."""
+        acc = self.hyperadd(*xs[:2]) if len(xs) > 1 else super().hypersum(xs)
+        for x in xs[2:]:
+            acc = self.set_hyperadd(acc, self.singleton(x))
+        return acc
 
     def set_hyperadd(self, a: ArcSet, b: ArcSet) -> ArcSet:
         if a.is_empty() or b.is_empty():
@@ -1186,22 +1194,45 @@ def _laws(hf: Hyperfield, probe: ProbeSpec) -> tuple[list[Element], dict]:
     check probes every -x, so there it reads set(hits) == {-x}.
 
     The laws read their operations from ops: a finite carrier's code table
-    (values are codes and sets bitmasks), else the carrier itself.  The
-    texts name the points pts[i], and v[i] is the value of pts[i] in ops;
-    a double-distributivity text prints the carrier's own sets."""
+    (values are codes and sets bitmasks), else the carrier itself.  Each
+    value they compare has one small-int id, its place in vals, so equal
+    values have equal ids (a code and an equal mask share one, as no law
+    compares the two kinds), and each operation runs once per distinct tuple
+    of argument ids, in tables that live for this call.  The texts name the
+    points pts[i], and v[i] is the id of pts[i]; a double-distributivity
+    text prints the carrier's own sets."""
     pts = _points_of(hf, probe)
     ops = hf.codes if hf.is_finite() else hf
-    zero, one = ops.value(hf.zero()), ops.value(hf.one())
-    v = [ops.value(hf.check(x)) for x in pts]
+    ids: dict = {}
+    vals: list = []
+
+    def intern(x) -> int:
+        i = ids.setdefault(x, len(vals))
+        if i == len(vals):
+            vals.append(x)
+        return i
+
+    def table(op, out=intern):
+        """op on the values of two ids, run once per distinct pair."""
+        return lru_cache(maxsize=None)(lambda a, b: out(op(vals[a], vals[b])))
+
+    def value(x: Element) -> int:
+        return intern(ops.value(hf.check(x)))
+
+    times, add, has = table(ops.times), table(ops.hyperadd), table(ops.has, bool)
+    sadd, smul, scale = (table(ops.set_hyperadd), table(ops.set_mul),
+                         table(ops.scale_set))
+    hsum = lru_cache(maxsize=None)(
+        lambda *xs: intern(ops.hypersum([vals[x] for x in xs])))
+    zero, one = value(hf.zero()), value(hf.one())
+    v = [value(x) for x in pts]
     idx = range(len(pts))
-    prod = [[ops.times(x, y) for y in v] for x in v]
-    pair = [[ops.hyperadd(x, y) for y in v] for x in v]
-    single = [ops.singleton(x) for x in v]
-    neg = [ops.value(hf.neg(x)) for x in pts]
-    hits = [[j for j in idx if ops.has(pair[i][j], zero)] for i in idx]
-    minus = [[ops.hyperadd(x, y) for y in neg] for x in v]
-    # the associativity law's n^3 set sums take few distinct arguments
-    sadd = lru_cache(maxsize=None)(ops.set_hyperadd)
+    prod = [[times(x, y) for y in v] for x in v]
+    pair = [[add(x, y) for y in v] for x in v]
+    single = [intern(ops.singleton(vals[x])) for x in v]
+    neg = [value(hf.neg(x)) for x in pts]
+    hits = [[j for j in idx if has(pair[i][j], zero)] for i in idx]
+    minus = [[add(x, y) for y in neg] for x in v]
 
     def unequal_products(a: Element, b: Element, c: Element,
                          d: Element) -> str:
@@ -1214,25 +1245,25 @@ def _laws(hf: Hyperfield, probe: ProbeSpec) -> tuple[list[Element], dict]:
         "zero-one-distinct": iter(["0 = 1"] if zero == one else []),
         "absorbing-zero": (
             f"0*{pts[i]}" for i, x in enumerate(v)
-            if ops.times(zero, x) != zero or ops.times(x, zero) != zero),
+            if times(zero, x) != zero or times(x, zero) != zero),
         "mul-commutative": (
             f"{pts[i]}*{pts[j]}" for i in idx for j in idx
             if prod[i][j] != prod[j][i]),
         "mul-associative": (
             f"({pts[i]}*{pts[j]})*{pts[k]}"
             for i in idx for j in idx for k in idx
-            if ops.times(prod[i][j], v[k]) != ops.times(v[i], prod[j][k])),
+            if times(prod[i][j], v[k]) != times(v[i], prod[j][k])),
         "mul-identity": (
-            f"1*{pts[i]}" for i, x in enumerate(v) if ops.times(one, x) != x),
+            f"1*{pts[i]}" for i, x in enumerate(v) if times(one, x) != x),
         "mul-inverse": (
             f"{pts[i]}*inv({pts[i]})" for i, x in enumerate(v)
-            if x != zero and ops.times(x, ops.value(hf.inv(pts[i]))) != one),
+            if x != zero and times(x, value(hf.inv(pts[i]))) != one),
         "hyperadd-commutative": (
             f"{pts[i]}(+){pts[j]}" for i in idx for j in idx
             if pair[i][j] != pair[j][i]),
         "hyperadd-identity": (
             f"0(+){pts[i]}" for i, x in enumerate(v)
-            if ops.hyperadd(zero, x) != single[i]),
+            if add(zero, x) != single[i]),
         "hyperadd-associative": (
             f"{pts[i]}(+)({pts[j]}(+){pts[k]})"
             for i in idx for j in idx for k in idx
@@ -1245,22 +1276,20 @@ def _laws(hf: Hyperfield, probe: ProbeSpec) -> tuple[list[Element], dict]:
         "reversibility": (
             f"x={pts[i]}, y={pts[j]}, z={pts[k]}"
             for i in idx for j in idx for k in idx
-            if ops.has(pair[j][k], v[i]) != ops.has(minus[i][j], v[k])),
+            if has(pair[j][k], v[i]) != has(minus[i][j], v[k])),
         "distributivity-left": (
             f"{pts[a]}*({pts[i]}(+){pts[j]})"
             for a in idx for i in idx for j in idx
-            if ops.scale_set(v[a], pair[i][j])
-            != ops.hyperadd(prod[a][i], prod[a][j])),
+            if scale(v[a], pair[i][j]) != add(prod[a][i], prod[a][j])),
         "distributivity-right": (
             f"({pts[i]}(+){pts[j]})*{pts[a]}"
             for a in idx for i in idx for j in idx
-            if ops.set_mul(pair[i][j], single[a])
-            != ops.hyperadd(prod[i][a], prod[j][a])),
+            if smul(pair[i][j], single[a]) != add(prod[i][a], prod[j][a])),
         "double-distributivity": (
             unequal_products(pts[a], pts[b], pts[c], pts[d])
             for a in idx for b in idx for c in idx for d in idx
-            if ops.set_mul(pair[a][b], pair[c][d])
-            != ops.hypersum([prod[a][c], prod[a][d], prod[b][c], prod[b][d]])),
+            if smul(pair[a][b], pair[c][d])
+            != hsum(prod[a][c], prod[a][d], prod[b][c], prod[b][d])),
     }
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence, Union
 
 from .carriers import (CarrierSet, Element, FiniteSet, Hyperfield,
@@ -177,10 +178,13 @@ def _newton_roots(p: Polynomial) -> list[tuple[Element, int]]:
     while hf.is_zero(p.coeff(shift)):
         shift += 1
     out = [(hf.zero(), shift)] if shift else []
-    hull = _upper_hull([(i, c.payload.q) for i, c in enumerate(p.coeffs)
-                        if not hf.is_zero(c)])
+    qs = [(i, c.payload.q) for i, c in enumerate(p.coeffs)
+          if not hf.is_zero(c)]
+    den = lcm(*(q.denominator for _, q in qs))  # the hull on integers
+    hull = _upper_hull([(i, q.numerator * (den // q.denominator))
+                        for i, q in qs])
     for (i1, c1), (i2, c2) in zip(hull, hull[1:]):
-        out.append((hf.element(Fraction(c1 - c2, i2 - i1)), i2 - i1))
+        out.append((hf.element(Fraction(c1 - c2, (i2 - i1) * den)), i2 - i1))
     return out
 
 
@@ -188,10 +192,10 @@ def tropical_root_points(p: Polynomial) -> list[Element]:
     return [a for a, _ in _newton_roots(p)]
 
 
-def _upper_hull(pts: list[tuple[int, Fraction]]) -> list[tuple[int, Fraction]]:
+def _upper_hull(pts: list[tuple[int, int]]) -> list[tuple[int, int]]:
     """Vertices of the upper concave hull of points sorted by x; collinear
     points are dropped, so consecutive edge slopes strictly decrease."""
-    hull: list[tuple[int, Fraction]] = []
+    hull: list[tuple[int, int]] = []
     for pt in pts:
         while len(hull) >= 2:
             (x1, y1), (x2, y2) = hull[-2], hull[-1]

@@ -1233,16 +1233,22 @@ def equal_values(t1: str, t2: str, v1: Resolved, v2: Resolved,
             return EqualCertificate("equal", hf.name, t1, t2, detail=detail)
         return unequal_certificate(t1, t2, v1, v2, s1, s2)
     # one side is coupled over an infinite carrier: draw candidates until
-    # one separates the two sides' decisions, and write out only that pair
+    # one separates the two sides' decisions, and write out only that pair.
+    # A candidate is a member of the side it was drawn from, which can only
+    # say yes or undecided, so that side is decided after the other's no
     seen: set = set()
-    candidates = (w for w in itertools.chain(
-        v1.separator_candidates(SEPARATOR_SEED),
-        v2.separator_candidates(SEPARATOR_SEED))
-        if not (w in seen or seen.add(w)))
-    for tried, w in enumerate(candidates, 1):
-        d1, d2 = v1.decide(w), v2.decide(w)
-        if {d1.verdict, d2.verdict} == {"yes", "no"}:
-            return _unequal(t1, t2, d1, d2, w, 1 if d1.verdict == "yes" else 2,
+    candidates = ((w, side, home, other)
+                  for side, home, other in ((1, v1, v2), (2, v2, v1))
+                  for w in home.separator_candidates(SEPARATOR_SEED)
+                  if not (w in seen or seen.add(w)))
+    for tried, (w, side, home, other) in enumerate(candidates, 1):
+        d_out = other.decide(w)
+        if d_out.verdict != "no":
+            continue
+        d_in = home.decide(w)
+        if d_in.verdict == "yes":
+            d1, d2 = (d_in, d_out) if side == 1 else (d_out, d_in)
+            return _unequal(t1, t2, d1, d2, w, side,
                             CertStep("search", None,
                                      f"separating polynomial found among "
                                      f"{tried} sampled candidates"))

@@ -15,15 +15,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .sets import ExtRat, IntervalUnion
+from .sets import ExtRat, IntervalUnion, qadd, qmul, qsub
 
 Quad = tuple[Fraction, Fraction, Fraction]  # or ints, once scaled
+_ONE, _HALF = Fraction(1), Fraction(1, 2)
 
 
 def integer_quad(g: Quad) -> Quad:
     """g times its coefficients' common denominator: same roots and signs."""
     scale = math.lcm(*(x.denominator for x in g))
-    return tuple(int(x * scale) for x in g)
+    return tuple(x.numerator * (scale // x.denominator) for x in g)
 
 
 def sign_at(g: Quad, a: Fraction) -> int:
@@ -167,8 +168,9 @@ def feasible_point(union: IntervalUnion, quads: list[Quad]) -> Feasibility:
     # brackets must not contain rational marks, and brackets of distinct
     # roots must be disjoint; non-proportional quadratics cannot share an
     # irrational root (the shared minimal polynomial would divide both)
+    ordered = sorted(rational_marks)
     for i, r in enumerate(irrational):
-        for m in sorted(rational_marks):
+        for m in ordered:
             r = r.avoid(m)
         irrational[i] = r
     changed = True
@@ -188,16 +190,17 @@ def feasible_point(union: IntervalUnion, quads: list[Quad]) -> Feasibility:
         rational_marks.update((r.lo, r.hi))
     marks = sorted(rational_marks)
 
-    candidates: list[Fraction] = list(marks)
-    if marks:
-        candidates.append(marks[0] - 1)
-        candidates.append(marks[-1] + 1)
-        candidates.extend((marks[i] + marks[i + 1]) / 2
-                          for i in range(len(marks) - 1))
+    # the distinct marks, the midpoints between them, and one below and
+    # one above them all, in increasing order
+    if not marks:
+        candidates = [Fraction(0)]
     else:
-        candidates.append(Fraction(0))
+        candidates = [qsub(marks[0], _ONE)]
+        for lo, hi in zip(marks, marks[1:]):
+            candidates += (lo, qmul(qadd(lo, hi), _HALF))
+        candidates += (marks[-1], qadd(marks[-1], _ONE))
 
-    for a in sorted(set(candidates)):
+    for a in candidates:
         if union.contains(ExtRat(a)) and all(sign_at(g, a) >= 0 for g in quads):
             return Feasibility(True, witness=a)
     # only isolated irrational boundary points remain possible

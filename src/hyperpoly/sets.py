@@ -71,6 +71,10 @@ def qmul(x: Fraction, y: Fraction) -> Fraction:
     return _ratio(x._numerator * y._numerator, x._denominator * y._denominator)
 
 
+def qinv(x: Fraction) -> Fraction:
+    return _frac(x._denominator, x._numerator)  # 1/x for x > 0
+
+
 _ZERO = Fraction(0)
 
 
@@ -667,12 +671,12 @@ _set_has_zero = ArcUnion.has_zero.__set__
 def minor_arc(x: Rat, y: Rat) -> ArcUnion:
     """The open arc strictly between non-antipodal distinct phases x and y."""
     x, y = angle_mod(x), angle_mod(y)
-    d = angle_mod(y - x)
-    if d == 0 or d == 1:
+    d = angle_mod(qsub(y, x))
+    if d._numerator in (0, d._denominator):
         raise ValueError("minor_arc needs distinct, non-antipodal phases")
-    if d < 1:
-        return ArcUnion.arc(x, x + d, False, False)
-    return ArcUnion.arc(y, y + (2 - d), False, False)
+    if d._numerator < d._denominator:
+        return ArcUnion.arc(x, qadd(x, d), False, False)
+    return ArcUnion.arc(y, qadd(y, qsub(_E2.q, d)), False, False)  # 2 - d
 
 
 def arcs_minkowski(a: ArcUnion, b: ArcUnion) -> IntervalUnion:

@@ -5,6 +5,7 @@ import itertools
 import pickle
 import tracemalloc
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import example, given, settings
@@ -962,6 +963,19 @@ class TestSums:
                                 st.just(hf.neg(x))), label="y")
         assert hf.hyperadd(x, y) == Hyperfield.hypersum(hf, [x, y])
 
+    @given(st.data())
+    @settings(max_examples=300)
+    def test_phase_hypersum_is_the_base_fold(self, data):
+        # P's hypersum starts from its own two-point sum; the base folds
+        # set_hyperadd over singletons from the first term.  Terms repeat
+        # x and -x, and 0 is drawn
+        P = by_name("P")
+        x = data.draw(elements_of(P), label="x")
+        xs = data.draw(st.lists(st.one_of(elements_of(P), st.just(x),
+                                          st.just(P.neg(x))),
+                                min_size=1, max_size=5), label="xs")
+        assert P.hypersum(xs) == Hyperfield.hypersum(P, xs)
+
     @given(st.sampled_from(INFINITE), st.data())
     @settings(max_examples=300, deadline=None)
     def test_set_hyperadd_holds_every_pointwise_sum(self, hf, data):
@@ -999,6 +1013,113 @@ def elements_of(hf):
             "V": nonneg_rationals,
             "P": st.one_of(st.none(), rationals)}[hf.name]
     return raws.map(hf.element)
+
+
+def value_keyed_laws(hf, probe):
+    """_laws as it was before its values had ids: the same laws over the
+    values themselves, with an lru_cache on set_hyperadd alone.  Kept as
+    the oracle for the id tables of _laws."""
+    pts = _points_of(hf, probe)
+    ops = hf.codes if hf.is_finite() else hf
+    zero, one = ops.value(hf.zero()), ops.value(hf.one())
+    v = [ops.value(hf.check(x)) for x in pts]
+    idx = range(len(pts))
+    prod = [[ops.times(x, y) for y in v] for x in v]
+    pair = [[ops.hyperadd(x, y) for y in v] for x in v]
+    single = [ops.singleton(x) for x in v]
+    neg = [ops.value(hf.neg(x)) for x in pts]
+    hits = [[j for j in idx if ops.has(pair[i][j], zero)] for i in idx]
+    minus = [[ops.hyperadd(x, y) for y in neg] for x in v]
+    # the associativity law's n^3 set sums take few distinct arguments
+    sadd = lru_cache(maxsize=None)(ops.set_hyperadd)
+
+    def unequal_products(a: Element, b: Element, c: Element,
+                         d: Element) -> str:
+        lhs = hf.set_mul(hf.hyperadd(a, b), hf.hyperadd(c, d))
+        rhs = hf.hypersum([hf.mul(a, c), hf.mul(a, d),
+                           hf.mul(b, c), hf.mul(b, d)])
+        return f"a={a}, b={b}, c={c}, d={d}: {lhs} != {rhs}"
+
+    return pts, {
+        "zero-one-distinct": iter(["0 = 1"] if zero == one else []),
+        "absorbing-zero": (
+            f"0*{pts[i]}" for i, x in enumerate(v)
+            if ops.times(zero, x) != zero or ops.times(x, zero) != zero),
+        "mul-commutative": (
+            f"{pts[i]}*{pts[j]}" for i in idx for j in idx
+            if prod[i][j] != prod[j][i]),
+        "mul-associative": (
+            f"({pts[i]}*{pts[j]})*{pts[k]}"
+            for i in idx for j in idx for k in idx
+            if ops.times(prod[i][j], v[k]) != ops.times(v[i], prod[j][k])),
+        "mul-identity": (
+            f"1*{pts[i]}" for i, x in enumerate(v) if ops.times(one, x) != x),
+        "mul-inverse": (
+            f"{pts[i]}*inv({pts[i]})" for i, x in enumerate(v)
+            if x != zero and ops.times(x, ops.value(hf.inv(pts[i]))) != one),
+        "hyperadd-commutative": (
+            f"{pts[i]}(+){pts[j]}" for i in idx for j in idx
+            if pair[i][j] != pair[j][i]),
+        "hyperadd-identity": (
+            f"0(+){pts[i]}" for i, x in enumerate(v)
+            if ops.hyperadd(zero, x) != single[i]),
+        "hyperadd-associative": (
+            f"{pts[i]}(+)({pts[j]}(+){pts[k]})"
+            for i in idx for j in idx for k in idx
+            if sadd(single[i], pair[j][k]) != sadd(pair[i][j], single[k])),
+        "unique-hyperinverse": (
+            f"inverses of {pts[i]}: {[str(pts[j]) for j in hits[i]]}"
+            for i in idx
+            if (neg[i] in v and neg[i] not in [v[j] for j in hits[i]])
+            or any(v[j] != neg[i] for j in hits[i])),
+        "reversibility": (
+            f"x={pts[i]}, y={pts[j]}, z={pts[k]}"
+            for i in idx for j in idx for k in idx
+            if ops.has(pair[j][k], v[i]) != ops.has(minus[i][j], v[k])),
+        "distributivity-left": (
+            f"{pts[a]}*({pts[i]}(+){pts[j]})"
+            for a in idx for i in idx for j in idx
+            if ops.scale_set(v[a], pair[i][j])
+            != ops.hyperadd(prod[a][i], prod[a][j])),
+        "distributivity-right": (
+            f"({pts[i]}(+){pts[j]})*{pts[a]}"
+            for a in idx for i in idx for j in idx
+            if ops.set_mul(pair[i][j], single[a])
+            != ops.hyperadd(prod[i][a], prod[j][a])),
+        "double-distributivity": (
+            unequal_products(pts[a], pts[b], pts[c], pts[d])
+            for a in idx for b in idx for c in idx for d in idx
+            if ops.set_mul(pair[a][b], pair[c][d])
+            != ops.hypersum([prod[a][c], prod[a][d], prod[b][c], prod[b][d]])),
+    }
+
+
+def value_keyed_reports(hf, probe):
+    """(check_axioms, is_doubly_distributive) read from value_keyed_laws."""
+    pts, laws = value_keyed_laws(hf, probe)
+    bad = next(laws.pop("double-distributivity"), None)
+    firsts = [(name, next(seq, None)) for name, seq in laws.items()]
+    return (AxiomReport(hf.name, probe.mode, len(pts), tuple(
+        AxiomCheck(name, v is None, v) for name, v in firsts)),
+        DdistReport(hf.name, probe.mode, bad is None, bad))
+
+
+class TestLawIds:
+    """The law table compares small-int ids of its values and runs each
+    operation once per distinct tuple of ids; its reports are those of the
+    table over the values themselves."""
+
+    @given(st.sampled_from(INFINITE).flatmap(lambda hf: st.lists(
+        elements_of(hf), min_size=1, max_size=5)), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_reports_equal_the_value_keyed_table(self, pts, data):
+        # repeated points and probed negatives give equal values many times
+        hf = by_name(pts[0].carrier)
+        negs = data.draw(st.lists(st.sampled_from(pts), max_size=2))
+        probe = ProbeSpec.probe(pts + [hf.neg(x) for x in negs])
+        axioms, ddist = value_keyed_reports(hf, probe)
+        assert check_axioms(hf, probe) == axioms
+        assert is_doubly_distributive(hf, probe) == ddist
 
 
 class TestElementValue:

@@ -8,10 +8,11 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hyperpoly import (
+    CertStep,
     EqualCertificate,
     MemberCertificate,
     PolyBox,
@@ -1320,3 +1321,89 @@ class TestExprEqual:
         again = EqualCertificate.from_dict(
             json.loads(json.dumps(cert.to_dict())))
         assert again == cert
+
+
+# ---------------------------------------------------------------------------
+# the separator search over T, V and P
+
+
+@st.composite
+def factors(draw, hf):
+    """A polynomial of degree 1 or 2 over hf with a nonzero constant term:
+    a product with one of them is a box only when the other is a
+    singleton box."""
+    nonzero = st.sampled_from([x for x in map(hf.element, BOX_RAWS[hf.name])
+                               if not hf.is_zero(x)])
+    middle = [draw(element_of(hf)) for _ in range(draw(st.integers(0, 1)))]
+    return Polynomial.of(hf, [draw(nonzero), *middle, draw(nonzero)])
+
+
+@st.composite
+def continuous_values(draw, hf):
+    """A resolved value over T, V or P: a box (the product or the sum of two
+    polynomials) or a third polynomial times a product, coupled unless the
+    product is a singleton box."""
+    q, r, s = (draw(factors(hf)) for _ in range(3))
+    shape = draw(st.sampled_from(["product", "sum", "coupled"]))
+    if shape == "sum":
+        return box_hyperadd(box_of(r), box_of(s))
+    box = boxprod(r, s)
+    return box.times(q) if shape == "coupled" else box
+
+
+@st.composite
+def coupled_pairs(draw):
+    """Two values over one of T, V and P, the first coupled (a polynomial
+    times a product or a sum): the other bracketings of its triple, or any
+    value."""
+    hf = draw(st.sampled_from([by_name(n) for n in ("T", "V", "P")]))
+    q, r, s = (draw(factors(hf)) for _ in range(3))
+    inner = draw(st.sampled_from([boxprod(r, s),
+                                  box_hyperadd(box_of(r), box_of(s))]))
+    coupled = inner.times(q)
+    assume(isinstance(coupled, CoupledValue))
+    other = draw(st.one_of(st.just(boxprod(q, r).times(s)),
+                           st.just(boxprod(q, s).times(r)),
+                           continuous_values(hf)))
+    return hf, coupled, other
+
+
+def both_sides_equal_values(t1, t2, v1, v2, hf):
+    """The separator search that decides both sides of every candidate,
+    kept as the oracle for equal_values's one-sided search."""
+    seen = set()
+    candidates = (w for w in itertools.chain(
+        v1.separator_candidates(polyalg.SEPARATOR_SEED),
+        v2.separator_candidates(polyalg.SEPARATOR_SEED))
+        if not (w in seen or seen.add(w)))
+    for tried, w in enumerate(candidates, 1):
+        d1, d2 = v1.decide(w), v2.decide(w)
+        if {d1.verdict, d2.verdict} == {"yes", "no"}:
+            return polyalg._unequal(
+                t1, t2, d1, d2, w, 1 if d1.verdict == "yes" else 2,
+                CertStep("search", None, f"separating polynomial found "
+                                         f"among {tried} sampled candidates"))
+    return EqualCertificate(
+        "undecided", hf.name, t1, t2,
+        detail=(CertStep("scope", None, "no separator found and coupled "
+                                        "sets cannot be certified equal"),))
+
+
+class TestOneSidedSearch:
+    """A separator candidate is a member of the side that drew it, so
+    equal_values decides that side only after the other side's no."""
+
+    @given(st.sampled_from([by_name(n) for n in ("T", "V", "P")]).flatmap(
+        continuous_values))
+    @settings(max_examples=200, deadline=None)
+    def test_a_candidate_is_never_refused_by_its_own_side(self, value):
+        for w in value.separator_candidates(polyalg.SEPARATOR_SEED):
+            assert value.decide(w).verdict in ("yes", "undecided"), w
+
+    @given(coupled_pairs())
+    @settings(max_examples=150, deadline=None)
+    def test_certificate_equals_the_both_sides_search(self, pair):
+        hf, v1, v2 = pair
+        got = polyalg.equal_values("A", "B", v1, v2, hf)
+        want = both_sides_equal_values("A", "B", v1, v2, hf)
+        assert got.to_dict() == want.to_dict()

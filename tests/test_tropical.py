@@ -24,9 +24,10 @@ from hyperpoly import (
     root_multiset,
     trop_hypersum_sorted,
 )
-from hyperpoly import tropical
+from hyperpoly import linear_for_root, tropical
 from hyperpoly.divide import mult_by_quotients
-from hyperpoly.polyalg import MAX_DEGREE
+from hyperpoly.polyalg import (MAX_DEGREE, chain_witness, in_product,
+                               solve_linear_chain)
 
 T = by_name("T")
 
@@ -155,6 +156,28 @@ class TestBoxEquivalence:
     def test_repeated_roots_with_neg_inf(self):
         result = box_equivalence(elems([1, 1, "-inf"]))
         assert result.equal, result.failure
+
+    @given(st.lists(trop_vals, min_size=1, max_size=3).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), min_size=2, max_size=5)))
+    @settings(max_examples=150, deadline=None)
+    def test_every_sampled_member_has_a_witness_in_the_previous_box(self,
+                                                                     raws):
+        # box_equivalence's reverse step ends at the chain domains: the
+        # backward walk it leaves out must always succeed, so the witness
+        # of every sampled member that factors lies in the previous box
+        # and replays as a product
+        roots = elems(raws)
+        for k in range(2, len(roots) + 1):
+            prev = linear_product_box(roots[:k - 1])
+            cur = linear_product_box(roots[:k])
+            ell = linear_for_root(T, roots[k - 1])
+            for p in cur.sample_members(tropical.SAMPLES_PER_STEP, seed=k):
+                if p.degree != cur.nominal_degree:
+                    continue
+                domains, _ = solve_linear_chain(p, ell, list(prev.cells))
+                assert domains is not None, p
+                w = chain_witness(p, ell, domains)
+                assert prev.contains(w) and in_product(p, ell, w), (p, w)
 
 
 class TestRootMultiset:
