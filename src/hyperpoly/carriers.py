@@ -240,9 +240,9 @@ class Hyperfield:
     neg_set; the set plumbing singleton, full_set and remove_zero;
     sample_elements(s), finitely many exact members covering every
     component of s; and parse_scalar(text).
-    The base supplies hypersum, hyperadd(x, y) = hypersum([x, y]) and the
-    law table's three relays (see value); a carrier may define faster sums:
-    P's hypersum starts from its own two-point hyperadd."""
+    The base supplies hypersum and hyperadd(x, y) = hypersum([x, y]); a
+    carrier may define faster sums: P's hypersum starts from its own
+    two-point hyperadd, and a finite carrier's sums read its code table."""
 
     name: str
 
@@ -282,17 +282,6 @@ class Hyperfield:
         if x.carrier != self.name:
             raise ValueError(f"element of {x.carrier} used in {self.name}")
         return x
-
-    # The law table (_laws) reads these three relays and the carrier's own
-    # hyperadd, singleton, set_hyperadd, scale_set, set_mul and hypersum.
-    def value(self, x: Element) -> Element:
-        return x
-
-    def times(self, x: Element, y: Element) -> Element:
-        return self.mul(x, y)
-
-    def has(self, s: CarrierSet, x: Element) -> bool:
-        return s.contains(x)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Hyperfield) and self.name == other.name
@@ -391,7 +380,7 @@ class FiniteHyperfield(Hyperfield):
 
     # The set operations wrap those of codes: elements in, interned sets out.
     def hyperadd(self, x: Element, y: Element) -> FiniteSet:
-        return self._set[self.codes.hyperadd(self._code(x), self._code(y))]
+        return self._set[self.codes.add[self._code(x)][self._code(y)]]
 
     def hypersum(self, xs: Sequence[Element]) -> FiniteSet:
         return self._set[self.codes.hypersum([self._code(x) for x in xs])]
@@ -409,7 +398,7 @@ class FiniteHyperfield(Hyperfield):
         return self._set[self.codes.neg_set(s.mask)]
 
     def singleton(self, x: Element) -> FiniteSet:
-        return self._set[self.codes.singleton(self._code(x))]
+        return self._set[1 << self._code(x)]
 
     def full_set(self) -> FiniteSet:
         return self._set[self.codes.full]
@@ -459,17 +448,17 @@ class CodeTable:
     a mask whose bit c is set when code c is a member.  mul[x][y] is the
     code of x (*) y, add[x][y] the mask of x (+) y and neg[x] the code of
     -x; step[s][y] is the mask of (set s) (+) y, which every finite sum
-    reads.  The carrier's FiniteSet methods and the law table read these."""
+    reads.  The carrier's operations wrap these: elements in, FiniteSets
+    out; the law table reads the carrier."""
 
     def __init__(self, hf: "FiniteHyperfield", mul, add, neg: list):
         self.hf = hf
         self.place = hf._place
-        self.zero = self.value(hf.zero())
-        self.one = self.value(hf.one())
         self.mul = mul
         self.add = add
         self.neg = neg
         self.full = (1 << len(neg)) - 1
+        self.zero, self.one = self.encode((hf.zero(), hf.one()))
         # members[s] is the codes of s, lowest first: its set bits, walked
         # the first time s is read
         self.members = _Interned(_set_bits)
@@ -509,21 +498,6 @@ class CodeTable:
 
     def decode(self, codes: Sequence[int]) -> tuple[Element, ...]:
         return tuple(self.elements[c] for c in codes)
-
-    def value(self, x: Element) -> int:
-        return self.place[x[1]]
-
-    def times(self, x: int, y: int) -> int:
-        return self.mul[x][y]
-
-    def hyperadd(self, x: int, y: int) -> int:
-        return self.add[x][y]
-
-    def singleton(self, x: int) -> int:
-        return 1 << x
-
-    def has(self, s: int, x: int) -> int:
-        return s >> x & 1
 
     def set_hyperadd(self, s: int, t: int) -> int:
         """The union of x (+) y over x in s and y in t, in that order, since
@@ -1193,16 +1167,13 @@ def _laws(hf: Hyperfield, probe: ProbeSpec) -> tuple[list[Element], dict]:
     sets.  The inverse rule tests -x only where -x is probed; an exhaustive
     check probes every -x, so there it reads set(hits) == {-x}.
 
-    The laws read their operations from ops: a finite carrier's code table
-    (values are codes and sets bitmasks), else the carrier itself.  Each
-    value they compare has one small-int id, its place in vals, so equal
-    values have equal ids (a code and an equal mask share one, as no law
-    compares the two kinds), and each operation runs once per distinct tuple
-    of argument ids, in tables that live for this call.  The texts name the
-    points pts[i], and v[i] is the id of pts[i]; a double-distributivity
-    text prints the carrier's own sets."""
+    The laws read the carrier's own operations, so a value is an element
+    or a set of the carrier.  Each value they compare has one small-int id,
+    its place in vals, so equal values have equal ids, and each operation
+    runs once per distinct tuple of argument ids, in tables that live for
+    this call.  The texts name the points pts[i], and v[i] is the id of
+    pts[i]."""
     pts = _points_of(hf, probe)
-    ops = hf.codes if hf.is_finite() else hf
     ids: dict = {}
     vals: list = []
 
@@ -1217,19 +1188,20 @@ def _laws(hf: Hyperfield, probe: ProbeSpec) -> tuple[list[Element], dict]:
         return lru_cache(maxsize=None)(lambda a, b: out(op(vals[a], vals[b])))
 
     def value(x: Element) -> int:
-        return intern(ops.value(hf.check(x)))
+        return intern(hf.check(x))
 
-    times, add, has = table(ops.times), table(ops.hyperadd), table(ops.has, bool)
-    sadd, smul, scale = (table(ops.set_hyperadd), table(ops.set_mul),
-                         table(ops.scale_set))
+    times, add = table(hf.mul), table(hf.hyperadd)
+    has = table(lambda s, x: s.contains(x), bool)
+    sadd, smul, scale = (table(hf.set_hyperadd), table(hf.set_mul),
+                         table(hf.scale_set))
     hsum = lru_cache(maxsize=None)(
-        lambda *xs: intern(ops.hypersum([vals[x] for x in xs])))
+        lambda *xs: intern(hf.hypersum([vals[x] for x in xs])))
     zero, one = value(hf.zero()), value(hf.one())
     v = [value(x) for x in pts]
     idx = range(len(pts))
     prod = [[times(x, y) for y in v] for x in v]
     pair = [[add(x, y) for y in v] for x in v]
-    single = [intern(ops.singleton(vals[x])) for x in v]
+    single = [intern(hf.singleton(x)) for x in pts]
     neg = [value(hf.neg(x)) for x in pts]
     hits = [[j for j in idx if has(pair[i][j], zero)] for i in idx]
     minus = [[add(x, y) for y in neg] for x in v]

@@ -198,18 +198,8 @@ def parse_poly(text: str, hf: Hyperfield) -> Polynomial:
 # coefficient boxes
 
 
-class _KeptDecisions:
-    """A frozen resolved value keeps _decide(p) per p, as it keeps members."""
-
-    _decisions = cached_property(lambda self: {})
-
-    def decide(self, p: Polynomial) -> Decision:
-        return self._decisions.get(p) or self._decisions.setdefault(
-            p, self._decide(p))
-
-
 @dataclass(frozen=True)
-class PolyBox(_KeptDecisions):
+class PolyBox:
     """Vector of per-coefficient value sets; denotes all polynomials whose
     padded coefficient vector selects from the cells, after trimming leading
     zeros.  The all-zero selection never yields a polynomial; zero_excluded
@@ -313,7 +303,7 @@ class PolyBox(_KeptDecisions):
             return PolyBox(hf, cells, self.zero_excluded)
         return CoupledValue(p, self)
 
-    def _decide(self, p: Polynomial) -> Decision:
+    def decide(self, p: Polynomial) -> Decision:
         if self.is_empty() or p.degree > self.nominal_degree:
             return Decision("no", "box", [StepRecord(
                 "degree", None, "degree {} outside the box".format,
@@ -588,7 +578,7 @@ class Decision(NamedTuple):
 
 
 @dataclass(frozen=True)
-class CoupledValue(_KeptDecisions):
+class CoupledValue:
     """outer (x) r for every member r of the inner box: the product
     coefficients are coupled through the shared choice of r."""
 
@@ -631,7 +621,7 @@ class CoupledValue(_KeptDecisions):
                                 self.inner)
         return None
 
-    def _decide(self, p: Polynomial) -> Decision:
+    def decide(self, p: Polynomial) -> Decision:
         """The chain solver for a linear outer factor, the single-unknown
         solver when at most one inner cell is open, else enumeration over
         a finite carrier."""
@@ -693,7 +683,7 @@ class CoupledValue(_KeptDecisions):
 
 
 @dataclass(frozen=True)
-class FiniteValue(_KeptDecisions):
+class FiniteValue:
     """An explicitly enumerated set of polynomials (finite carriers only)."""
 
     members: frozenset
@@ -705,7 +695,7 @@ class FiniteValue(_KeptDecisions):
     def times(self, p: Polynomial) -> None:
         return None
 
-    def _decide(self, p: Polynomial) -> Decision:
+    def decide(self, p: Polynomial) -> Decision:
         return _enumeration_decision(
             p, len(self.members), p if p in self.members else None)
 

@@ -133,10 +133,6 @@ class ExtRat(_Value):
         _set_q(self, q)
         _set_inf(self, inf)
 
-    @property
-    def finite(self) -> bool:
-        return self.inf == 0
-
     def _fields(self) -> tuple:
         return (self.q, self.inf)
 

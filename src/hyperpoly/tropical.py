@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 from .carriers import CarrierSet, Element, TropicalHyperfield, by_name
 from .divide import _newton_roots, linear_for_root
-from .linear import Constraint, eq, lt, feasible_point as lp_feasible_point
+from .linear import eq, lt, feasible_point as lp_feasible_point
 from .polyalg import (Polynomial, PolyBox, box_of, boxprod, monic_decompose,
                       solve_linear_chain)
 from .sets import ExtRat, NEG_INF
@@ -112,12 +112,6 @@ def box_equivalence(roots: Sequence[Element]) -> BoxEquivalence:
 class RootMultiset:
     roots: tuple[Element, ...]  # descending
 
-    def counts(self) -> dict:
-        out: dict = {}
-        for a in self.roots:
-            out[a] = out.get(a, 0) + 1
-        return out
-
     def __str__(self) -> str:
         hf = by_name("T")
         return "{" + ", ".join(hf.format_element(a) for a in self.roots) + "}"
@@ -199,14 +193,12 @@ def _tropical_factor_search(p: Polynomial,
     """Monic factor pair with singleton product, by exact case analysis:
     choose which coefficients are -inf, then which product term is the
     strict maximum at every index, and solve the linear system."""
-    hf = p.hf
     n = p.degree
     for k in range(1, n // 2 + 1):
         m = n - k
         # variables: q_0..q_{k-1}, r_0..r_{m-1}; leading coefficients are 0
-        nq, nr = k, m
-        names = [f"q{j}" for j in range(nq)] + [f"r{j}" for j in range(nr)]
-        for pattern in itertools.product((False, True), repeat=nq + nr):
+        names = [f"q{j}" for j in range(k)] + [f"r{j}" for j in range(m)]
+        for pattern in itertools.product((False, True), repeat=n):
             reason = _try_pattern(p, k, pattern, names)
             if isinstance(reason, tuple):
                 return reason
@@ -222,77 +214,56 @@ def _try_pattern(p: Polynomial, k: int, pattern: tuple[bool, ...],
     inf_desc = ", ".join(f"{nm}=-inf" for nm, z in zip(names, pattern) if z) \
         or "all coefficients finite"
 
-    def var_index(side: str, j: int) -> Optional[int]:
-        # None marks a unit leading coefficient (constant 0)
-        if side == "q":
-            return None if j == k else j
-        return None if j == m else k + j
+    # one linear form over the finite variables per coefficient of each
+    # factor: None for a -inf coefficient, the zero form for the unit lead
+    nvars = pattern.count(False)
+    forms, pos = [], 0
+    for dead in pattern:
+        forms.append(None if dead else [Fraction(j == pos)
+                                        for j in range(nvars)])
+        pos += not dead
+    lead = [Fraction(0)] * nvars
+    q_forms, r_forms = forms[:k] + [lead], forms[k:] + [lead]
 
-    def is_dead(side: str, j: int) -> bool:
-        idx = var_index(side, j)
-        return idx is not None and pattern[idx]
-
-    finite_vars = [i for i, z in enumerate(pattern) if not z]
-    pos_of = {v: i for i, v in enumerate(finite_vars)}
-    nvars = len(finite_vars)
-
-    def term_coeffs(s: int, t: int) -> Optional[list[Fraction]]:
-        """Linear form of q_s + r_t over the finite variables, or None if
-        the term is -inf under the pattern."""
-        coeffs = [Fraction(0)] * nvars
-        for side, j in (("q", s), ("r", t)):
-            if is_dead(side, j):
-                return None
-            idx = var_index(side, j)
-            if idx is None:
-                continue  # unit leading coefficient contributes 0
-            coeffs[pos_of[idx]] += 1
-        return coeffs
-
-    constraints: list[Constraint] = []
-    choice_sets: list[list[tuple[int, tuple[int, int], list]]] = []
-    fixed: list[tuple[int, tuple[int, int]]] = []
+    choice_sets: list[list[tuple[int, tuple[int, list], list]]] = []
+    fixed: list[tuple[int, list]] = []
     for i in range(n + 1):
-        pairs = [(s, i - s) for s in range(max(0, i - m), min(i, k) + 1)]
-        live = [(s, t) for (s, t) in pairs if term_coeffs(s, t) is not None]
+        # the finite product terms q_s + r_t at T^i, with their forms
+        live = [(s, [x + y for x, y in zip(q_forms[s], r_forms[i - s])])
+                for s in range(max(0, i - m), min(i, k) + 1)
+                if q_forms[s] is not None and r_forms[i - s] is not None]
         ci = p.coeff(i)
         if hf.is_zero(ci):
             if live:
-                s, t = live[0]
+                s = live[0][0]
                 return (f"pattern {inf_desc}: the target coefficient of T^{i} "
-                        f"is -inf but the product term q{s}+r{t} stays finite")
+                        f"is -inf but the product term q{s}+r{i - s} stays "
+                        f"finite")
             continue
         if not live:
             return (f"pattern {inf_desc}: every product term at T^{i} is "
                     f"-inf, but the target coefficient is "
                     f"{hf.format_element(ci)}")
         if len(live) == 1:
-            fixed.append((i, live[0]))
+            fixed.append((i, live[0][1]))
         else:
-            choice_sets.append([(i, st, live) for st in live])
-    for i, (s, t) in fixed:
-        constraints.extend(eq(term_coeffs(s, t), p.coeff(i).payload.q))
-    base = constraints
+            choice_sets.append([(i, term, live) for term in live])
+    base = [c for i, form in fixed for c in eq(form, p.coeff(i).payload.q)]
     for choices in itertools.product(*choice_sets):
         constraints = list(base)
-        for (i, st, live) in choices:
+        for i, (s, form), live in choices:
             target = p.coeff(i).payload.q
-            constraints.extend(eq(term_coeffs(*st), target))
-            constraints.extend(lt(term_coeffs(*other), target)
-                               for other in live if other != st)
+            constraints.extend(eq(form, target))
+            constraints.extend(lt(other, target)
+                               for t, other in live if t != s)
         point = lp_feasible_point(constraints, nvars)
         if point is None:
             continue
-        values: list = []
-        for idx in range(len(pattern)):
-            if pattern[idx]:
-                values.append(NEG_INF)
-            else:
-                values.append(ExtRat(point[pos_of[idx]]))
-        q = Polynomial(hf, tuple(Element(hf.name, v) for v in values[:k])
-                       + (hf.one(),))
-        r = Polynomial(hf, tuple(Element(hf.name, v) for v in values[k:])
-                       + (hf.one(),))
+        finite = iter(point)
+        values = [Element(hf.name, NEG_INF if dead else ExtRat(next(finite)))
+                  for dead in pattern]
+        q = Polynomial(hf, tuple(values[:k]) + (hf.one(),))
+        r = Polynomial(hf, tuple(values[k:]) + (hf.one(),))
         if boxprod(q, r) == box_of(p):
             return q, r
     return f"pattern {inf_desc}: no strict-maximum assignment is consistent"

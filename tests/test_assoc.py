@@ -153,20 +153,14 @@ class TestAssocCheckReference:
         p, q, r = (parse_poly(t, hf) for t in triple)
         same_reports(assoc_check(p, q, r), reference_assoc_check(p, q, r))
 
-    def test_comparisons_share_their_decisions(self, monkeypatch):
-        # each value decides a candidate once.  The three separator searches
-        # of the undecided V triple decide each candidate on the side it
-        # was not drawn from (its own side only after a no, which none
-        # gives here), so they meet no (value, candidate) pair twice and
-        # compute the reference's 687 decisions; deciding both sides of
-        # every candidate took 990, and 1,320 without sharing
-        computed = []
-        for cls in (polyalg.PolyBox, polyalg.CoupledValue,
-                    polyalg.FiniteValue):
-            def counted(value, p, real=cls._decide):
-                computed.append(p)
-                return real(value, p)
-            monkeypatch.setattr(cls, "_decide", counted)
+    def test_separator_searches_make_the_reference_687_decisions(
+            self, monkeypatch):
+        # the three separator searches of the undecided V triple decide each
+        # candidate on the side it was not drawn from (its own side only
+        # after a no, which none gives here), so they make the reference's
+        # 687 decisions; deciding both sides of every candidate took 1,320
+        # calls on 990 distinct (value, candidate) pairs
+        computed = record_decisions(monkeypatch)
         V = by_name("V")
         p, q, r = (parse_poly(t, V)
                    for t in ("2T^2+2T+3", "3T+2", "1/2T^2+3T+1"))
@@ -175,6 +169,19 @@ class TestAssocCheckReference:
         computed.clear()
         reference_assoc_check(p, q, r)
         assert len(computed) == 687
+
+
+def record_decisions(monkeypatch) -> list:
+    """Patch decide on the three value types to record (value, p) per call;
+    the list keeps each value alive, so ids are not reused."""
+    computed = []
+    for cls in (polyalg.PolyBox, polyalg.CoupledValue,
+                polyalg.FiniteValue):
+        def counted(value, p, real=cls.decide):
+            computed.append((value, p))
+            return real(value, p)
+        monkeypatch.setattr(cls, "decide", counted)
+    return computed
 
 
 class TestAssocScan:
@@ -216,6 +223,16 @@ class TestAssocScan:
         report = assoc_scan(by_name("S"), 1, stop_after=None)
         assert len(report.counterexamples) >= 1
         assert report.triples_checked == 56  # all multisets of the 6 polys
+
+    @pytest.mark.parametrize("name,calls", [("S", 2200), ("W", 2424)])
+    def test_no_value_decides_a_polynomial_twice(self, monkeypatch, name,
+                                                 calls):
+        # values keep no decisions, so the full degree-2 scan must not ask
+        # one resolved value about the same polynomial twice
+        computed = record_decisions(monkeypatch)
+        assoc_scan(by_name(name), 2, stop_after=None)
+        assert len(computed) == calls
+        assert len({(id(value), p) for value, p in computed}) == calls
 
     def test_infinite_carrier_rejected(self):
         with pytest.raises(UndecidedError):

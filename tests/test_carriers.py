@@ -1020,18 +1020,17 @@ def value_keyed_laws(hf, probe):
     values themselves, with an lru_cache on set_hyperadd alone.  Kept as
     the oracle for the id tables of _laws."""
     pts = _points_of(hf, probe)
-    ops = hf.codes if hf.is_finite() else hf
-    zero, one = ops.value(hf.zero()), ops.value(hf.one())
-    v = [ops.value(hf.check(x)) for x in pts]
+    zero, one = hf.zero(), hf.one()
+    v = [hf.check(x) for x in pts]
     idx = range(len(pts))
-    prod = [[ops.times(x, y) for y in v] for x in v]
-    pair = [[ops.hyperadd(x, y) for y in v] for x in v]
-    single = [ops.singleton(x) for x in v]
-    neg = [ops.value(hf.neg(x)) for x in pts]
-    hits = [[j for j in idx if ops.has(pair[i][j], zero)] for i in idx]
-    minus = [[ops.hyperadd(x, y) for y in neg] for x in v]
+    prod = [[hf.mul(x, y) for y in v] for x in v]
+    pair = [[hf.hyperadd(x, y) for y in v] for x in v]
+    single = [hf.singleton(x) for x in v]
+    neg = [hf.neg(x) for x in pts]
+    hits = [[j for j in idx if pair[i][j].contains(zero)] for i in idx]
+    minus = [[hf.hyperadd(x, y) for y in neg] for x in v]
     # the associativity law's n^3 set sums take few distinct arguments
-    sadd = lru_cache(maxsize=None)(ops.set_hyperadd)
+    sadd = lru_cache(maxsize=None)(hf.set_hyperadd)
 
     def unequal_products(a: Element, b: Element, c: Element,
                          d: Element) -> str:
@@ -1044,25 +1043,25 @@ def value_keyed_laws(hf, probe):
         "zero-one-distinct": iter(["0 = 1"] if zero == one else []),
         "absorbing-zero": (
             f"0*{pts[i]}" for i, x in enumerate(v)
-            if ops.times(zero, x) != zero or ops.times(x, zero) != zero),
+            if hf.mul(zero, x) != zero or hf.mul(x, zero) != zero),
         "mul-commutative": (
             f"{pts[i]}*{pts[j]}" for i in idx for j in idx
             if prod[i][j] != prod[j][i]),
         "mul-associative": (
             f"({pts[i]}*{pts[j]})*{pts[k]}"
             for i in idx for j in idx for k in idx
-            if ops.times(prod[i][j], v[k]) != ops.times(v[i], prod[j][k])),
+            if hf.mul(prod[i][j], v[k]) != hf.mul(v[i], prod[j][k])),
         "mul-identity": (
-            f"1*{pts[i]}" for i, x in enumerate(v) if ops.times(one, x) != x),
+            f"1*{pts[i]}" for i, x in enumerate(v) if hf.mul(one, x) != x),
         "mul-inverse": (
             f"{pts[i]}*inv({pts[i]})" for i, x in enumerate(v)
-            if x != zero and ops.times(x, ops.value(hf.inv(pts[i]))) != one),
+            if x != zero and hf.mul(x, hf.inv(pts[i])) != one),
         "hyperadd-commutative": (
             f"{pts[i]}(+){pts[j]}" for i in idx for j in idx
             if pair[i][j] != pair[j][i]),
         "hyperadd-identity": (
             f"0(+){pts[i]}" for i, x in enumerate(v)
-            if ops.hyperadd(zero, x) != single[i]),
+            if hf.hyperadd(zero, x) != single[i]),
         "hyperadd-associative": (
             f"{pts[i]}(+)({pts[j]}(+){pts[k]})"
             for i in idx for j in idx for k in idx
@@ -1075,22 +1074,22 @@ def value_keyed_laws(hf, probe):
         "reversibility": (
             f"x={pts[i]}, y={pts[j]}, z={pts[k]}"
             for i in idx for j in idx for k in idx
-            if ops.has(pair[j][k], v[i]) != ops.has(minus[i][j], v[k])),
+            if pair[j][k].contains(v[i]) != minus[i][j].contains(v[k])),
         "distributivity-left": (
             f"{pts[a]}*({pts[i]}(+){pts[j]})"
             for a in idx for i in idx for j in idx
-            if ops.scale_set(v[a], pair[i][j])
-            != ops.hyperadd(prod[a][i], prod[a][j])),
+            if hf.scale_set(v[a], pair[i][j])
+            != hf.hyperadd(prod[a][i], prod[a][j])),
         "distributivity-right": (
             f"({pts[i]}(+){pts[j]})*{pts[a]}"
             for a in idx for i in idx for j in idx
-            if ops.set_mul(pair[i][j], single[a])
-            != ops.hyperadd(prod[i][a], prod[j][a])),
+            if hf.set_mul(pair[i][j], single[a])
+            != hf.hyperadd(prod[i][a], prod[j][a])),
         "double-distributivity": (
             unequal_products(pts[a], pts[b], pts[c], pts[d])
             for a in idx for b in idx for c in idx for d in idx
-            if ops.set_mul(pair[a][b], pair[c][d])
-            != ops.hypersum([prod[a][c], prod[a][d], prod[b][c], prod[b][d]])),
+            if hf.set_mul(pair[a][b], pair[c][d])
+            != hf.hypersum([prod[a][c], prod[a][d], prod[b][c], prod[b][d]])),
     }
 
 

@@ -236,7 +236,7 @@ class TestTextForms:
         with pytest.raises(ValueError):
             parse_poly(bad, by_name("S"))
 
-    def test_degree_cap_env_override(self):
+    def test_degree_cap_refuses_T7(self):
         S = by_name("S")
         with pytest.raises(ValueError):
             parse_poly("T^7", S)
@@ -989,10 +989,9 @@ class TestResolve:
         p = parse_poly("T^5+T^4+T+1", K)
         assert isinstance(value, CoupledValue)
         assert value.decide(p).verdict == "yes"
-        # a value keeps its decisions, so the fault is shown on a fresh one
         with mock.patch.object(polyalg, "in_product", lambda p, q, r: False):
             with pytest.raises(AssertionError, match="no inner choice"):
-                resolve(expr, K).decide(p)
+                value.decide(p)
 
     @pytest.mark.parametrize("name,text,p", [
         ("K", "(T^2+1)*((T^2+T+1)*(T+1))", "T^5+T^4+T+1"),
@@ -1000,20 +999,12 @@ class TestResolve:
         ("V", "(T+1)*((T+1)*(T+2))", "T^3+2T+2"),
         ("W", "((T+1)*((T+1)*(T+1)))+(1)", "T^3+T")])
     def test_a_value_decides_each_polynomial_once(self, name, text, p):
+        # a value keeps no decisions, so each resolution decides p afresh;
+        # two resolutions of the same text decide it alike
         hf = by_name(name)
-        value, p = resolve(parse_expr(text, hf), hf), parse_poly(p, hf)
-        computed = []
-        real = type(value)._decide
-
-        def counted(self, p):
-            computed.append(p)
-            return real(self, p)
-
-        with mock.patch.object(type(value), "_decide", counted):
-            first = value.decide(p)
-            assert value.decide(p) is first
-            other = resolve(parse_expr(text, hf), hf).decide(p)
-        assert computed == [p, p]
+        p = parse_poly(p, hf)
+        first, other = (resolve(parse_expr(text, hf), hf).decide(p)
+                        for _ in range(2))
         assert other[:2] == first[:2] and other.witness == first.witness
         assert [s.text for s in other.steps] == [s.text for s in first.steps]
 
